@@ -15,6 +15,7 @@ from .core import (
     FiniteVector,
     INF,
     Number,
+    ParseError,
     WeightSpec,
     is_exact,
     parse_scalar,
@@ -93,7 +94,11 @@ class OrliczFunction:
 def load_orlicz_table(path: str) -> OrliczFunction:
     """Two-column text file of (t, M(t)) knots, strictly increasing t."""
     knots = []
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise ParseError(f"cannot read Orlicz table {path!r}: {exc}") from None
+    with fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):

@@ -21,6 +21,7 @@ from .core import (
     ConfigurationError,
     FiniteVector,
     ParseError,
+    close,
     format_scalar,
     parse_space,
     parse_vector,
@@ -115,7 +116,9 @@ def cmd_oracle(args, report: _Report) -> int:
         )
     dp = tsirelson.fixed_point_norm(alpha, v)
     oracle = tsirelson.oracle_norm(alpha, v, cap=args.oracle_cap)
-    agree = dp == oracle
+    # exact values must be equal; floats summed in a different order may
+    # differ in the last bits, so they need only agree within --tol
+    agree = close(dp, oracle, rel_tol=args.tol)
     report.header(alpha=format_scalar(alpha), mode="exact" if args.exact else "float")
     report.row("dp", _value_cell(dp))
     report.row("oracle", _value_cell(oracle))

@@ -132,12 +132,19 @@ def parse_set(descriptor: str) -> SetGenerator:
     if descriptor in ("naturals", "evens", "squares", "primes"):
         return SetGenerator(descriptor)
     if descriptor.startswith("dyadic:"):
-        return SetGenerator.dyadic_block(int(descriptor[len("dyadic:"):]))
+        return SetGenerator.dyadic_block(_set_int(descriptor[len("dyadic:"):], descriptor))
     if descriptor.startswith("explicit:"):
         return SetGenerator.explicit(
-            [int(t) for t in descriptor[len("explicit:"):].split(";")]
+            [_set_int(t, descriptor) for t in descriptor[len("explicit:"):].split(";")]
         )
     raise ParseError(f"unknown set descriptor {descriptor!r}")
+
+
+def _set_int(text: str, descriptor: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"bad integer {text!r} in set descriptor {descriptor!r}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,19 @@ The recursion being computed, for alpha in (0,1):
 
 with the inner max over families E_1 < ... < E_r of finite sets, r = k for
 the plain space (r = h(k) for the h-variant) and k <= min E_1.
+
+In exact mode (alpha = p/q and every coefficient an int or Fraction) the DP
+runs on plain ints.  With s the support size and L the lcm of the
+coefficients' denominators, a value x is held as the integer x * L * q^(s-1),
+and alpha is applied as ``p * X // q``.  That division is exact: the value of
+an interval of length l is a sum of terms alpha^d * |a_n| with d <= l - 1,
+because every family splits an interval into strictly shorter ones.  So
+alpha times the value of a strict subinterval of an interval of length
+l <= s has d <= s - 1, and its scaled form is an integer.  The l1-bound
+prune compares ``p * sum <= q * best`` and divides nothing.  Values leave the
+engine as ``Fraction(X, scale)``, except that a value equal to the interval's
+sup is returned as that coefficient itself, as Fraction arithmetic would.
+Float mode keeps the values themselves, with q = 1.
 """
 from __future__ import annotations
 
@@ -140,7 +153,8 @@ class TsirelsonEngine:
 
     Works on the compressed support (zero runs collapse); intervals are
     support-index ranges, while admissibility constraints use the actual
-    1-based positions.
+    1-based positions.  The tables hold work units: scaled integers in exact
+    mode, the values themselves in float mode (see the module docstring).
     """
 
     def __init__(self, alpha: Number, v: FiniteVector, h: Optional[HFunction] = None):
@@ -151,9 +165,32 @@ class TsirelsonEngine:
         self.pos: Tuple[int, ...] = v.support
         self.val: Tuple[Number, ...] = tuple(abs(v.coefficient(n)) for n in self.pos)
         s = len(self.pos)
+        if is_exact(alpha) and all(is_exact(a) for a in self.val):
+            self._p, self._q = alpha.numerator, alpha.denominator
+            lcm = math.lcm(*(a.denominator for a in self.val))
+            self._scale: Optional[int] = lcm * self._q ** max(s - 1, 0)
+            self._work: List[Number] = [
+                a.numerator * (self._scale // a.denominator) for a in self.val
+            ]
+        else:
+            self._p, self._q = alpha, 1
+            self._scale = None
+            self._work = list(self.val)
         self._abs_prefix = [0] * (s + 1)
-        for i, a in enumerate(self.val):
+        for i, a in enumerate(self._work):
             self._abs_prefix[i + 1] = self._abs_prefix[i] + a
+        # (k, r = h(k)) for the k-loop.  Identity and affine h have
+        # h(k) >= k, and r sets need r support points, so k <= s suffices.
+        # A table h can have h(k) < k, so every entry is kept; the loop ends
+        # once k passes the last position.  Like the oracle, a table h admits
+        # no family for a k it has no entry for.
+        if self.h is None:
+            self._sizes = [(k, k) for k in range(1, s + 1)]
+        elif self.h.kind == "table":
+            self._sizes = [(k, r) for k, r in self.h.table if k >= 1]
+        else:
+            self._sizes = [(k, self.h(k)) for k in range(1, s + 1)]
+        self._sup = self._sup_table()
         self._fixed: Optional[List[List[Number]]] = None
 
     # -- shared pieces
@@ -165,16 +202,33 @@ class TsirelsonEngine:
         s = len(self.pos)
         table = [[0] * s for _ in range(s)]
         for i in range(s):
-            running = self.val[i]
+            running = self._work[i]
             table[i][i] = running
             for j in range(i + 1, s):
-                if self.val[j] > running:
-                    running = self.val[j]
+                if self._work[j] > running:
+                    running = self._work[j]
                 table[i][j] = running
         return table
 
-    def _family_size(self, k: int) -> int:
-        return k if self.h is None else self.h(k)
+    def _number(self, raw: Number, i: int, j: int) -> Number:
+        """The value a work-unit entry of interval [i..j] stands for.
+
+        A value equal to the sup is the first largest |coefficient| object
+        itself (an int stays an int); any other exact value is a Fraction.
+        """
+        if self._scale is None:
+            return raw
+        if raw == self._sup[i][j]:
+            return self.val[self._work.index(raw, i)]
+        return Fraction(raw, self._scale)
+
+    def _to_numbers(self, table: List[List[Number]]) -> List[List[Number]]:
+        if self._scale is None:
+            return table
+        return [
+            [self._number(raw, i, j) if j >= i else 0 for j, raw in enumerate(row)]
+            for i, row in enumerate(table)
+        ]
 
     def _best_partition(self, table, memo, a: int, j: int, r: int) -> Number:
         # Max of sum(table value over groups) over partitions of support
@@ -200,26 +254,24 @@ class TsirelsonEngine:
         sets are consecutive index intervals suffice here (production search);
         gaps never help because restriction shrinks the norm.  Single-set
         families are skipped: they contribute at most alpha * previous value.
+        The running max is kept multiplied by q, so alpha = p/q costs one
+        multiplication by p per candidate and no division until the end.
         """
-        best = floor_value
-        k = 1
-        while True:
+        p, q = self._p, self._q
+        best = q * floor_value
+        for k, r in self._sizes:
             a = max(i, bisect_left(self.pos, k))
             if a > j:
                 break
-            upper = self.alpha * self._abs_sum(a, j)
-            if upper <= best:
+            if p * self._abs_sum(a, j) <= best:
                 break  # larger k only shrinks the available l1 mass
-            r = self._family_size(k)
-            width = j - a + 1
-            if r > width:
+            if r > j - a + 1:
                 break  # r grows and width shrinks with k
             if r >= 2:
-                cand = self.alpha * self._best_partition(table, memo, a, j, r)
+                cand = p * self._best_partition(table, memo, a, j, r)
                 if cand > best:
                     best = cand
-            k += 1
-        return best
+        return best if self._scale is None else best // q
 
     # -- fixed-point route (no level trace)
 
@@ -233,15 +285,14 @@ class TsirelsonEngine:
         if self._fixed is not None:
             return self._fixed
         s = len(self.pos)
-        sup = self._sup_table()
         table = [[0] * s for _ in range(s)]
         memo: Dict = {}
         for length in range(1, s + 1):
             for i in range(0, s - length + 1):
                 j = i + length - 1
-                table[i][j] = self._inner_max(table, memo, i, j, sup[i][j])
-        self._fixed = table
-        return table
+                table[i][j] = self._inner_max(table, memo, i, j, self._sup[i][j])
+        self._fixed = self._to_numbers(table)
+        return self._fixed
 
     def fixed_point_norm(self) -> Number:
         s = len(self.pos)
@@ -273,32 +324,35 @@ class TsirelsonEngine:
                 nxt[i][j] = self._inner_max(table, memo, i, j, table[i][j])
         return nxt
 
-    def level_tables(self, m: int) -> List[List[List[Number]]]:
-        tables = [self._sup_table()]
+    def _work_level_tables(self, m: int) -> List[List[List[Number]]]:
+        tables = [self._sup]
         for _ in range(m):
             tables.append(self._level_step(tables[-1]))
             if tables[-1] == tables[-2]:
                 break  # table-wide fixed point; later levels repeat
         return tables
 
+    def level_tables(self, m: int) -> List[List[List[Number]]]:
+        return [self._to_numbers(t) for t in self._work_level_tables(m)]
+
     def level_norm(self, m: int) -> Number:
         s = len(self.pos)
         if s == 0:
             return 0
-        tables = self.level_tables(m)
+        tables = self._work_level_tables(m)
         idx = min(m, len(tables) - 1)
-        return tables[idx][0][s - 1]
+        return self._number(tables[idx][0][s - 1], 0, s - 1)
 
     def norm_with_trace(self) -> Tuple[Number, LevelTrace]:
         s = len(self.pos)
         if s == 0:
             return 0, LevelTrace(levels=((0, 0),), stabilization_level=0)
-        tables = self.level_tables(s + 1)
+        tables = self._work_level_tables(s + 1)
         if len(tables) >= 2 and tables[-1] != tables[-2]:
             raise AssertionError(
                 "level recursion did not stabilize within |support| levels"
             )
-        values = [t[0][s - 1] for t in tables]
+        values = [self._number(t[0][s - 1], 0, s - 1) for t in tables]
         stab = len(values) - 1
         for m in range(len(values) - 1):
             if values[m + 1] == values[m]:

@@ -1,3 +1,5 @@
+import pytest
+
 from seqnorms import cli
 
 
@@ -37,6 +39,24 @@ class TestNormCommand:
         code, out, _ = run(capsys, "norm", "lp:p=2", "/nonexistent/v.txt")
         assert code == 2
 
+    def test_table_h_outside_domain_admits_no_family(self, capsys, tmp_path):
+        vec = write_vector(tmp_path, "v.txt", " ".join(["1"] * 8))
+        code, out, _ = run(capsys, "norm", "tsirelson:alpha=1/2,h=table:1:1;2:3", vec)
+        assert code == 0
+        assert "norm,2,2.0" in out
+
+    def test_table_h_key_above_support_size(self, capsys, tmp_path):
+        vec = write_vector(tmp_path, "v.txt", "10:1 11:1 12:1 13:1")
+        code, out, _ = run(capsys, "norm", "tsirelson:alpha=2/3,h=table:10:2", vec)
+        assert code == 0
+        assert "norm,16/9," in out
+
+    def test_missing_orlicz_table(self, capsys, tmp_path):
+        vec = write_vector(tmp_path, "v.txt", "1 2")
+        code, out, err = run(capsys, "norm", "orlicz:table=/nonexistent", vec)
+        assert code == 2 and out == ""
+        assert "Traceback" not in err and "cannot read Orlicz table" in err
+
     def test_budget_exceeded(self, capsys, tmp_path):
         vec = write_vector(tmp_path, "v.txt", " ".join(["1"] * 10))
         code, out, _ = run(
@@ -56,6 +76,15 @@ class TestOracleCommand:
         vec = write_vector(tmp_path, "v.txt", "0")
         code, out, _ = run(capsys, "oracle", "1/2", vec)
         assert code == 0 and "flag,AGREE" in out
+
+    def test_float_agreement_within_tolerance(self, capsys, tmp_path):
+        # the two engines sum in different orders: 1.0518 vs 1.0517999999999998
+        vec = write_vector(
+            tmp_path, "fv.txt", "1:-0.919 2:0.362 3:0.117 5:0.893 6:0.877 7:0.82 11:-0.916"
+        )
+        code, out, _ = run(capsys, "oracle", "0.3", vec, "--float")
+        assert code == 0
+        assert "flag,AGREE" in out
 
     def test_cap_exceeded(self, capsys, tmp_path):
         vec = write_vector(tmp_path, "v.txt", " ".join(["1"] * 9))
@@ -125,6 +154,14 @@ class TestIdealCommand:
             capsys, "ideal", "membership", "summable:w=harmonic", "evens", "--N", "1000"
         )
         assert code == 0 and "non-member-trend" in out
+
+    @pytest.mark.parametrize("descriptor", ["explicit:1;a", "dyadic:x"])
+    def test_malformed_set(self, capsys, descriptor):
+        code, out, err = run(
+            capsys, "ideal", "membership", "summable:w=harmonic", descriptor, "--N", "10"
+        )
+        assert code == 2 and out == ""
+        assert "Traceback" not in err and "bad integer" in err
 
     def test_axioms(self, capsys):
         code, out, _ = run(

@@ -9,6 +9,7 @@ from seqnorms.tsirelson import (
     AdmissibleFamily,
     CertificateNode,
     NormCertificate,
+    TsirelsonEngine,
     certificate_lower_bound,
     fixed_point_norm,
     is_admissible,
@@ -250,3 +251,113 @@ class TestCertificates:
                 )
             )
             assert certificate_lower_bound(HALF, None, v, cert) <= fixed_point_norm(HALF, v)
+
+
+def harmonic(N):
+    return FiniteVector.from_pairs((n, Fraction(1, n + 1)) for n in range(1, N + 1))
+
+
+class TestIntegerKernel:
+    """The exact DP runs on scaled integers; these pin its values and types."""
+
+    ALPHAS = (HALF, Fraction(1, 3), Fraction(2, 3), Fraction(3, 10), Fraction(5, 7))
+    HS = (
+        None,
+        HFunction.affine(2, 0),
+        HFunction.from_table([(1, 1), (2, 3)]),
+        HFunction.from_table([(2, 2), (3, 4)]),  # no entry for k = 1
+        HFunction.from_table([(4, 2), (9, 3)]),  # keys above the support size
+    )
+
+    def test_exact_dp_equals_oracle_on_both_routes(self):
+        rng = Random(31)
+        for alpha in self.ALPHAS:
+            for h in self.HS:
+                for _ in range(8):
+                    positions = rng.sample(range(1, 11), rng.randint(1, 7))
+                    v = FiniteVector.from_pairs(
+                        (n, Fraction(rng.choice((-5, -2, 1, 3, 4)), rng.choice((1, 2, 3, 7, 12))))
+                        for n in positions
+                    )
+                    expected = oracle_norm(alpha, v, h=h)
+                    assert fixed_point_norm(alpha, v, h=h) == expected
+                    value, trace = norm(alpha, h, v)
+                    assert value == expected
+                    assert norm_level(alpha, h, v, len(v.support)) == expected
+
+    def test_table_h_k_outside_the_table_admits_no_family(self):
+        h = HFunction.from_table([(1, 1), (2, 3)])
+        v = FiniteVector.from_dense([1] * 8)
+        assert oracle_norm(HALF, v, h=h) == 2
+        assert fixed_point_norm(HALF, v, h=h) == 2
+        assert norm(HALF, h, v)[0] == 2
+
+    def test_table_h_keys_above_the_support_size(self):
+        # h(10) = 2 < 10: the k = 10, r = 2 families fit on positions 10..13
+        h = HFunction.from_table([(10, 2)])
+        v = units(10, 11, 12, 13)
+        alpha = Fraction(2, 3)
+        assert oracle_norm(alpha, v, h=h) == Fraction(16, 9)
+        assert fixed_point_norm(alpha, v, h=h) == Fraction(16, 9)
+        assert norm(alpha, h, v)[0] == Fraction(16, 9)
+        assert norm_level(alpha, h, v, 4) == Fraction(16, 9)
+
+    def test_sup_coefficient_keeps_its_type(self):
+        v = FiniteVector.from_dense([5, 1, 1])
+        value, trace = norm(HALF, None, v)
+        assert fixed_point_norm(HALF, v) == 5
+        assert type(fixed_point_norm(HALF, v)) is int and type(value) is int
+        assert all(type(level) is int for _, level in trace.levels)
+        # ties keep the first largest coefficient, as comparison would
+        tie = FiniteVector.from_dense([Fraction(2), 2])
+        assert type(fixed_point_norm(HALF, tie)) is Fraction
+        assert type(TsirelsonEngine(HALF, tie).interval_norm(2, 2)) is int
+
+    def test_value_above_the_sup_is_a_fraction(self):
+        # four singletons from position 4: 1/2 * 4 = 2, reached by alpha
+        value, trace = norm(HALF, None, units(4, 5, 6, 7))
+        assert value == 2 and type(value) is Fraction
+        assert type(fixed_point_norm(HALF, units(4, 5, 6, 7))) is Fraction
+        assert [type(level) for _, level in trace.levels] == [int, Fraction, Fraction]
+
+    def test_float_mode_matches_recorded_values(self):
+        rng = Random(2024)
+        got = []
+        for case in range(12):
+            s = rng.randint(3, 14)
+            pos = sorted(rng.sample(range(1, 24), s))
+            v = FiniteVector.from_pairs((p, round(rng.uniform(-1, 1), 3)) for p in pos)
+            alpha = (0.5, 0.3, 2 / 3)[case % 3]
+            h = (None, HFunction.affine(2, 0))[case % 2]
+            value, trace = norm(alpha, h, v)
+            got.append((fixed_point_norm(alpha, v, h=h), value, tuple(x for _, x in trace.levels)))
+        assert got == FLOAT_CORPUS
+
+    @pytest.mark.parametrize("N, expected", [
+        (48, Fraction(7764333129948822479951, 12396178016983986825600)),
+        (64, Fraction(2130156721352945887114604639, 3152711690940859380030297600)),
+    ])
+    def test_harmonic_values_recorded(self, N, expected):
+        value = fixed_point_norm(HALF, harmonic(N))
+        assert value == expected and type(value) is Fraction
+
+
+# Values of the Fraction-based engine on the float corpus above.
+FLOAT_CORPUS = [
+    (1.9795, 1.9795, (0.851, 1.9795, 1.9795)),
+    (1.9991999999999999, 1.9991999999999999, (0.961, 1.9991999999999999, 1.9991999999999999)),
+    (3.0826666666666664, 3.0826666666666664,
+     (0.998, 3.0246666666666666, 3.0826666666666664, 3.0826666666666664)),
+    (1.0565, 1.0565, (0.8, 1.0565, 1.0565)),
+    (1.8158999999999998, 1.8158999999999998, (0.909, 1.8158999999999998, 1.8158999999999998)),
+    (2.9913333333333334, 2.9913333333333334,
+     (0.893, 2.9913333333333334, 2.9913333333333334, 2.9913333333333334)),
+    (1.077, 1.077, (0.792, 0.9924999999999999, 1.077, 1.077)),
+    (1.5828, 1.5828, (0.979, 1.5828, 1.5828)),
+    (2.5826666666666664, 2.5826666666666664,
+     (0.949, 2.226, 2.5826666666666664, 2.5826666666666664)),
+    (2.7470000000000003, 2.7470000000000003, (0.948, 2.7470000000000003, 2.7470000000000003)),
+    (1.0992, 1.0992, (0.879, 1.0992, 1.0992)),
+    (3.2640000000000002, 3.2640000000000002,
+     (0.847, 3.2020000000000004, 3.2640000000000002, 3.2640000000000002)),
+]
