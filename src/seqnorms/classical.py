@@ -93,20 +93,20 @@ class OrliczFunction:
 
 def load_orlicz_table(path: str) -> OrliczFunction:
     """Two-column text file of (t, M(t)) knots, strictly increasing t."""
-    knots = []
     try:
-        fh = open(path)
-    except OSError as exc:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read Orlicz table {path!r}: {exc}") from None
-    with fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ConfigurationError(f"Orlicz table line needs two columns: {line!r}")
-            knots.append((parse_scalar(parts[0]), parse_scalar(parts[1])))
+    knots = []
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ConfigurationError(f"Orlicz table line needs two columns: {line!r}")
+        knots.append((parse_scalar(parts[0]), parse_scalar(parts[1])))
     return OrliczFunction.from_knots(knots)
 
 

@@ -74,7 +74,7 @@ def _read_vector(path: str, exact: bool) -> FiniteVector:
     try:
         with open(path) as fh:
             return parse_vector(fh.read(), exact=exact)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read vector file {path!r}: {exc}") from None
 
 

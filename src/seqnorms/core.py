@@ -203,6 +203,8 @@ class HFunction:
             hs = [h for _, h in self.table]
             if not self.table or ks != sorted(set(ks)):
                 raise ConfigurationError("h table needs distinct increasing keys")
+            if ks[0] < 1:
+                raise ConfigurationError("h table keys must be >= 1")
             if any(h2 <= h1 for h1, h2 in zip(hs, hs[1:])) or hs[0] < 1:
                 raise ConfigurationError("h must be strictly increasing with values >= 1")
         elif self.kind != "identity":

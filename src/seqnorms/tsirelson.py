@@ -34,6 +34,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .core import (
@@ -59,15 +60,6 @@ class AdmissibleFamily:
 
     sets: Tuple[Tuple[int, ...], ...]
     k: int
-
-    @staticmethod
-    def plain(sets: Iterable[Iterable[int]]) -> "AdmissibleFamily":
-        sets = tuple(tuple(sorted(s)) for s in sets)
-        return AdmissibleFamily(sets, k=len(sets))
-
-    @staticmethod
-    def variant(sets: Iterable[Iterable[int]], k: int) -> "AdmissibleFamily":
-        return AdmissibleFamily(tuple(tuple(sorted(s)) for s in sets), k=k)
 
 
 @dataclass(frozen=True)
@@ -138,11 +130,6 @@ class LevelTrace:
     levels: Tuple[Tuple[int, Number], ...]
     stabilization_level: int
 
-    def value_at(self, m: int) -> Number:
-        if m >= len(self.levels):
-            return self.levels[-1][1]
-        return self.levels[m][1]
-
 
 # ---------------------------------------------------------------------------
 # The interval dynamic program
@@ -187,7 +174,7 @@ class TsirelsonEngine:
         if self.h is None:
             self._sizes = [(k, k) for k in range(1, s + 1)]
         elif self.h.kind == "table":
-            self._sizes = [(k, r) for k, r in self.h.table if k >= 1]
+            self._sizes = list(self.h.table)
         else:
             self._sizes = [(k, self.h(k)) for k in range(1, s + 1)]
         self._sup = self._sup_table()
@@ -230,30 +217,44 @@ class TsirelsonEngine:
             for i, row in enumerate(table)
         ]
 
-    def _best_partition(self, table, memo, a: int, j: int, r: int) -> Number:
+    def _best_partition(self, table, rows, lo, a: int, j: int, r: int) -> Number:
         # Max of sum(table value over groups) over partitions of support
         # indices [a..j] into exactly r nonempty consecutive groups.
-        if r == 1:
-            return table[a][j]
-        key = (a, j, r)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        best = None
-        for t in range(a, j - r + 2):
-            cand = table[a][t] + self._best_partition(table, memo, t + 1, j, r - 1)
-            if best is None or cand > best:
-                best = cand
-        memo[key] = best
-        return best
+        #
+        # Per-right-end arrays: for the fixed j, rows[q][x] is the best split
+        # of [x..j] into q groups, filled for lo[q] <= x <= j - q + 1.
+        # rows[1] is column j of the table itself.  The query (a, j, r) needs
+        # the states (x, j, q) with a + r - q <= x <= j - q + 1 for q = 2..r,
+        # a suffix for each q; so each rows[q] is extended downward to
+        # a + r - q, by increasing q, and nothing else is computed.  Only
+        # table[x][t] with t < j and column entries x > a are read: strict
+        # subintervals of [a..j].  On the fixed-point route column j is still
+        # being filled, so rows[1] must be a live column that is written
+        # together with table[i][j], never a copy.
+        if r < len(rows) and lo[r] <= a:
+            return rows[r][a]
+        while len(rows) <= r:
+            lo.append(j - len(rows) + 2)  # empty: one past the last valid x
+            rows.append([0] * (j + 1))
+        for q in range(2, r + 1):
+            start = a + r - q
+            if lo[q] <= start:
+                continue
+            row, prev, stop = rows[q], rows[q - 1], j - q + 2
+            for x in range(lo[q] - 1, start - 1, -1):
+                row[x] = max(map(add, table[x][x:stop], prev[x + 1 : stop + 1]))
+            lo[q] = start
+        return rows[r][a]
 
-    def _inner_max(self, table, memo, i: int, j: int, floor_value: Number) -> Number:
+    def _inner_max(self, table, rows, lo, i: int, j: int, floor_value: Number) -> Number:
         """max(floor_value, alpha * best admissible-family sum) on interval [i..j].
 
-        ``table`` supplies the norms of strict subintervals.  Families whose
-        sets are consecutive index intervals suffice here (production search);
-        gaps never help because restriction shrinks the norm.  Single-set
-        families are skipped: they contribute at most alpha * previous value.
+        ``table`` supplies the norms of strict subintervals; ``rows`` and
+        ``lo`` are the partition arrays of right end j (see _best_partition).
+        Families whose sets are consecutive index intervals suffice here
+        (production search); gaps never help because restriction shrinks the
+        norm.  Single-set families are skipped: they contribute at most
+        alpha * previous value.
         The running max is kept multiplied by q, so alpha = p/q costs one
         multiplication by p per candidate and no division until the end.
         """
@@ -268,7 +269,7 @@ class TsirelsonEngine:
             if r > j - a + 1:
                 break  # r grows and width shrinks with k
             if r >= 2:
-                cand = p * self._best_partition(table, memo, a, j, r)
+                cand = p * self._best_partition(table, rows, lo, a, j, r)
                 if cand > best:
                     best = cand
         return best if self._scale is None else best // q
@@ -286,11 +287,15 @@ class TsirelsonEngine:
             return self._fixed
         s = len(self.pos)
         table = [[0] * s for _ in range(s)]
-        memo: Dict = {}
-        for length in range(1, s + 1):
-            for i in range(0, s - length + 1):
-                j = i + length - 1
-                table[i][j] = self._inner_max(table, memo, i, j, self._sup[i][j])
+        for j in range(s):
+            # By right end, then by decreasing start: every strict subinterval
+            # of [i..j] is filled first.  col is the live column j.
+            col = [0] * (j + 1)
+            rows, lo = [None, col], [None, 0]
+            for i in range(j, -1, -1):
+                col[i] = table[i][j] = self._inner_max(
+                    table, rows, lo, i, j, self._sup[i][j]
+                )
         self._fixed = self._to_numbers(table)
         return self._fixed
 
@@ -317,11 +322,11 @@ class TsirelsonEngine:
     def _level_step(self, table) -> List[List[Number]]:
         s = len(self.pos)
         nxt = [[0] * s for _ in range(s)]
-        memo: Dict = {}
-        for length in range(1, s + 1):
-            for i in range(0, s - length + 1):
-                j = i + length - 1
-                nxt[i][j] = self._inner_max(table, memo, i, j, table[i][j])
+        for j in range(s):
+            # Every value read comes from the previous, complete level.
+            rows, lo = [None, [table[x][j] for x in range(j + 1)]], [None, 0]
+            for i in range(j, -1, -1):
+                nxt[i][j] = self._inner_max(table, rows, lo, i, j, table[i][j])
         return nxt
 
     def _work_level_tables(self, m: int) -> List[List[List[Number]]]:

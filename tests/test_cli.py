@@ -57,6 +57,27 @@ class TestNormCommand:
         assert code == 2 and out == ""
         assert "Traceback" not in err and "cannot read Orlicz table" in err
 
+    def test_non_utf8_vector_file(self, capsys, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_bytes(b"\xff\xfe1 2")
+        code, out, err = run(capsys, "norm", "lp:p=2", str(path))
+        assert code == 2 and out == ""
+        assert "Traceback" not in err
+
+    def test_non_utf8_orlicz_table(self, capsys, tmp_path):
+        table = tmp_path / "m.txt"
+        table.write_bytes(b"\xff\xfe0 0\n1 1\n")
+        vec = write_vector(tmp_path, "v.txt", "1 2")
+        code, out, err = run(capsys, "norm", f"orlicz:table={table}", vec)
+        assert code == 2 and out == ""
+        assert "Traceback" not in err
+
+    def test_h_table_key_below_one(self, capsys, tmp_path):
+        vec = write_vector(tmp_path, "v.txt", "1 1 1")
+        code, out, err = run(capsys, "norm", "tsirelson:alpha=1/2,h=table:0:3", vec)
+        assert code == 2 and out == ""
+        assert "Traceback" not in err
+
     def test_budget_exceeded(self, capsys, tmp_path):
         vec = write_vector(tmp_path, "v.txt", " ".join(["1"] * 10))
         code, out, _ = run(

@@ -87,6 +87,13 @@ class TestHFunction:
         with pytest.raises(ConfigurationError):
             HFunction.from_table([(1, 3), (2, 3)])
 
+    def test_table_keys_below_one_rejected(self):
+        # a k = 0 entry would let the oracle admit families the DP never sees
+        with pytest.raises(ConfigurationError):
+            HFunction("table", table=((0, 3),))
+        with pytest.raises(ConfigurationError):
+            HFunction.from_table([(-1, 1), (2, 3)])
+
 
 class TestWeightSpec:
     def test_harmonic(self):

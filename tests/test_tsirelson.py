@@ -87,7 +87,7 @@ class TestNorm:
         v = units(4, 5, 6, 7, 8)
         value, trace = norm(HALF, None, v)
         assert trace.stabilization_level <= len(v.support)
-        assert trace.value_at(trace.stabilization_level) == value
+        assert trace.levels[trace.stabilization_level][1] == value
 
     def test_h_variant_differs(self):
         # with h(k)=2k a family of two singletons is available from position 1
@@ -340,6 +340,54 @@ class TestIntegerKernel:
     def test_harmonic_values_recorded(self, N, expected):
         value = fixed_point_norm(HALF, harmonic(N))
         assert value == expected and type(value) is Fraction
+
+
+class TestPartitionKernel:
+    """The per-right-end partition arrays, on both routes."""
+
+    HS = (None, HFunction.affine(2, 0), HFunction.from_table([(1, 1), (2, 3), (4, 5)]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(1, 30), st.integers(-9, 9), st.integers(1, 7)),
+            min_size=1,
+            max_size=20,
+        ),
+        st.sampled_from((HALF, Fraction(1, 3), Fraction(2, 3))),
+        st.sampled_from(HS),
+        st.booleans(),
+    )
+    def test_fixed_point_table_equals_last_level_table(self, terms, alpha, h, exact):
+        # The fixed-point route reads column j while it is still being
+        # filled; a stale copy of it shows up as a difference here.
+        if exact:
+            v = FiniteVector.from_pairs((n, Fraction(a, d)) for n, a, d in terms)
+        else:
+            v = FiniteVector.from_pairs((n, a / d) for n, a, d in terms)
+            alpha = float(alpha)
+        engine = TsirelsonEngine(alpha, v, h)
+        fixed = engine.fixed_point_table()
+        level = engine.level_tables(len(v.support) + 1)[-1]
+        assert [[(type(x), x) for x in row] for row in fixed] == [
+            [(type(x), x) for x in row] for row in level
+        ]
+
+    def test_affine_h_values_recorded(self):
+        # recorded from the recursive-memo engine
+        v = harmonic(48)
+        h = HFunction.affine(2, 0)
+        assert fixed_point_norm(HALF, v, h=h) == Fraction(
+            10553473183770219515711, 12396178016983986825600
+        )
+        engine = TsirelsonEngine(Fraction(1, 3), v, h)
+        assert engine.fixed_point_norm() == HALF
+        assert engine.interval_norm(10, 40) == Fraction(251140540724294693, 657180569218773600)
+
+    def test_float_values_recorded(self):
+        v = FiniteVector.from_pairs((n, 1.0 / (n + 1)) for n in range(1, 49))
+        assert fixed_point_norm(0.5, v) == 0.6263489536299753
+        assert fixed_point_norm(0.5, v, h=HFunction.affine(2, 0)) == 0.8513489536299753
 
 
 # Values of the Fraction-based engine on the float corpus above.
