@@ -20,7 +20,6 @@ from .core import (
     parse_space,
     parse_vector,
     quantize_to_grid,
-    support_of,
 )
 from .tsirelson import (
     AdmissibleFamily,

@@ -2,7 +2,7 @@
 lower semi-homogeneity probes."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 from typing import List, Optional, Sequence, Tuple
@@ -65,30 +65,14 @@ class BlockBasisSpec:
             (n, self.coefficient_at(n)) for n in range(lo + 1, hi + 1)
         )
 
-    def block_of_position(self, n: int) -> Optional[int]:
-        for j in range(1, self.block_count + 1):
-            if self.breakpoints[j - 1] < n <= self.breakpoints[j]:
-                return j
-        return None
-
 
 def block_vectors(
     spec: BlockBasisSpec, space: SpaceSpec, normalize: bool
 ) -> List[FiniteVector]:
     """The block vectors u_j, optionally normalized in the given space."""
-    out = []
-    for j in range(1, spec.block_count + 1):
-        u = spec.block_vector(j)
-        if u.is_zero:
-            raise ConfigurationError(f"block {j} is zero")
-        if normalize:
-            nrm = eval_norm(space, u)
-            if isinstance(nrm, Fraction) or isinstance(nrm, int):
-                u = u.scale(Fraction(1, 1) / nrm)
-            else:
-                u = u.scale(1.0 / nrm)
-        out.append(u)
-    return out
+    if normalize:
+        spec, _ = _normalized_spec(spec, space)
+    return [spec.block_vector(j) for j in range(1, spec.block_count + 1)]
 
 
 def expand_coefficients(c: FiniteVector, spec: BlockBasisSpec) -> FiniteVector:
@@ -101,11 +85,10 @@ def expand_coefficients(c: FiniteVector, spec: BlockBasisSpec) -> FiniteVector:
     if any(n > J for n in c.support):
         raise ConfigurationError(f"coefficients must be supported on 1..{J}")
     pairs = []
-    for n in range(spec.breakpoints[0] + 1, spec.breakpoints[-1] + 1):
-        j = spec.block_of_position(n)
+    for j in c.support:
         cj = c.coefficient(j)
-        if cj != 0:
-            pairs.append((n, cj * spec.coefficient_at(n)))
+        lo, hi = spec.breakpoints[j - 1], spec.breakpoints[j]
+        pairs.extend((n, cj * spec.coefficient_at(n)) for n in range(lo + 1, hi + 1))
     return FiniteVector.from_pairs(pairs)
 
 

@@ -5,7 +5,6 @@ found by bracketing and bisection on the monotone map rho -> sum M(|v(n)|/rho).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -209,6 +208,8 @@ def luxemburg_norm(M: OrliczFunction, v: FiniteVector, tol: float = 1e-10) -> Nu
     if not entries:
         return 0
     sup = max(entries)
+    if sup == INF:
+        return sup  # the bracket below starts at u = 1/sup
 
     exact = all(is_exact(a) for a in entries)
     if exact:

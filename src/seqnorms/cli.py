@@ -15,13 +15,15 @@ from fractions import Fraction
 from random import Random
 from typing import List, Optional
 
-from . import blocks, classical, ideals, series, tsirelson
+from . import blocks, ideals, series, tsirelson
 from .core import (
     BudgetError,
     ConfigurationError,
     FiniteVector,
     ParseError,
+    TsirelsonSpace,
     close,
+    eval_norm,
     format_scalar,
     parse_space,
     parse_vector,
@@ -86,22 +88,16 @@ def cmd_norm(args, report: _Report) -> int:
     space = parse_space(args.space, exact=args.exact)
     v = _read_vector(args.vector, args.exact)
     report.header(space=space.describe(), mode="exact" if args.exact else "float")
-    if space.variant in ("tsirelson", "tsirelson_h"):
-        if len(v.support) > args.budget_support:
-            raise BudgetError(
-                f"support {len(v.support)} exceeds budget {args.budget_support}"
-            )
-        h = space.h if space.variant == "tsirelson_h" else None
-        value, trace = tsirelson.norm(space.alpha, h, v)
+    space.check_budget(len(v.support), args.budget_support)
+    if isinstance(space, TsirelsonSpace):
+        # the level route, so the output can show how the value was reached
+        value, trace = tsirelson.norm(space.alpha, space.h, v)
         report.row("norm", _value_cell(value))
         report.row("stabilization_level", trace.stabilization_level)
         for m, val in trace.levels:
             report.row(f"level_{m}", _value_cell(val))
     else:
-        from .core import eval_norm
-
-        value = eval_norm(space, v, tol=args.tol)
-        report.row("norm", _value_cell(value))
+        report.row("norm", _value_cell(eval_norm(space, v, tol=args.tol)))
     return EXIT_OK
 
 

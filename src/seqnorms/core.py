@@ -1,4 +1,4 @@
-"""Shared value types, space descriptors, grid quantization, and the norm dispatcher.
+"""Shared value types, the space objects, grid quantization, and text formats.
 
 Positions are 1-based throughout.  External dense arrays are read as 0-based
 and shifted on load (see :func:`parse_vector`).
@@ -10,9 +10,9 @@ input scalar is exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 Number = Union[int, Fraction, float]
 
@@ -176,11 +176,6 @@ class FiniteVector:
         return max((abs(a) for a in self.coeffs), default=0)
 
 
-def support_of(v: FiniteVector) -> Tuple[int, ...]:
-    """Positions of nonzero coefficients, in increasing order."""
-    return v.support
-
-
 # ---------------------------------------------------------------------------
 # Parameter types
 
@@ -291,13 +286,11 @@ class GridSpec:
 class WeightSpec:
     """Lorentz weights: w_0 = 1, positive, non-increasing, divergent sum.
 
-    Closed forms with a finite sum are rejected at construction; for tables
-    the declared-divergent flag is caller-asserted metadata.
+    A table is extended by its last entry, so its sum diverges.
     """
 
     kind: str  # "harmonic" | "table"
     table: Tuple[Number, ...] = ()
-    declared_divergent: bool = True
 
     def __post_init__(self):
         if self.kind == "table":
@@ -316,14 +309,8 @@ class WeightSpec:
         return WeightSpec("harmonic")
 
     @staticmethod
-    def geometric(r: Number) -> "WeightSpec":
-        # Sum of a geometric sequence is finite, so it can never be a valid
-        # Lorentz weight; rejected here so the failure mode is explicit.
-        raise ConfigurationError("geometric weights have a finite sum; not a Lorentz weight")
-
-    @staticmethod
-    def from_table(values: Sequence[Number], declared_divergent: bool = False) -> "WeightSpec":
-        return WeightSpec("table", table=tuple(values), declared_divergent=declared_divergent)
+    def from_table(values: Sequence[Number]) -> "WeightSpec":
+        return WeightSpec("table", table=tuple(values))
 
     def weight(self, n: int) -> Number:
         """w_n for n >= 0."""
@@ -338,97 +325,172 @@ class WeightSpec:
 
 
 # ---------------------------------------------------------------------------
-# Space descriptors
+# Spaces
 
 INF = float("inf")
 
 
-@dataclass(frozen=True)
 class SpaceSpec:
-    """Descriptor selecting one of the supported sequence-space norms."""
+    """A sequence space: a norm on finitely supported coefficient vectors.
 
-    variant: str  # "lp" | "c0" | "tsirelson" | "tsirelson_h" | "orlicz" | "lorentz"
-    p: Optional[Number] = None
-    alpha: Optional[Number] = None
-    h: Optional[HFunction] = None
-    orlicz: Optional["object"] = None  # classical.OrliczFunction
-    weights: Optional[WeightSpec] = None
-
-    def __post_init__(self):
-        if self.variant == "lp":
-            if self.p is None or (self.p != INF and self.p < 1):
-                raise ConfigurationError("lp requires p >= 1 or p = inf")
-        elif self.variant == "c0":
-            pass
-        elif self.variant in ("tsirelson", "tsirelson_h"):
-            if self.alpha is None or not (0 < self.alpha < 1):
-                raise ConfigurationError("tsirelson requires alpha in (0,1)")
-            if self.variant == "tsirelson_h" and self.h is None:
-                raise ConfigurationError("tsirelson_h requires an h function")
-        elif self.variant == "orlicz":
-            if self.orlicz is None:
-                raise ConfigurationError("orlicz requires an Orlicz function")
-        elif self.variant == "lorentz":
-            if self.weights is None or self.p is None or self.p < 1:
-                raise ConfigurationError("lorentz requires weights and p >= 1")
-        else:
-            raise ConfigurationError(f"unknown space variant {self.variant!r}")
+    Each space is a frozen subclass that validates its own parameters.  The
+    norms themselves live in ``classical`` and ``tsirelson``, which import
+    this module, so the methods import them at call time.
+    """
 
     @staticmethod
     def lp(p: Number) -> "SpaceSpec":
-        return SpaceSpec("lp", p=p)
+        return LpSpace(p)
 
     @staticmethod
     def c0() -> "SpaceSpec":
-        return SpaceSpec("c0")
+        return C0Space()
 
     @staticmethod
-    def tsirelson(alpha: Number) -> "SpaceSpec":
-        return SpaceSpec("tsirelson", alpha=alpha)
-
-    @staticmethod
-    def tsirelson_h(alpha: Number, h: HFunction) -> "SpaceSpec":
-        return SpaceSpec("tsirelson_h", alpha=alpha, h=h)
+    def tsirelson(alpha: Number, h: Optional[HFunction] = None) -> "SpaceSpec":
+        return TsirelsonSpace(alpha, h)
 
     @staticmethod
     def orlicz_space(M) -> "SpaceSpec":
-        return SpaceSpec("orlicz", orlicz=M)
+        return OrliczSpace(M)
 
     @staticmethod
     def lorentz(w: WeightSpec, p: Number) -> "SpaceSpec":
-        return SpaceSpec("lorentz", weights=w, p=p)
+        return LorentzSpace(w, p)
+
+    def norm(self, v: FiniteVector, tol: float = 1e-10) -> Number:
+        """Norm of sum(v(n) * x_n); ``tol`` bounds iterative solvers."""
+        raise NotImplementedError
 
     def describe(self) -> str:
-        if self.variant == "lp":
-            return f"lp:p={'inf' if self.p == INF else format_scalar(self.p)}"
-        if self.variant == "c0":
-            return "c0"
-        if self.variant == "tsirelson":
-            return f"tsirelson:alpha={format_scalar(self.alpha)}"
-        if self.variant == "tsirelson_h":
-            return f"tsirelson:alpha={format_scalar(self.alpha)},h={self.h.kind}"
-        if self.variant == "orlicz":
-            return f"orlicz:{self.orlicz.describe()}"
+        raise NotImplementedError
+
+    def prefix_norms(self, coeffs: Sequence[Number]) -> List[Number]:
+        """Norms of sum_{n <= K} coeffs[n-1] x_n for K = 1..len(coeffs)."""
+        return [
+            eval_norm(self, FiniteVector.from_pairs(zip(range(1, K + 1), coeffs[:K])))
+            for K in range(1, len(coeffs) + 1)
+        ]
+
+    def check_budget(self, positions: int, budget: int) -> None:
+        """Refuse up front an evaluation over more positions than ``budget``."""
+
+
+def _running(values: Iterable[Number], step=None) -> List[Number]:
+    """Running sums of ``values`` from 0, or running maxima with step=max."""
+    out, acc = [], 0
+    for x in values:
+        acc = acc + x if step is None else step(acc, x)
+        out.append(acc)
+    return out
+
+
+@dataclass(frozen=True)
+class LpSpace(SpaceSpec):
+    p: Number
+
+    def __post_init__(self):
+        if self.p is None or (self.p != INF and self.p < 1):
+            raise ConfigurationError("lp requires p >= 1 or p = inf")
+
+    def norm(self, v: FiniteVector, tol: float = 1e-10) -> Number:
+        from . import classical
+        return classical.lp_norm(self.p, v)
+
+    def prefix_norms(self, coeffs: Sequence[Number]) -> List[Number]:
+        from . import classical
+        if self.p == INF:
+            return _running(map(abs, coeffs), max)
+        if self.p == 1:
+            return _running(map(abs, coeffs))
+        powers = _running(classical._power(abs(a), self.p) for a in coeffs)
+        return [classical._root(t, self.p) for t in powers]
+
+    def describe(self) -> str:
+        return f"lp:p={'inf' if self.p == INF else format_scalar(self.p)}"
+
+
+@dataclass(frozen=True)
+class C0Space(SpaceSpec):
+    def norm(self, v: FiniteVector, tol: float = 1e-10) -> Number:
+        return v.sup()
+
+    def prefix_norms(self, coeffs: Sequence[Number]) -> List[Number]:
+        return _running(map(abs, coeffs), max)
+
+    def describe(self) -> str:
+        return "c0"
+
+
+@dataclass(frozen=True)
+class TsirelsonSpace(SpaceSpec):
+    """Tsirelson's space T(alpha), or T(alpha, h) when h is given."""
+
+    alpha: Number
+    h: Optional[HFunction] = None
+
+    def __post_init__(self):
+        if not (0 < self.alpha < 1):
+            raise ConfigurationError("tsirelson requires alpha in (0,1)")
+
+    def norm(self, v: FiniteVector, tol: float = 1e-10) -> Number:
+        from . import tsirelson
+        return tsirelson.fixed_point_norm(self.alpha, v, h=self.h)
+
+    def prefix_norms(self, coeffs: Sequence[Number]) -> List[Number]:
+        from . import tsirelson
+        positions = range(1, len(coeffs) + 1)
+        v = FiniteVector.from_pairs(zip(positions, coeffs))
+        return tsirelson.prefix_norms(self.alpha, v, list(positions), h=self.h)
+
+    def describe(self) -> str:
+        h = "" if self.h is None else f",h={self.h.kind}"
+        return f"tsirelson:alpha={format_scalar(self.alpha)}{h}"
+
+    def check_budget(self, positions: int, budget: int) -> None:
+        if positions > budget:
+            raise BudgetError(
+                f"Tsirelson evaluation over {positions} positions exceeds the budget "
+                f"{budget}; evaluate fewer positions or raise --budget-support"
+            )
+
+
+@dataclass(frozen=True)
+class OrliczSpace(SpaceSpec):
+    orlicz: "object"  # classical.OrliczFunction
+
+    def __post_init__(self):
+        if self.orlicz is None:
+            raise ConfigurationError("orlicz requires an Orlicz function")
+
+    def norm(self, v: FiniteVector, tol: float = 1e-10) -> Number:
+        from . import classical
+        return classical.luxemburg_norm(self.orlicz, v, tol=tol)
+
+    def describe(self) -> str:
+        return f"orlicz:{self.orlicz.describe()}"
+
+
+@dataclass(frozen=True)
+class LorentzSpace(SpaceSpec):
+    weights: WeightSpec
+    p: Number
+
+    def __post_init__(self):
+        if self.weights is None or self.p is None or self.p < 1:
+            raise ConfigurationError("lorentz requires weights and p >= 1")
+
+    def norm(self, v: FiniteVector, tol: float = 1e-10) -> Number:
+        from . import classical
+        return classical.lorentz_norm(self.weights, self.p, v)
+
+    def describe(self) -> str:
         return f"lorentz:w={self.weights.kind},p={format_scalar(self.p)}"
 
 
 def eval_norm(space: SpaceSpec, v: FiniteVector, tol: float = 1e-10) -> Number:
-    """Norm of sum(v(n) * x_n) in the space selected by ``space``."""
-    from . import classical, tsirelson
-
-    if space.variant == "lp":
-        return classical.lp_norm(space.p, v)
-    if space.variant == "c0":
-        return v.sup()
-    if space.variant == "tsirelson":
-        return tsirelson.fixed_point_norm(space.alpha, v)
-    if space.variant == "tsirelson_h":
-        return tsirelson.fixed_point_norm(space.alpha, v, h=space.h)
-    if space.variant == "orlicz":
-        return classical.luxemburg_norm(space.orlicz, v, tol=tol)
-    if space.variant == "lorentz":
-        return classical.lorentz_norm(space.weights, space.p, v)
-    raise ConfigurationError(f"unsupported space {space.variant!r}")
+    """Norm of sum(v(n) * x_n) in ``space``."""
+    return space.norm(v, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -566,9 +628,7 @@ def parse_space(descriptor: str, exact: bool = True) -> SpaceSpec:
             return SpaceSpec.lp(p)
         if name == "tsirelson":
             alpha = parse_scalar(kv["alpha"], exact=exact)
-            if "h" in kv:
-                return SpaceSpec.tsirelson_h(alpha, _parse_h(kv["h"]))
-            return SpaceSpec.tsirelson(alpha)
+            return SpaceSpec.tsirelson(alpha, _parse_h(kv["h"]) if "h" in kv else None)
         if name == "orlicz":
             if "power" in kv:
                 return SpaceSpec.orlicz_space(

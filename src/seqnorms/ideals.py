@@ -9,10 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .core import (
-    BudgetError,
     ConfigurationError,
     FiniteVector,
     HFunction,
@@ -105,7 +104,7 @@ class SetGenerator:
         if self.kind == "primes":
             return [n for n in _primes_up_to(hi) if n >= lo]
         if self.kind == "dyadic":
-            return [n for n in range(2 ** self.j + 1, 2 ** (self.j + 1) + 1) if lo <= n <= hi]
+            return list(range(max(lo, 2 ** self.j + 1), min(hi, 2 ** (self.j + 1)) + 1))
         return [n for n in self.elements if lo <= n <= hi]
 
     def describe(self) -> str:
@@ -218,13 +217,7 @@ def phi(
         return 0
     if spec.source == "summable":
         return sum(spec.weights.value(n) for n in positions)
-    if (
-        spec.space.variant in ("tsirelson", "tsirelson_h")
-        and len(positions) > budget
-    ):
-        raise BudgetError(
-            f"Tsirelson submeasure over {len(positions)} positions exceeds the budget {budget}"
-        )
+    spec.space.check_budget(len(positions), budget)
     pm = spec.position_map
     v = FiniteVector.from_pairs(
         (pm(n) if pm is not None else n, spec.f.value(n)) for n in positions

@@ -8,20 +8,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .core import (
     BudgetError,
     ConfigurationError,
     FiniteVector,
-    INF,
     Number,
     SpaceSpec,
     eval_norm,
     is_exact,
     parse_scalar,
 )
-from . import classical, tsirelson
+from . import tsirelson
 
 DEFAULT_SUPPORT_BUDGET = 4096
 DEFAULT_SHRINK_THRESHOLD = 0.01
@@ -80,7 +79,7 @@ class CoefficientGenerator:
             return Fraction(1, n + 1)
         if self.kind == "power":
             if is_exact(self.s) and Fraction(self.s).denominator == 1:
-                return Fraction(1, n ** int(self.s))
+                return Fraction(n) ** -int(self.s)
             return float(n) ** -float(self.s)
         if self.kind == "constant":
             return self.c
@@ -118,14 +117,6 @@ def parse_generator(descriptor: str, exact: bool = True) -> CoefficientGenerator
 # Partial sums and tail profiles
 
 
-def _check_budget(space: SpaceSpec, N: int, budget: int):
-    if space.variant in ("tsirelson", "tsirelson_h") and N > budget:
-        raise BudgetError(
-            f"Tsirelson evaluation over {N} positions exceeds the budget {budget}; "
-            "rerun with a smaller N or a larger --budget-support"
-        )
-
-
 def partial_sum_norms(
     space: SpaceSpec,
     gen: CoefficientGenerator,
@@ -135,36 +126,8 @@ def partial_sum_norms(
     """Prefix norms ||sum_{n<=K} a_n x_n|| for K = 1..N."""
     if N < 1:
         raise ConfigurationError("N must be >= 1")
-    _check_budget(space, N, budget)
-    coeffs = [gen.value(n) for n in range(1, N + 1)]
-    if space.variant in ("tsirelson", "tsirelson_h"):
-        v = FiniteVector.from_pairs(zip(range(1, N + 1), coeffs))
-        h = space.h if space.variant == "tsirelson_h" else None
-        return tsirelson.prefix_norms(space.alpha, v, list(range(1, N + 1)), h=h)
-    if space.variant == "c0" or (space.variant == "lp" and space.p == INF):
-        out, running = [], 0
-        for a in coeffs:
-            running = max(running, abs(a))
-            out.append(running)
-        return out
-    if space.variant == "lp":
-        p = space.p
-        out = []
-        if p == 1:
-            running = 0
-            for a in coeffs:
-                running = running + abs(a)
-                out.append(running)
-            return out
-        running = 0
-        for a in coeffs:
-            running = running + classical._power(abs(a), p)
-            out.append(classical._root(running, p))
-        return out
-    out = []
-    for K in range(1, N + 1):
-        out.append(eval_norm(space, FiniteVector.from_pairs(zip(range(1, K + 1), coeffs[:K]))))
-    return out
+    space.check_budget(N, budget)
+    return space.prefix_norms([gen.value(n) for n in range(1, N + 1)])
 
 
 @dataclass(frozen=True)
@@ -192,7 +155,7 @@ def tail_profile(
     for m, N in grid:
         if not (1 <= m < N):
             raise ConfigurationError(f"need 1 <= m < N, got ({m}, {N})")
-        _check_budget(space, N, budget)
+        space.check_budget(N, budget)
         v = gen.vector(m, N - 1)
         entries.append((m, N, eval_norm(space, v)))
     return TailProfile(entries=tuple(entries), space=space, generator=gen)

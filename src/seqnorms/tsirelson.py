@@ -34,6 +34,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from operator import add
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -148,7 +149,6 @@ class TsirelsonEngine:
         if not (0 < alpha < 1):
             raise ConfigurationError("alpha must lie in (0,1)")
         self.alpha = alpha
-        self.h = None if (h is None or h.kind == "identity") else h
         self.pos: Tuple[int, ...] = v.support
         self.val: Tuple[Number, ...] = tuple(abs(v.coefficient(n)) for n in self.pos)
         s = len(self.pos)
@@ -171,12 +171,12 @@ class TsirelsonEngine:
         # A table h can have h(k) < k, so every entry is kept; the loop ends
         # once k passes the last position.  Like the oracle, a table h admits
         # no family for a k it has no entry for.
-        if self.h is None:
+        if h is None:
             self._sizes = [(k, k) for k in range(1, s + 1)]
-        elif self.h.kind == "table":
-            self._sizes = list(self.h.table)
+        elif h.kind == "table":
+            self._sizes = list(h.table)
         else:
-            self._sizes = [(k, self.h(k)) for k in range(1, s + 1)]
+            self._sizes = [(k, h(k)) for k in range(1, s + 1)]
         self._sup = self._sup_table()
         self._fixed: Optional[List[List[Number]]] = None
 
@@ -596,26 +596,23 @@ def _interval_families(
     return grouped
 
 
-_family_cache: Dict[Tuple, Dict[int, List[Tuple[int, ...]]]] = {}
+# Tier-1 tests touch about 360 distinct (positions, h, reading, shape) keys;
+# a bound below that recomputes families they share.
+FAMILY_CACHE_SIZE = 512
 
 
+@lru_cache(maxsize=FAMILY_CACHE_SIZE)
 def _families_for(
     positions: Tuple[int, ...],
     h: Optional[HFunction],
     reading: str,
     shape: str,
 ) -> Dict[int, List[Tuple[int, ...]]]:
-    key = (positions, h, reading, shape)
-    cached = _family_cache.get(key)
-    if cached is None:
-        if shape == "subsets":
-            cached = _subset_families(positions, h, reading)
-        elif shape == "intervals":
-            cached = _interval_families(positions, h, reading)
-        else:
-            raise ConfigurationError(f"unknown family shape {shape!r}")
-        _family_cache[key] = cached
-    return cached
+    if shape == "subsets":
+        return _subset_families(positions, h, reading)
+    if shape == "intervals":
+        return _interval_families(positions, h, reading)
+    raise ConfigurationError(f"unknown family shape {shape!r}")
 
 
 def oracle_norm(
@@ -635,8 +632,6 @@ def oracle_norm(
     h-variant constraint k <= min E_1 ("k-min") or h(k) <= min E_1
     ("hk-min").
     """
-    if h is not None and h.kind == "identity":
-        h = None
     positions = v.support
     s = len(positions)
     if s == 0:

@@ -79,6 +79,11 @@ class TestLuxemburg:
     def test_zero_vector(self):
         assert luxemburg_norm(OrliczFunction.power(2), FiniteVector.zero()) == 0
 
+    def test_infinite_coefficient(self):
+        # the bracket started at u = 1/inf = 0 and ended in a ZeroDivisionError
+        for M in (OrliczFunction.power(2), OrliczFunction.from_knots([(1, 1), (2, 3)])):
+            assert luxemburg_norm(M, FiniteVector.from_dense([1.0, INF])) == INF
+
     def test_residual_within_tolerance(self):
         rng = Random(7)
         M = OrliczFunction.power(3)

@@ -78,6 +78,11 @@ class TestNormCommand:
         assert code == 2 and out == ""
         assert "Traceback" not in err
 
+    def test_infinite_coefficient_orlicz(self, capsys, tmp_path):
+        vec = write_vector(tmp_path, "v.txt", "1 inf")
+        code, out, _ = run(capsys, "norm", "orlicz:power=2", vec, "--float")
+        assert code == 0 and "norm,inf,inf" in out
+
     def test_budget_exceeded(self, capsys, tmp_path):
         vec = write_vector(tmp_path, "v.txt", " ".join(["1"] * 10))
         code, out, _ = run(
@@ -114,6 +119,11 @@ class TestOracleCommand:
 
 
 class TestScanCommand:
+    def test_power_negative_exponent(self, capsys):
+        code, out, err = run(capsys, "scan", "lp:p=1", "power:s=-1", "4")
+        assert code == 0 and "4,10,10.0" in out
+        assert "Traceback" not in err
+
     def test_c0_harmonic_constant(self, capsys):
         code, out, _ = run(capsys, "scan", "c0", "harmonic", "8")
         assert code == 0
@@ -183,6 +193,19 @@ class TestIdealCommand:
         )
         assert code == 2 and out == ""
         assert "Traceback" not in err and "bad integer" in err
+
+    def test_turbulence_power_negative_exponent(self, capsys):
+        code, out, err = run(
+            capsys, "ideal", "turbulence", "summable:w=power:s=-1", "--N", "4"
+        )
+        assert code == 0 and "verdict,not-turbulent" in out
+        assert "Traceback" not in err
+
+    def test_membership_far_dyadic_block(self, capsys):
+        code, out, _ = run(
+            capsys, "ideal", "membership", "summable:w=harmonic", "dyadic:60", "--N", "16"
+        )
+        assert code == 0 and "verdict,member-trend" in out
 
     def test_axioms(self, capsys):
         code, out, _ = run(

@@ -17,7 +17,6 @@ from seqnorms.core import (
     parse_space,
     parse_vector,
     quantize_to_grid,
-    support_of,
 )
 
 
@@ -27,9 +26,9 @@ class TestFiniteVector:
         assert FiniteVector.from_dense([0, 0]).is_zero
 
     def test_support(self):
-        assert support_of(FiniteVector.from_dense([0, 3, 0, 1])) == (2, 4)
-        assert support_of(FiniteVector.zero()) == ()
-        assert support_of(FiniteVector.from_dense([1])) == (1,)
+        assert FiniteVector.from_dense([0, 3, 0, 1]).support == (2, 4)
+        assert FiniteVector.zero().support == ()
+        assert FiniteVector.from_dense([1]).support == (1,)
 
     def test_coefficient_out_of_range_is_zero(self):
         v = FiniteVector.from_dense([5])
@@ -99,10 +98,6 @@ class TestWeightSpec:
     def test_harmonic(self):
         w = WeightSpec.harmonic()
         assert w.weight(0) == 1 and w.weight(1) == Fraction(1, 2)
-
-    def test_geometric_rejected(self):
-        with pytest.raises(ConfigurationError):
-            WeightSpec.geometric(Fraction(1, 2))
 
     def test_table_validation(self):
         with pytest.raises(ConfigurationError):
@@ -182,11 +177,11 @@ class TestTextFormats:
     def test_space_descriptors(self):
         assert parse_space("lp:p=2").p == 2
         assert parse_space("lp:p=inf").p == float("inf")
-        assert parse_space("c0").variant == "c0"
+        assert parse_space("c0") == SpaceSpec.c0()
         sp = parse_space("tsirelson:alpha=1/2")
         assert sp.alpha == Fraction(1, 2)
         sph = parse_space("tsirelson:alpha=1/3,h=affine:2:0")
-        assert sph.variant == "tsirelson_h" and sph.h(2) == 4
+        assert sph == SpaceSpec.tsirelson(Fraction(1, 3), HFunction.affine(2, 0)) and sph.h(2) == 4
         assert parse_space("orlicz:power=2").orlicz.p == 2
         lz = parse_space("lorentz:w=harmonic,p=1")
         assert lz.weights.kind == "harmonic" and lz.p == 1

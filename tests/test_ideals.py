@@ -38,6 +38,13 @@ class TestSetGenerators:
 
     def test_dyadic_block(self):
         assert SetGenerator.dyadic_block(2).members(1, 100) == [5, 6, 7, 8]
+        assert SetGenerator.dyadic_block(2).members(6, 7) == [6, 7]
+        assert SetGenerator.dyadic_block(0).members(3, 9) == []
+
+    def test_far_dyadic_block_costs_only_the_window(self):
+        # the block (2^60, 2^61] used to be scanned in full for every window
+        assert SetGenerator.dyadic_block(60).members(1, 100) == []
+        assert SetGenerator.dyadic_block(60).members(2 ** 61 - 1, 2 ** 62) == [2 ** 61 - 1, 2 ** 61]
 
     def test_parse(self):
         assert parse_set("evens").kind == "evens"

@@ -31,6 +31,13 @@ class TestGenerators:
     def test_power(self):
         g = CoefficientGenerator.power(2)
         assert g.value(3) == Fraction(1, 9)
+        assert type(g.value(1)) is Fraction
+
+    def test_power_negative_integer_exponent(self):
+        # n ** -1 is a float, which Fraction(1, .) rejected with a TypeError
+        g = CoefficientGenerator.power(-1)
+        assert g.value(3) == 3 and type(g.value(3)) is Fraction
+        assert CoefficientGenerator.power(0).value(5) == 1
 
     def test_table_pads_with_zero(self):
         g = CoefficientGenerator.from_table([1, 2])
