@@ -27,11 +27,33 @@ prune compares ``p * sum <= q * best`` and divides nothing.  Values leave the
 engine as ``Fraction(X, scale)``, except that a value equal to the interval's
 sup is returned as that coefficient itself, as Fraction arithmetic would.
 Float mode keeps the values themselves, with q = 1.
+
+For the interval [i..j], a family size k puts its first set at
+a = max(i, first support index with position >= k).  The exact search over
+sizes rests on three exact facts about the tables:
+
+* Running max over starts.  Restriction shrinks every level and the fixed
+  point, and a size with a > i gives the same candidate for [i..j] as for
+  [a..j].  So the value of [i+1..j] is carried down as i decreases, and only
+  the sizes with k <= pos[i] are tried at a = i.
+* One family size per start, for the plain sizes (k, k), k = 1..n.  A family
+  may then drop sets, so every table is the table of a norm and subadditive,
+  T[x][y] <= T[x][t] + T[t+1][y]: a finer split never loses, and only the
+  largest admissible r <= j - i + 1 is tried.  An h with gaps in its range
+  (``affine:2:0``, most tables) demands exactly h(k) sets; its tables are not
+  subadditive and a smaller r can win, so every admissible r is tried.
+* Singleton closed form.  A split of [a..j] into j - a + 1 groups is the
+  singletons, worth the l1 mass of [a..j]; no partition row is filled.
+
+Float mode uses none of them: rounding can put a sum an ulp above or below
+one it provably dominates, so a carried value, a single size or the closed
+form could change the last bits.  It tries every size at its own start, in
+increasing k, forming each sum as the full search does.
 """
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -102,19 +124,16 @@ def is_admissible(
     problem = _ordering_problem(sets)
     if problem:
         return AdmissibilityResult(False, problem)
+    # h is strictly increasing, so the one k with h(k) == m is h.inverse(m);
+    # comparing with it never evaluates h outside its domain.
     m = len(sets)
-    if h is None or h.kind == "identity":
-        if k is None:
-            k = m
-        if k != m:
-            return AdmissibilityResult(False, "size-mismatch")
-    else:
-        if k is None:
-            k = h.inverse(m)
-            if k is None:
-                return AdmissibilityResult(False, "size-not-in-h-range")
-        elif h(k) != m:
-            return AdmissibilityResult(False, "size-mismatch")
+    expected = m if h is None else h.inverse(m)
+    if k is None:
+        if expected is None:
+            return AdmissibilityResult(False, "size-not-in-h-range")
+        k = expected
+    elif k != expected:
+        return AdmissibilityResult(False, "size-mismatch")
     if k > min(sets[0]):
         return AdmissibilityResult(False, "min-violation")
     return AdmissibilityResult(True)
@@ -166,24 +185,31 @@ class TsirelsonEngine:
         self._abs_prefix = [0] * (s + 1)
         for i, a in enumerate(self._work):
             self._abs_prefix[i + 1] = self._abs_prefix[i] + a
-        # (k, r = h(k)) for the k-loop.  Identity and affine h have
-        # h(k) >= k, and r sets need r support points, so k <= s suffices.
-        # A table h can have h(k) < k, so every entry is kept; the loop ends
-        # once k passes the last position.  Like the oracle, a table h admits
-        # no family for a k it has no entry for.
+        # The family sizes (k, r = h(k)), by increasing k.  Identity and
+        # affine h have h(k) >= k, and r sets need r support points, so
+        # k <= s suffices.  A table h can have h(k) < k, so every entry is
+        # kept.  Like the oracle, a table h admits no family for a k it has
+        # no entry for.
         if h is None:
-            self._sizes = [(k, k) for k in range(1, s + 1)]
+            sizes = [(k, k) for k in range(1, s + 1)]
         elif h.kind == "table":
-            self._sizes = list(h.table)
+            sizes = list(h.table)
         else:
-            self._sizes = [(k, h(k)) for k in range(1, s + 1)]
+            sizes = [(k, h(k)) for k in range(1, s + 1)]
+        ks = [k for k, _ in sizes]
+        self._r = [r for _, r in sizes]
+        # Float mode: the first start index each size admits.
+        self._start = [bisect_left(self.pos, k) for k in ks]
+        # Exact mode: how many sizes have k <= pos[i], and how many r <= w
+        # (h is strictly increasing, so both are prefixes of the sizes).
+        self._cut = [bisect_right(ks, n) for n in self.pos]
+        self._fit = [bisect_right(self._r, w) for w in range(s + 1)]
+        # Sizes (t, t) for t = 1..n: one family size per start suffices.
+        self._plain = all(k == r == t for t, (k, r) in enumerate(sizes, 1))
         self._sup = self._sup_table()
         self._fixed: Optional[List[List[Number]]] = None
 
     # -- shared pieces
-
-    def _abs_sum(self, i: int, j: int) -> Number:
-        return self._abs_prefix[j + 1] - self._abs_prefix[i]
 
     def _sup_table(self) -> List[List[Number]]:
         s = len(self.pos)
@@ -229,8 +255,8 @@ class TsirelsonEngine:
         # a + r - q, by increasing q, and nothing else is computed.  Only
         # table[x][t] with t < j and column entries x > a are read: strict
         # subintervals of [a..j].  On the fixed-point route column j is still
-        # being filled, so rows[1] must be a live column that is written
-        # together with table[i][j], never a copy.
+        # being filled, so rows[1] must be the live column that _inner_max
+        # writes, never a copy.
         if r < len(rows) and lo[r] <= a:
             return rows[r][a]
         while len(rows) <= r:
@@ -246,33 +272,69 @@ class TsirelsonEngine:
             lo[q] = start
         return rows[r][a]
 
-    def _inner_max(self, table, rows, lo, i: int, j: int, floor_value: Number) -> Number:
-        """max(floor_value, alpha * best admissible-family sum) on interval [i..j].
+    def _inner_max(self, table, rows, j: int, floors, out) -> None:
+        """Fill out[i] = max(floors[i], alpha * best admissible-family sum)
+        for every interval [i..j] of right end j, by decreasing i.
 
-        ``table`` supplies the norms of strict subintervals; ``rows`` and
-        ``lo`` are the partition arrays of right end j (see _best_partition).
-        Families whose sets are consecutive index intervals suffice here
-        (production search); gaps never help because restriction shrinks the
-        norm.  Single-set families are skipped: they contribute at most
-        alpha * previous value.
-        The running max is kept multiplied by q, so alpha = p/q costs one
-        multiplication by p per candidate and no division until the end.
+        ``table`` supplies the norms of strict subintervals and ``rows[1]``
+        its column j (see _best_partition).  Families whose sets are
+        consecutive index intervals suffice here (production search); gaps
+        never help because restriction shrinks the norm.  Single-set families
+        are skipped: they contribute at most alpha * previous value.  The
+        running max is kept multiplied by q, so alpha = p/q costs one
+        multiplication by p per candidate and no division until the end, and
+        the search stops once the l1 mass p * sum |a_n| of the next start
+        cannot beat it.
+
+        Exact mode uses the three facts of the module docstring: the value
+        of [i+1..j] is carried down (running max over starts), only the
+        sizes with k <= pos[i] are tried at a = i, and of those only the
+        largest r for plain sizes (one family size per start); r = j - i + 1
+        is the l1 mass (singleton closed form).  Float mode walks every size
+        at its own start instead, because rounding breaks all three facts in
+        the last bits.
         """
         p, q = self._p, self._q
-        best = q * floor_value
-        for k, r in self._sizes:
-            a = max(i, bisect_left(self.pos, k))
-            if a > j:
-                break
-            if p * self._abs_sum(a, j) <= best:
-                break  # larger k only shrinks the available l1 mass
-            if r > j - a + 1:
-                break  # r grows and width shrinks with k
-            if r >= 2:
-                cand = p * self._best_partition(table, rows, lo, a, j, r)
-                if cand > best:
-                    best = cand
-        return best if self._scale is None else best // q
+        prefix, rs = self._abs_prefix, self._r
+        total = prefix[j + 1]
+        lo = [None, 0]
+        if self._scale is None:
+            sizes = list(zip(self._start, rs))
+            for i in range(j, -1, -1):
+                best = floors[i]
+                for start, r in sizes:
+                    a = start if start > i else i
+                    if a > j or p * (total - prefix[a]) <= best:
+                        break  # larger k only shrinks the available l1 mass
+                    if r > j - a + 1:
+                        break  # r grows and width shrinks with k
+                    if r >= 2:
+                        cand = p * self._best_partition(table, rows, lo, a, j, r)
+                        if cand > best:
+                            best = cand
+                out[i] = best
+            return
+        cut, fit, plain = self._cut, self._fit, self._plain
+        carry = 0  # q times the value of [i+1..j]
+        for i in range(j, -1, -1):
+            width = j - i + 1
+            best = q * floors[i]
+            if carry > best:
+                best = carry
+            mass = p * (total - prefix[i])
+            n = min(cut[i], fit[width])  # sizes with k <= pos[i], r <= width
+            for r in rs[n - 1 : n] if plain else rs[:n]:
+                if mass <= best:
+                    break  # no split of [i..j] beats the running max
+                if r >= 2:
+                    if r == width:
+                        cand = mass
+                    else:
+                        cand = p * self._best_partition(table, rows, lo, i, j, r)
+                    if cand > best:
+                        best = cand
+            carry = best
+            out[i] = best // q
 
     # -- fixed-point route (no level trace)
 
@@ -286,16 +348,15 @@ class TsirelsonEngine:
         if self._fixed is not None:
             return self._fixed
         s = len(self.pos)
+        sup = self._sup
         table = [[0] * s for _ in range(s)]
         for j in range(s):
             # By right end, then by decreasing start: every strict subinterval
             # of [i..j] is filled first.  col is the live column j.
             col = [0] * (j + 1)
-            rows, lo = [None, col], [None, 0]
-            for i in range(j, -1, -1):
-                col[i] = table[i][j] = self._inner_max(
-                    table, rows, lo, i, j, self._sup[i][j]
-                )
+            self._inner_max(table, [None, col], j, [sup[x][j] for x in range(j + 1)], col)
+            for x, value in enumerate(col):
+                table[x][j] = value
         self._fixed = self._to_numbers(table)
         return self._fixed
 
@@ -324,9 +385,10 @@ class TsirelsonEngine:
         nxt = [[0] * s for _ in range(s)]
         for j in range(s):
             # Every value read comes from the previous, complete level.
-            rows, lo = [None, [table[x][j] for x in range(j + 1)]], [None, 0]
-            for i in range(j, -1, -1):
-                nxt[i][j] = self._inner_max(table, rows, lo, i, j, table[i][j])
+            prev, col = [table[x][j] for x in range(j + 1)], [0] * (j + 1)
+            self._inner_max(table, [None, prev], j, prev, col)
+            for x, value in enumerate(col):
+                nxt[x][j] = value
         return nxt
 
     def _work_level_tables(self, m: int) -> List[List[List[Number]]]:

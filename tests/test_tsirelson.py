@@ -46,6 +46,16 @@ class TestAdmissibility:
         fam = AdmissibleFamily(sets=((2,),), k=2)
         assert is_admissible(fam).reason == "size-mismatch"
 
+    def test_declared_k_outside_the_h_table_is_a_size_mismatch(self):
+        fam = AdmissibleFamily(sets=((5,), (6,)), k=3)
+        result = is_admissible(fam, HFunction.from_table([(1, 2)]))
+        assert not result and result.reason == "size-mismatch"
+
+    def test_declared_k_below_one_is_a_size_mismatch(self):
+        fam = AdmissibleFamily(sets=((5,), (6,)), k=0)
+        assert is_admissible(fam, HFunction.affine(2, 0)).reason == "size-mismatch"
+        assert is_admissible(fam, HFunction.identity()).reason == "size-mismatch"
+
 
 class TestLevels:
     def test_level_zero_is_sup(self):
@@ -216,6 +226,16 @@ class TestCertificates:
         )
         with pytest.raises(CertificateError, match="root"):
             certificate_lower_bound(HALF, None, units(1, 2), cert)
+
+    def test_k_outside_the_h_table_is_a_certificate_error(self):
+        cert = NormCertificate(
+            CertificateNode.internal(
+                (5, 6), [CertificateNode.leaf((5,)), CertificateNode.leaf((6,))], k=3
+            )
+        )
+        h = HFunction.from_table([(1, 2)])
+        with pytest.raises(CertificateError, match="size-mismatch"):
+            certificate_lower_bound(HALF, h, units(5, 6), cert)
 
     def test_child_escaping_parent(self):
         cert = NormCertificate(
@@ -388,6 +408,135 @@ class TestPartitionKernel:
         v = FiniteVector.from_pairs((n, 1.0 / (n + 1)) for n in range(1, 49))
         assert fixed_point_norm(0.5, v) == 0.6263489536299753
         assert fixed_point_norm(0.5, v, h=HFunction.affine(2, 0)) == 0.8513489536299753
+
+
+GAPPED_H = HFunction.from_table([(2, 2), (3, 4), (9, 10)])  # table:2:2;3:4;9:10
+
+
+class TestFamilySizeSearch:
+    """The running max over starts, one family size per start (plain sizes
+    only) and the singleton closed form of the exact k-loop, on both routes."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(1, 30), st.integers(-9, 9), st.integers(1, 7)),
+            min_size=1,
+            max_size=20,
+        ),
+        st.sampled_from((HALF, Fraction(1, 3), Fraction(2, 3))),
+        st.sampled_from(
+            (None, HFunction.identity(), HFunction.from_table([(1, 1), (2, 2), (3, 3)]))
+        ),
+    )
+    def test_plain_tables_are_subadditive(self, terms, alpha, h):
+        # T[x][y] <= T[x][t] + T[t+1][y]: a finer split never loses, which
+        # is why the exact loop tries only the largest size at each start
+        # when the sizes are (1, 1), ..., (n, n).
+        v = FiniteVector.from_pairs((n, Fraction(a, d)) for n, a, d in terms)
+        engine = TsirelsonEngine(alpha, v, h)
+        s = len(v.support)
+        for table in [engine.fixed_point_table()] + engine.level_tables(s + 1):
+            for x in range(s):
+                for y in range(x + 1, s):
+                    for t in range(x, y):
+                        assert table[x][y] <= table[x][t] + table[t + 1][y]
+
+    @pytest.mark.parametrize("h", [HFunction.affine(2, 0), GAPPED_H])
+    def test_h_with_gaps_in_its_range_is_not_subadditive(self, h):
+        # Exactly h(k) sets: four singletons from position 3 are admissible,
+        # but neither three sets nor a split of e_3 off the rest.
+        alpha = Fraction(2, 3)
+        engine = TsirelsonEngine(alpha, units(3, 4, 5, 6), h)
+        for table in (engine.fixed_point_table(), engine.level_tables(5)[-1]):
+            assert table[0][3] == Fraction(8, 3)
+            assert table[0][0] + table[1][3] == Fraction(23, 9)
+
+    def test_smaller_family_size_can_win_for_table_h(self):
+        # three sets {2}, {4}, {6, 8, 11} beat every split into four
+        h = HFunction.from_table([(1, 3), (2, 4)])
+        v = FiniteVector.from_pairs(zip([2, 4, 6, 8, 11], [1, 4, 2, 2, 1]))
+        alpha = Fraction(9, 10)
+        assert oracle_norm(alpha, v, h=h) == Fraction(171, 20)
+        assert fixed_point_norm(alpha, v, h=h) == Fraction(171, 20)
+        assert norm(alpha, h, v)[0] == Fraction(171, 20)
+
+    @staticmethod
+    def far_vector(exact):
+        # positions 100..130: every k <= 31 is admissible from the first
+        # start, so every interval takes the singleton closed form
+        def c(n):
+            return Fraction(7 * n % 11 + 1, n % 5 + 2)
+
+        return FiniteVector.from_pairs(
+            (n, c(n) if exact else float(c(n))) for n in range(100, 131)
+        )
+
+    @staticmethod
+    def gapped_vector(exact):
+        positions = [n for n in range(1, 44) if n % 3 or n < 4]
+
+        def c(n):
+            return Fraction(n % 7 + 1, n + 1)
+
+        return FiniteVector.from_pairs(
+            (n, c(n) if exact else float(c(n))) for n in positions
+        )
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_far_support_values_recorded(self, exact):
+        # recorded from the engine with a per-interval loop over every size
+        v = self.far_vector(exact)
+        alpha = Fraction(2, 3) if exact else 2 / 3
+        engine = TsirelsonEngine(alpha, v)
+        got = (
+            engine.fixed_point_norm(),
+            engine.interval_norm(103, 126),
+            engine.interval_norm(110, 130),
+        )
+        value, trace = norm(alpha, None, v)
+        levels = tuple(x for _, x in trace.levels)
+        if exact:
+            expected = (Fraction(3383, 90), Fraction(1193, 45), Fraction(1088, 45))
+            assert got == expected and value == expected[0]
+            assert levels == (5, expected[0], expected[0])
+            assert all(type(x) is Fraction for x in got + levels)
+        else:
+            expected = (37.58888888888889, 26.51111111111111, 24.177777777777777)
+            assert got == expected and value == expected[0]
+            assert levels == (5.0, expected[0], expected[0])
+        assert value == alpha * v.abs_sum()
+        assert trace.stabilization_level == 1
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_gapped_table_h_values_recorded(self, exact):
+        # recorded from the engine with a per-interval loop over every size
+        v = self.gapped_vector(exact)
+        assert len(v.support) == 30
+        alpha = Fraction(2, 3) if exact else 2 / 3
+        engine = TsirelsonEngine(alpha, v, GAPPED_H)
+        got = (
+            engine.fixed_point_norm(),
+            engine.interval_norm(4, 37),
+            engine.interval_norm(14, 43),
+        )
+        value, trace = norm(alpha, GAPPED_H, v)
+        levels = tuple(x for _, x in trace.levels)
+        if exact:
+            top = Fraction(5485198633147, 1534703658345)
+            expected = (
+                top,
+                Fraction(44416399691, 14972718618),
+                Fraction(1123299276893, 682090514820),
+            )
+            recorded = (1, Fraction(7, 3), Fraction(41241157357, 11760181290), top, top, top)
+            assert all(type(x) is Fraction for x in got + levels)
+        else:
+            top = 3.5741093098469254
+            expected = (top, 2.9664886400525288, 1.6468478192948226)
+            recorded = (1.0, 2.333333333333333, 3.506847074888928, top, top, top)
+        assert got == expected and value == top
+        assert levels == recorded and trace.stabilization_level == 3
 
 
 # Values of the Fraction-based engine on the float corpus above.
