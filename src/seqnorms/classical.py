@@ -5,11 +5,13 @@ found by bracketing and bisection on the monotone map rho -> sum M(|v(n)|/rho).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .core import (
+    BudgetError,
     ConfigurationError,
     FiniteVector,
     INF,
@@ -109,6 +111,29 @@ def load_orlicz_table(path: str) -> OrliczFunction:
     return OrliczFunction.from_knots(knots)
 
 
+# An exact power t ** p holds about p times t's bit-length.  Up to
+# SMALL_EXPONENT that is a bounded multiple of the input's own size; above it
+# a power of more than EXACT_POWER_BITS bits is refused up front.
+SMALL_EXPONENT = 64
+EXACT_POWER_BITS = 1 << 16
+
+
+def check_exact_power(p: Number, values: Iterable[Number]) -> None:
+    """Refuse exact powers t ** p of ``values`` too large to compute."""
+    if not (is_exact(p) and p > SMALL_EXPONENT and Fraction(p).denominator == 1):
+        return
+    exact = (Fraction(t) for t in values if is_exact(t))
+    bits = max(
+        (max(f.numerator.bit_length(), f.denominator.bit_length()) for f in exact),
+        default=0,
+    )
+    if p * bits > EXACT_POWER_BITS:
+        raise BudgetError(
+            f"exact power with exponent above {SMALL_EXPONENT} on {bits}-bit "
+            f"coefficients exceeds {EXACT_POWER_BITS} bits; use --float"
+        )
+
+
 def _power(t: Number, p: Number) -> Number:
     if is_exact(t) and is_exact(p) and Fraction(p).denominator == 1:
         return t ** int(p)
@@ -147,6 +172,17 @@ def _root(value: Number, p: Number) -> Number:
         exact = _exact_root(Fraction(value), int(p))
         if exact is not None:
             return int(exact) if exact.denominator == 1 else exact
+        try:
+            approx = float(value)
+        except OverflowError:
+            approx = 0.0
+        if approx == 0.0 and value > 0:
+            # beyond the float range: take the root through logarithms
+            value = Fraction(value)
+            return math.exp(
+                (math.log(value.numerator) - math.log(value.denominator)) / int(p)
+            )
+        return approx ** (1.0 / float(p))
     return float(value) ** (1.0 / float(p))
 
 
@@ -162,6 +198,7 @@ def lp_norm(p: Number, v: FiniteVector) -> Number:
         raise ConfigurationError("lp requires p >= 1")
     if p == 1:
         return v.abs_sum()
+    check_exact_power(p, v.coeffs)
     total = 0
     for a in v.coeffs:
         total = total + _power(abs(a), p)
@@ -177,6 +214,7 @@ def lorentz_norm(w: WeightSpec, p: Number, v: FiniteVector) -> Number:
     if p < 1:
         raise ConfigurationError("lorentz requires p >= 1")
     rearranged = sorted((abs(a) for a in v.coeffs if a != 0), reverse=True)
+    check_exact_power(p, rearranged)
     total = 0
     for i, a in enumerate(rearranged):
         total = total + _power(a, p) * w.weight(i)

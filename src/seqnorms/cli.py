@@ -10,6 +10,7 @@ Exit codes: 0 ok, 2 parse/configuration failure, 3 budget exceeded,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from random import Random
@@ -255,12 +256,15 @@ def cmd_certify(args, report: _Report) -> int:
 # Parser and entry point
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
-    # Global flags live in a parent parser attached to every subcommand, so
-    # they are accepted both before and after the subcommand name.  The
-    # parent uses SUPPRESS defaults (real defaults are filled in by main after
-    # parsing); a subparser must never see a concrete default here, or its
-    # fresh namespace would clobber a flag given before the subcommand.
+    # Built once per process: parse_args returns a fresh namespace and keeps
+    # no state between calls.  Global flags live in a parent parser attached
+    # to every subcommand, so they are accepted both before and after the
+    # subcommand name.  The parent uses SUPPRESS defaults (real defaults are
+    # filled in by main after parsing); a subparser must never see a concrete
+    # default here, or its fresh namespace would clobber a flag given before
+    # the subcommand.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--exact", dest="exact", action="store_true",
                         default=argparse.SUPPRESS, help="exact rational arithmetic (default)")

@@ -403,6 +403,7 @@ class LpSpace(SpaceSpec):
             return _running(map(abs, coeffs), max)
         if self.p == 1:
             return _running(map(abs, coeffs))
+        classical.check_exact_power(self.p, coeffs)
         powers = _running(classical._power(abs(a), self.p) for a in coeffs)
         return [classical._root(t, self.p) for t in powers]
 

@@ -30,7 +30,7 @@ Float mode keeps the values themselves, with q = 1.
 
 For the interval [i..j], a family size k puts its first set at
 a = max(i, first support index with position >= k).  The exact search over
-sizes rests on three exact facts about the tables:
+sizes rests on five exact facts about the tables:
 
 * Running max over starts.  Restriction shrinks every level and the fixed
   point, and a size with a > i gives the same candidate for [i..j] as for
@@ -45,15 +45,33 @@ sizes rests on three exact facts about the tables:
 * Singleton closed form.  A split of [a..j] into j - a + 1 groups is the
   singletons, worth the l1 mass of [a..j]; no partition row is filled.
 
+Two more facts rest on the sum top_r of the r largest |a_n| in [a..j], read
+from a sorted list of column j's work values kept as the start decreases:
+
+* Sup bound (Figiel-Johnson).  Every table, each level and the fixed point,
+  for every h, satisfies T[g] <= alpha * l1(g) + (1 - alpha) * sup(g): the
+  sup table does since sup <= l1, and a family value alpha * sum T[g_t] is
+  at most alpha * sum l1(g_t) <= alpha * l1(g) by induction.  Summed over
+  the r groups of a split, whose sups are r distinct entries, the split is
+  worth at most alpha * l1 + (1 - alpha) * top_r.  So the query (a, j, r)
+  is skipped when p * (p * l1 + (q - p) * top_r) <= q * best, with best the
+  running max held times q.  The bound grows with r, so with every
+  admissible r tried (an h with gaps) a skipped r does not end the search.
+* Level 1 in closed form.  On the sup table the best split of [a..j] into
+  exactly r groups is top_r: the group maxima are r distinct entries, and
+  cutting just before the 2nd, ..., r-th of the positions of the r largest
+  entries puts one of them in each group and attains the sum.  So the first
+  level step fills no partition row.
+
 Float mode uses none of them: rounding can put a sum an ulp above or below
-one it provably dominates, so a carried value, a single size or the closed
-form could change the last bits.  It tries every size at its own start, in
-increasing k, forming each sum as the full search does.
+one it provably dominates, so a carried value, a single size, a bound or a
+closed form could change the last bits.  It tries every size at its own
+start, in increasing k, forming each sum as the full search does.
 """
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -206,22 +224,25 @@ class TsirelsonEngine:
         self._fit = [bisect_right(self._r, w) for w in range(s + 1)]
         # Sizes (t, t) for t = 1..n: one family size per start suffices.
         self._plain = all(k == r == t for t, (k, r) in enumerate(sizes, 1))
-        self._sup = self._sup_table()
+        self._sup, self._argmax = self._sup_table()
         self._fixed: Optional[List[List[Number]]] = None
 
     # -- shared pieces
 
-    def _sup_table(self) -> List[List[Number]]:
-        s = len(self.pos)
+    def _sup_table(self) -> Tuple[List[List[Number]], List[List[int]]]:
+        """The sup of every interval [i..j], and the first index attaining it."""
+        s, work = len(self.pos), self._work
         table = [[0] * s for _ in range(s)]
+        argmax = [[0] * s for _ in range(s)]
         for i in range(s):
-            running = self._work[i]
-            table[i][i] = running
-            for j in range(i + 1, s):
-                if self._work[j] > running:
-                    running = self._work[j]
-                table[i][j] = running
-        return table
+            running, at = work[i], i
+            row, arg = table[i], argmax[i]
+            for j in range(i, s):
+                if work[j] > running:
+                    running, at = work[j], j
+                row[j] = running
+                arg[j] = at
+        return table, argmax
 
     def _number(self, raw: Number, i: int, j: int) -> Number:
         """The value a work-unit entry of interval [i..j] stands for.
@@ -232,16 +253,28 @@ class TsirelsonEngine:
         if self._scale is None:
             return raw
         if raw == self._sup[i][j]:
-            return self.val[self._work.index(raw, i)]
+            return self.val[self._argmax[i][j]]
         return Fraction(raw, self._scale)
 
     def _to_numbers(self, table: List[List[Number]]) -> List[List[Number]]:
+        # As _number entry by entry, with one Fraction per distinct value.
         if self._scale is None:
             return table
-        return [
-            [self._number(raw, i, j) if j >= i else 0 for j, raw in enumerate(row)]
-            for i, row in enumerate(table)
-        ]
+        val, scale, fractions = self.val, self._scale, {}
+        out = []
+        for i, (row, sup, arg) in enumerate(zip(table, self._sup, self._argmax)):
+            numbers = [0] * len(row)
+            for j in range(i, len(row)):
+                raw = row[j]
+                if raw == sup[j]:
+                    numbers[j] = val[arg[j]]
+                else:
+                    number = fractions.get(raw)
+                    if number is None:
+                        number = fractions[raw] = Fraction(raw, scale)
+                    numbers[j] = number
+            out.append(numbers)
+        return out
 
     def _best_partition(self, table, rows, lo, a: int, j: int, r: int) -> Number:
         # Max of sum(table value over groups) over partitions of support
@@ -286,13 +319,15 @@ class TsirelsonEngine:
         the search stops once the l1 mass p * sum |a_n| of the next start
         cannot beat it.
 
-        Exact mode uses the three facts of the module docstring: the value
+        Exact mode uses the five facts of the module docstring: the value
         of [i+1..j] is carried down (running max over starts), only the
         sizes with k <= pos[i] are tried at a = i, and of those only the
         largest r for plain sizes (one family size per start); r = j - i + 1
-        is the l1 mass (singleton closed form).  Float mode walks every size
-        at its own start instead, because rounding breaks all three facts in
-        the last bits.
+        is the l1 mass (singleton closed form); a query the sup bound cannot
+        lift above the running max is skipped; and on the sup table a split
+        is worth top_r (level 1 in closed form).  Float mode walks every size
+        at its own start instead, because rounding breaks these facts in the
+        last bits.
         """
         p, q = self._p, self._q
         prefix, rs = self._abs_prefix, self._r
@@ -314,9 +349,12 @@ class TsirelsonEngine:
                             best = cand
                 out[i] = best
             return
-        cut, fit, plain = self._cut, self._fit, self._plain
+        cut, fit, plain, work = self._cut, self._fit, self._plain, self._work
+        level_one = table is self._sup
+        column = []  # the work values of [i..j], sorted
         carry = 0  # q times the value of [i+1..j]
         for i in range(j, -1, -1):
+            insort(column, work[i])
             width = j - i + 1
             best = q * floors[i]
             if carry > best:
@@ -330,7 +368,13 @@ class TsirelsonEngine:
                     if r == width:
                         cand = mass
                     else:
-                        cand = p * self._best_partition(table, rows, lo, i, j, r)
+                        top = sum(column[width - r :])
+                        if level_one:
+                            cand = p * top
+                        elif p * (mass + (q - p) * top) <= q * best:
+                            continue  # the sup bound: no r-split beats best
+                        else:
+                            cand = p * self._best_partition(table, rows, lo, i, j, r)
                     if cand > best:
                         best = cand
             carry = best

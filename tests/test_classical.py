@@ -4,7 +4,7 @@ from random import Random
 
 import pytest
 
-from seqnorms.core import ConfigurationError, FiniteVector, INF, WeightSpec
+from seqnorms.core import BudgetError, ConfigurationError, FiniteVector, INF, LpSpace, WeightSpec
 from seqnorms.classical import (
     OrliczFunction,
     delta_prime_probe,
@@ -39,6 +39,28 @@ class TestLp:
             values = [lp_norm(p, v) for p in (1, 2, 3, INF)]
             for a, b in zip(values, values[1:]):
                 assert float(b) <= float(a) + 1e-12
+
+    @pytest.mark.parametrize("p", [10**400, 100000], ids=["1e400", "1e5"])
+    def test_huge_exact_exponent_refused(self, p):
+        # t ** p holds about p times t's bit-length; these would not finish
+        v = FiniteVector.from_dense([Fraction(1, 3), Fraction(2, 7)])
+        with pytest.raises(BudgetError):
+            lp_norm(p, v)
+        with pytest.raises(BudgetError):
+            LpSpace(p).prefix_norms(list(v.coeffs))
+        with pytest.raises(BudgetError):
+            lorentz_norm(WeightSpec.harmonic(), p, v)
+
+    def test_large_exponent_within_the_limit(self):
+        assert lp_norm(1000, FiniteVector.from_dense([1, 1, 0, 1])) == 3.0 ** (1 / 1000)
+        value = lp_norm(4096, FiniteVector.from_dense([Fraction(5, 2)] * 4))
+        assert math.isclose(value, 2.5 * 4 ** (1 / 4096), rel_tol=1e-12)
+
+    @pytest.mark.parametrize("t", [Fraction(3, 2), Fraction(2, 3)])
+    def test_power_sum_outside_the_float_range(self, t):
+        # sum = 3 * t**2000 over- or underflows a float; its root does not
+        value = lp_norm(2000, FiniteVector.from_dense([t] * 3))
+        assert math.isclose(value, float(t) * 3 ** (1 / 2000), rel_tol=1e-12)
 
 
 class TestOrliczFunction:

@@ -83,6 +83,25 @@ class TestNormCommand:
         code, out, _ = run(capsys, "norm", "orlicz:power=2", vec, "--float")
         assert code == 0 and "norm,inf,inf" in out
 
+    @pytest.mark.parametrize("space, text", [
+        ("lp:p=1e400", "1/3 2/7"),
+        ("lp:p=100000", "1/3 2/7"),
+        ("lorentz:p=1e400", "1 2"),
+    ])
+    def test_huge_exact_exponent_refused(self, capsys, tmp_path, space, text):
+        vec = write_vector(tmp_path, "v.txt", text)
+        code, out, err = run(capsys, "norm", space, vec)
+        assert code == 3 and out == "" and "--float" in err
+
+    def test_huge_exponent_scan_refused(self, capsys):
+        code, out, _ = run(capsys, "scan", "lp:p=1e400", "harmonic", "4")
+        assert code == 3 and out == ""
+
+    def test_power_sum_beyond_float_range(self, capsys, tmp_path):
+        vec = write_vector(tmp_path, "v.txt", "2 2")
+        code, out, _ = run(capsys, "norm", "lp:p=3000", vec)
+        assert code == 0 and "norm,2.000462" in out
+
     def test_budget_exceeded(self, capsys, tmp_path):
         vec = write_vector(tmp_path, "v.txt", " ".join(["1"] * 10))
         code, out, _ = run(
@@ -240,3 +259,33 @@ class TestDeterminism:
         a = run(capsys, "--seed", "4", "blocks", "cjt", "--samples", "5")
         b = run(capsys, "blocks", "cjt", "--seed", "4", "--samples", "5")
         assert a == b
+
+
+class TestParserReuse:
+    """One parser serves every ``main`` call in a process."""
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_flags_do_not_leak_between_calls(self, capsys, tmp_path, monkeypatch):
+        # The global flags use SUPPRESS defaults and main fills them in; a
+        # reused parser must not carry --float or --format from one call
+        # into the next.
+        vec = write_vector(tmp_path, "v.txt", "1/3 1 2")
+        runs = [
+            ("norm", "tsirelson:alpha=1/2", vec, "--float", "--format", "text"),
+            ("norm", "tsirelson:alpha=1/2", vec),
+            ("--float", "--format", "text", "norm", "lp:p=2", vec),
+            ("norm", "lp:p=2", vec),
+            ("--float", "blocks", "cjt", "--samples", "3", "--seed", "5"),
+            ("blocks", "cjt", "--samples", "3", "--seed", "5"),
+        ]
+        shared = [run(capsys, *argv) for argv in runs]
+        monkeypatch.setattr(
+            cli, "build_parser", getattr(cli.build_parser, "__wrapped__", cli.build_parser)
+        )
+        fresh = [run(capsys, *argv) for argv in runs]
+        assert shared == fresh
+        assert all(code == 0 for code, _, _ in shared)
+        assert shared[0][1] != shared[1][1] and shared[2][1] != shared[3][1]
+        assert shared[4][1] != shared[5][1]

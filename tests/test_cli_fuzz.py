@@ -18,6 +18,8 @@ INTS = ["0", "1", "2", "3", "-1", "x"]
 
 scalar = st.sampled_from(SCALARS)
 small_int = st.sampled_from(INTS)
+# exponents whose exact powers are refused (1e400, 100000) or just admitted
+big_exponent = st.sampled_from(["1e400", "100000", "3000", "65"])
 
 
 def fmt(template, *parts):
@@ -34,6 +36,8 @@ space = st.one_of(
     st.sampled_from(["c0", "c0:p=2", "lp", "lp:q=2", "tsirelson", "orlicz", "orlicz:table=/nonexistent",
                      "lorentz:w=geometric,p=1", "banach:p=2", "", ":", "lp:p"]),
     fmt("lp:p={}", scalar),
+    fmt("lp:p={}", big_exponent),
+    fmt("lorentz:p={}", big_exponent),
     fmt("tsirelson:alpha={}", scalar),
     fmt("tsirelson:alpha={},h={}", scalar, h_form),
     fmt("orlicz:power={}", scalar),

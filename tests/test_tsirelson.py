@@ -539,6 +539,133 @@ class TestFamilySizeSearch:
         assert levels == recorded and trace.stabilization_level == 3
 
 
+def reference_tables(alpha, v, h):
+    """Level tables of the interval recursion, computed the slow way.
+
+    Fraction arithmetic, every admissible r at every start a >= i with
+    pos[a] >= k, and the best split into exactly r groups by plain
+    recursion: no prune, no carried value, no closed form.  Levels run
+    until the whole table repeats, or s + 1 steps.
+    """
+    pos = v.support
+    val = [abs(v.coefficient(n)) for n in pos]
+    s = len(pos)
+    if h is None:
+        sizes = [(k, k) for k in range(1, s + 1)]
+    elif h.kind == "table":
+        sizes = list(h.table)
+    else:
+        sizes = [(k, h(k)) for k in range(1, s + 1)]
+    table = [[max(val[i : j + 1]) if j >= i else 0 for j in range(s)] for i in range(s)]
+    tables = [table]
+    for _ in range(s + 1):
+        memo = {}
+
+        def split(a, j, r, table=table, memo=memo):
+            if r == 1:
+                return table[a][j]
+            key = (a, j, r)
+            if key not in memo:
+                memo[key] = max(
+                    table[a][t] + split(t + 1, j, r - 1) for t in range(a, j - r + 2)
+                )
+            return memo[key]
+
+        nxt = [row[:] for row in table]
+        for i in range(s):
+            for j in range(i, s):
+                for k, r in sizes:
+                    for a in range(i, j + 1):
+                        if pos[a] >= k and r <= j - a + 1:
+                            cand = alpha * split(a, j, r)
+                            if cand > nxt[i][j]:
+                                nxt[i][j] = cand
+        tables.append(nxt)
+        if nxt == table:
+            break
+        table = nxt
+    return tables
+
+
+def typed(table):
+    return [[f"{type(x).__name__}:{x!r}" for x in row] for row in table]
+
+
+REFERENCE_HS = (
+    None,
+    HFunction.identity(),
+    HFunction.affine(2, 0),
+    HFunction.affine(3, 1),
+    HFunction.from_table([(1, 3), (2, 4)]),
+    HFunction.from_table([(4, 2), (9, 3)]),
+)
+
+
+class TestReferenceDP:
+    """The exact engine against a slow reference DP, on every h kind."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(1, 16), st.integers(-9, 9), st.sampled_from((1, 1, 2, 3, 5, 7))),
+            min_size=1,
+            max_size=12,
+        ),
+        st.sampled_from((HALF, Fraction(1, 3), Fraction(2, 3), Fraction(9, 10))),
+        st.sampled_from(REFERENCE_HS),
+    )
+    def test_tables_and_trace_match_the_reference(self, terms, alpha, h):
+        v = FiniteVector.from_pairs(
+            (n, a if d == 1 else Fraction(a, d)) for n, a, d in terms
+        )
+        s = len(v.support)
+        if s == 0:
+            return
+        expected = reference_tables(alpha, v, h)
+        engine = TsirelsonEngine(alpha, v, h)
+        assert [typed(t) for t in engine.level_tables(s + 1)] == [typed(t) for t in expected]
+        assert typed(engine.fixed_point_table()) == typed(expected[-1])
+        values = [t[0][s - 1] for t in expected]
+        stab = next((m for m in range(len(values) - 1) if values[m + 1] == values[m]),
+                    len(values) - 1)
+        value, trace = norm(alpha, h, v)
+        assert typed([[value]]) == typed([[values[-1]]])
+        assert typed([[x for _, x in trace.levels]]) == typed([values])
+        assert [m for m, _ in trace.levels] == list(range(len(values)))
+        assert trace.stabilization_level == stab
+
+
+class TestTopSums:
+    """On the sup table the best split into r groups is the top-r sum."""
+
+    @pytest.mark.parametrize("alpha", [HALF, Fraction(2, 3)])
+    def test_best_partition_on_the_sup_table(self, alpha):
+        rng = Random(17)
+        for _ in range(30):
+            v = FiniteVector.from_pairs(
+                (rng.randint(1, 20), Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+                for _ in range(rng.randint(1, 12))
+            )
+            engine = TsirelsonEngine(alpha, v)
+            work, sup, s = engine._work, engine._sup, len(v.support)
+            for j in range(s):
+                rows, lo = [None, [sup[x][j] for x in range(j + 1)]], [None, 0]
+                for a in range(j, -1, -1):
+                    ranked = sorted(work[a : j + 1], reverse=True)
+                    for r in range(1, j - a + 2):
+                        got = engine._best_partition(sup, rows, lo, a, j, r)
+                        assert got == sum(ranked[:r])
+
+    def test_level_one_attains_the_top_sum(self):
+        # [4, 1, 3, 1] from position 3: three sets may be used, and the best
+        # three-group split keeps 4 and 3 apart, worth 4 + 3 + 1 = 8.  At
+        # alpha 1/2 that ties the sup, which keeps its type.
+        v = FiniteVector.from_pairs(zip([3, 4, 5, 6], [4, 1, 3, 1]))
+        assert norm_level(HALF, None, v, 1) == 4
+        assert type(norm_level(HALF, None, v, 1)) is int
+        assert norm_level(Fraction(2, 3), None, v, 1) == Fraction(16, 3)
+
+
 # Values of the Fraction-based engine on the float corpus above.
 FLOAT_CORPUS = [
     (1.9795, 1.9795, (0.851, 1.9795, 1.9795)),
