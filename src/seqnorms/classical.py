@@ -6,6 +6,7 @@ found by bracketing and bisection on the monotone map rho -> sum M(|v(n)|/rho).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -234,11 +235,14 @@ def _luxemburg_functional(M: OrliczFunction, entries: Sequence[Number], u: Numbe
 def luxemburg_norm(M: OrliczFunction, v: FiniteVector, tol: float = 1e-10) -> Number:
     """The Luxemburg norm: the rho > 0 with sum M(|v(n)|/rho) = 1.
 
-    Works in u = 1/rho, where the functional is non-decreasing.  A secant
-    step is tried first: when the functional is linear in u (e.g. M(t) = t
-    on the relevant range) the root is exact and verified exactly for
-    rational inputs.  Otherwise the root is bracketed by doubling/halving
-    and bisected until the residual is within ``tol``.
+    Works in u = 1/rho, where the functional f is non-decreasing.  For
+    rational inputs an exact secant step through u = 1/sup and 2/sup is
+    tried first, and kept when f is exactly 1 there: it lands when f is
+    linear in u (e.g. M(t) = t on the relevant range).  For M(t) = t^p with
+    p > 1, f is strictly convex and f(1/sup) >= 1, so the secant lands only
+    for a single entry, at rho = sup; that case (p an integer) is answered
+    directly and the others skip the step.  Otherwise the root is bracketed
+    by doubling/halving and bisected until the residual is within ``tol``.
     """
     if tol <= 0:
         raise ConfigurationError("tolerance must be positive")
@@ -250,7 +254,11 @@ def luxemburg_norm(M: OrliczFunction, v: FiniteVector, tol: float = 1e-10) -> Nu
         return sup  # the bracket below starts at u = 1/sup
 
     exact = all(is_exact(a) for a in entries)
-    if exact:
+    if exact and M.kind == "power" and M.p > 1:
+        if len(entries) == 1 and is_exact(M.p) and Fraction(M.p).denominator == 1:
+            rho = Fraction(sup)
+            return int(rho) if rho.denominator == 1 else rho
+    elif exact:
         u1 = Fraction(1, 1) / sup
         u2 = 2 * u1
         try:
@@ -269,11 +277,16 @@ def luxemburg_norm(M: OrliczFunction, v: FiniteVector, tol: float = 1e-10) -> Nu
                 rho = 1 / Fraction(u_star)
                 return int(rho) if rho.denominator == 1 else rho
 
+    if M.kind == "power" and M.p > sys.float_info.max:
+        M = OrliczFunction.power(INF)  # the exponent as --float reads it
     entries_f = [float(a) for a in entries]
     sup_f = float(sup)
 
     def g(u: float) -> float:
-        return float(_luxemburg_functional(M, entries_f, u))
+        try:
+            return float(_luxemburg_functional(M, entries_f, u))
+        except OverflowError:
+            return INF  # a term beyond the float range is far above 1
 
     # Bracket the root in u: g is non-decreasing with g(0) = 0.
     u_hi = 1.0 / sup_f

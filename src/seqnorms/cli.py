@@ -18,6 +18,7 @@ from typing import List, Optional
 
 from . import blocks, ideals, series, tsirelson
 from .core import (
+    DEFAULT_SUPPORT_BUDGET,
     BudgetError,
     ConfigurationError,
     FiniteVector,
@@ -346,7 +347,7 @@ _GLOBAL_DEFAULTS = {
     "exact": True,
     "tol": 1e-10,
     "seed": 0,
-    "budget_support": 4096,
+    "budget_support": DEFAULT_SUPPORT_BUDGET,
     "oracle_cap": tsirelson.DEFAULT_ORACLE_CAP,
     "format": "csv",
 }

@@ -31,6 +31,10 @@ class BudgetError(RuntimeError):
     """An evaluation exceeds the configured search/support budget."""
 
 
+# The most positions one evaluation may cover (--budget-support).
+DEFAULT_SUPPORT_BUDGET = 4096
+
+
 class QuantizationError(ValueError):
     """No grid multiple satisfies the strict quantization bound."""
 

@@ -12,6 +12,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .core import (
+    DEFAULT_SUPPORT_BUDGET,
     ConfigurationError,
     FiniteVector,
     HFunction,
@@ -23,7 +24,6 @@ from .core import (
 )
 from .series import CoefficientGenerator, parse_generator
 
-DEFAULT_POSITION_BUDGET = 4096
 DEFAULT_FLOOR = 0.01
 DEFAULT_THRESHOLD = 0.01
 
@@ -207,7 +207,7 @@ class SubmeasureSpec:
 def phi(
     spec: SubmeasureSpec,
     A: Sequence[int],
-    budget: int = DEFAULT_POSITION_BUDGET,
+    budget: int = DEFAULT_SUPPORT_BUDGET,
 ) -> Number:
     """The submeasure of a finite position set."""
     positions = sorted(set(A))
@@ -226,7 +226,7 @@ def phi(
 
 
 def phi_singletons(
-    spec: SubmeasureSpec, N: int, budget: int = DEFAULT_POSITION_BUDGET
+    spec: SubmeasureSpec, N: int, budget: int = DEFAULT_SUPPORT_BUDGET
 ) -> List[Number]:
     return [phi(spec, [n], budget=budget) for n in range(1, N + 1)]
 
@@ -236,7 +236,7 @@ def phi_tail_profile(
     A: SetGenerator,
     cut_points: Sequence[int],
     horizon: int,
-    budget: int = DEFAULT_POSITION_BUDGET,
+    budget: int = DEFAULT_SUPPORT_BUDGET,
 ) -> List[Number]:
     """phi(A intersect [n, horizon)) for each cut point n.
 
@@ -265,7 +265,7 @@ class AxiomReport:
 def submeasure_axiom_check(
     spec: SubmeasureSpec,
     samples: Sequence[Tuple[Sequence[int], Sequence[int]]],
-    budget: int = DEFAULT_POSITION_BUDGET,
+    budget: int = DEFAULT_SUPPORT_BUDGET,
 ) -> AxiomReport:
     """Exact check of the submeasure axioms on finite set pairs.
 
@@ -307,7 +307,7 @@ def turbulence_criterion(
     spec: SubmeasureSpec,
     N: int,
     floor: Number = DEFAULT_FLOOR,
-    budget: int = DEFAULT_POSITION_BUDGET,
+    budget: int = DEFAULT_SUPPORT_BUDGET,
 ) -> str:
     """Finite-scale reading of the phi({n}) -> 0 criterion.
 
@@ -372,7 +372,7 @@ def membership_verdict(
     A: SetGenerator,
     horizon: int,
     threshold: Number = DEFAULT_THRESHOLD,
-    budget: int = DEFAULT_POSITION_BUDGET,
+    budget: int = DEFAULT_SUPPORT_BUDGET,
 ) -> str:
     """Heuristic membership trend of A in the ideal at a finite horizon.
 

@@ -11,6 +11,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .core import (
+    DEFAULT_SUPPORT_BUDGET,
     BudgetError,
     ConfigurationError,
     FiniteVector,
@@ -22,7 +23,6 @@ from .core import (
 )
 from . import tsirelson
 
-DEFAULT_SUPPORT_BUDGET = 4096
 DEFAULT_SHRINK_THRESHOLD = 0.01
 DEFAULT_WINDOW = 3
 DEFAULT_WITNESS_BUDGET = 5

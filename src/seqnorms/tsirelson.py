@@ -419,9 +419,6 @@ class TsirelsonEngine:
             return 0
         return self.fixed_point_table()[i][j]
 
-    def prefix_norm(self, upto_pos: int) -> Number:
-        return self.interval_norm(1, upto_pos)
-
     # -- level route (Def-style recursion with trace)
 
     def _level_step(self, table) -> List[List[Number]]:
@@ -504,7 +501,7 @@ def prefix_norms(
 ) -> List[Number]:
     """Norms of the prefix restrictions v|[1..K] for each K, sharing one DP."""
     engine = TsirelsonEngine(alpha, v, h)
-    return [engine.prefix_norm(K) for K in prefixes]
+    return [engine.interval_norm(1, K) for K in prefixes]
 
 
 # ---------------------------------------------------------------------------
@@ -608,43 +605,46 @@ def _compositions(bits: Tuple[int, ...]) -> List[Tuple[int, ...]]:
     return out
 
 
-def _admissible_sizes(min_pos: int, h: Optional[HFunction], reading: str) -> callable:
-    """Predicate: is a family with r sets and first-set minimum min_pos admissible?"""
-    if h is None:
-
-        def ok(r: int) -> bool:
-            return r <= min_pos
-
-        return ok
-
-    def ok_h(r: int) -> bool:
-        k = h.inverse(r)
-        if k is None:
-            return False
-        if reading == "k-min":
-            return k <= min_pos
-        if reading == "hk-min":
-            return r <= min_pos
-        raise ConfigurationError(f"unknown admissibility reading {reading!r}")
-
-    return ok_h
+def _admissible(r: int, min_pos: int, h: Optional[HFunction]) -> bool:
+    """Is a family of r sets whose first set starts at min_pos admissible?"""
+    k = r if h is None else h.inverse(r)
+    return k is not None and k <= min_pos
 
 
-def _subset_families(
-    positions: Tuple[int, ...], h: Optional[HFunction], reading: str
+def _is_run(mask: int) -> bool:
+    """Are the bits of a nonzero mask consecutive?"""
+    return mask & (mask + (mask & -mask)) == 0
+
+
+# Tier-1 tests touch about 360 distinct (positions, h, shape) keys; a bound
+# below that recomputes families they share.
+FAMILY_CACHE_SIZE = 512
+
+
+@lru_cache(maxsize=FAMILY_CACHE_SIZE)
+def _families(
+    positions: Tuple[int, ...], h: Optional[HFunction], shape: str
 ) -> Dict[int, List[Tuple[int, ...]]]:
-    """Admissible families of arbitrary subsets, grouped by restriction mask.
+    """Admissible families per restriction mask, as tuples of block masks.
 
-    Returns mask -> list of families (tuples of block masks); the list for a
-    mask contains every family whose union is contained in that mask.
+    The list for a mask holds every family whose union lies in the mask.
+    Shape "subsets" keys every nonempty mask.  Shape "intervals" keys the
+    run masks only, and keeps the subset families whose every set is a run:
+    the traces of integer intervals.
     """
+    if shape == "intervals":
+        subsets = _families(positions, h, "subsets")
+        return {
+            mask: [fam for fam in fams if all(map(_is_run, fam))]
+            for mask, fams in subsets.items()
+            if _is_run(mask)
+        }
     s = len(positions)
     per_union: List[Tuple[int, Tuple[Tuple[int, ...], ...]]] = []
     for union_mask in range(1, 1 << s):
         bits = tuple(t for t in range(s) if union_mask & (1 << t))
         min_pos = positions[bits[0]]
-        size_ok = _admissible_sizes(min_pos, h, reading)
-        fams = [c for c in _compositions(bits) if size_ok(len(c))]
+        fams = [c for c in _compositions(bits) if _admissible(len(c), min_pos, h)]
         if fams:
             per_union.append((union_mask, tuple(fams)))
     grouped: Dict[int, List[Tuple[int, ...]]] = {m: [] for m in range(1, 1 << s)}
@@ -656,88 +656,26 @@ def _subset_families(
     return grouped
 
 
-def _interval_families(
-    positions: Tuple[int, ...], h: Optional[HFunction], reading: str
-) -> Dict[int, List[Tuple[int, ...]]]:
-    """Admissible families of integer-interval traces, per run-restriction mask.
-
-    Restrictions reachable from the full support through interval families
-    are contiguous index runs; each family set is itself a contiguous run
-    (the trace of an integer interval), with gaps allowed between sets.
-    """
-    s = len(positions)
-
-    def runs_within(lo: int, hi: int) -> List[Tuple[int, ...]]:
-        # all sequences of >= 1 disjoint increasing runs inside [lo..hi]
-        sequences: List[Tuple[int, ...]] = []
-
-        def extend(start: int, acc: List[int]):
-            if acc:
-                sequences.append(tuple(acc))
-            for a in range(start, hi + 1):
-                for b in range(a, hi + 1):
-                    run_mask = 0
-                    for t in range(a, b + 1):
-                        run_mask |= 1 << t
-                    acc.append(run_mask)
-                    extend(b + 1, acc)
-                    acc.pop()
-
-        extend(lo, [])
-        return sequences
-
-    grouped: Dict[int, List[Tuple[int, ...]]] = {}
-    for lo in range(s):
-        for hi in range(lo, s):
-            mask = 0
-            for t in range(lo, hi + 1):
-                mask |= 1 << t
-            fams = []
-            for seq in runs_within(lo, hi):
-                first_bit = (seq[0] & -seq[0]).bit_length() - 1
-                size_ok = _admissible_sizes(positions[first_bit], h, reading)
-                if size_ok(len(seq)):
-                    fams.append(seq)
-            grouped[mask] = fams
-    return grouped
-
-
-# Tier-1 tests touch about 360 distinct (positions, h, reading, shape) keys;
-# a bound below that recomputes families they share.
-FAMILY_CACHE_SIZE = 512
-
-
-@lru_cache(maxsize=FAMILY_CACHE_SIZE)
-def _families_for(
-    positions: Tuple[int, ...],
-    h: Optional[HFunction],
-    reading: str,
-    shape: str,
-) -> Dict[int, List[Tuple[int, ...]]]:
-    if shape == "subsets":
-        return _subset_families(positions, h, reading)
-    if shape == "intervals":
-        return _interval_families(positions, h, reading)
-    raise ConfigurationError(f"unknown family shape {shape!r}")
-
-
 def oracle_norm(
     alpha: Number,
     v: FiniteVector,
     cap: int = DEFAULT_ORACLE_CAP,
     h: Optional[HFunction] = None,
     family_shape: str = "subsets",
-    reading: str = "k-min",
 ) -> Number:
     """Exact norm by exhaustive recursion over admissible families.
 
     Level tables over restriction subsets are iterated until they reach a
     fixed point.  Exponential in the support size; refuses supports above
-    ``cap``.  ``family_shape`` selects arbitrary subsets (the literal
-    definition) or integer-interval traces; ``reading`` selects the
-    h-variant constraint k <= min E_1 ("k-min") or h(k) <= min E_1
-    ("hk-min").
+    ``cap``.  A family of r sets is admissible when k <= min E_1 for the
+    k with h(k) = r (k = r without h).  ``family_shape`` selects families
+    of arbitrary subsets (the literal definition) or, as a filter of those,
+    of integer-interval traces on run restrictions.
     """
+    if not (0 < alpha < 1):
+        raise ConfigurationError("alpha must lie in (0,1)")
+    if family_shape not in ("subsets", "intervals"):
+        raise ConfigurationError(f"unknown family shape {family_shape!r}")
     positions = v.support
     s = len(positions)
     if s == 0:
@@ -746,16 +684,14 @@ def oracle_norm(
         raise BudgetError(
             f"oracle support {s} exceeds cap {cap}; the search is exponential by design"
         )
-    families = _families_for(positions, h, reading, family_shape)
+    families = _families(positions, h, family_shape)
     coeffs = [abs(v.coefficient(n)) for n in positions]
 
     exact = all(is_exact(c) for c in coeffs) and is_exact(alpha)
     if exact:
         alpha_frac = Fraction(alpha)
         a_num, a_den = alpha_frac.numerator, alpha_frac.denominator
-        lcm = 1
-        for c in coeffs:
-            lcm = lcm * Fraction(c).denominator // math.gcd(lcm, Fraction(c).denominator)
+        lcm = math.lcm(*(Fraction(c).denominator for c in coeffs))
         scaled = [int(Fraction(c) * lcm) for c in coeffs]
     else:
         a_num, a_den = alpha, 1
@@ -779,7 +715,7 @@ def oracle_norm(
         for mask in masks:
             base = a_den * level[mask]
             inner = 0
-            for fam in families.get(mask, ()):
+            for fam in families[mask]:
                 total = 0
                 for block in fam:
                     total += level[block]

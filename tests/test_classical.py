@@ -106,6 +106,25 @@ class TestLuxemburg:
         for M in (OrliczFunction.power(2), OrliczFunction.from_knots([(1, 1), (2, 3)])):
             assert luxemburg_norm(M, FiniteVector.from_dense([1.0, INF])) == INF
 
+    def test_large_integer_exponent_finishes(self):
+        # the exact secant step raised points of unknown bit-length to the
+        # power 100000 and never finished
+        v = FiniteVector.from_dense([Fraction(1, 3), Fraction(2, 7)])
+        rho = luxemburg_norm(OrliczFunction.power(100000), v)
+        assert isinstance(rho, float) and 1 / 3 <= rho <= 1 / 3 * (1 + 1e-4)
+        # terms past the float range, and an exponent past it, still bisect
+        for p in (100000, 10 ** 400):
+            rho = luxemburg_norm(OrliczFunction.power(p), FiniteVector.from_dense([49, 1]))
+            assert isinstance(rho, float) and 49 * (1 - 1e-4) <= rho <= 49 * (1 + 1e-4)
+
+    def test_single_entry_is_exact_for_every_integer_exponent(self):
+        for p in (2, 100000, 10 ** 400):
+            M = OrliczFunction.power(p)
+            value = luxemburg_norm(M, FiniteVector.from_pairs([(3, Fraction(-1, 3))]))
+            assert type(value) is Fraction and value == Fraction(1, 3)
+            value = luxemburg_norm(M, FiniteVector.from_pairs([(5, 2)]))
+            assert type(value) is int and value == 2
+
     def test_residual_within_tolerance(self):
         rng = Random(7)
         M = OrliczFunction.power(3)

@@ -19,6 +19,7 @@ INTS = ["0", "1", "2", "3", "-1", "x"]
 scalar = st.sampled_from(SCALARS)
 small_int = st.sampled_from(INTS)
 # exponents whose exact powers are refused (1e400, 100000) or just admitted
+# by lp and lorentz; orlicz admits every one of them
 big_exponent = st.sampled_from(["1e400", "100000", "3000", "65"])
 
 
@@ -41,6 +42,7 @@ space = st.one_of(
     fmt("tsirelson:alpha={}", scalar),
     fmt("tsirelson:alpha={},h={}", scalar, h_form),
     fmt("orlicz:power={}", scalar),
+    fmt("orlicz:power={}", big_exponent),
     fmt("lorentz:p={}", scalar),
     fmt("lorentz:w=harmonic,p={}", scalar),
 )

@@ -4,12 +4,19 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seqnorms.core import BudgetError, CertificateError, FiniteVector, HFunction
+from seqnorms.core import (
+    BudgetError,
+    CertificateError,
+    ConfigurationError,
+    FiniteVector,
+    HFunction,
+)
 from seqnorms.tsirelson import (
     AdmissibleFamily,
     CertificateNode,
     NormCertificate,
     TsirelsonEngine,
+    _families,
     certificate_lower_bound,
     fixed_point_norm,
     is_admissible,
@@ -144,12 +151,44 @@ class TestOracle:
             intervals = oracle_norm(HALF, v, family_shape="intervals")
             assert full == intervals
 
-    def test_h_variant_readings_can_differ(self):
-        h = HFunction.affine(2, 0)
-        v = FiniteVector.from_dense([0, 2, 2, 2, 2])
-        k_min = oracle_norm(HALF, v, h=h, reading="k-min")
-        hk_min = oracle_norm(HALF, v, h=h, reading="hk-min")
-        assert k_min >= hk_min  # k-min admits more families
+    def test_alpha_outside_the_unit_interval_is_refused(self):
+        # returned 3 at alpha = 1 and 1 at alpha = 0, and failed to
+        # stabilize at alpha > 1, where the DP refuses
+        for alpha in (1, 0, 2, Fraction(3, 2), Fraction(-1, 2)):
+            with pytest.raises(ConfigurationError):
+                oracle_norm(alpha, units(2, 3, 4))
+
+    def test_unknown_family_shape_is_refused(self):
+        with pytest.raises(ConfigurationError):
+            oracle_norm(HALF, units(2, 3), family_shape="runs")
+
+    def test_family_counts_with_every_size_admissible(self):
+        # Positions >= s admit every family size, so a mask of w elements
+        # holds the (3^w - 1)/2 families of subsets of it, and a run of
+        # width w the F(2w + 1) - 1 sequences of disjoint runs inside it.
+        fib = [0, 1]
+        while len(fib) < 17:
+            fib.append(fib[-1] + fib[-2])
+        for s in range(1, 8):
+            positions = tuple(range(s, 2 * s))
+            subsets = _families(positions, None, "subsets")
+            intervals = _families(positions, None, "intervals")
+            assert sorted(subsets) == list(range(1, 1 << s))
+            for mask, fams in subsets.items():
+                w = bin(mask).count("1")
+                assert len(fams) == (3 ** w - 1) // 2
+                assert len(set(fams)) == len(fams)
+            runs = [((1 << w) - 1) << lo for w in range(1, s + 1) for lo in range(s - w + 1)]
+            assert sorted(intervals) == sorted(runs)
+            for mask, fams in intervals.items():
+                w = bin(mask).count("1")
+                assert len(fams) == fib[2 * w + 1] - 1
+                assert len(set(fams)) == len(fams)
+                for fam in fams:
+                    assert all(block & ~mask == 0 for block in fam)
+                    for block in fam:
+                        low = block & -block
+                        assert block == low * ((1 << bin(block).count("1")) - 1)
 
     def test_h_variant_agrees_with_dp(self):
         h = HFunction.affine(2, 0)
