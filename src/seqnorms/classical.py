@@ -2,6 +2,21 @@
 
 The Luxemburg norm is the unique rho > 0 with sum_n M(|v(n)|/rho) = 1,
 found by bracketing and bisection on the monotone map rho -> sum M(|v(n)|/rho).
+
+Exact power sums run on scaled integers.  For exact entries and an exact
+integer p, the entries become ints x_i = n_i * (L // d_i) over L, the lcm of
+their denominators (and the Lorentz weights likewise over the lcm of theirs:
+lcm(1..m) for harmonic weights).  The l_p sum is then sum |x_i|^p over L^p,
+and the Lorentz sum sorts the ints and adds x_i^p * w_i over L^p times the
+weight denominator, with one Fraction built at the end.  A sum of rationals
+has one value however it is formed, so this is the value of the term-by-term
+Fraction sum, and the type follows the same rule: a Fraction if any term is
+a Fraction, else an int.  Float entries, a non-integer p and float weights
+are summed term by term.
+The float bisection of the Luxemburg norm for M(t) = t^p adds (a*u)^p entry
+by entry in a plain loop, not with sum() (compensated on Python 3.12), so
+its floats are those of evaluating M on each entry in turn.  A float power
+sum that leaves the float range factors out the sup (see _power_root).
 """
 from __future__ import annotations
 
@@ -21,6 +36,7 @@ from .core import (
     WeightSpec,
     is_exact,
     parse_scalar,
+    to_float,
 )
 
 
@@ -119,9 +135,17 @@ SMALL_EXPONENT = 64
 EXACT_POWER_BITS = 1 << 16
 
 
+def _integer_exponent(p: Number) -> Optional[int]:
+    """p as an int if it is an exact integer, else None."""
+    if is_exact(p) and Fraction(p).denominator == 1:
+        return int(p)
+    return None
+
+
 def check_exact_power(p: Number, values: Iterable[Number]) -> None:
     """Refuse exact powers t ** p of ``values`` too large to compute."""
-    if not (is_exact(p) and p > SMALL_EXPONENT and Fraction(p).denominator == 1):
+    n = _integer_exponent(p)
+    if n is None or n <= SMALL_EXPONENT:
         return
     exact = (Fraction(t) for t in values if is_exact(t))
     bits = max(
@@ -136,8 +160,8 @@ def check_exact_power(p: Number, values: Iterable[Number]) -> None:
 
 
 def _power(t: Number, p: Number) -> Number:
-    if is_exact(t) and is_exact(p) and Fraction(p).denominator == 1:
-        return t ** int(p)
+    if is_exact(t) and (n := _integer_exponent(p)) is not None:
+        return t ** n
     return float(t) ** float(p)
 
 
@@ -169,8 +193,8 @@ def _exact_root(value: Fraction, p: int) -> Optional[Fraction]:
 
 def _root(value: Number, p: Number) -> Number:
     """value ** (1/p), exact when the root is rational."""
-    if is_exact(value) and is_exact(p) and Fraction(p).denominator == 1:
-        exact = _exact_root(Fraction(value), int(p))
+    if is_exact(value) and (n := _integer_exponent(p)) is not None:
+        exact = _exact_root(Fraction(value), n)
         if exact is not None:
             return int(exact) if exact.denominator == 1 else exact
         try:
@@ -180,11 +204,84 @@ def _root(value: Number, p: Number) -> Number:
         if approx == 0.0 and value > 0:
             # beyond the float range: take the root through logarithms
             value = Fraction(value)
-            return math.exp(
-                (math.log(value.numerator) - math.log(value.denominator)) / int(p)
-            )
+            try:
+                return math.exp(
+                    (math.log(value.numerator) - math.log(value.denominator)) / n
+                )
+            except OverflowError:
+                return INF  # the root is beyond the float range too
         return approx ** (1.0 / float(p))
     return float(value) ** (1.0 / float(p))
+
+
+def _scaled(values: Sequence[Number]) -> Optional[Tuple[List[int], int, bool]]:
+    """Exact values as ints over one common denominator.
+
+    Returns (ints, L, fraction): ``ints[i] / L == values[i]`` with L the lcm of
+    the denominators, and whether any value is a Fraction (the type that
+    Fraction arithmetic on the values would give).  None if a value is not
+    an int or a Fraction.
+    """
+    fraction = False
+    for a in values:
+        if type(a) is Fraction:
+            fraction = True
+        elif type(a) is not int:
+            return None
+    if not fraction:
+        return list(values), 1, False
+    L = math.lcm(*(a.denominator for a in values))
+    return [a.numerator * (L // a.denominator) for a in values], L, True
+
+
+def _scaled_weights(w: WeightSpec, m: int) -> Optional[Tuple[List[int], int, bool]]:
+    """The first m weights as ints over one common denominator (see _scaled)."""
+    if w.kind == "harmonic":
+        # w_i = 1/(i+1): the common denominator is lcm(1..m)
+        L = math.lcm(*range(1, m + 1))
+        return [L // k for k in range(1, m + 1)], L, m > 0
+    return _scaled([w.weight(i) for i in range(m)])
+
+
+def _power_sums(p: Number, terms: Sequence[Tuple[Number, Number]]) -> List[Optional[Number]]:
+    """Running sums of a^p * w over the (a, w) terms, all a and w >= 0.
+
+    A sum that left the float range reads None: every sum from a power that
+    overflowed on, and a sum of 0 with a nonzero term in it (the terms
+    underflowed).
+    """
+    sums, total, nonzero = [], 0, False
+    for a, w in terms:
+        if total is not None:
+            try:
+                total = total + _power(a, p) * w
+            except OverflowError:
+                total = None
+        nonzero = nonzero or a != 0
+        sums.append(None if nonzero and total == 0 else total)
+    return sums
+
+
+def _power_root(p: Number, terms: Sequence[Tuple[Number, Number]]) -> Number:
+    """(sum a^p * w)^(1/p) over (a, w), term by term; the sum itself for p = 1.
+
+    Where the float sum leaves the float range (see _power_sums), the sup is
+    factored out instead: sup * (sum (a/sup)^p * w)^(1/p), in which every
+    a/sup is at most 1.  Any other sum, exact or float, is formed as before,
+    so its value is unchanged.
+    """
+    sums = _power_sums(p, terms)
+    total = sums[-1] if sums else 0
+    if total is None:
+        sup = max(a for a, _ in terms)
+        if to_float(sup) == INF:
+            return INF  # the norm is at least the sup
+        pf = float(p)
+        total = 0.0
+        for a, w in terms:
+            total = total + float(a / sup) ** pf * w
+        return float(sup) * total ** (1.0 / pf)
+    return total if p == 1 else _root(total, p)
 
 
 # ---------------------------------------------------------------------------
@@ -197,13 +294,17 @@ def lp_norm(p: Number, v: FiniteVector) -> Number:
         return v.sup()
     if p < 1:
         raise ConfigurationError("lp requires p >= 1")
+    check_exact_power(p, v.coeffs)
+    n = _integer_exponent(p)
+    scaled = _scaled(v.coeffs) if n is not None else None
+    if scaled is not None:
+        ints, L, fraction = scaled
+        num = sum(abs(x) ** n for x in ints)
+        total = Fraction(num, L ** n) if fraction else num
+        return total if n == 1 else _root(total, n)
     if p == 1:
         return v.abs_sum()
-    check_exact_power(p, v.coeffs)
-    total = 0
-    for a in v.coeffs:
-        total = total + _power(abs(a), p)
-    return _root(total, p)
+    return _power_root(p, [(abs(a), 1) for a in v.coeffs])
 
 
 def lorentz_norm(w: WeightSpec, p: Number, v: FiniteVector) -> Number:
@@ -214,14 +315,20 @@ def lorentz_norm(w: WeightSpec, p: Number, v: FiniteVector) -> Number:
     """
     if p < 1:
         raise ConfigurationError("lorentz requires p >= 1")
-    rearranged = sorted((abs(a) for a in v.coeffs if a != 0), reverse=True)
-    check_exact_power(p, rearranged)
-    total = 0
-    for i, a in enumerate(rearranged):
-        total = total + _power(a, p) * w.weight(i)
-    if p == 1:
-        return total
-    return _root(total, p)
+    nonzero = [a for a in v.coeffs if a != 0]
+    check_exact_power(p, nonzero)
+    n = _integer_exponent(p)
+    scaled = _scaled(nonzero) if n is not None else None
+    weights = _scaled_weights(w, len(nonzero)) if scaled is not None else None
+    if weights is None:
+        rearranged = sorted(map(abs, nonzero), reverse=True)
+        return _power_root(p, [(a, w.weight(i)) for i, a in enumerate(rearranged)])
+    ints, L, fraction = scaled
+    wints, Lw, wfraction = weights
+    rearranged = sorted(map(abs, ints), reverse=True)
+    num = sum(x ** n * c for x, c in zip(rearranged, wints))
+    total = Fraction(num, L ** n * Lw) if fraction or wfraction else num
+    return total if n == 1 else _root(total, n)
 
 
 def _luxemburg_functional(M: OrliczFunction, entries: Sequence[Number], u: Number) -> Number:
@@ -246,20 +353,18 @@ def luxemburg_norm(M: OrliczFunction, v: FiniteVector, tol: float = 1e-10) -> Nu
     """
     if tol <= 0:
         raise ConfigurationError("tolerance must be positive")
-    entries = [abs(a) for a in v.coeffs if a != 0]
-    if not entries:
+    nonzero = [a for a in v.coeffs if a != 0]
+    if not nonzero:
         return 0
-    sup = max(entries)
-    if sup == INF:
-        return sup  # the bracket below starts at u = 1/sup
 
-    exact = all(is_exact(a) for a in entries)
+    exact = all(is_exact(a) for a in nonzero)
     if exact and M.kind == "power" and M.p > 1:
-        if len(entries) == 1 and is_exact(M.p) and Fraction(M.p).denominator == 1:
-            rho = Fraction(sup)
+        if len(nonzero) == 1 and _integer_exponent(M.p) is not None:
+            rho = Fraction(abs(nonzero[0]))
             return int(rho) if rho.denominator == 1 else rho
     elif exact:
-        u1 = Fraction(1, 1) / sup
+        entries = [abs(a) for a in nonzero]
+        u1 = Fraction(1, 1) / max(entries)
         u2 = 2 * u1
         try:
             f1 = _luxemburg_functional(M, entries, u1)
@@ -277,14 +382,29 @@ def luxemburg_norm(M: OrliczFunction, v: FiniteVector, tol: float = 1e-10) -> Nu
                 rho = 1 / Fraction(u_star)
                 return int(rho) if rho.denominator == 1 else rho
 
-    if M.kind == "power" and M.p > sys.float_info.max:
-        M = OrliczFunction.power(INF)  # the exponent as --float reads it
-    entries_f = [float(a) for a in entries]
-    sup_f = float(sup)
+    # float rounds symmetrically and monotonically: abs and max commute with it
+    entries_f = [abs(to_float(a)) for a in nonzero]
+    sup_f = max(entries_f)
+    if sup_f == INF:
+        return INF  # an entry beyond the float range: the bracket would start at u = 0
+
+    if M.kind == "power":
+        # the exponent as --float reads it
+        pf = INF if M.p > sys.float_info.max else float(M.p)
+
+        def functional(u: float) -> float:
+            # a plain loop: sum() of floats is compensated on Python >= 3.12
+            total = 0.0
+            for a in entries_f:
+                total = total + (a * u) ** pf
+            return total
+    else:
+        def functional(u: float) -> float:
+            return float(_luxemburg_functional(M, entries_f, u))
 
     def g(u: float) -> float:
         try:
-            return float(_luxemburg_functional(M, entries_f, u))
+            return functional(u)
         except OverflowError:
             return INF  # a term beyond the float range is far above 1
 

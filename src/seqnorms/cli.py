@@ -29,6 +29,7 @@ from .core import (
     format_scalar,
     parse_space,
     parse_vector,
+    to_float,
 )
 
 EXIT_OK = 0
@@ -39,7 +40,7 @@ EXIT_VIOLATION = 5
 
 
 def _decimal(x) -> str:
-    return repr(float(x))
+    return repr(to_float(x))
 
 
 def _value_cell(x) -> str:

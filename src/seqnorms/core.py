@@ -70,6 +70,9 @@ def parse_scalar(text: str, exact: bool = True) -> Number:
             num, den = text.split("/")
             value = Fraction(int(num), int(den))
         elif exact:
+            digits = text[1:] if text[:1] == "-" else text
+            if digits.isdigit() and digits.isascii():
+                return int(text)  # plain -?digits: the value Fraction would give
             value = Fraction(text)
         else:
             return float(text)
@@ -80,6 +83,14 @@ def parse_scalar(text: str, exact: bool = True) -> Number:
     if value.denominator == 1:
         return int(value)
     return value
+
+
+def to_float(x: Number) -> float:
+    """float(x), or an infinity for an exact value beyond the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
 
 
 def format_scalar(x: Number) -> str:
@@ -408,7 +419,10 @@ class LpSpace(SpaceSpec):
         if self.p == 1:
             return _running(map(abs, coeffs))
         classical.check_exact_power(self.p, coeffs)
-        powers = _running(classical._power(abs(a), self.p) for a in coeffs)
+        powers = classical._power_sums(self.p, [(abs(a), 1) for a in coeffs])
+        if any(t is None for t in powers):
+            # a float power sum left the float range: lp_norm factors out the sup
+            return super().prefix_norms(coeffs)
         return [classical._root(t, self.p) for t in powers]
 
     def describe(self) -> str:

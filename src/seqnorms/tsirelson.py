@@ -382,33 +382,36 @@ class TsirelsonEngine:
 
     # -- fixed-point route (no level trace)
 
-    def fixed_point_table(self) -> List[List[Number]]:
+    def fixed_point_table(self, *, _work_units: bool = False) -> List[List[Number]]:
         """Final norms of every interval restriction, by increasing length.
 
         Solves the implicit equation directly: on each interval the norm is
         the max of the sup of coefficients and alpha times the best admissible
-        split into strictly shorter intervals.
+        split into strictly shorter intervals.  The filled table is kept in
+        work units and converted on each call; the engine's own readers pass
+        ``_work_units=True`` and convert only the entry they read (with
+        ``_number``).
         """
-        if self._fixed is not None:
-            return self._fixed
-        s = len(self.pos)
-        sup = self._sup
-        table = [[0] * s for _ in range(s)]
-        for j in range(s):
-            # By right end, then by decreasing start: every strict subinterval
-            # of [i..j] is filled first.  col is the live column j.
-            col = [0] * (j + 1)
-            self._inner_max(table, [None, col], j, [sup[x][j] for x in range(j + 1)], col)
-            for x, value in enumerate(col):
-                table[x][j] = value
-        self._fixed = self._to_numbers(table)
-        return self._fixed
+        if self._fixed is None:
+            s = len(self.pos)
+            sup = self._sup
+            table = [[0] * s for _ in range(s)]
+            for j in range(s):
+                # By right end, then by decreasing start: every strict
+                # subinterval of [i..j] is filled first.  col is the live
+                # column j.
+                col = [0] * (j + 1)
+                self._inner_max(table, [None, col], j, [sup[x][j] for x in range(j + 1)], col)
+                for x, value in enumerate(col):
+                    table[x][j] = value
+            self._fixed = table
+        return self._fixed if _work_units else self._to_numbers(self._fixed)
 
     def fixed_point_norm(self) -> Number:
         s = len(self.pos)
         if s == 0:
             return 0
-        return self.fixed_point_table()[0][s - 1]
+        return self._number(self.fixed_point_table(_work_units=True)[0][s - 1], 0, s - 1)
 
     def interval_norm(self, lo_pos: int, hi_pos: int) -> Number:
         """Norm of the restriction to positions in [lo_pos, hi_pos]."""
@@ -417,7 +420,7 @@ class TsirelsonEngine:
         j = bisect_left(self.pos, hi_pos + 1) - 1
         if i > j or i >= s:
             return 0
-        return self.fixed_point_table()[i][j]
+        return self._number(self.fixed_point_table(_work_units=True)[i][j], i, j)
 
     # -- level route (Def-style recursion with trace)
 

@@ -3,10 +3,22 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from seqnorms.core import BudgetError, ConfigurationError, FiniteVector, INF, LpSpace, WeightSpec
+from seqnorms.core import (
+    BudgetError,
+    ConfigurationError,
+    FiniteVector,
+    INF,
+    LpSpace,
+    ParseError,
+    WeightSpec,
+    is_exact,
+    parse_scalar,
+)
 from seqnorms.classical import (
     OrliczFunction,
+    _root,
     delta_prime_probe,
     lorentz_norm,
     lp_norm,
@@ -63,6 +75,46 @@ class TestLp:
         assert math.isclose(value, float(t) * 3 ** (1 / 2000), rel_tol=1e-12)
 
 
+    def test_exact_power_sum_beyond_the_float_range(self):
+        v = FiniteVector.from_dense([10 ** 400, 1])
+        assert lp_norm(1, v) == 10 ** 400 + 1
+        assert lp_norm(2, v) == INF  # the float the root rounds to
+        # float weights take the term-by-term loop, whose float product overflowed
+        assert lorentz_norm(WeightSpec.from_table([1, 0.5]), 1, v) == INF
+
+    @pytest.mark.parametrize("p, coeffs", [
+        (3000, [2.0, 3.0]),
+        (3000.0, [2.0, 3.0]),
+        (3000.0, [2, 3]),
+        (Fraction(6001, 2), [2, 3]),
+    ])
+    def test_float_power_beyond_the_float_range(self, p, coeffs):
+        # 3.0 ** 3000.0 overflows; the sup is factored out on that path only
+        v = FiniteVector.from_dense(coeffs)
+        assert lp_norm(p, v) == 3.0
+        assert lorentz_norm(WeightSpec.harmonic(), p, v) == 3.0
+        assert LpSpace(p).prefix_norms(coeffs) == [2.0, 3.0]
+
+    @pytest.mark.parametrize("coeffs, first", [([INF, 1e200], INF), ([10 ** 400, 1e200], 10 ** 400)],
+                             ids=["inf", "10^400"])
+    def test_sup_beyond_the_float_range_with_overflowing_power(self, coeffs, first):
+        # factoring out an infinite sup gave nan (inf / inf), and a float
+        # over an int beyond the float range raised OverflowError
+        v = FiniteVector.from_dense(coeffs)
+        assert lp_norm(3, v) == INF
+        assert lorentz_norm(WeightSpec.harmonic(), 3, v) == INF
+        assert LpSpace(3).prefix_norms(coeffs) == [first, INF]
+
+    def test_float_power_sum_below_the_float_range(self):
+        # 0.5 ** 100000.0 underflows: the sum of a nonzero vector read 0.0
+        v = FiniteVector.from_dense([Fraction(1, 2), Fraction(1, 2)])
+        expected = 0.5 * 2.0 ** (1 / 100000.0)
+        assert lp_norm(100000.0, v) == expected
+        assert LpSpace(100000.0).prefix_norms(list(v.coeffs)) == [0.5, expected]
+        value = lorentz_norm(WeightSpec.harmonic(), 100000.0, v)
+        assert value == 0.5 * 1.5 ** (1 / 100000.0)
+
+
 class TestOrliczFunction:
     def test_power_needs_p_at_least_one(self):
         with pytest.raises(ConfigurationError):
@@ -116,6 +168,11 @@ class TestLuxemburg:
         for p in (100000, 10 ** 400):
             rho = luxemburg_norm(OrliczFunction.power(p), FiniteVector.from_dense([49, 1]))
             assert isinstance(rho, float) and 49 * (1 - 1e-4) <= rho <= 49 * (1 + 1e-4)
+
+    def test_entries_beyond_the_float_range(self):
+        # float(10 ** 400) raised OverflowError; rho >= sup rounds to inf
+        for M in (OrliczFunction.power(2), OrliczFunction.power(Fraction(3, 2))):
+            assert luxemburg_norm(M, FiniteVector.from_dense([10 ** 400, 1])) == INF
 
     def test_single_entry_is_exact_for_every_integer_exponent(self):
         for p in (2, 100000, 10 ** 400):
@@ -189,3 +246,193 @@ class TestDeltaPrime:
             delta_prime_probe(OrliczFunction.power(2), 1, 1)
         with pytest.raises(ConfigurationError):
             delta_prime_probe(OrliczFunction.power(2), 0, 4)
+
+
+# ---------------------------------------------------------------------------
+# The kernels against slow references: the Fraction/float loops they replace
+
+
+def typed(x):
+    return f"{type(x).__name__}:{x!r}"
+
+
+def outcome(f, *args):
+    try:
+        return typed(f(*args))
+    except ConfigurationError:
+        return "ConfigurationError"
+
+
+def reference_power(t, p):
+    if is_exact(t) and is_exact(p) and Fraction(p).denominator == 1:
+        return t ** int(p)
+    return float(t) ** float(p)
+
+
+# The power-sum references return None where today's float sum leaves the
+# float range (a power overflows, or the sum of nonzero terms underflows to
+# 0): there the sup is factored out, and the regression tests above pin it.
+
+
+def reference_lp(p, v):
+    if p == 1:
+        return sum(abs(a) for a in v.coeffs)
+    total = 0
+    try:
+        for a in v.coeffs:
+            total = total + reference_power(abs(a), p)
+    except OverflowError:
+        return None
+    if total == 0 and not v.is_zero:
+        return None
+    return _root(total, p)
+
+
+def reference_lorentz(w, p, v):
+    total = 0
+    rearranged = sorted((abs(a) for a in v.coeffs if a != 0), reverse=True)
+    try:
+        for i, a in enumerate(rearranged):
+            total = total + reference_power(a, p) * w.weight(i)
+    except OverflowError:
+        return None
+    if p == 1:
+        return total
+    if total == 0 and rearranged:
+        return None
+    return _root(total, p)
+
+
+def reference_luxemburg(M, v, tol=1e-10):
+    # the power case only: the float bisection evaluates M entry by entry
+    entries = [abs(a) for a in v.coeffs if a != 0]
+    if not entries:
+        return 0
+    sup = max(entries)
+    if sup == INF:
+        return sup
+    exact = all(is_exact(a) for a in entries)
+    if exact and M.p > 1:
+        if len(entries) == 1 and is_exact(M.p) and Fraction(M.p).denominator == 1:
+            rho = Fraction(sup)
+            return int(rho) if rho.denominator == 1 else rho
+    elif exact:
+        # M(t) = t: the exact secant step lands on 1 / l1
+        u = Fraction(1) / sum(entries)
+        rho = 1 / u
+        return int(rho) if rho.denominator == 1 else rho
+    entries_f = [float(a) for a in entries]
+
+    def g(u):
+        total = 0
+        for a in entries_f:
+            total = total + M(a * u)
+        return float(total)
+
+    u_hi, steps = 1.0 / float(sup), 0
+    while g(u_hi) < 1.0:
+        u_hi, steps = u_hi * 2.0, steps + 1
+        if steps > 200:
+            raise ConfigurationError("no bracket")
+    u_lo = u_hi / 2.0
+    while g(u_lo) > 1.0:
+        u_hi, u_lo, steps = u_lo, u_lo / 2.0, steps + 1
+        if steps > 400:
+            raise ConfigurationError("no bracket")
+    for _ in range(200):
+        u_mid = 0.5 * (u_lo + u_hi)
+        val = g(u_mid)
+        if abs(val - 1.0) <= tol:
+            return 1.0 / u_mid
+        if val < 1.0:
+            u_lo = u_mid
+        else:
+            u_hi = u_mid
+        if u_hi - u_lo <= tol * u_lo:
+            break
+    return 2.0 / (u_lo + u_hi)
+
+
+EXACT_ENTRY = st.one_of(
+    st.integers(-50, 50),
+    st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12)),
+    st.builds(Fraction, st.integers(-10 ** 20, 10 ** 20), st.integers(1, 10 ** 20)),
+    # coprime 1000-bit denominators: the common denominator runs to many kbits
+    st.builds(lambda k, d: Fraction(k * d // 1000, d), st.integers(-50000, 50000),
+              st.integers(10 ** 299, 10 ** 300)),
+)
+FLOAT_ENTRY = st.floats(-50, 50)
+VECTORS = st.one_of(
+    st.lists(EXACT_ENTRY, max_size=12),
+    st.lists(st.sampled_from((0, Fraction(0))), max_size=4),
+    st.lists(FLOAT_ENTRY, max_size=12),
+    st.lists(st.one_of(EXACT_ENTRY, FLOAT_ENTRY), max_size=12),
+).map(FiniteVector.from_dense)
+EXPONENTS = st.sampled_from((1, 2, 3, Fraction(3, 2), 2.0))
+WEIGHTS = st.one_of(
+    st.just(WeightSpec.harmonic()),
+    st.lists(st.sampled_from((1, Fraction(1, 2), Fraction(1, 3), Fraction(2, 7), Fraction(1, 10 ** 12))),
+             max_size=8)
+    .map(lambda ws: WeightSpec.from_table([1] + sorted(ws, reverse=True))),
+    st.just(WeightSpec.from_table([1, 1, 1])),
+    st.just(WeightSpec.from_table([1, 0.5, 0.25])),
+)
+
+
+class TestReferenceKernels:
+    """Scaled-int sums and the direct float functional give today's values."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(VECTORS, EXPONENTS)
+    def test_lp(self, v, p):
+        expected = reference_lp(p, v)
+        assume(expected is not None)
+        assert typed(lp_norm(p, v)) == typed(expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(VECTORS, EXPONENTS, WEIGHTS)
+    def test_lorentz(self, v, p, w):
+        expected = reference_lorentz(w, p, v)
+        assume(expected is not None)
+        assert typed(lorentz_norm(w, p, v)) == typed(expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(VECTORS, EXPONENTS)
+    def test_luxemburg(self, v, p):
+        M = OrliczFunction.power(p)
+        assert outcome(luxemburg_norm, M, v) == outcome(reference_luxemburg, M, v)
+
+    @pytest.mark.parametrize("text, expected", [
+        ("7", "int:7"),
+        ("-7", "int:-7"),
+        ("-0", "int:0"),
+        ("007", "int:7"),
+        (" 12 ", "int:12"),
+        ("+7", "int:7"),
+        ("1_0", "int:10"),
+        ("٣", "int:3"),
+        ("1e3", "int:1000"),
+        ("1e400", "int:" + repr(10 ** 400)),
+        ("4/2", "int:2"),
+        ("1.5", "Fraction:Fraction(3, 2)"),
+        ("--5", None),
+        ("-", None),
+        ("", None),
+        ("²", None),
+        ("0x10", None),
+        ("1 2", None),
+        ("1" * 5000, None),
+        ("-" + "1" * 5000, None),
+    ])
+    def test_parse_scalar_edge_tokens(self, text, expected):
+        # plain ASCII -?digits take the int fast path; everything else keeps
+        # the Fraction parse, its value and its ParseError
+        if expected is None:
+            with pytest.raises(ParseError) as info:
+                parse_scalar(text)
+            try:
+                Fraction(text.strip())
+            except ValueError as exc:
+                assert str(info.value) == f"bad scalar {text.strip()!r}: {exc}"
+        else:
+            assert typed(parse_scalar(text)) == expected

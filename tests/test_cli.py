@@ -102,6 +102,33 @@ class TestNormCommand:
         code, out, _ = run(capsys, "norm", "lp:p=3000", vec)
         assert code == 0 and "norm,2.000462" in out
 
+    @pytest.mark.parametrize("space, row", [
+        ("lp:p=1", "norm,1" + "0" * 399 + "1,inf"),
+        ("lp:p=2", "norm,inf,inf"),
+        ("orlicz:power=2", "norm,inf,inf"),
+        ("lorentz:w=harmonic,p=2", "norm,inf,inf"),
+    ], ids=["lp:p=1", "lp:p=2", "orlicz:power=2", "lorentz:w=harmonic,p=2"])
+    def test_exact_value_beyond_float_range(self, capsys, tmp_path, space, row):
+        # the decimal column, the root of the power sum and the Luxemburg
+        # bisection each raised OverflowError on 10^400
+        vec = write_vector(tmp_path, "v.txt", "1e400 1")
+        code, out, err = run(capsys, "norm", space, vec)
+        assert code == 0 and row in out.splitlines() and "Traceback" not in err
+
+    @pytest.mark.parametrize("space", ["lp:p=3000", "lorentz:w=harmonic,p=3000"])
+    def test_large_float_exponent(self, capsys, tmp_path, space):
+        # 3.0 ** 3000.0 overflows a float; the norm itself is 3.0
+        vec = write_vector(tmp_path, "v.txt", "2 3")
+        code, out, _ = run(capsys, "norm", space, vec, "--float")
+        assert code == 0 and "norm,3.0,3.0" in out.splitlines()
+
+    @pytest.mark.parametrize("space", ["lp:p=3", "lorentz:w=harmonic,p=3"])
+    def test_infinite_entry_with_overflowing_power(self, capsys, tmp_path, space):
+        # 1e200 ** 3.0 overflows next to an infinite entry: sup / sup was nan
+        vec = write_vector(tmp_path, "v.txt", "1e400 1e200")
+        code, out, err = run(capsys, "norm", space, vec, "--float")
+        assert code == 0 and "norm,inf,inf" in out.splitlines() and "Traceback" not in err
+
     def test_budget_exceeded(self, capsys, tmp_path):
         vec = write_vector(tmp_path, "v.txt", " ".join(["1"] * 10))
         code, out, _ = run(
@@ -143,6 +170,21 @@ class TestScanCommand:
         assert code == 0 and "4,10,10.0" in out
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("space", ["lp:p=1", "lp:p=2"])
+    def test_prefix_norms_beyond_float_range(self, capsys, space):
+        # 6^400 > 1.8e308: the decimal column and the root raised OverflowError
+        code, out, err = run(capsys, "scan", space, "power:s=-400", "8")
+        assert code == 0 and "Traceback" not in err
+        rows = [l.split(",") for l in out.splitlines() if l and l[0].isdigit()]
+        assert [r[2] for r in rows[5:]] == ["inf"] * 3
+
+    def test_large_float_exponent(self, capsys):
+        # 2.0 ** 3000.0 overflows a float; the prefix norms are about K
+        code, out, _ = run(capsys, "scan", "lp:p=3000", "power:s=-1", "5", "--float")
+        assert code == 0
+        rows = [l.split(",") for l in out.splitlines() if l and l[0].isdigit()]
+        assert [r[2] for r in rows] == ["1.0", "2.0", "3.0", "4.0", "5.0"]
+
     def test_c0_harmonic_constant(self, capsys):
         code, out, _ = run(capsys, "scan", "c0", "harmonic", "8")
         assert code == 0
@@ -183,6 +225,12 @@ class TestBlocksCommand:
             capsys, "blocks", "lsh", "lp:p=1", "--samples", "10", "--bound", "1"
         )
         assert code == 0 and "flag,PASS" in out
+
+    def test_lsh_large_float_exponent(self, capsys):
+        # 0.5 ** 100000.0 underflowed, a block's norm read 0.0 and the
+        # normalization divided by it
+        code, out, err = run(capsys, "blocks", "lsh", "lp:p=100000", "--samples", "2", "--float")
+        assert code == 0 and "worst,1.0,1.0" in out and "Traceback" not in err
 
     def test_lsh_violation_exit_code(self, capsys):
         code, out, _ = run(

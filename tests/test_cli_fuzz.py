@@ -65,8 +65,10 @@ position_set = st.one_of(
     fmt("dyadic:{}", small_int),
     fmt("explicit:{};{}", small_int, small_int),
 )
+# 1e400 is exact in exact mode and beyond the float range
 token = st.one_of(
     scalar,
+    st.just("1e400"),
     fmt("{}:{}", st.sampled_from(["0", "1", "2", "7", "40", "-3", "x"]), scalar),
 )
 vector_text = st.lists(token, max_size=6).map(" ".join)
