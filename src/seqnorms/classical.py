@@ -387,6 +387,15 @@ def luxemburg_norm(M: OrliczFunction, v: FiniteVector, tol: float = 1e-10) -> Nu
     sup_f = max(entries_f)
     if sup_f == INF:
         return INF  # an entry beyond the float range: the bracket would start at u = 0
+    scale = 1.0
+    if sup_f == 0.0 or 1.0 / sup_f == INF:
+        # 1/sup overflows (a subnormal sup) or divides by zero (exact entries
+        # below the float range), so no bracket would form.  The norm is
+        # homogeneous: bracket on the entries divided by the sup, then
+        # multiply back.
+        sup = max(abs(a) for a in nonzero)
+        entries_f = [to_float(abs(a) / sup) for a in nonzero]
+        scale, sup_f = to_float(sup), 1.0
 
     if M.kind == "power":
         # the exponent as --float reads it
@@ -428,14 +437,14 @@ def luxemburg_norm(M: OrliczFunction, v: FiniteVector, tol: float = 1e-10) -> Nu
         u_mid = 0.5 * (u_lo + u_hi)
         val = g(u_mid)
         if abs(val - 1.0) <= tol:
-            return 1.0 / u_mid
+            return scale / u_mid
         if val < 1.0:
             u_lo = u_mid
         else:
             u_hi = u_mid
         if u_hi - u_lo <= tol * u_lo:
             break
-    return 2.0 / (u_lo + u_hi)
+    return 2.0 * scale / (u_lo + u_hi)
 
 
 # ---------------------------------------------------------------------------

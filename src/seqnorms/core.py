@@ -185,7 +185,8 @@ class FiniteVector:
         )
 
     def abs_sum(self) -> Number:
-        return sum(abs(a) for a in self.coeffs)
+        sums = _running(map(abs, self.coeffs))
+        return sums[-1] if sums else 0
 
     def sup(self) -> Number:
         return max((abs(a) for a in self.coeffs), default=0)
@@ -392,10 +393,21 @@ class SpaceSpec:
 
 
 def _running(values: Iterable[Number], step=None) -> List[Number]:
-    """Running sums of ``values`` from 0, or running maxima with step=max."""
+    """Running sums of ``values`` from 0, or running maxima with step=max.
+
+    Sums are formed left to right, not with sum(), which compensates float
+    sums on Python >= 3.12.  An exact term beyond the float range added to a
+    float is read as infinite, as to_float reads it.
+    """
     out, acc = [], 0
     for x in values:
-        acc = acc + x if step is None else step(acc, x)
+        if step is not None:
+            acc = step(acc, x)
+        else:
+            try:
+                acc = acc + x
+            except OverflowError:
+                acc = INF
         out.append(acc)
     return out
 

@@ -28,14 +28,27 @@ engine as ``Fraction(X, scale)``, except that a value equal to the interval's
 sup is returned as that coefficient itself, as Fraction arithmetic would.
 Float mode keeps the values themselves, with q = 1.
 
+Exact mode fills a table start-major: i from s - 1 down to 0, then j from i
+up, so every strict subinterval of [i..j] (a later start, or the same start
+and an earlier end) is filled before it.  The best split of [i..j] into r
+groups is read from per-start arrays: F[q][y], the best split of [i..y] into
+q groups, with F[1] row i of the table and
+
+    F[q][y] = max over x of F[q-1][x-1] + T[x][y],
+
+the last group read from the table kept also as column lists.  F[q] is
+extended lazily, up to y = j - r + q for the query (i, j, r), so each state
+is computed once per fill; the arrays of start i are dropped when i is done,
+and they hold O(s * r) values.
+
 For the interval [i..j], a family size k puts its first set at
 a = max(i, first support index with position >= k).  The exact search over
 sizes rests on five exact facts about the tables:
 
 * Running max over starts.  Restriction shrinks every level and the fixed
   point, and a size with a > i gives the same candidate for [i..j] as for
-  [a..j].  So the value of [i+1..j] is carried down as i decreases, and only
-  the sizes with k <= pos[i] are tried at a = i.
+  [a..j].  So the value of [i+1..j] is carried, read from the row below,
+  and only the sizes with k <= pos[i] are tried at a = i.
 * One family size per start, for the plain sizes (k, k), k = 1..n.  A family
   may then drop sets, so every table is the table of a norm and subadditive,
   T[x][y] <= T[x][t] + T[t+1][y]: a finer split never loses, and only the
@@ -43,10 +56,10 @@ sizes rests on five exact facts about the tables:
   (``affine:2:0``, most tables) demands exactly h(k) sets; its tables are not
   subadditive and a smaller r can win, so every admissible r is tried.
 * Singleton closed form.  A split of [a..j] into j - a + 1 groups is the
-  singletons, worth the l1 mass of [a..j]; no partition row is filled.
+  singletons, worth the l1 mass of [a..j]; no partition array is filled.
 
 Two more facts rest on the sum top_r of the r largest |a_n| in [a..j], read
-from a sorted list of column j's work values kept as the start decreases:
+from a sorted list of the work values of [i..j], grown as j rises:
 
 * Sup bound (Figiel-Johnson).  Every table, each level and the fixed point,
   for every h, satisfies T[g] <= alpha * l1(g) + (1 - alpha) * sup(g): the
@@ -61,12 +74,16 @@ from a sorted list of column j's work values kept as the start decreases:
   exactly r groups is top_r: the group maxima are r distinct entries, and
   cutting just before the 2nd, ..., r-th of the positions of the r largest
   entries puts one of them in each group and attains the sum.  So the first
-  level step fills no partition row.
+  level step fills no partition array.
 
 Float mode uses none of them: rounding can put a sum an ulp above or below
 one it provably dominates, so a carried value, a single size, a bound or a
-closed form could change the last bits.  It tries every size at its own
-start, in increasing k, forming each sum as the full search does.
+closed form could change the last bits.  It fills by right end, then by
+decreasing start, and tries every size at its own start, in increasing k,
+forming each sum as the full search does.  For the same reason it keeps
+per-right-end arrays: they add a split's groups right-nested, first group
+plus the best split of the rest, and per-start arrays would add them
+left-nested, which can round differently.
 """
 from __future__ import annotations
 
@@ -277,8 +294,8 @@ class TsirelsonEngine:
         return out
 
     def _best_partition(self, table, rows, lo, a: int, j: int, r: int) -> Number:
-        # Max of sum(table value over groups) over partitions of support
-        # indices [a..j] into exactly r nonempty consecutive groups.
+        # Float mode.  Max of sum(table value over groups) over partitions of
+        # support indices [a..j] into exactly r nonempty consecutive groups.
         #
         # Per-right-end arrays: for the fixed j, rows[q][x] is the best split
         # of [x..j] into q groups, filled for lo[q] <= x <= j - q + 1.
@@ -288,7 +305,7 @@ class TsirelsonEngine:
         # a + r - q, by increasing q, and nothing else is computed.  Only
         # table[x][t] with t < j and column entries x > a are read: strict
         # subintervals of [a..j].  On the fixed-point route column j is still
-        # being filled, so rows[1] must be the live column that _inner_max
+        # being filled, so rows[1] must be the live column that _fill_float
         # writes, never a copy.
         if r < len(rows) and lo[r] <= a:
             return rows[r][a]
@@ -305,38 +322,123 @@ class TsirelsonEngine:
             lo[q] = start
         return rows[r][a]
 
-    def _inner_max(self, table, rows, j: int, floors, out) -> None:
-        """Fill out[i] = max(floors[i], alpha * best admissible-family sum)
-        for every interval [i..j] of right end j, by decreasing i.
+    def _best_split(self, cols, splits, hi, i: int, j: int, r: int) -> Number:
+        # Exact mode.  The same maximum for the interval [i..j], from the
+        # start's side.
+        #
+        # Per-start arrays: for the fixed start i, splits[q][y] is the best
+        # split of [i..y] into q groups, filled for i + q - 1 <= y <= hi[q],
+        # and splits[1] is row i of the table itself.  A state takes its last
+        # group [x..y] from column y of the table, cols[y][x]:
+        #
+        #     splits[q][y] = max over x of splits[q - 1][x - 1] + cols[y][x].
+        #
+        # The query (i, j, r) needs the states (q, y) with y <= j - r + q for
+        # q = 2..r, a prefix for each q; so each splits[q] is extended upward
+        # to j - r + q, by increasing q.  A state depends on i, q and y alone,
+        # so later queries of the same start reuse it, and it is computed once
+        # per fill.  Only row entries y < j and column entries x > i are read:
+        # strict subintervals of [i..j].
+        while len(splits) <= r:
+            hi.append(i + len(splits) - 2)  # empty: one before the first valid y
+            splits.append([0] * len(cols))
+        for q in range(2, r + 1):
+            stop = j - r + q
+            if hi[q] >= stop:
+                continue
+            row, prev, first = splits[q], splits[q - 1], i + q - 2
+            for y in range(hi[q] + 1, stop + 1):
+                row[y] = max(map(add, prev[first:y], cols[y][first + 1 : y + 1]))
+            hi[q] = stop
+        return splits[r][j]
 
-        ``table`` supplies the norms of strict subintervals and ``rows[1]``
-        its column j (see _best_partition).  Families whose sets are
-        consecutive index intervals suffice here (production search); gaps
-        never help because restriction shrinks the norm.  Single-set families
-        are skipped: they contribute at most alpha * previous value.  The
-        running max is kept multiplied by q, so alpha = p/q costs one
-        multiplication by p per candidate and no division until the end, and
-        the search stops once the l1 mass p * sum |a_n| of the next start
-        cannot beat it.
+    def _fill(self, table, out) -> None:
+        """Fill ``out`` with the next table: for every interval g,
+        max(floor(g), alpha * best admissible-family sum over ``table``).
 
-        Exact mode uses the five facts of the module docstring: the value
-        of [i+1..j] is carried down (running max over starts), only the
-        sizes with k <= pos[i] are tried at a = i, and of those only the
-        largest r for plain sizes (one family size per start); r = j - i + 1
-        is the l1 mass (singleton closed form); a query the sup bound cannot
-        lift above the running max is skipped; and on the sup table a split
-        is worth top_r (level 1 in closed form).  Float mode walks every size
-        at its own start instead, because rounding breaks these facts in the
-        last bits.
+        On the fixed-point route ``table`` is ``out`` itself, read while it is
+        filled, and the floor is the sup.  On the level route ``table`` is the
+        previous, complete level, which is also the floor.  Families whose
+        sets are consecutive index intervals suffice here (production
+        search); gaps never help because restriction shrinks the norm.
+        Single-set families are skipped: they contribute at most alpha times
+        the previous value.  Both orders below fill every strict subinterval
+        of an interval before the interval itself.
         """
-        p, q = self._p, self._q
-        prefix, rs = self._abs_prefix, self._r
-        total = prefix[j + 1]
-        lo = [None, 0]
         if self._scale is None:
-            sizes = list(zip(self._start, rs))
+            self._fill_float(table, out)
+        else:
+            self._fill_exact(table, out)
+
+    def _fill_exact(self, table, out) -> None:
+        # Start-major, with the per-start arrays of _best_split and the five
+        # facts of the module docstring.  The running max is kept multiplied
+        # by q, so alpha = p/q costs one multiplication by p per candidate
+        # and no division until the end.
+        s = len(self.pos)
+        p, q = self._p, self._q
+        prefix, rs, work = self._abs_prefix, self._r, self._work
+        cut, fit, plain = self._cut, self._fit, self._plain
+        live = table is out
+        floors = self._sup if live else table
+        level_one = table is self._sup
+        # The table as column lists, cols[y][x] = table[x][y].  On the
+        # fixed-point route they are refreshed from each finished row.
+        cols = [[row[y] for row in table[: y + 1]] for y in range(s)]
+        for i in range(s - 1, -1, -1):
+            row, floor = out[i], floors[i]
+            below = out[i + 1] if i + 1 < s else None
+            splits, hi = [None, table[i]], [None, None]
+            column = []  # the work values of [i..j], sorted
+            base, n_cut = prefix[i], cut[i]
+            for j in range(i, s):
+                insort(column, work[j])
+                width = j - i + 1
+                best = q * floor[j]
+                if j > i:
+                    carry = q * below[j]  # q times the value of [i+1..j]
+                    if carry > best:
+                        best = carry
+                mass = p * (prefix[j + 1] - base)
+                n = min(n_cut, fit[width])  # sizes with k <= pos[i], r <= width
+                for r in rs[n - 1 : n] if plain else rs[:n]:
+                    if mass <= best:
+                        break  # no split of [i..j] beats the running max
+                    if r >= 2:
+                        if r == width:
+                            cand = mass
+                        else:
+                            top = sum(column[width - r :])
+                            if level_one:
+                                cand = p * top
+                            elif p * (mass + (q - p) * top) <= q * best:
+                                continue  # the sup bound: no r-split beats best
+                            else:
+                                cand = p * self._best_split(cols, splits, hi, i, j, r)
+                        if cand > best:
+                            best = cand
+                row[j] = best // q
+            if live:
+                for y in range(i, s):
+                    cols[y][i] = row[y]
+
+    def _fill_float(self, table, out) -> None:
+        # By right end, then by decreasing start, trying every size at its own
+        # start in increasing k with the per-right-end arrays of
+        # _best_partition.  The search for [i..j] stops once the l1 mass
+        # p * sum |a_n| of the next start cannot beat it.
+        s = len(self.pos)
+        p, prefix = self._p, self._abs_prefix
+        sizes = list(zip(self._start, self._r))
+        live = table is out
+        floors = self._sup if live else table
+        for j in range(s):
+            total = prefix[j + 1]
+            col = [0] * (j + 1)  # column j of out
+            rows = [None, col if live else [table[x][j] for x in range(j + 1)]]
+            lo = [None, 0]
             for i in range(j, -1, -1):
-                best = floors[i]
+                best = floors[i][j]
                 for start, r in sizes:
                     a = start if start > i else i
                     if a > j or p * (total - prefix[a]) <= best:
@@ -347,63 +449,26 @@ class TsirelsonEngine:
                         cand = p * self._best_partition(table, rows, lo, a, j, r)
                         if cand > best:
                             best = cand
-                out[i] = best
-            return
-        cut, fit, plain, work = self._cut, self._fit, self._plain, self._work
-        level_one = table is self._sup
-        column = []  # the work values of [i..j], sorted
-        carry = 0  # q times the value of [i+1..j]
-        for i in range(j, -1, -1):
-            insort(column, work[i])
-            width = j - i + 1
-            best = q * floors[i]
-            if carry > best:
-                best = carry
-            mass = p * (total - prefix[i])
-            n = min(cut[i], fit[width])  # sizes with k <= pos[i], r <= width
-            for r in rs[n - 1 : n] if plain else rs[:n]:
-                if mass <= best:
-                    break  # no split of [i..j] beats the running max
-                if r >= 2:
-                    if r == width:
-                        cand = mass
-                    else:
-                        top = sum(column[width - r :])
-                        if level_one:
-                            cand = p * top
-                        elif p * (mass + (q - p) * top) <= q * best:
-                            continue  # the sup bound: no r-split beats best
-                        else:
-                            cand = p * self._best_partition(table, rows, lo, i, j, r)
-                    if cand > best:
-                        best = cand
-            carry = best
-            out[i] = best // q
+                col[i] = best
+            for x, value in enumerate(col):
+                out[x][j] = value
 
     # -- fixed-point route (no level trace)
 
     def fixed_point_table(self, *, _work_units: bool = False) -> List[List[Number]]:
-        """Final norms of every interval restriction, by increasing length.
+        """Final norms of every interval restriction.
 
         Solves the implicit equation directly: on each interval the norm is
         the max of the sup of coefficients and alpha times the best admissible
-        split into strictly shorter intervals.  The filled table is kept in
-        work units and converted on each call; the engine's own readers pass
-        ``_work_units=True`` and convert only the entry they read (with
-        ``_number``).
+        split into strictly shorter intervals, filled in place.  The filled
+        table is kept in work units and converted on each call; the engine's
+        own readers pass ``_work_units=True`` and convert only the entry they
+        read (with ``_number``).
         """
         if self._fixed is None:
             s = len(self.pos)
-            sup = self._sup
             table = [[0] * s for _ in range(s)]
-            for j in range(s):
-                # By right end, then by decreasing start: every strict
-                # subinterval of [i..j] is filled first.  col is the live
-                # column j.
-                col = [0] * (j + 1)
-                self._inner_max(table, [None, col], j, [sup[x][j] for x in range(j + 1)], col)
-                for x, value in enumerate(col):
-                    table[x][j] = value
+            self._fill(table, table)
             self._fixed = table
         return self._fixed if _work_units else self._to_numbers(self._fixed)
 
@@ -425,14 +490,10 @@ class TsirelsonEngine:
     # -- level route (Def-style recursion with trace)
 
     def _level_step(self, table) -> List[List[Number]]:
+        # Every value read comes from the previous, complete level.
         s = len(self.pos)
         nxt = [[0] * s for _ in range(s)]
-        for j in range(s):
-            # Every value read comes from the previous, complete level.
-            prev, col = [table[x][j] for x in range(j + 1)], [0] * (j + 1)
-            self._inner_max(table, [None, prev], j, prev, col)
-            for x, value in enumerate(col):
-                nxt[x][j] = value
+        self._fill(table, nxt)
         return nxt
 
     def _work_level_tables(self, m: int) -> List[List[List[Number]]]:

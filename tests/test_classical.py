@@ -105,6 +105,20 @@ class TestLp:
         assert lorentz_norm(WeightSpec.harmonic(), 3, v) == INF
         assert LpSpace(3).prefix_norms(coeffs) == [first, INF]
 
+    def test_float_l1_is_a_plain_left_to_right_sum(self):
+        # sum() is compensated on Python >= 3.12 and gave 1.0 there, unlike
+        # 3.11 and the running sum of `scan lp:p=1 --float`
+        coeffs = [0.1] * 10
+        assert lp_norm(1, FiniteVector.from_dense(coeffs)) == 0.9999999999999999
+        assert LpSpace(1).prefix_norms(coeffs)[-1] == 0.9999999999999999
+
+    def test_l1_of_floats_and_an_exact_term_beyond_the_float_range(self):
+        # adding 1.5 to 10 ** 400 raised OverflowError, in the norm and in
+        # the running sum of `scan`
+        for coeffs in ([1.5, 10 ** 400], [10 ** 400, 1.5], [Fraction(10 ** 400, 3), 1.5]):
+            assert lp_norm(1, FiniteVector.from_dense(coeffs)) == INF
+            assert LpSpace(1).prefix_norms(coeffs)[-1] == INF
+
     def test_float_power_sum_below_the_float_range(self):
         # 0.5 ** 100000.0 underflows: the sum of a nonzero vector read 0.0
         v = FiniteVector.from_dense([Fraction(1, 2), Fraction(1, 2)])
@@ -173,6 +187,21 @@ class TestLuxemburg:
         # float(10 ** 400) raised OverflowError; rho >= sup rounds to inf
         for M in (OrliczFunction.power(2), OrliczFunction.power(Fraction(3, 2))):
             assert luxemburg_norm(M, FiniteVector.from_dense([10 ** 400, 1])) == INF
+
+    def test_subnormal_sup(self):
+        # 1 / sup overflowed to inf, so the bracket never formed and the
+        # vector was refused as not normed
+        tiny = 2.225073858507e-311
+        for p, expected in ((1, 2 * tiny), (2, math.sqrt(2) * tiny)):
+            rho = luxemburg_norm(OrliczFunction.power(p), FiniteVector.from_dense([tiny, tiny]))
+            assert math.isclose(rho, expected, rel_tol=1e-9)
+        rho = luxemburg_norm(OrliczFunction.power(1), FiniteVector.from_dense([tiny]))
+        assert math.isclose(rho, tiny, rel_tol=1e-9)
+
+    def test_exact_entries_below_the_float_range(self):
+        # every entry read 0.0 in floats, and 1 / 0.0 raised ZeroDivisionError
+        v = FiniteVector.from_dense([Fraction(1, 10 ** 400)] * 2)
+        assert luxemburg_norm(OrliczFunction.power(2), v) == 0.0
 
     def test_single_entry_is_exact_for_every_integer_exponent(self):
         for p in (2, 100000, 10 ** 400):
@@ -276,7 +305,10 @@ def reference_power(t, p):
 
 def reference_lp(p, v):
     if p == 1:
-        return sum(abs(a) for a in v.coeffs)
+        total = 0  # left to right, as on Python < 3.12
+        for a in v.coeffs:
+            total = total + abs(a)
+        return total
     total = 0
     try:
         for a in v.coeffs:
@@ -322,6 +354,10 @@ def reference_luxemburg(M, v, tol=1e-10):
         rho = 1 / u
         return int(rho) if rho.denominator == 1 else rho
     entries_f = [float(a) for a in entries]
+    scale = 1.0
+    if max(entries_f) == 0.0 or 1.0 / max(entries_f) == INF:
+        # no bracket from 1/sup: work on the entries over the sup
+        entries_f, scale = [float(a / sup) for a in entries], float(sup)
 
     def g(u):
         total = 0
@@ -329,7 +365,7 @@ def reference_luxemburg(M, v, tol=1e-10):
             total = total + M(a * u)
         return float(total)
 
-    u_hi, steps = 1.0 / float(sup), 0
+    u_hi, steps = 1.0 / max(entries_f), 0
     while g(u_hi) < 1.0:
         u_hi, steps = u_hi * 2.0, steps + 1
         if steps > 200:
@@ -343,14 +379,14 @@ def reference_luxemburg(M, v, tol=1e-10):
         u_mid = 0.5 * (u_lo + u_hi)
         val = g(u_mid)
         if abs(val - 1.0) <= tol:
-            return 1.0 / u_mid
+            return scale / u_mid
         if val < 1.0:
             u_lo = u_mid
         else:
             u_hi = u_mid
         if u_hi - u_lo <= tol * u_lo:
             break
-    return 2.0 / (u_lo + u_hi)
+    return 2.0 * scale / (u_lo + u_hi)
 
 
 EXACT_ENTRY = st.one_of(

@@ -1,4 +1,6 @@
+import tracemalloc
 from fractions import Fraction
+from itertools import combinations
 from random import Random
 
 import pytest
@@ -703,6 +705,75 @@ class TestTopSums:
         assert norm_level(HALF, None, v, 1) == 4
         assert type(norm_level(HALF, None, v, 1)) is int
         assert norm_level(Fraction(2, 3), None, v, 1) == Fraction(16, 3)
+
+
+def brute_split(table, i, y, q):
+    """Best split of [i..y] into q consecutive groups, over every cut set."""
+    best = None
+    for cuts in combinations(range(i + 1, y + 1), q - 1):
+        bounds = (i,) + cuts + (y + 1,)
+        total = sum(table[a][b - 1] for a, b in zip(bounds, bounds[1:]))
+        if best is None or total > best:
+            best = total
+    return best
+
+
+class TestStartSplits:
+    """The per-start partition arrays of the exact fill, state by state."""
+
+    @pytest.mark.parametrize(
+        "h", [None, HFunction.affine(2, 0), HFunction.from_table([(1, 3), (2, 4)])],
+        ids=["plain", "affine:2:0", "table"],
+    )
+    def test_every_state_is_the_best_split(self, h):
+        rng = Random(23)
+        for _ in range(10):
+            v = FiniteVector.from_pairs(
+                (rng.randint(1, 14), Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+                for _ in range(rng.randint(2, 11))
+            )
+            s = len(v.support)
+            alpha = rng.choice((HALF, Fraction(2, 3)))
+            engine = TsirelsonEngine(alpha, v, h)
+            tables = (
+                engine._sup,
+                engine.fixed_point_table(_work_units=True),
+                engine._work_level_tables(2)[-1],
+            )
+            for table in tables:
+                cols = [[row[y] for row in table[: y + 1]] for y in range(s)]
+                for i in range(s):
+                    splits, hi = [None, table[i]], [None, None]
+                    # j rises, columns are skipped (the next query catches
+                    # up), and the sizes asked come in any order
+                    for j in range(i + 1, s):
+                        if rng.random() < 0.4:
+                            continue
+                        sizes = list(range(2, j - i + 2))
+                        for r in rng.sample(sizes, rng.randint(1, len(sizes))):
+                            got = engine._best_split(cols, splits, hi, i, j, r)
+                            assert got == brute_split(table, i, j, r)
+                    for q in range(2, len(splits)):
+                        for y in range(i + q - 1, hi[q] + 1):
+                            assert splits[q][y] == brute_split(table, i, y, q)
+
+    def test_exact_fill_memory_stays_small(self):
+        # The per-start arrays are dropped when their start is done.  The
+        # peak reads about 0.57 MB; keeping every start's arrays alive for
+        # the whole fill read 3.7 MB.
+        v = FiniteVector.from_pairs((n, Fraction(1, n + 1)) for n in range(1, 97))
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            fixed_point_norm(HALF, v)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 # Values of the Fraction-based engine on the float corpus above.
