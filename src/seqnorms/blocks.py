@@ -17,6 +17,8 @@ from .core import (
 
 CJT_LOWER = Fraction(1, 3)
 CJT_UPPER = 18
+# random_block_spec's coefficients: no zero, so no random block is zero
+COEFF_GRID = (Fraction(-2), Fraction(-1), Fraction(-1, 2), Fraction(1, 2), Fraction(1), Fraction(2))
 
 
 @dataclass(frozen=True)
@@ -49,21 +51,14 @@ class BlockBasisSpec:
     def block_count(self) -> int:
         return len(self.breakpoints) - 1
 
-    def coefficient_at(self, n: int) -> Number:
-        if self.breakpoints[0] < n <= self.breakpoints[-1]:
-            return self.coefficients[n - self.breakpoints[0] - 1]
-        return 0
-
     def _block_slice(self, j: int) -> Tuple[Number, ...]:
         lo, hi = self.breakpoints[j - 1], self.breakpoints[j]
         base = self.breakpoints[0]
         return self.coefficients[lo - base : hi - base]
 
     def block_vector(self, j: int) -> FiniteVector:
-        lo, hi = self.breakpoints[j - 1], self.breakpoints[j]
-        return FiniteVector.from_pairs(
-            (n, self.coefficient_at(n)) for n in range(lo + 1, hi + 1)
-        )
+        lo = self.breakpoints[j - 1]
+        return FiniteVector.from_pairs(enumerate(self._block_slice(j), start=lo + 1))
 
 
 def block_vectors(
@@ -86,9 +81,8 @@ def expand_coefficients(c: FiniteVector, spec: BlockBasisSpec) -> FiniteVector:
         raise ConfigurationError(f"coefficients must be supported on 1..{J}")
     pairs = []
     for j in c.support:
-        cj = c.coefficient(j)
-        lo, hi = spec.breakpoints[j - 1], spec.breakpoints[j]
-        pairs.extend((n, cj * spec.coefficient_at(n)) for n in range(lo + 1, hi + 1))
+        cj, lo = c.coefficient(j), spec.breakpoints[j - 1]
+        pairs.extend((n, cj * a) for n, a in enumerate(spec._block_slice(j), start=lo + 1))
     return FiniteVector.from_pairs(pairs)
 
 
@@ -143,9 +137,9 @@ def cjt_ratio_check(
         (picks[j - 1], b.coefficient(j)) for j in range(1, J + 1)
     )
     denominator = eval_norm(space, comparison)
-    ratio = numerator / denominator if denominator != 0 else None
-    if ratio is None:
+    if denominator == 0:
         raise ConfigurationError("undefined ratio: comparison vector has norm 0")
+    ratio = numerator / denominator
     if isinstance(ratio, Fraction) and ratio.denominator == 1:
         ratio = int(ratio)
     passed = CJT_LOWER <= ratio <= CJT_UPPER
@@ -196,36 +190,18 @@ def lsh_probe(
     )
 
 
-def random_block_spec(
-    rng: Random,
-    max_position: int = 30,
-    max_blocks: int = 6,
-    coeff_grid: Sequence[Number] = (
-        Fraction(-2), Fraction(-1), Fraction(-1, 2), Fraction(1, 2), Fraction(1), Fraction(2),
-    ),
-) -> BlockBasisSpec:
-    """Seeded random block basis: consecutive intervals with geometric-ish
-    lengths, coefficients from a small rational grid."""
-    blocks = rng.randint(1, max_blocks)
-    start = rng.randint(0, 2)
-    breakpoints = [start]
+def random_block_spec(rng: Random) -> BlockBasisSpec:
+    """Seeded random block basis: 1 to 6 consecutive intervals of 1 to 4
+    positions with geometric-ish lengths, starting after 0, 1 or 2, and
+    coefficients from COEFF_GRID."""
+    blocks = rng.randint(1, 6)
+    breakpoints = [rng.randint(0, 2)]
     for _ in range(blocks):
         length = 1
         while length < 4 and rng.random() < 0.4:
             length += 1
-        nxt = breakpoints[-1] + length
-        if nxt > max_position:
-            break
-        breakpoints.append(nxt)
-    if len(breakpoints) < 2:
-        breakpoints = [start, start + 1]
-    coeffs = []
-    for j in range(len(breakpoints) - 1):
-        width = breakpoints[j + 1] - breakpoints[j]
-        block = [rng.choice(coeff_grid) for _ in range(width)]
-        if all(a == 0 for a in block):
-            block[rng.randrange(width)] = Fraction(1)
-        coeffs.extend(block)
+        breakpoints.append(breakpoints[-1] + length)
+    coeffs = [rng.choice(COEFF_GRID) for _ in range(breakpoints[-1] - breakpoints[0])]
     return BlockBasisSpec(tuple(breakpoints), tuple(coeffs))
 
 

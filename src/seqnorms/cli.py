@@ -27,6 +27,7 @@ from .core import (
     close,
     eval_norm,
     format_scalar,
+    parse_scalar,
     parse_space,
     parse_vector,
     to_float,
@@ -105,8 +106,6 @@ def cmd_norm(args, report: _Report) -> int:
 
 
 def cmd_oracle(args, report: _Report) -> int:
-    from .core import parse_scalar
-
     alpha = parse_scalar(args.alpha, exact=args.exact)
     v = _read_vector(args.vector, args.exact)
     if len(v.support) > args.oracle_cap:
@@ -151,8 +150,6 @@ def cmd_blocks(args, report: _Report) -> int:
     report.header(seed=args.seed, mode="exact" if args.exact else "float")
     violations = 0
     if args.blocks_cmd == "cjt":
-        from .core import parse_scalar
-
         alpha = parse_scalar(args.alpha, exact=args.exact)
         report.row("sample", "ratio", "decimal", "flag")
         for i in range(args.samples):
@@ -182,8 +179,6 @@ def cmd_blocks(args, report: _Report) -> int:
             )
         bound = None
         if args.bound is not None:
-            from .core import parse_scalar
-
             bound = parse_scalar(args.bound, exact=args.exact)
         probe = blocks.lsh_probe(space, spec, samples, bound=bound)
         report.row("worst", _value_cell(probe.worst) if probe.worst is not None else "n/a")

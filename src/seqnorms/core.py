@@ -34,6 +34,11 @@ class BudgetError(RuntimeError):
 # The most positions one evaluation may cover (--budget-support).
 DEFAULT_SUPPORT_BUDGET = 4096
 
+# The most bits an exact power may take (classical's t ** p, or the power of
+# ten of an exact decimal: 10^19728 at most).
+EXACT_POWER_BITS = 1 << 16
+MAX_DECIMAL_EXPONENT = int(EXACT_POWER_BITS / math.log2(10))
+
 
 class QuantizationError(ValueError):
     """No grid multiple satisfies the strict quantization bound."""
@@ -49,10 +54,6 @@ class CertificateError(ValueError):
 
 def is_exact(x: Number) -> bool:
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
-
-
-def all_exact(xs: Iterable[Number]) -> bool:
-    return all(is_exact(x) for x in xs)
 
 
 def close(a: Number, b: Number, rel_tol: float = DEFAULT_REL_TOL) -> bool:
@@ -73,6 +74,7 @@ def parse_scalar(text: str, exact: bool = True) -> Number:
             digits = text[1:] if text[:1] == "-" else text
             if digits.isdigit() and digits.isascii():
                 return int(text)  # plain -?digits: the value Fraction would give
+            _check_decimal_exponent(text)
             value = Fraction(text)
         else:
             return float(text)
@@ -83,6 +85,18 @@ def parse_scalar(text: str, exact: bool = True) -> Number:
     if value.denominator == 1:
         return int(value)
     return value
+
+
+def _check_decimal_exponent(text: str) -> None:
+    """Refuse an exact decimal whose power of ten passes EXACT_POWER_BITS."""
+    mantissa, e, power = text.lower().partition("e")
+    try:
+        if e and power == power.strip() and abs(int(power)) > MAX_DECIMAL_EXPONENT:
+            Fraction(mantissa + "e0")  # the rest of the token is well formed
+            raise BudgetError(f"exact decimal exponent {power[:20]} passes "
+                              f"{EXACT_POWER_BITS} bits; use --float")
+    except ValueError:
+        pass  # a malformed token: Fraction(text) reports it as before
 
 
 def to_float(x: Number) -> float:
@@ -157,9 +171,6 @@ class FiniteVector:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def is_exact(self) -> bool:
-        return all_exact(self.coeffs)
-
     def restrict(self, positions: Iterable[int]) -> "FiniteVector":
         keep = set(positions)
         return FiniteVector.from_pairs(
@@ -233,10 +244,6 @@ class HFunction:
     def from_table(pairs: Iterable[Tuple[int, int]]) -> "HFunction":
         return HFunction("table", table=tuple(sorted(pairs)))
 
-    @property
-    def domain_bound(self) -> Optional[int]:
-        return self.table[-1][0] if self.kind == "table" else None
-
     def __call__(self, k: int) -> int:
         if k < 1:
             raise ConfigurationError("h is defined for k >= 1")
@@ -247,7 +254,7 @@ class HFunction:
         for key, val in self.table:
             if key == k:
                 return val
-        raise ConfigurationError(f"h table has no entry for k={k} (domain bound {self.domain_bound})")
+        raise ConfigurationError(f"h table has no entry for k={k} (domain bound {self.table[-1][0]})")
 
     def inverse(self, m: int) -> Optional[int]:
         """The k with h(k) == m, or None."""
@@ -528,13 +535,6 @@ def eval_norm(space: SpaceSpec, v: FiniteVector, tol: float = 1e-10) -> Number:
 # Grid quantization
 
 
-def _strict_range_ints(lo: Number, hi: Number) -> Tuple[int, int]:
-    """Integers q with lo < q < hi, as an inclusive (qmin, qmax) pair."""
-    qmin = math.floor(lo) + 1
-    qmax = math.ceil(hi) - 1
-    return qmin, qmax
-
-
 def quantize_to_grid(
     v: FiniteVector, target: GridSpec, bounds: Sequence[Number]
 ) -> FiniteVector:
@@ -559,7 +559,7 @@ def quantize_to_grid(
         else:
             lo = (x - bound) / eps
             hi = (x + bound) / eps
-        qmin, qmax = _strict_range_ints(lo, hi)
+        qmin, qmax = math.floor(lo) + 1, math.ceil(hi) - 1  # the q with lo < q < hi
         if qmin > qmax:
             raise QuantizationError(
                 pos, f"no integer multiple of {format_scalar(eps)} within "

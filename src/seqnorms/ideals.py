@@ -19,13 +19,16 @@ from .core import (
     Number,
     ParseError,
     SpaceSpec,
+    _parse_h,
+    _parse_kv,
     eval_norm,
+    parse_scalar,
     parse_space,
 )
 from .series import CoefficientGenerator, parse_generator
 
-DEFAULT_FLOOR = 0.01
-DEFAULT_THRESHOLD = 0.01
+TURBULENCE_FLOOR = 0.01
+MEMBERSHIP_THRESHOLD = 0.01
 
 TURBULENT = "turbulent-trend"
 NOT_TURBULENT = "not-turbulent"
@@ -225,12 +228,6 @@ def phi(
     return eval_norm(spec.space, v)
 
 
-def phi_singletons(
-    spec: SubmeasureSpec, N: int, budget: int = DEFAULT_SUPPORT_BUDGET
-) -> List[Number]:
-    return [phi(spec, [n], budget=budget) for n in range(1, N + 1)]
-
-
 def phi_tail_profile(
     spec: SubmeasureSpec,
     A: SetGenerator,
@@ -304,24 +301,21 @@ def submeasure_axiom_check(
 
 
 def turbulence_criterion(
-    spec: SubmeasureSpec,
-    N: int,
-    floor: Number = DEFAULT_FLOOR,
-    budget: int = DEFAULT_SUPPORT_BUDGET,
+    spec: SubmeasureSpec, N: int, budget: int = DEFAULT_SUPPORT_BUDGET
 ) -> str:
     """Finite-scale reading of the phi({n}) -> 0 criterion.
 
-    not-turbulent when the singleton values stay bounded below by ``floor``
-    along the last half; turbulent-trend when they decrease monotonically to
-    below ``floor``; otherwise inconclusive.
+    not-turbulent when the singleton values stay bounded below by
+    TURBULENCE_FLOOR along the last half; turbulent-trend when they decrease
+    monotonically to below it; otherwise inconclusive.
     """
     if N < 1:
         raise ConfigurationError("N must be >= 1")
-    values = phi_singletons(spec, N, budget=budget)
+    values = [phi(spec, [n], budget=budget) for n in range(1, N + 1)]
     tail = values[N // 2 :]
-    if min(tail) >= floor:
+    if min(tail) >= TURBULENCE_FLOOR:
         return NOT_TURBULENT
-    if all(b <= a for a, b in zip(values, values[1:])) and values[-1] < floor:
+    if all(b <= a for a, b in zip(values, values[1:])) and values[-1] < TURBULENCE_FLOOR:
         return TURBULENT
     return INCONCLUSIVE
 
@@ -371,7 +365,6 @@ def membership_verdict(
     ideal: IdealSpec,
     A: SetGenerator,
     horizon: int,
-    threshold: Number = DEFAULT_THRESHOLD,
     budget: int = DEFAULT_SUPPORT_BUDGET,
 ) -> str:
     """Heuristic membership trend of A in the ideal at a finite horizon.
@@ -379,23 +372,23 @@ def membership_verdict(
     Fin: looks at phi of the prefixes A intersect [1, n] along doubling cut
     points; when the increments shrink geometrically the total extrapolates
     to a finite bound (member-trend), when they stay flat the sums grow
-    without bound (non-member-trend).  Exh: tail values below ``threshold``
-    mean member-trend, tails bounded away from 0 mean non-member-trend.
-    Null: phi of the whole window against ``threshold``.
+    without bound (non-member-trend).  Exh: tail values below
+    MEMBERSHIP_THRESHOLD mean member-trend, tails bounded away from 0 mean
+    non-member-trend.  Null: phi of the whole window against it.
     """
     if horizon < 2:
         raise ConfigurationError("horizon must be >= 2")
     spec = ideal.submeasure
     if ideal.kind == "Null":
         total = phi(spec, A.members(1, horizon), budget=budget)
-        return MEMBER if total < threshold else NON_MEMBER
+        return MEMBER if total < MEMBERSHIP_THRESHOLD else NON_MEMBER
     if ideal.kind == "Exh":
         cuts = [c for c in _doubling_cuts(horizon) if c < horizon]
         tails = phi_tail_profile(spec, A, cuts, horizon, budget=budget)
         late = tails[len(tails) // 2 :]
-        if all(t < threshold for t in late):
+        if all(t < MEMBERSHIP_THRESHOLD for t in late):
             return MEMBER
-        if min(late) >= threshold and all(b <= a for a, b in zip(tails, tails[1:])):
+        if min(late) >= MEMBERSHIP_THRESHOLD and all(b <= a for a, b in zip(tails, tails[1:])):
             return NON_MEMBER
         return INCONCLUSIVE
     cuts = _doubling_cuts(horizon)
@@ -429,8 +422,6 @@ def _parse_weight_generator(text: str) -> CoefficientGenerator:
 def parse_ideal(descriptor: str) -> IdealSpec:
     """Parse an ideal descriptor, e.g. "summable:w=harmonic" or
     "tsirelson-ideal:alpha=1/2,h=identity,f=harmonic"."""
-    from .core import _parse_h, _parse_kv, parse_scalar
-
     descriptor = descriptor.strip()
     name, _, body = descriptor.partition(":")
     try:

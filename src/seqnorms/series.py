@@ -24,7 +24,7 @@ from .core import (
 from . import tsirelson
 
 DEFAULT_SHRINK_THRESHOLD = 0.01
-DEFAULT_WINDOW = 3
+LATE_CUTS = 3
 DEFAULT_WITNESS_BUDGET = 5
 
 CONVERGING = "converging-trend"
@@ -164,13 +164,12 @@ def tail_profile(
 def convergence_verdict(
     profile: TailProfile,
     shrink_threshold: Number = DEFAULT_SHRINK_THRESHOLD,
-    window: int = DEFAULT_WINDOW,
     certified_lower_bound: Optional[Number] = None,
     growth_threshold: Optional[Number] = None,
 ) -> str:
     """Heuristic three-valued trend from a tail profile.
 
-    Converging: every tail with m among the last ``window`` grid cut points
+    Converging: every tail with m among the last LATE_CUTS grid cut points
     is below ``shrink_threshold``.  Diverging: a certified lower bound, or a
     monotone-growing tail, exceeds ``growth_threshold`` (default
     1/shrink_threshold).  Otherwise inconclusive.
@@ -183,7 +182,7 @@ def convergence_verdict(
     if len(entries) < 2:
         return INCONCLUSIVE
     ms = sorted({m for m, _, _ in entries})
-    late = set(ms[-window:])
+    late = set(ms[-LATE_CUTS:])
     if all(val < shrink_threshold for m, _, val in entries if m in late):
         return CONVERGING
     m0 = ms[0]
@@ -232,7 +231,6 @@ def domination_probe(
     N: int,
     budget: int = DEFAULT_SUPPORT_BUDGET,
     shrink_threshold: Number = DEFAULT_SHRINK_THRESHOLD,
-    window: int = DEFAULT_WINDOW,
     growth_threshold: Optional[Number] = None,
     sub_certified_bound: Optional[Number] = None,
 ) -> DominationReport:
@@ -243,25 +241,18 @@ def domination_probe(
     """
     grid = default_tail_grid(N)
     dom_profile = tail_profile(dom_space, gen, grid, budget=budget)
-    dom_verdict = convergence_verdict(
-        dom_profile, shrink_threshold, window, growth_threshold=growth_threshold
-    )
+
+    def verdict(profile: TailProfile, bound: Optional[Number]) -> str:
+        return convergence_verdict(profile, shrink_threshold, bound, growth_threshold)
+
+    dom_verdict = verdict(dom_profile, None)
     # a certified lower bound can settle the sub side without profiling it,
     # which matters when that space is expensive to evaluate
-    trial = convergence_verdict(
-        TailProfile(entries=(), space=sub_space, generator=gen),
-        shrink_threshold, window,
-        certified_lower_bound=sub_certified_bound, growth_threshold=growth_threshold,
-    )
-    if trial == DIVERGING:
-        sub_profile = TailProfile(entries=(), space=sub_space, generator=gen)
-        sub_verdict = DIVERGING
-    else:
+    sub_profile = TailProfile(entries=(), space=sub_space, generator=gen)
+    sub_verdict = verdict(sub_profile, sub_certified_bound)
+    if sub_verdict != DIVERGING:
         sub_profile = tail_profile(sub_space, gen, grid, budget=budget)
-        sub_verdict = convergence_verdict(
-            sub_profile, shrink_threshold, window,
-            certified_lower_bound=sub_certified_bound, growth_threshold=growth_threshold,
-        )
+        sub_verdict = verdict(sub_profile, sub_certified_bound)
     return DominationReport(
         dom_verdict=dom_verdict,
         sub_verdict=sub_verdict,

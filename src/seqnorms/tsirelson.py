@@ -489,17 +489,14 @@ class TsirelsonEngine:
 
     # -- level route (Def-style recursion with trace)
 
-    def _level_step(self, table) -> List[List[Number]]:
-        # Every value read comes from the previous, complete level.
-        s = len(self.pos)
-        nxt = [[0] * s for _ in range(s)]
-        self._fill(table, nxt)
-        return nxt
-
     def _work_level_tables(self, m: int) -> List[List[List[Number]]]:
+        s = len(self.pos)
         tables = [self._sup]
         for _ in range(m):
-            tables.append(self._level_step(tables[-1]))
+            # every value read comes from the previous, complete level
+            nxt = [[0] * s for _ in range(s)]
+            self._fill(tables[-1], nxt)
+            tables.append(nxt)
             if tables[-1] == tables[-2]:
                 break  # table-wide fixed point; later levels repeat
         return tables

@@ -160,3 +160,12 @@ class TestLshProbe:
             report = lsh_probe(space, spec, samples)
             for r in report.ratios:
                 assert float(r) <= 1 + 1e-9
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda tmp: BlockBasisSpec((0,), ()), id="fewer-than-two-breakpoints"),
+    pytest.param(lambda tmp: cjt_ratio_check(simple_spec(), FiniteVector.from_dense([1, 1]), [1]),
+                 id="wrong-pick-count"),
+])
+def test_validation_branches(refused, call):
+    refused(call, ConfigurationError)

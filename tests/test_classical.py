@@ -20,6 +20,7 @@ from seqnorms.classical import (
     OrliczFunction,
     _root,
     delta_prime_probe,
+    load_orlicz_table,
     lorentz_norm,
     lp_norm,
     luxemburg_norm,
@@ -472,3 +473,28 @@ class TestReferenceKernels:
                 assert str(info.value) == f"bad scalar {text.strip()!r}: {exc}"
         else:
             assert typed(parse_scalar(text)) == expected
+
+
+ONE_TWO = FiniteVector.from_dense([1, 2])
+
+
+def table_norm(text):
+    """The library call and the CLI command that read an Orlicz table."""
+    call = lambda tmp: load_orlicz_table(f"{tmp}/m.txt")
+    argv = ["norm", "orlicz:table={tmp}/m.txt", "{tmp}/v.txt"]
+    return call, argv, {"m.txt": text, "v.txt": "1 2"}
+
+
+@pytest.mark.parametrize("call, argv, files", [
+    pytest.param(*table_norm("# no knots\n"), id="orlicz-table-without-knots"),
+    pytest.param(*table_norm("1 1\n1 2\n"), id="orlicz-t-not-increasing"),
+    pytest.param(*table_norm("1 2\n2 1\n"), id="orlicz-M-decreasing"),
+    pytest.param(*table_norm("1 2 3\n"), id="orlicz-line-without-two-columns"),
+    pytest.param(lambda tmp: lorentz_norm(WeightSpec.harmonic(), Fraction(1, 2), ONE_TWO), None, None,
+                 id="lorentz-p-below-1"),
+    pytest.param(lambda tmp: luxemburg_norm(OrliczFunction.power(2), ONE_TWO, tol=0),
+                 ["norm", "orlicz:power=2", "{tmp}/v.txt", "--tol", "0"], {"v.txt": "1 2"},
+                 id="luxemburg-tol-not-positive"),
+])
+def test_validation_branches(refused, call, argv, files):
+    refused(call, ConfigurationError, argv, files)

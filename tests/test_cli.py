@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from seqnorms import cli
@@ -91,6 +93,14 @@ class TestNormCommand:
     def test_huge_exact_exponent_refused(self, capsys, tmp_path, space, text):
         vec = write_vector(tmp_path, "v.txt", text)
         code, out, err = run(capsys, "norm", space, vec)
+        assert code == 3 and out == "" and "--float" in err
+
+    def test_huge_decimal_exponent_in_vector_refused(self, capsys, tmp_path):
+        # a 10-byte token used to build a 33-Mbit integer for about ten seconds
+        vec = write_vector(tmp_path, "v.txt", "1e10000000")
+        started = time.perf_counter()
+        code, out, err = run(capsys, "norm", "lp:p=2", vec)
+        assert time.perf_counter() - started < 1.0
         assert code == 3 and out == "" and "--float" in err
 
     def test_huge_exponent_scan_refused(self, capsys):

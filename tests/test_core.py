@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from seqnorms.core import (
+    BudgetError,
     ConfigurationError,
     FiniteVector,
     GridSpec,
@@ -60,6 +61,25 @@ class TestScalars:
     def test_parse_garbage(self):
         with pytest.raises(ParseError):
             parse_scalar("x/y")
+
+    @pytest.mark.parametrize("text", ["1e100000", "1E-100000", "2.5e19729", "-1e+1_0000000"])
+    def test_huge_decimal_exponent_refused(self, text):
+        # 10^100000 is a 332,193-bit integer; the parse built it in full
+        with pytest.raises(BudgetError, match="--float"):
+            parse_scalar(text)
+
+    @pytest.mark.parametrize("text, exponent", [("1e19728", 19728), ("1e-19728", -19728), ("1e400", 400)])
+    def test_decimal_exponent_at_the_bound_admitted(self, text, exponent):
+        assert parse_scalar(text) == Fraction(10) ** exponent
+
+    @pytest.mark.parametrize("text", ["1e", "1ex", "1e 99999", "xe99999", "1e99999e1", "1.2.3e99999"])
+    def test_malformed_exponent_stays_a_parse_error(self, text):
+        with pytest.raises(ParseError):
+            parse_scalar(text)
+
+    def test_float_mode_reads_huge_exponents(self):
+        assert parse_scalar("1e100000", exact=False) == float("inf")
+        assert parse_scalar("1e-100000", exact=False) == 0.0
 
     def test_format_round_trip(self):
         assert format_scalar(Fraction(3, 4)) == "3/4"
@@ -191,3 +211,39 @@ class TestTextFormats:
             parse_space("banach:p=2")
         with pytest.raises(ParseError):
             parse_space("lp:q=2")
+
+
+V11 = FiniteVector.from_dense([1, 1])
+
+
+@pytest.mark.parametrize("call, error, argv, files", [
+    pytest.param(lambda tmp: FiniteVector.from_pairs([(0, 1)]), ConfigurationError, None, None,
+                 id="from-pairs-position-below-1"),
+    pytest.param(lambda tmp: HFunction.affine(0, 1), ConfigurationError,
+                 ["norm", "tsirelson:alpha=1/2,h=affine:0:1", "{tmp}/v.txt"], {"v.txt": "1"},
+                 id="affine-h-not-increasing"),
+    pytest.param(lambda tmp: HFunction.identity()(0), ConfigurationError, None, None, id="h-of-k-below-1"),
+    pytest.param(lambda tmp: GridSpec.from_table([1, 0]), ConfigurationError, None, None,
+                 id="grid-mesh-not-positive"),
+    pytest.param(lambda tmp: GridSpec.from_table([1]).epsilon_at(2), ConfigurationError, None, None,
+                 id="grid-table-too-short"),
+    pytest.param(lambda tmp: WeightSpec.from_table([1, 0]), ConfigurationError, None, None,
+                 id="lorentz-weight-not-positive"),
+    pytest.param(lambda tmp: WeightSpec.harmonic().weight(-1), ConfigurationError, None, None,
+                 id="weight-index-below-0"),
+    pytest.param(lambda tmp: quantize_to_grid(V11, GridSpec.dyadic(), [1]), ConfigurationError, None, None,
+                 id="quantization-bound-missing"),
+    pytest.param(lambda tmp: quantize_to_grid(V11, GridSpec.dyadic(), [1, 0]), ConfigurationError, None, None,
+                 id="quantization-bound-not-positive"),
+    pytest.param(lambda tmp: parse_vector("x:1"), ParseError,
+                 ["norm", "lp:p=2", "{tmp}/v.txt"], {"v.txt": "x:1"}, id="sparse-position-not-an-int"),
+    pytest.param(lambda tmp: parse_vector("0:1"), ParseError,
+                 ["norm", "lp:p=2", "{tmp}/v.txt"], {"v.txt": "0:1"}, id="sparse-position-below-1"),
+    pytest.param(lambda tmp: parse_space("lp:p"), ParseError,
+                 ["norm", "lp:p", "{tmp}/v.txt"], {"v.txt": "1"}, id="key-without-value"),
+    pytest.param(lambda tmp: parse_space("tsirelson:alpha=1/2,h=affine:x"), ParseError,
+                 ["norm", "tsirelson:alpha=1/2,h=affine:x", "{tmp}/v.txt"], {"v.txt": "1"},
+                 id="bad-affine-h"),
+])
+def test_validation_branches(refused, call, error, argv, files):
+    refused(call, error, argv, files)

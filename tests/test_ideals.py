@@ -202,3 +202,23 @@ class TestDescriptors:
             parse_ideal("density:w=harmonic")
         with pytest.raises(ParseError):
             parse_ideal("tsirelson-ideal:h=identity")
+
+
+SUMMABLE = SubmeasureSpec.summable(RECIPROCAL)
+
+
+@pytest.mark.parametrize("call, argv", [
+    pytest.param(lambda tmp: SubmeasureSpec("basis-weight", f=RECIPROCAL), None,
+                 id="basis-weight-without-space"),
+    pytest.param(lambda tmp: SubmeasureSpec("basis-weight", space=SpaceSpec.lp(2)), None,
+                 id="basis-weight-without-f"),
+    pytest.param(lambda tmp: SubmeasureSpec("summable"), None, id="summable-without-weights"),
+    pytest.param(lambda tmp: SubmeasureSpec("counting"), None, id="unknown-source"),
+    pytest.param(lambda tmp: phi(SUMMABLE, [0, 1]), None, id="phi-position-below-1"),
+    pytest.param(lambda tmp: phi_tail_profile(SUMMABLE, SetGenerator.evens(), [8], 8), None,
+                 id="cut-point-at-horizon"),
+    pytest.param(lambda tmp: membership_verdict(IdealSpec.summable_ideal(RECIPROCAL), SetGenerator.evens(), 1),
+                 ["ideal", "membership", "summable:w=harmonic", "evens", "--N", "1"], id="horizon-below-2"),
+])
+def test_validation_branches(refused, call, argv):
+    refused(call, ConfigurationError, argv)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from seqnorms.core import BudgetError, FiniteVector, SpaceSpec
+from seqnorms.core import BudgetError, ConfigurationError, FiniteVector, SpaceSpec
 from seqnorms import tsirelson
 from seqnorms.series import (
     CONVERGING,
@@ -205,3 +205,21 @@ class TestHarmonicWitness:
     def test_budget(self):
         with pytest.raises(BudgetError):
             harmonic_tsirelson_witness(6)
+
+
+LP2 = SpaceSpec.lp(2)
+HARMONIC = CoefficientGenerator.harmonic()
+
+
+@pytest.mark.parametrize("call, argv", [
+    pytest.param(lambda tmp: CoefficientGenerator("geometric"), None, id="unknown-generator-kind"),
+    pytest.param(lambda tmp: CoefficientGenerator("power"), None, id="power-without-exponent"),
+    pytest.param(lambda tmp: CoefficientGenerator("constant"), None, id="constant-without-value"),
+    pytest.param(lambda tmp: HARMONIC.value(0), None, id="position-below-1"),
+    pytest.param(lambda tmp: partial_sum_norms(LP2, HARMONIC, 0), ["scan", "lp:p=2", "harmonic", "0"],
+                 id="N-below-1"),
+    pytest.param(lambda tmp: tail_profile(LP2, HARMONIC, [(4, 4)]), None, id="grid-m-not-below-N"),
+    pytest.param(lambda tmp: tail_profile(LP2, HARMONIC, [(0, 4)]), None, id="grid-m-below-1"),
+])
+def test_validation_branches(refused, call, argv):
+    refused(call, ConfigurationError, argv)

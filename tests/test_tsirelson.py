@@ -795,3 +795,23 @@ FLOAT_CORPUS = [
     (3.2640000000000002, 3.2640000000000002,
      (0.847, 3.2020000000000004, 3.2640000000000002, 3.2640000000000002)),
 ]
+
+
+def inadmissible(*children, h=None):
+    """certificate_lower_bound on a root family with the given child sets."""
+    root = CertificateNode.internal(range(0, 9), [CertificateNode.leaf(c) for c in children])
+    return lambda tmp: certificate_lower_bound(HALF, h, units(1, 2), NormCertificate(root))
+
+
+@pytest.mark.parametrize("call, error, match", [
+    pytest.param(inadmissible((), (2,)), CertificateError, "empty-set", id="empty-set"),
+    pytest.param(inadmissible((0,), (2,)), CertificateError, "bad-position", id="position-below-1"),
+    pytest.param(inadmissible((3,), (4,), h=HFunction.affine(2, 1)), CertificateError, "size-not-in-h-range",
+                 id="size-not-in-h-range"),
+    pytest.param(lambda tmp: norm_level(HALF, None, units(1), -1), ConfigurationError, "level",
+                 id="norm-level-below-0"),
+    pytest.param(lambda tmp: certificate_lower_bound(1, None, units(1), NormCertificate(CertificateNode.leaf([1]))),
+                 ConfigurationError, "alpha", id="certificate-alpha-outside-0-1"),
+])
+def test_validation_branches(refused, call, error, match):
+    refused(call, error, match=match)
