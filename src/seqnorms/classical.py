@@ -166,10 +166,26 @@ def _power(t: Number, p: Number) -> Number:
 
 
 def _integer_root(n: int, p: int) -> int:
-    """floor(n ** (1/p)) for n >= 0, by Newton iteration on integers."""
+    """floor(n ** (1/p)) for n >= 0, by Newton iteration on integers.
+
+    The start is 2 ** (log2(n) / p), good to about 50 bits.  It is raised
+    until its p-th power passes n, by steps that start at about 2^-30 of it
+    (one, for a root below 2^30) and double.  From there the iteration
+    falls strictly to the floor of the root, quadratically from the first
+    step.  A start below the root would not do: one step jumps above it by
+    about (1 + d)^p for a shortfall d, and for large p the way back down is
+    linear.
+    """
     if n < 2:
         return n
-    x = 1 << ((n.bit_length() + p - 1) // p + 1)
+    shift = max(n.bit_length() - 64, 0)
+    e = (math.log2(n >> shift) + shift) / p
+    k = max(int(e) - 52, 0)
+    x = int(2 ** (e - k)) << k
+    step = (x >> 30) + 1
+    while x ** p <= n:
+        x += step
+        step *= 2
     while True:
         nxt = ((p - 1) * x + n // x ** (p - 1)) // p
         if nxt >= x:

@@ -83,7 +83,13 @@ decreasing start, and tries every size at its own start, in increasing k,
 forming each sum as the full search does.  For the same reason it keeps
 per-right-end arrays: they add a split's groups right-nested, first group
 plus the best split of the rest, and per-start arrays would add them
-left-nested, which can round differently.
+left-nested, which can round differently.  For the right end j, rows[q][x]
+is the best split of [x..j] into q groups, computed once per right end.
+Most queries find their state computed, or need just that one state, whose
+lower row the previous start has already extended; the fill reads or
+computes it in place.  Only the rest go to the kernel, which extends the
+rows that need it.  A state's value does not depend on which code computes
+it or when, so the sums, and their bits, are those of the full search.
 """
 from __future__ import annotations
 
@@ -298,24 +304,33 @@ class TsirelsonEngine:
         # support indices [a..j] into exactly r nonempty consecutive groups.
         #
         # Per-right-end arrays: for the fixed j, rows[q][x] is the best split
-        # of [x..j] into q groups, filled for lo[q] <= x <= j - q + 1.
-        # rows[1] is column j of the table itself.  The query (a, j, r) needs
-        # the states (x, j, q) with a + r - q <= x <= j - q + 1 for q = 2..r,
-        # a suffix for each q; so each rows[q] is extended downward to
-        # a + r - q, by increasing q, and nothing else is computed.  Only
-        # table[x][t] with t < j and column entries x > a are read: strict
-        # subintervals of [a..j].  On the fixed-point route column j is still
-        # being filled, so rows[1] must be the live column that _fill_float
-        # writes, never a copy.
-        if r < len(rows) and lo[r] <= a:
-            return rows[r][a]
+        # of [x..j] into q groups, filled for lo[q] <= x <= j - q + 1, and
+        # rows[1] is column j of the table itself.  A state takes its first
+        # group [x..t] from row x of the table:
+        #
+        #     rows[q][x] = max over t of table[x][t] + rows[q - 1][t + 1].
+        #
+        # The query (a, j, r) needs the states (x, j, q) with
+        # a + r - q <= x <= j - q + 1 for q = 2..r, a suffix for each q; so
+        # each rows[q] is extended downward to a + r - q, by increasing q, and
+        # nothing else is computed.  That keeps the frontier invariant
+        # lo[q'] <= lo[q] + (q - q') for q' < q: a row that needs no work has
+        # none below it, so the rows to extend are those from the first one,
+        # found by scanning down from r, up to r.  Only table[x][t] with t < j
+        # and column entries x > a are read: strict subintervals of [a..j].
+        # On the fixed-point route column j is still being filled, so rows[1]
+        # must be the live column that _fill_float writes, never a copy.
+        # Rows the caller has not allocated are added empty.
         while len(rows) <= r:
             lo.append(j - len(rows) + 2)  # empty: one past the last valid x
             rows.append([0] * (j + 1))
-        for q in range(2, r + 1):
+        if lo[r] <= a:
+            return rows[r][a]
+        first = r
+        while first > 2 and lo[first - 1] > a + r - first + 1:
+            first -= 1
+        for q in range(first, r + 1):
             start = a + r - q
-            if lo[q] <= start:
-                continue
             row, prev, stop = rows[q], rows[q - 1], j - q + 2
             for x in range(lo[q] - 1, start - 1, -1):
                 row[x] = max(map(add, table[x][x:stop], prev[x + 1 : stop + 1]))
@@ -424,19 +439,31 @@ class TsirelsonEngine:
 
     def _fill_float(self, table, out) -> None:
         # By right end, then by decreasing start, trying every size at its own
-        # start in increasing k with the per-right-end arrays of
-        # _best_partition.  The search for [i..j] stops once the l1 mass
+        # start in increasing k.  The search for [i..j] stops once the l1 mass
         # p * sum |a_n| of the next start cannot beat it.
+        #
+        # The best split of [a..j] into r groups is rows[r][a] of the
+        # per-right-end arrays of _best_partition, allocated once per right
+        # end with every row empty.  A state already computed is read in
+        # place.  When the query needs exactly one new state, rows[r][a]
+        # itself (row r is filled down to a + 1 and row r - 1 down to
+        # a + 1), it is computed here with the kernel's own expression.
+        # That is the usual case: the queries of start i + 1 have already
+        # extended the lower rows.  Only a query that needs more goes to
+        # _best_partition.  A state's sum is the same whichever computes it.
         s = len(self.pos)
         p, prefix = self._p, self._abs_prefix
         sizes = list(zip(self._start, self._r))
+        top_r = max(self._r, default=1)
         live = table is out
         floors = self._sup if live else table
         for j in range(s):
             total = prefix[j + 1]
             col = [0] * (j + 1)  # column j of out
+            depth = min(top_r, j + 1)  # at most j + 1 groups fit in [a..j]
             rows = [None, col if live else [table[x][j] for x in range(j + 1)]]
-            lo = [None, 0]
+            rows += [[0] * (j + 1) for _ in range(depth - 1)]
+            lo = [None, 0, *range(j, j - depth + 1, -1)]  # lo[q] = j - q + 2: empty
             for i in range(j, -1, -1):
                 best = floors[i][j]
                 for start, r in sizes:
@@ -446,7 +473,14 @@ class TsirelsonEngine:
                     if r > j - a + 1:
                         break  # r grows and width shrinks with k
                     if r >= 2:
-                        cand = p * self._best_partition(table, rows, lo, a, j, r)
+                        row = rows[r]
+                        if lo[r] == a + 1 and lo[r - 1] <= a + 1:
+                            stop = j - r + 2
+                            row[a] = max(map(add, table[a][a:stop], rows[r - 1][a + 1 : stop + 1]))
+                            lo[r] = a
+                        elif lo[r] > a:
+                            self._best_partition(table, rows, lo, a, j, r)
+                        cand = p * row[a]
                         if cand > best:
                             best = cand
                 col[i] = best

@@ -18,6 +18,7 @@ from seqnorms.core import (
 )
 from seqnorms.classical import (
     OrliczFunction,
+    _integer_root,
     _root,
     delta_prime_probe,
     load_orlicz_table,
@@ -128,6 +129,36 @@ class TestLp:
         assert LpSpace(100000.0).prefix_norms(list(v.coeffs)) == [0.5, expected]
         value = lorentz_norm(WeightSpec.harmonic(), 100000.0, v)
         assert value == 0.5 * 1.5 ** (1 / 100000.0)
+
+
+@st.composite
+def root_cases(draw):
+    """(n, p): a perfect p-th power of up to about 40,000 bits, one of its
+    neighbours, or any integer between two consecutive p-th powers."""
+    p = draw(st.integers(1, 5000))
+    root = draw(st.integers(1, 2 ** max(1, 40_000 // p) - 1))
+    n = root ** p
+    shift = draw(st.sampled_from(("-1", "0", "+1", "between")))
+    if shift == "between":
+        return draw(st.integers(n, (root + 1) ** p - 1)), p
+    return max(n + int(shift), 0), p
+
+
+class TestIntegerRoot:
+    @settings(max_examples=300, deadline=None)
+    @given(root_cases())
+    def test_floor_of_the_root(self, case):
+        n, p = case
+        r = _integer_root(n, p)
+        assert r ** p <= n < (r + 1) ** p
+
+    @pytest.mark.parametrize("n, p, expected", [
+        (0, 7, 0), (1, 5000, 1), (2, 5000, 1), (2 ** 5000 - 1, 5000, 1), (2 ** 5000, 5000, 2),
+        (10 ** 40, 2, 10 ** 20), (10 ** 40 - 1, 2, 10 ** 20 - 1), (12345, 1, 12345),
+        (3 ** 3000 * 7, 3000, 3),
+    ])
+    def test_examples(self, n, p, expected):
+        assert _integer_root(n, p) == expected
 
 
 class TestOrliczFunction:

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
@@ -25,6 +26,7 @@ from seqnorms.tsirelson import (
     norm,
     norm_level,
     oracle_norm,
+    prefix_norms,
 )
 
 HALF = Fraction(1, 2)
@@ -394,6 +396,30 @@ class TestIntegerKernel:
             got.append((fixed_point_norm(alpha, v, h=h), value, tuple(x for _, x in trace.levels)))
         assert got == FLOAT_CORPUS
 
+    def test_large_float_supports_match_recorded_values(self):
+        # FLOAT_CORPUS reaches s = 14; these reach the s = 32-48 of the
+        # benchmark's float requests, where most partition states of a
+        # right end are computed one at a time.
+        got = []
+        for seed, (s, alpha, h) in enumerate(LARGE_FLOAT_CASES):
+            rng = Random(f"float-corpus/{seed}")
+            pos, pairs = 0, []
+            for _ in range(s):
+                pos += rng.randint(1, 3)
+                a = rng.choice((-1, 1)) * rng.randint(1, 20) / rng.choice((1, 2, 3, 5, 7, 12))
+                pairs.append((pos, a))
+            v = FiniteVector.from_pairs(pairs)
+            value, trace = norm(alpha, h, v)
+            prefixes = [pos // 4, pos // 2, 3 * pos // 4, pos]
+            got.append((
+                repr(fixed_point_norm(alpha, v, h=h)),
+                repr(value),
+                tuple(repr(x) for _, x in trace.levels),
+                trace.stabilization_level,
+                tuple(repr(x) for x in prefix_norms(alpha, v, prefixes, h=h)),
+            ))
+        assert got == LARGE_FLOAT_CORPUS
+
     @pytest.mark.parametrize("N, expected", [
         (48, Fraction(7764333129948822479951, 12396178016983986825600)),
         (64, Fraction(2130156721352945887114604639, 3152711690940859380030297600)),
@@ -401,6 +427,29 @@ class TestIntegerKernel:
     def test_harmonic_values_recorded(self, N, expected):
         value = fixed_point_norm(HALF, harmonic(N))
         assert value == expected and type(value) is Fraction
+
+
+def float_fill_states(engine, table, out):
+    """Run the float fill of ``out`` from ``table``; return the per-right-end
+    arrays it leaves, {j: (rows, lo)}, read from the fill's frame by a line
+    tracer (they are locals of the fill)."""
+    code = TsirelsonEngine._fill_float.__code__
+    states = {}
+
+    def local(frame, event, arg):
+        names = frame.f_locals
+        if "lo" in names:
+            # the last line event of each right end sees its own arrays
+            states[names["j"]] = (names["rows"], names["lo"])
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        engine._fill_float(table, out)
+    finally:
+        sys.settrace(previous)
+    return states
 
 
 class TestPartitionKernel:
@@ -433,6 +482,42 @@ class TestPartitionKernel:
         assert [[(type(x), x) for x in row] for row in fixed] == [
             [(type(x), x) for x in row] for row in level
         ]
+
+    @pytest.mark.parametrize(
+        "h", [None, HFunction.affine(2, 0), HFunction.from_table([(1, 3), (2, 4)])],
+        ids=["plain", "affine:2:0", "table"],
+    )
+    def test_every_float_state_is_the_best_split(self, h):
+        # Every state rows[q][x] that a float fill leaves, whether the fill
+        # computed it in place or _best_partition did, is the best
+        # right-nested split of [x..j] into q groups over the table read.
+        rng = Random(29)
+        for _ in range(10):
+            v = FiniteVector.from_pairs(
+                (rng.randint(1, 16), rng.randint(-6, 6) / rng.randint(1, 4))
+                for _ in range(rng.randint(2, 13))
+            )
+            s = len(v.support)
+            engine = TsirelsonEngine(rng.choice((0.5, 2 / 3)), v, h)
+            fixed = engine.fixed_point_table()
+            fills = [  # (table read, table written)
+                (engine._sup, [[0] * s for _ in range(s)]),
+                (fixed, [[0] * s for _ in range(s)]),
+                (engine._work_level_tables(2)[-1], [[0] * s for _ in range(s)]),
+            ]
+            live = [[0] * s for _ in range(s)]
+            fills.append((live, live))  # the fixed-point route
+            for table, out in fills:
+                states = float_fill_states(engine, table, out)
+                assert sorted(states) == list(range(s))
+                if table is live:
+                    assert live == fixed
+                for j, (rows, lo) in states.items():
+                    assert rows[1] == [table[x][j] for x in range(j + 1)]
+                    for q in range(2, len(rows)):
+                        assert all(lo[p] <= lo[q] + q - p for p in range(2, q))
+                        for x in range(lo[q], j - q + 2):
+                            assert rows[q][x] == right_nested_split(table, x, j, q)
 
     def test_affine_h_values_recorded(self):
         # recorded from the recursive-memo engine
@@ -580,6 +665,19 @@ class TestFamilySizeSearch:
         assert levels == recorded and trace.stabilization_level == 3
 
 
+def reference_sizes(v, h):
+    """The support positions, the |coefficients| and the sizes (k, r)."""
+    pos = v.support
+    s = len(pos)
+    if h is None:
+        sizes = [(k, k) for k in range(1, s + 1)]
+    elif h.kind == "table":
+        sizes = list(h.table)
+    else:
+        sizes = [(k, h(k)) for k in range(1, s + 1)]
+    return pos, [abs(v.coefficient(n)) for n in pos], sizes
+
+
 def reference_tables(alpha, v, h):
     """Level tables of the interval recursion, computed the slow way.
 
@@ -588,15 +686,8 @@ def reference_tables(alpha, v, h):
     recursion: no prune, no carried value, no closed form.  Levels run
     until the whole table repeats, or s + 1 steps.
     """
-    pos = v.support
-    val = [abs(v.coefficient(n)) for n in pos]
+    pos, val, sizes = reference_sizes(v, h)
     s = len(pos)
-    if h is None:
-        sizes = [(k, k) for k in range(1, s + 1)]
-    elif h.kind == "table":
-        sizes = list(h.table)
-    else:
-        sizes = [(k, h(k)) for k in range(1, s + 1)]
     table = [[max(val[i : j + 1]) if j >= i else 0 for j in range(s)] for i in range(s)]
     tables = [table]
     for _ in range(s + 1):
@@ -621,6 +712,56 @@ def reference_tables(alpha, v, h):
                             cand = alpha * split(a, j, r)
                             if cand > nxt[i][j]:
                                 nxt[i][j] = cand
+        tables.append(nxt)
+        if nxt == table:
+            break
+        table = nxt
+    return tables
+
+
+def right_nested_split(table, a, j, r):
+    """Best split of [a..j] into r consecutive groups, over every cut set,
+    each sum added right-nested: first group + (second + (... + last))."""
+    best = None
+    for cuts in combinations(range(a + 1, j + 1), r - 1):
+        bounds = (a,) + cuts + (j + 1,)
+        groups = [table[x][y - 1] for x, y in zip(bounds, bounds[1:])]
+        total = groups.pop()
+        for value in reversed(groups):
+            total = value + total
+        if best is None or total > best:
+            best = total
+    return best
+
+
+def float_reference_tables(alpha, v, h):
+    """Level tables of the float search, computed the slow way.
+
+    Every split is enumerated, with right-nested group sums; the sizes are
+    tried in increasing k, each at its own start a = max(i, first support
+    index with position >= k), and the search for [i..j] stops on the same
+    l1 break as the engine's, with the l1 mass from left-to-right prefix
+    sums.  No partition arrays, no memo.
+    """
+    pos, val, sizes = reference_sizes(v, h)
+    s = len(pos)
+    prefix = [0]
+    for a in val:
+        prefix.append(prefix[-1] + a)
+    table = [[max(val[i : j + 1]) if j >= i else 0 for j in range(s)] for i in range(s)]
+    tables = [table]
+    for _ in range(s + 1):
+        nxt = [row[:] for row in table]
+        for i in range(s):
+            for j in range(i, s):
+                best = table[i][j]
+                for k, r in sizes:
+                    a = next((x for x in range(i, s) if pos[x] >= k), s)
+                    if a > j or alpha * (prefix[j + 1] - prefix[a]) <= best:
+                        break
+                    if 2 <= r <= j - a + 1:
+                        best = max(best, alpha * right_nested_split(table, a, j, r))
+                nxt[i][j] = best
         tables.append(nxt)
         if nxt == table:
             break
@@ -673,6 +814,36 @@ class TestReferenceDP:
         assert typed([[value]]) == typed([[values[-1]]])
         assert typed([[x for _, x in trace.levels]]) == typed([values])
         assert [m for m, _ in trace.levels] == list(range(len(values)))
+        assert trace.stabilization_level == stab
+
+
+class TestFloatReferenceDP:
+    """The float engine against a slow float reference, on every h kind."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(1, 16), st.integers(-9, 9), st.sampled_from((1, 1, 2, 3, 5, 7))),
+            min_size=1,
+            max_size=12,
+        ),
+        st.sampled_from((0.5, 1 / 3, 2 / 3, 0.9, 0.1)),
+        st.sampled_from(REFERENCE_HS),
+    )
+    def test_tables_and_trace_match_the_reference(self, terms, alpha, h):
+        v = FiniteVector.from_pairs((n, a / d) for n, a, d in terms)
+        s = len(v.support)
+        if s == 0:
+            return
+        expected = float_reference_tables(alpha, v, h)
+        engine = TsirelsonEngine(alpha, v, h)
+        assert [typed(t) for t in engine.level_tables(s + 1)] == [typed(t) for t in expected]
+        assert typed(engine.fixed_point_table()) == typed(expected[-1])
+        values = [t[0][s - 1] for t in expected]
+        stab = next((m for m in range(len(values) - 1) if values[m + 1] == values[m]),
+                    len(values) - 1)
+        value, trace = norm(alpha, h, v)
+        assert typed([[value] + [x for _, x in trace.levels]]) == typed([[values[-1]] + values])
         assert trace.stabilization_level == stab
 
 
@@ -794,6 +965,44 @@ FLOAT_CORPUS = [
     (1.0992, 1.0992, (0.879, 1.0992, 1.0992)),
     (3.2640000000000002, 3.2640000000000002,
      (0.847, 3.2020000000000004, 3.2640000000000002, 3.2640000000000002)),
+]
+
+
+# (s, alpha, h) of the large-support float corpus; the vectors are seeded.
+LARGE_FLOAT_CASES = [
+    (32, 0.5, None), (36, 1 / 3, HFunction.affine(2, 0)), (40, 2 / 3, None),
+    (44, 0.5, HFunction.affine(2, 0)), (48, 1 / 3, None), (48, 2 / 3, HFunction.affine(2, 0)),
+    (46, 0.5, None), (34, 2 / 3, None),
+]
+
+# repr of the fixed-point norm, the norm and levels of the trace, the
+# stabilization level and four prefix norms, recorded before the float fill
+# computed single partition states in place.
+LARGE_FLOAT_CORPUS = [
+    ("49.95595238095238", "49.95595238095238",
+     ("19.0", "49.50714285714286", "49.95595238095238", "49.95595238095238"), 2,
+     ("13.0", "19.40714285714286", "26.33452380952381", "49.95595238095238")),
+    ("36.355555555555554", "36.355555555555554",
+     ("19.0", "36.355555555555554", "36.355555555555554"), 1,
+     ("19.0", "19.0", "26.56984126984127", "36.355555555555554")),
+    ("67.17248677248676", "67.17248677248676",
+     ("15.0", "63.74285714285714", "67.17248677248676", "67.17248677248676"), 2,
+     ("23.85185185185185", "36.85925925925926", "54.283597883597885", "67.17248677248676")),
+    ("84.87202380952381", "84.87202380952381",
+     ("19.0", "82.2", "84.87202380952381", "84.87202380952381"), 2,
+     ("30.930952380952384", "56.58333333333333", "78.29761904761905", "84.87202380952381")),
+    ("57.09841269841269", "57.09841269841269",
+     ("19.0", "57.09841269841269", "57.09841269841269", "57.09841269841269"), 1,
+     ("16.0", "29.69761904761905", "42.39365079365079", "57.09841269841269")),
+    ("92.64497354497354", "92.64497354497354",
+     ("17.0", "87.7047619047619", "92.64497354497354", "92.64497354497354"), 2,
+     ("29.48412698412698", "45.2904761904762", "57.89259259259258", "92.64497354497354")),
+    ("66.34166666666667", "66.34166666666667",
+     ("17.0", "63.916666666666664", "66.34166666666667", "66.34166666666667"), 2,
+     ("17.0", "32.05833333333333", "49.69523809523809", "66.34166666666667")),
+    ("51.702645502645495", "51.702645502645495",
+     ("9.5", "47.32539682539682", "51.702645502645495", "51.702645502645495"), 2,
+     ("14.577777777777778", "35.337566137566135", "44.045502645502644", "51.702645502645495")),
 ]
 
 
