@@ -77,11 +77,11 @@ def expand_coefficients(c: FiniteVector, spec: BlockBasisSpec) -> FiniteVector:
     space equals the norm of that block combination.
     """
     J = spec.block_count
-    if any(n > J for n in c.support):
+    if c.support and c.support[-1] > J:
         raise ConfigurationError(f"coefficients must be supported on 1..{J}")
     pairs = []
-    for j in c.support:
-        cj, lo = c.coefficient(j), spec.breakpoints[j - 1]
+    for j, cj in zip(c.support, c.values):
+        lo = spec.breakpoints[j - 1]
         pairs.extend((n, cj * a) for n, a in enumerate(spec._block_slice(j), start=lo + 1))
     return FiniteVector.from_pairs(pairs)
 
@@ -133,9 +133,7 @@ def cjt_ratio_check(
     space = SpaceSpec.tsirelson(alpha)
     normalized, factors = _normalized_spec(spec, space)
     numerator = eval_norm(space, expand_coefficients(b, normalized))
-    comparison = FiniteVector.from_pairs(
-        (picks[j - 1], b.coefficient(j)) for j in range(1, J + 1)
-    )
+    comparison = FiniteVector.from_pairs((picks[j - 1], a) for j, a in zip(b.support, b.values))
     denominator = eval_norm(space, comparison)
     if denominator == 0:
         raise ConfigurationError("undefined ratio: comparison vector has norm 0")
@@ -178,11 +176,7 @@ def lsh_probe(
             skipped += 1
             continue
         blocked = eval_norm(space, expand_coefficients(b, normalized))
-        basis_side = eval_norm(
-            space,
-            FiniteVector.from_pairs((j, b.coefficient(j)) for j in b.support),
-        )
-        ratios.append(basis_side / blocked)
+        ratios.append(eval_norm(space, b) / blocked)
     worst = max(ratios, default=None)
     passed = None if bound is None or worst is None else worst <= bound
     return LshReport(

@@ -310,9 +310,9 @@ def lp_norm(p: Number, v: FiniteVector) -> Number:
         return v.sup()
     if p < 1:
         raise ConfigurationError("lp requires p >= 1")
-    check_exact_power(p, v.coeffs)
+    check_exact_power(p, v.values)
     n = _integer_exponent(p)
-    scaled = _scaled(v.coeffs) if n is not None else None
+    scaled = _scaled(v.values) if n is not None else None
     if scaled is not None:
         ints, L, fraction = scaled
         num = sum(abs(x) ** n for x in ints)
@@ -320,7 +320,7 @@ def lp_norm(p: Number, v: FiniteVector) -> Number:
         return total if n == 1 else _root(total, n)
     if p == 1:
         return v.abs_sum()
-    return _power_root(p, [(abs(a), 1) for a in v.coeffs])
+    return _power_root(p, [(abs(a), 1) for a in v.values])
 
 
 def lorentz_norm(w: WeightSpec, p: Number, v: FiniteVector) -> Number:
@@ -331,13 +331,12 @@ def lorentz_norm(w: WeightSpec, p: Number, v: FiniteVector) -> Number:
     """
     if p < 1:
         raise ConfigurationError("lorentz requires p >= 1")
-    nonzero = [a for a in v.coeffs if a != 0]
-    check_exact_power(p, nonzero)
+    check_exact_power(p, v.values)
     n = _integer_exponent(p)
-    scaled = _scaled(nonzero) if n is not None else None
-    weights = _scaled_weights(w, len(nonzero)) if scaled is not None else None
+    scaled = _scaled(v.values) if n is not None else None
+    weights = _scaled_weights(w, len(v.values)) if scaled is not None else None
     if weights is None:
-        rearranged = sorted(map(abs, nonzero), reverse=True)
+        rearranged = sorted(map(abs, v.values), reverse=True)
         return _power_root(p, [(a, w.weight(i)) for i, a in enumerate(rearranged)])
     ints, L, fraction = scaled
     wints, Lw, wfraction = weights
@@ -369,17 +368,16 @@ def luxemburg_norm(M: OrliczFunction, v: FiniteVector, tol: float = 1e-10) -> Nu
     """
     if tol <= 0:
         raise ConfigurationError("tolerance must be positive")
-    nonzero = [a for a in v.coeffs if a != 0]
-    if not nonzero:
+    if not v.values:
         return 0
 
-    exact = all(is_exact(a) for a in nonzero)
+    exact = all(is_exact(a) for a in v.values)
     if exact and M.kind == "power" and M.p > 1:
-        if len(nonzero) == 1 and _integer_exponent(M.p) is not None:
-            rho = Fraction(abs(nonzero[0]))
+        if len(v.values) == 1 and _integer_exponent(M.p) is not None:
+            rho = Fraction(abs(v.values[0]))
             return int(rho) if rho.denominator == 1 else rho
     elif exact:
-        entries = [abs(a) for a in nonzero]
+        entries = [abs(a) for a in v.values]
         u1 = Fraction(1, 1) / max(entries)
         u2 = 2 * u1
         f1 = _luxemburg_functional(M, entries, u1)
@@ -391,7 +389,7 @@ def luxemburg_norm(M: OrliczFunction, v: FiniteVector, tol: float = 1e-10) -> Nu
                 return int(rho) if rho.denominator == 1 else rho
 
     # float rounds symmetrically and monotonically: abs and max commute with it
-    entries_f = [abs(to_float(a)) for a in nonzero]
+    entries_f = [abs(to_float(a)) for a in v.values]
     sup_f = max(entries_f)
     if sup_f == INF:
         return INF  # an entry beyond the float range: the bracket would start at u = 0
@@ -401,8 +399,8 @@ def luxemburg_norm(M: OrliczFunction, v: FiniteVector, tol: float = 1e-10) -> Nu
         # below the float range), so no bracket would form.  The norm is
         # homogeneous: bracket on the entries divided by the sup, then
         # multiply back.
-        sup = max(abs(a) for a in nonzero)
-        entries_f = [to_float(abs(a) / sup) for a in nonzero]
+        sup = max(abs(a) for a in v.values)
+        entries_f = [to_float(abs(a) / sup) for a in v.values]
         scale, sup_f = to_float(sup), 1.0
 
     if M.kind == "power":

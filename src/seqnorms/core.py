@@ -1,7 +1,9 @@
 """Shared value types, the space objects, grid quantization, and text formats.
 
 Positions are 1-based throughout.  External dense arrays are read as 0-based
-and shifted on load (see :func:`parse_vector`).
+and shifted on load (see :func:`parse_vector`).  A :class:`FiniteVector`
+stores only its support and the nonzero values there, and the norms read
+only those; its ``coeffs`` view is dense, for grid quantization.
 
 Scalars are plain Python numbers: ``int``/``Fraction`` for exact-rational
 mode, ``float`` for binary-floating mode.  A computation is exact iff every
@@ -10,8 +12,10 @@ input scalar is exact.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, compress, count
 from typing import Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 Number = Union[int, Fraction, float]
@@ -119,36 +123,36 @@ def format_scalar(x: Number) -> str:
 
 @dataclass(frozen=True)
 class FiniteVector:
-    """A finitely supported coefficient sequence.
+    """A finitely supported coefficient sequence, stored by its support.
 
-    ``coeffs[n-1]`` is the coefficient at position ``n``; trailing zeros are
-    trimmed on construction, so two vectors are equal iff their trimmed
-    coefficient tuples are equal.
+    ``support`` holds the increasing positions with a nonzero coefficient and
+    ``values`` the coefficients there, so a vector costs its support, not its
+    largest position.  The static constructors drop zeros, so two vectors are
+    equal iff they have equal coefficients at every position.
     """
 
-    coeffs: Tuple[Number, ...]
+    support: Tuple[int, ...]
+    values: Tuple[Number, ...] = ()  # so a lone dense tuple fails the length check
 
     def __post_init__(self):
-        trimmed = list(self.coeffs)
-        while trimmed and trimmed[-1] == 0:
-            trimmed.pop()
-        object.__setattr__(self, "coeffs", tuple(trimmed))
+        if len(self.support) != len(self.values):
+            raise ConfigurationError("a vector takes one value per support position")
 
     @staticmethod
     def from_dense(values: Sequence[Number]) -> "FiniteVector":
-        return FiniteVector(tuple(values))
+        """values[n-1] is the coefficient at position n."""
+        return FiniteVector(tuple(compress(count(1), values)), tuple(filter(None, values)))
 
     @staticmethod
     def from_pairs(pairs: Iterable[Tuple[int, Number]]) -> "FiniteVector":
+        """(position, value) pairs in any order; values at one position add up."""
         items = dict()
         for pos, val in pairs:
             if pos < 1:
                 raise ConfigurationError(f"positions are 1-based, got {pos}")
             items[pos] = items.get(pos, 0) + val
-        if not items:
-            return FiniteVector(())
-        top = max(items)
-        return FiniteVector(tuple(items.get(n, 0) for n in range(1, top + 1)))
+        support = tuple(sorted(n for n, a in items.items() if a))
+        return FiniteVector(support, tuple(map(items.__getitem__, support)))
 
     @staticmethod
     def unit(n: int) -> "FiniteVector":
@@ -159,48 +163,50 @@ class FiniteVector:
         return FiniteVector(())
 
     def coefficient(self, n: int) -> Number:
-        if 1 <= n <= len(self.coeffs):
-            return self.coeffs[n - 1]
+        i = bisect_left(self.support, n)
+        if i < len(self.support) and self.support[i] == n:
+            return self.values[i]
         return 0
 
     @property
-    def support(self) -> Tuple[int, ...]:
-        return tuple(n for n, a in enumerate(self.coeffs, start=1) if a != 0)
+    def coeffs(self) -> Tuple[Number, ...]:
+        """The dense view: coeffs[n-1] is the coefficient at n, int 0 at the gaps."""
+        dense = [0] * (self.support[-1] if self.support else 0)
+        for n, a in zip(self.support, self.values):
+            dense[n - 1] = a
+        return tuple(dense)
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.support
 
     def restrict(self, positions: Iterable[int]) -> "FiniteVector":
         keep = set(positions)
-        return FiniteVector.from_pairs(
-            (n, a) for n, a in enumerate(self.coeffs, start=1) if n in keep and a != 0
-        )
+        return FiniteVector.from_pairs(p for p in zip(self.support, self.values) if p[0] in keep)
 
     def __add__(self, other: "FiniteVector") -> "FiniteVector":
-        top = max(len(self.coeffs), len(other.coeffs))
-        return FiniteVector(
-            tuple(self.coefficient(n) + other.coefficient(n) for n in range(1, top + 1))
-        )
+        return FiniteVector.from_pairs(chain(
+            zip(self.support, self.values), zip(other.support, other.values)
+        ))
 
     def __sub__(self, other: "FiniteVector") -> "FiniteVector":
         return self + other.scale(-1)
 
     def scale(self, c: Number) -> "FiniteVector":
-        return FiniteVector(tuple(c * a for a in self.coeffs))
+        return FiniteVector.from_pairs((n, c * a) for n, a in zip(self.support, self.values))
 
     def flip_signs(self, signs: Sequence[int]) -> "FiniteVector":
         """Multiply coefficient at position n by signs[n-1] (each +-1)."""
-        return FiniteVector(
-            tuple(a * signs[n - 1] for n, a in enumerate(self.coeffs, start=1))
+        return FiniteVector.from_pairs(
+            (n, a * signs[n - 1]) for n, a in zip(self.support, self.values)
         )
 
     def abs_sum(self) -> Number:
-        sums = _running(map(abs, self.coeffs))
+        sums = _running(map(abs, self.values))
         return sums[-1] if sums else 0
 
     def sup(self) -> Number:
-        return max((abs(a) for a in self.coeffs), default=0)
+        return max(map(abs, self.values), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -477,9 +483,8 @@ class TsirelsonSpace(SpaceSpec):
 
     def prefix_norms(self, coeffs: Sequence[Number]) -> List[Number]:
         from . import tsirelson
-        positions = range(1, len(coeffs) + 1)
-        v = FiniteVector.from_pairs(zip(positions, coeffs))
-        return tsirelson.prefix_norms(self.alpha, v, list(positions), h=self.h)
+        v, prefixes = FiniteVector.from_dense(coeffs), list(range(1, len(coeffs) + 1))
+        return tsirelson.prefix_norms(self.alpha, v, prefixes, h=self.h)
 
     def describe(self) -> str:
         h = "" if self.h is None else f",h={self.h.kind}"
@@ -545,8 +550,7 @@ def quantize_to_grid(
     the positive q.
     """
     out = []
-    for pos in range(1, len(v.coeffs) + 1):
-        x = v.coefficient(pos)
+    for pos, x in enumerate(v.coeffs, start=1):
         eps = target.epsilon_at(pos)
         if pos > len(bounds):
             raise ConfigurationError(f"no bound supplied for position {pos}")
@@ -572,7 +576,7 @@ def quantize_to_grid(
         else:
             q = max(qmin, qmax)  # |qmin| == |qmax|: prefer the positive one
         out.append(q * eps)
-    return FiniteVector(tuple(out))
+    return FiniteVector.from_dense(out)
 
 
 # ---------------------------------------------------------------------------

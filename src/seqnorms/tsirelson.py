@@ -210,7 +210,7 @@ class TsirelsonEngine:
             raise ConfigurationError("alpha must lie in (0,1)")
         self.alpha = alpha
         self.pos: Tuple[int, ...] = v.support
-        self.val: Tuple[Number, ...] = tuple(abs(v.coefficient(n)) for n in self.pos)
+        self.val: Tuple[Number, ...] = tuple(map(abs, v.values))
         s = len(self.pos)
         if is_exact(alpha) and all(is_exact(a) for a in self.val):
             self._p, self._q = alpha.numerator, alpha.denominator
@@ -780,7 +780,7 @@ def oracle_norm(
             f"oracle support {s} exceeds cap {cap}; the search is exponential by design"
         )
     families = _families(positions, h, family_shape)
-    coeffs = [abs(v.coefficient(n)) for n in positions]
+    coeffs = [abs(a) for a in v.values]
 
     exact = all(is_exact(c) for c in coeffs) and is_exact(alpha)
     if exact:

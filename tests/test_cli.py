@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -145,6 +148,47 @@ class TestNormCommand:
             capsys, "norm", "tsirelson:alpha=1/2", vec, "--budget-support", "5"
         )
         assert code == 3 and out == ""
+
+
+# Runs the CLI under a 512 MB address-space limit and reports its own peak
+# RSS.  The high-water mark in /proc/self/status starts afresh at exec;
+# getrusage does not: RUSAGE_CHILDREN keeps the maximum over every earlier
+# child, and a vforked child's RUSAGE_SELF starts at the launcher's peak.
+_LIMITED_CLI = """
+import resource, sys
+limit = 512 << 20
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from seqnorms import cli
+code = cli.main(sys.argv[1:])
+sys.stdout.flush()
+with open("/proc/self/status") as status:
+    peak = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
+print(f"peak_rss_kb={peak}", file=sys.stderr)
+sys.exit(code)
+"""
+
+
+class TestLargePositions:
+    """A vector costs its support, not its largest position."""
+
+    @pytest.mark.parametrize("space, row", [
+        ("tsirelson:alpha=1/2", "norm,1,1.0"),
+        ("lp:p=2", "norm,1.4142135623730951,1.4142135623730951"),
+    ])
+    def test_far_position_runs_in_small_memory(self, tmp_path, space, row):
+        # the dense vector held 10^8 slots and raised MemoryError under the limit
+        vec = write_vector(tmp_path, "far.txt", "100000000:1 3:1")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", _LIMITED_CLI, "norm", space, vec],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert row in proc.stdout.splitlines()
+        peak_kb = int(proc.stderr.rsplit("peak_rss_kb=", 1)[1])
+        assert peak_kb < 40 * 1024
 
 
 class TestOracleCommand:

@@ -1,6 +1,9 @@
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable, Sequence, Tuple
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from seqnorms.core import (
     BudgetError,
@@ -19,6 +22,7 @@ from seqnorms.core import (
     parse_vector,
     quantize_to_grid,
 )
+from seqnorms.core import _running
 
 
 class TestFiniteVector:
@@ -49,6 +53,175 @@ class TestFiniteVector:
     def test_restrict(self):
         v = FiniteVector.from_dense([1, 2, 3])
         assert v.restrict([2]) == FiniteVector.from_pairs([(2, 2)])
+
+    def test_stores_only_the_support(self):
+        v = FiniteVector.from_dense([0, 3, 0.0, Fraction(0), 1, -0.0])
+        assert (v.support, v.values) == ((2, 5), (3, 1))
+        assert FiniteVector.from_pairs([(10 ** 12, 1), (3, 2)]).support == (3, 10 ** 12)
+
+    def test_dense_view_has_int_zeros_at_the_gaps(self):
+        coeffs = FiniteVector.from_dense([1.0, 0.0, Fraction(0), 2.0]).coeffs
+        assert list(map(typed, coeffs)) == ["float:1.0", "int:0", "int:0", "float:2.0"]
+
+    def test_positional_dense_tuple_refused(self):
+        with pytest.raises(ConfigurationError):
+            FiniteVector((1, 2))
+
+
+@dataclass(frozen=True)
+class DenseVector:
+    """The dense vector class FiniteVector replaced, kept as a reference:
+    a tuple up to the largest position, trailing zeros trimmed."""
+
+    coeffs: Tuple
+
+    def __post_init__(self):
+        trimmed = list(self.coeffs)
+        while trimmed and trimmed[-1] == 0:
+            trimmed.pop()
+        object.__setattr__(self, "coeffs", tuple(trimmed))
+
+    @staticmethod
+    def from_dense(values: Sequence) -> "DenseVector":
+        return DenseVector(tuple(values))
+
+    @staticmethod
+    def from_pairs(pairs: Iterable[Tuple[int, object]]) -> "DenseVector":
+        items = dict()
+        for pos, val in pairs:
+            if pos < 1:
+                raise ConfigurationError(f"positions are 1-based, got {pos}")
+            items[pos] = items.get(pos, 0) + val
+        if not items:
+            return DenseVector(())
+        top = max(items)
+        return DenseVector(tuple(items.get(n, 0) for n in range(1, top + 1)))
+
+    def coefficient(self, n: int):
+        if 1 <= n <= len(self.coeffs):
+            return self.coeffs[n - 1]
+        return 0
+
+    @property
+    def support(self) -> Tuple[int, ...]:
+        return tuple(n for n, a in enumerate(self.coeffs, start=1) if a != 0)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def restrict(self, positions: Iterable[int]) -> "DenseVector":
+        keep = set(positions)
+        return DenseVector.from_pairs(
+            (n, a) for n, a in enumerate(self.coeffs, start=1) if n in keep and a != 0
+        )
+
+    def __add__(self, other: "DenseVector") -> "DenseVector":
+        top = max(len(self.coeffs), len(other.coeffs))
+        return DenseVector(
+            tuple(self.coefficient(n) + other.coefficient(n) for n in range(1, top + 1))
+        )
+
+    def __sub__(self, other: "DenseVector") -> "DenseVector":
+        return self + other.scale(-1)
+
+    def scale(self, c) -> "DenseVector":
+        return DenseVector(tuple(c * a for a in self.coeffs))
+
+    def flip_signs(self, signs: Sequence[int]) -> "DenseVector":
+        return DenseVector(
+            tuple(a * signs[n - 1] for n, a in enumerate(self.coeffs, start=1))
+        )
+
+    def abs_sum(self):
+        sums = _running(map(abs, self.coeffs))
+        return sums[-1] if sums else 0
+
+    def sup(self):
+        return max((abs(a) for a in self.coeffs), default=0)
+
+
+def typed(x) -> str:
+    return f"{type(x).__name__}:{x!r}"
+
+
+def typed_values(v) -> list:
+    """type:repr of the coefficients on the support, for either class."""
+    return [typed(v.coefficient(n)) for n in v.support]
+
+
+# Exact vectors hold ints and Fractions, float vectors floats.  Interior
+# zeros come in every form a vector can hold: 0, Fraction(0), 0.0 and -0.0.
+EXACT_NONZERO = st.one_of(
+    st.integers(-9, 9).filter(bool),
+    st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 6)),
+)
+FLOAT_NONZERO = st.floats(-1e6, 1e6, allow_nan=False).filter(bool)
+SCALARS = {
+    True: (EXACT_NONZERO, st.sampled_from([0, Fraction(0)])),
+    False: (FLOAT_NONZERO, st.sampled_from([0.0, -0.0, 0])),
+}
+
+
+@st.composite
+def reference_cases(draw):
+    exact = draw(st.booleans())
+    nonzero, zero = SCALARS[exact]
+    entry = st.one_of(nonzero, zero)
+    u, v = draw(st.lists(entry, max_size=10)), draw(st.lists(entry, max_size=10))
+    return u, v, draw(nonzero), draw(st.sets(st.integers(1, 11)))
+
+
+@st.composite
+def pair_cases(draw):
+    exact = draw(st.booleans())
+    nonzero, zero = SCALARS[exact]
+    pairs = draw(st.lists(st.tuples(st.integers(1, 8), st.one_of(nonzero, zero)), max_size=12))
+    cancelling = [(n, -a) for n, a in draw(st.lists(st.sampled_from(pairs)))] if pairs else []
+    return pairs + cancelling
+
+
+class TestDenseReference:
+    """FiniteVector agrees with the dense class it replaced.
+
+    Values agree by ==.  Types agree too, with one exception: the dense
+    class kept an interior Fraction(0), whose type leaked into sums, so
+    int k + Fraction(0) gave Fraction(k, 1) where the sparse class gives k.
+    """
+
+    @settings(max_examples=400, deadline=None)
+    @given(reference_cases())
+    def test_matches_dense_reference(self, case):
+        a, b, c, keep = case
+        u, v = FiniteVector.from_dense(a), FiniteVector.from_dense(b)
+        ru, rv = DenseVector.from_dense(a), DenseVector.from_dense(b)
+        assert (u == v) == (ru == rv)
+        assert (u.support, u.is_zero, u.coeffs) == (ru.support, ru.is_zero, ru.coeffs)
+        for n in range(len(a) + 2):
+            assert u.coefficient(n) == ru.coefficient(n)
+        assert typed(u.sup()) == typed(ru.sup())
+        signs = [1 if i % 3 else -1 for i in range(len(a))]
+        results = [
+            (u + v, ru + rv), (u - v, ru - rv), (u.restrict(keep), ru.restrict(keep)),
+            (u.scale(c), ru.scale(c)), (u.scale(0), ru.scale(0)),
+            (u.flip_signs(signs), ru.flip_signs(signs)),
+        ]
+        for new, ref in results:
+            assert new.coeffs == ref.coeffs and new.support == ref.support
+        if any(x == 0 and type(x) is Fraction for x in a + b):
+            assert u.abs_sum() == ru.abs_sum()
+        else:
+            assert typed(u.abs_sum()) == typed(ru.abs_sum())
+            for new, ref in results:
+                assert typed_values(new) == typed_values(ref)
+
+    @settings(max_examples=300, deadline=None)
+    @given(pair_cases())
+    def test_from_pairs_matches_dense_reference(self, pairs):
+        new, ref = FiniteVector.from_pairs(pairs), DenseVector.from_pairs(pairs)
+        assert (new.support, new.coeffs) == (ref.support, ref.coeffs)
+        assert typed_values(new) == typed_values(ref)
+        assert new == FiniteVector.from_dense(ref.coeffs)
 
 
 class TestScalars:
