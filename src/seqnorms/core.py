@@ -16,7 +16,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, count
-from typing import Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 Number = Union[int, Fraction, float]
 
@@ -68,7 +68,11 @@ def close(a: Number, b: Number, rel_tol: float = DEFAULT_REL_TOL) -> bool:
 
 
 def parse_scalar(text: str, exact: bool = True) -> Number:
-    """Parse a decimal string or an integer fraction ``p/q``."""
+    """Parse a decimal string or an integer fraction ``p/q``.
+
+    ``nan`` is refused in both modes; ``inf`` and values beyond the float
+    range read as infinities in float mode.
+    """
     text = text.strip()
     try:
         if "/" in text:
@@ -81,11 +85,14 @@ def parse_scalar(text: str, exact: bool = True) -> Number:
             _check_decimal_exponent(text)
             value = Fraction(text)
         else:
-            return float(text)
+            value = float(text)
+            if value != value:
+                raise ValueError("not a number")
+            return value
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad scalar {text!r}: {exc}") from None
     if not exact:
-        return float(value)
+        return to_float(value)
     if value.denominator == 1:
         return int(value)
     return value
@@ -588,26 +595,96 @@ def parse_vector(text: str, exact: bool = True) -> FiniteVector:
 
     Dense form: whitespace/comma separated values, read as a 0-based array
     and shifted to 1-based positions.  Sparse form: tokens ``pos:value``
-    with 1-based positions.  Values are decimal strings or fractions "p/q".
+    with 1-based positions; values at one position add up.  Values are
+    decimal strings or fractions "p/q".  Each distinct token is read once
+    (see :func:`_read_nonzero`), and the first bad token in the text raises.
     """
-    tokens = [t for t in text.replace(",", " ").split() if t]
-    if not tokens:
-        return FiniteVector.zero()
-    if any(":" in t for t in tokens):
-        pairs = []
-        for t in tokens:
-            if ":" not in t:
+    tokens = text.replace(",", " ").split()
+    if ":" in text:
+        return _parse_sparse(tokens, exact)
+    floats = None if exact else _plain_floats(tokens)
+    if floats is not None:
+        return FiniteVector.from_dense(floats)  # a float's zero test runs in C
+    nonzero = _read_nonzero(tokens, exact)
+    if len(nonzero) == len(tokens):  # every token distinct and nonzero
+        return FiniteVector(tuple(range(1, len(tokens) + 1)), tuple(nonzero.values()))
+    keep = list(map(nonzero.__contains__, tokens))
+    return FiniteVector(
+        tuple(compress(count(1), keep)), tuple(map(nonzero.__getitem__, compress(tokens, keep)))
+    )
+
+
+def _parse_sparse(tokens: List[str], exact: bool) -> FiniteVector:
+    positions, texts = [], []
+    for t in tokens:
+        pos_text, colon, val_text = t.partition(":")
+        try:
+            if not colon:
                 raise ParseError(f"mixed sparse/dense vector token {t!r}")
-            pos_text, val_text = t.split(":", 1)
             try:
                 pos = int(pos_text)
             except ValueError:
                 raise ParseError(f"bad position {pos_text!r}") from None
             if pos < 1:
                 raise ParseError(f"sparse positions are 1-based, got {pos}")
-            pairs.append((pos, parse_scalar(val_text, exact=exact)))
-        return FiniteVector.from_pairs(pairs)
-    return FiniteVector.from_dense([parse_scalar(t, exact=exact) for t in tokens])
+        except ParseError:
+            _read_nonzero(texts, exact)  # a bad value earlier in the text comes first
+            raise
+        positions.append(pos)
+        texts.append(val_text)
+    floats = None if exact else _plain_floats(texts)
+    if floats is None:
+        nonzero = _read_nonzero(texts, exact)
+    else:
+        nonzero = {t: x for t, x in zip(texts, floats) if x}
+    items, summed = {}, set()
+    for pos, t in zip(positions, texts):
+        if t in nonzero:
+            if pos in items:
+                items[pos] += nonzero[t]
+                summed.add(pos)
+            else:
+                items[pos] = nonzero[t]
+    for pos in summed:
+        if not items[pos]:
+            del items[pos]
+    support = tuple(sorted(items))
+    return FiniteVector(support, tuple(map(items.__getitem__, support)))
+
+
+def _plain_floats(tokens: List[str]) -> Optional[List[float]]:
+    """float() of every token, which is parse_scalar's float reading of a
+    token with no "/"; None if some token is a fraction, malformed or nan."""
+    try:
+        values = list(map(float, tokens))
+    except ValueError:
+        return None
+    return None if any(map(math.isnan, values)) else values
+
+
+def _read_nonzero(tokens: Iterable[str], exact: bool) -> Dict[str, Number]:
+    """The nonzero values of the distinct ``tokens``, each read once, in
+    order of first appearance.
+
+    A plain -?digits token is read with ``int`` (``float`` in float mode),
+    which gives ``parse_scalar``'s value; every other token, and one that
+    ``int`` refuses, goes through ``parse_scalar``, so the first bad token
+    raises its error.
+    """
+    number = int if exact else float
+    nonzero = {}
+    for t in dict.fromkeys(tokens):
+        digits = t[1:] if t[:1] == "-" else t
+        if digits.isdigit():
+            try:
+                x = number(t)
+            except ValueError:  # a digit int() does not read, or past its digit limit
+                x = parse_scalar(t, exact)
+        else:
+            x = parse_scalar(t, exact)
+        if type(x) is Fraction or x:  # parse_scalar reads an exact zero as int 0
+            nonzero[t] = x
+    return nonzero
 
 
 def _parse_kv(body: str) -> Mapping[str, str]:

@@ -135,6 +135,15 @@ class TestNormCommand:
         code, out, _ = run(capsys, "norm", space, vec, "--float")
         assert code == 0 and "norm,3.0,3.0" in out.splitlines()
 
+    @pytest.mark.parametrize("space", [
+        "lp:p=2", "tsirelson:alpha=1/2", "lorentz:w=harmonic,p=1", "orlicz:power=2",
+    ])
+    def test_float_nan_coefficient_refused(self, capsys, tmp_path, space):
+        # float mode read nan as a coefficient: norm,nan,nan and exit 0
+        vec = write_vector(tmp_path, "v.txt", "nan 1 2")
+        code, out, err = run(capsys, "norm", space, vec, "--float")
+        assert (code, out) == (2, "") and "bad scalar 'nan'" in err
+
     @pytest.mark.parametrize("space", ["lp:p=3", "lorentz:w=harmonic,p=3"])
     def test_infinite_entry_with_overflowing_power(self, capsys, tmp_path, space):
         # 1e200 ** 3.0 overflows next to an infinite entry: sup / sup was nan

@@ -22,6 +22,7 @@ from seqnorms.core import (
     parse_vector,
     quantize_to_grid,
 )
+from seqnorms import core
 from seqnorms.core import _running
 
 
@@ -254,6 +255,20 @@ class TestScalars:
         assert parse_scalar("1e100000", exact=False) == float("inf")
         assert parse_scalar("1e-100000", exact=False) == 0.0
 
+    def test_float_mode_reads_huge_fractions(self):
+        # float(Fraction) raised OverflowError, a traceback from the CLI
+        big = "1" + "0" * 400
+        assert parse_scalar(big + "/3", exact=False) == float("inf")
+        assert parse_scalar("-" + big + "/3", exact=False) == float("-inf")
+        assert parse_scalar("1/" + big, exact=False) == 0.0
+
+    @pytest.mark.parametrize("text", ["nan", "NaN", "-nan", "+nan"])
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_nan_refused(self, text, exact):
+        # float mode read nan as a coefficient, so norms printed nan
+        with pytest.raises(ParseError, match="bad scalar"):
+            parse_scalar(text, exact=exact)
+
     def test_format_round_trip(self):
         assert format_scalar(Fraction(3, 4)) == "3/4"
         assert format_scalar(5) == "5"
@@ -386,6 +401,111 @@ class TestTextFormats:
             parse_space("lp:q=2")
 
 
+def reference_parse_vector(text: str, exact: bool = True) -> FiniteVector:
+    """The parse_vector that read every token, kept as a reference."""
+    tokens = [t for t in text.replace(",", " ").split() if t]
+    if not tokens:
+        return FiniteVector.zero()
+    if any(":" in t for t in tokens):
+        pairs = []
+        for t in tokens:
+            if ":" not in t:
+                raise ParseError(f"mixed sparse/dense vector token {t!r}")
+            pos_text, val_text = t.split(":", 1)
+            try:
+                pos = int(pos_text)
+            except ValueError:
+                raise ParseError(f"bad position {pos_text!r}") from None
+            if pos < 1:
+                raise ParseError(f"sparse positions are 1-based, got {pos}")
+            pairs.append((pos, parse_scalar(val_text, exact=exact)))
+        return FiniteVector.from_pairs(pairs)
+    return FiniteVector.from_dense([parse_scalar(t, exact=exact) for t in tokens])
+
+
+# Zero in every spelling, ints, decimals, exponents and fractions, values
+# beyond the float range, and tokens one mode or both refuse.
+GOOD_TOKENS = ["0", "-0", "0/3", "0.0", "-0.0", "00", "7", "-12", "007", "1_0", "0.5", "-1.25",
+               "1e3", "2.5E-3", "1e400", "1/2", "-3/4", "4/2", "-6/3", "3/6", "inf", "٣"]
+BAD_TOKENS = ["x", "nan", "1/0", "--5", "2/x", "1e100000", "-", "1.2.3", "2/3/4", "²"]
+SEPARATORS = [" ", ",", ", ", "\n", "\t", " ,"]
+
+
+@st.composite
+def vector_texts(draw):
+    """A dense or sparse vector text whose tokens repeat, now and then with
+    a bad token, a bad position or a dense token among sparse ones."""
+    pool = draw(st.lists(st.sampled_from(GOOD_TOKENS), min_size=1, max_size=6))
+    if draw(st.integers(0, 3)) == 0:
+        pool.append(draw(st.sampled_from(BAD_TOKENS)))
+    tokens = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=16))
+    if draw(st.booleans()):
+        tokens = [f"{draw(st.integers(1, 6))}:{v}" for v in tokens]
+        # values that cancel at one position
+        for p, _, v in [t.partition(":") for t in tokens[:draw(st.integers(0, 3))]]:
+            tokens.append(f"{p}:{v[1:] if v[:1] == '-' else '-' + v}")
+        if draw(st.integers(0, 3)) == 0:
+            odd = draw(st.sampled_from(["0:1", "-1:1", "x:1", ":1", "+2:1", "3:", "1/2"] + pool))
+            tokens.insert(draw(st.integers(0, len(tokens))), odd)
+    seps = draw(st.lists(st.sampled_from(SEPARATORS), min_size=len(tokens), max_size=len(tokens)))
+    return "".join(sep + t for sep, t in zip(seps, tokens))
+
+
+def parse_outcome(parse, text, exact):
+    try:
+        v = parse(text, exact)
+    except (ParseError, BudgetError) as exc:
+        return type(exc).__name__, str(exc)
+    return list(map(typed, v.support)), list(map(typed, v.values)), list(map(typed, v.coeffs))
+
+
+class TestParseReference:
+    """parse_vector agrees with the reference that read every token."""
+
+    @settings(max_examples=1500, deadline=None)
+    @given(vector_texts(), st.booleans())
+    def test_matches_reference(self, text, exact):
+        assert parse_outcome(parse_vector, text, exact) == parse_outcome(reference_parse_vector, text, exact)
+
+    @pytest.mark.parametrize("text", [
+        "1/2 0 1/2 -0.0 3 1/2 7/4 0/3 3 2.5 2.5", "1:1/2 3:0.5 1:1/2 3:-1/2 2:1/2 9:1/3",
+    ])
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_one_parse_scalar_call_per_distinct_token(self, monkeypatch, text, exact):
+        calls = []
+
+        def counted(token, exact=True):
+            calls.append(token)
+            return parse_scalar(token, exact)
+
+        monkeypatch.setattr(core, "parse_scalar", counted)
+        assert parse_vector(text, exact) == reference_parse_vector(text, exact)
+        values = [t.rpartition(":")[2] for t in text.split()]
+        not_plain = [t for t in values if not t.lstrip("-").isdigit()]
+        assert calls == list(dict.fromkeys(not_plain))
+
+    def test_plain_integers_skip_parse_scalar(self, monkeypatch):
+        monkeypatch.setattr(core, "parse_scalar", None)
+        assert parse_vector("3 -4 0 3 -0 007") == FiniteVector.from_pairs([(1, 3), (2, -4), (4, 3), (6, 7)])
+        assert parse_vector("2.5 0.0 -1e3", exact=False).values == (2.5, -1000.0)
+
+    @pytest.mark.parametrize("text", ["", " ", " , \n", "0 -0.0 0/3"])
+    def test_no_nonzero_token(self, text):
+        assert parse_vector(text) == parse_vector(text, exact=False) == FiniteVector.zero()
+
+    def test_first_bad_token_in_text_order(self):
+        with pytest.raises(ParseError, match="'x'"):
+            parse_vector("1/2 x 1/0 1/2 x")
+        with pytest.raises(BudgetError):
+            parse_vector("1e100000 1/0")
+        with pytest.raises(ParseError, match="bad scalar 'y'"):
+            parse_vector("1:1/2 2:y 0:1 3:x")
+        with pytest.raises(ParseError, match="1-based"):
+            parse_vector("1:1/2 0:y 2:x")
+        with pytest.raises(ParseError, match="mixed"):
+            parse_vector("1:1/2 7 2:x")
+
+
 V11 = FiniteVector.from_dense([1, 1])
 
 
@@ -412,6 +532,12 @@ V11 = FiniteVector.from_dense([1, 1])
                  ["norm", "lp:p=2", "{tmp}/v.txt"], {"v.txt": "x:1"}, id="sparse-position-not-an-int"),
     pytest.param(lambda tmp: parse_vector("0:1"), ParseError,
                  ["norm", "lp:p=2", "{tmp}/v.txt"], {"v.txt": "0:1"}, id="sparse-position-below-1"),
+    # the DP read nan and the oracle skipped it: a false DISAGREE, exit 4
+    pytest.param(lambda tmp: parse_vector("1 nan 2", exact=False), ParseError,
+                 ["oracle", "1/2", "{tmp}/v.txt", "--float"], {"v.txt": "1 nan 2"},
+                 id="float-nan-coefficient"),
+    pytest.param(lambda tmp: parse_space("lp:p=nan", exact=False), ParseError,
+                 ["norm", "lp:p=nan", "{tmp}/v.txt", "--float"], {"v.txt": "1"}, id="float-nan-exponent"),
     pytest.param(lambda tmp: parse_space("lp:p"), ParseError,
                  ["norm", "lp:p", "{tmp}/v.txt"], {"v.txt": "1"}, id="key-without-value"),
     pytest.param(lambda tmp: parse_space("tsirelson:alpha=1/2,h=affine:x"), ParseError,
