@@ -15,7 +15,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress, count
+from itertools import chain, compress, count, repeat
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 Number = Union[int, Fraction, float]
@@ -157,7 +157,7 @@ class FiniteVector:
         for pos, val in pairs:
             if pos < 1:
                 raise ConfigurationError(f"positions are 1-based, got {pos}")
-            items[pos] = items.get(pos, 0) + val
+            items[pos] = items[pos] + val if pos in items else val
         support = tuple(sorted(n for n, a in items.items() if a))
         return FiniteVector(support, tuple(map(items.__getitem__, support)))
 
@@ -597,7 +597,8 @@ def parse_vector(text: str, exact: bool = True) -> FiniteVector:
     and shifted to 1-based positions.  Sparse form: tokens ``pos:value``
     with 1-based positions; values at one position add up.  Values are
     decimal strings or fractions "p/q".  Each distinct token is read once
-    (see :func:`_read_nonzero`), and the first bad token in the text raises.
+    (see :func:`_read_nonzero`), and the first bad token in the text raises;
+    float text that float() reads whole is read by :func:`_plain_floats`.
     """
     tokens = text.replace(",", " ").split()
     if ":" in text:
@@ -606,8 +607,6 @@ def parse_vector(text: str, exact: bool = True) -> FiniteVector:
     if floats is not None:
         return FiniteVector.from_dense(floats)  # a float's zero test runs in C
     nonzero = _read_nonzero(tokens, exact)
-    if len(nonzero) == len(tokens):  # every token distinct and nonzero
-        return FiniteVector(tuple(range(1, len(tokens) + 1)), tuple(nonzero.values()))
     keep = list(map(nonzero.__contains__, tokens))
     return FiniteVector(
         tuple(compress(count(1), keep)), tuple(map(nonzero.__getitem__, compress(tokens, keep)))
@@ -632,29 +631,21 @@ def _parse_sparse(tokens: List[str], exact: bool) -> FiniteVector:
             raise
         positions.append(pos)
         texts.append(val_text)
-    floats = None if exact else _plain_floats(texts)
-    if floats is None:
-        nonzero = _read_nonzero(texts, exact)
-    else:
-        nonzero = {t: x for t, x in zip(texts, floats) if x}
-    items, summed = {}, set()
-    for pos, t in zip(positions, texts):
-        if t in nonzero:
-            if pos in items:
-                items[pos] += nonzero[t]
-                summed.add(pos)
-            else:
-                items[pos] = nonzero[t]
-    for pos in summed:
-        if not items[pos]:
-            del items[pos]
-    support = tuple(sorted(items))
-    return FiniteVector(support, tuple(map(items.__getitem__, support)))
+    values = None if exact else _plain_floats(texts)
+    if values is None:
+        values = map(_read_nonzero(texts, exact).get, texts, repeat(0))
+    v = FiniteVector.from_pairs(zip(positions, values))
+    if not exact and any(map(math.isnan, v.values)):  # inf and -inf at one position
+        n = next(n for n, x in zip(v.support, v.values) if x != x)
+        raise ParseError(f"values at position {n} add to nan")
+    return v
 
 
 def _plain_floats(tokens: List[str]) -> Optional[List[float]]:
     """float() of every token, which is parse_scalar's float reading of a
-    token with no "/"; None if some token is a fraction, malformed or nan."""
+    token with no "/"; None if some token is a fraction, malformed or nan.
+    Such text skips the memo of :func:`_read_nonzero`, which costs more
+    than reading each token with float()."""
     try:
         values = list(map(float, tokens))
     except ValueError:

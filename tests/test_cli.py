@@ -144,6 +144,12 @@ class TestNormCommand:
         code, out, err = run(capsys, "norm", space, vec, "--float")
         assert (code, out) == (2, "") and "bad scalar 'nan'" in err
 
+    def test_float_values_adding_to_nan_refused(self, capsys, tmp_path):
+        # inf and -inf at one sparse position added to a nan coefficient
+        vec = write_vector(tmp_path, "v.txt", "1:inf 1:-inf 2:1")
+        code, out, err = run(capsys, "oracle", "1/2", vec, "--float")
+        assert (code, out) == (2, "") and "values at position 1 add to nan" in err
+
     @pytest.mark.parametrize("space", ["lp:p=3", "lorentz:w=harmonic,p=3"])
     def test_infinite_entry_with_overflowing_power(self, capsys, tmp_path, space):
         # 1e200 ** 3.0 overflows next to an infinite entry: sup / sup was nan

@@ -459,13 +459,27 @@ def parse_outcome(parse, text, exact):
     return list(map(typed, v.support)), list(map(typed, v.values)), list(map(typed, v.coeffs))
 
 
+def reference_outcome(text, exact):
+    """The reference's outcome, except that inf and -inf at one position,
+    which it added to a nan coefficient, are now refused."""
+    try:
+        v = reference_parse_vector(text, exact)
+    except (ParseError, BudgetError):
+        pass
+    else:
+        nan_at = [n for n, x in zip(v.support, v.values) if x != x]
+        if nan_at:
+            return "ParseError", f"values at position {nan_at[0]} add to nan"
+    return parse_outcome(reference_parse_vector, text, exact)
+
+
 class TestParseReference:
     """parse_vector agrees with the reference that read every token."""
 
     @settings(max_examples=1500, deadline=None)
     @given(vector_texts(), st.booleans())
     def test_matches_reference(self, text, exact):
-        assert parse_outcome(parse_vector, text, exact) == parse_outcome(reference_parse_vector, text, exact)
+        assert parse_outcome(parse_vector, text, exact) == reference_outcome(text, exact)
 
     @pytest.mark.parametrize("text", [
         "1/2 0 1/2 -0.0 3 1/2 7/4 0/3 3 2.5 2.5", "1:1/2 3:0.5 1:1/2 3:-1/2 2:1/2 9:1/3",
@@ -492,6 +506,13 @@ class TestParseReference:
     @pytest.mark.parametrize("text", ["", " ", " , \n", "0 -0.0 0/3"])
     def test_no_nonzero_token(self, text):
         assert parse_vector(text) == parse_vector(text, exact=False) == FiniteVector.zero()
+
+    @pytest.mark.parametrize("text", ["1:inf 1:-inf 2:1", "2:1 1:1e400 3:1/2 1:-1e999"])
+    def test_float_values_adding_to_nan_refused(self, text):
+        # each token is a float, but their sum at position 1 was a nan coefficient
+        with pytest.raises(ParseError, match="values at position 1 add to nan"):
+            parse_vector(text, exact=False)
+        assert parse_vector("1:inf 1:inf", exact=False).values == (float("inf"),)
 
     def test_first_bad_token_in_text_order(self):
         with pytest.raises(ParseError, match="'x'"):
