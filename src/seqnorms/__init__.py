@@ -22,7 +22,6 @@ from .core import (
     quantize_to_grid,
 )
 from .tsirelson import (
-    AdmissibleFamily,
     LevelTrace,
     NormCertificate,
     certificate_lower_bound,

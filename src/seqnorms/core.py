@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, count, repeat
@@ -83,7 +84,7 @@ def parse_scalar(text: str, exact: bool = True) -> Number:
             if digits.isdigit() and digits.isascii():
                 return int(text)  # plain -?digits: the value Fraction would give
             _check_decimal_exponent(text)
-            value = Fraction(text)
+            value = _fraction(text)
         else:
             value = float(text)
             if value != value:
@@ -103,11 +104,21 @@ def _check_decimal_exponent(text: str) -> None:
     mantissa, e, power = text.lower().partition("e")
     try:
         if e and power == power.strip() and abs(int(power)) > MAX_DECIMAL_EXPONENT:
-            Fraction(mantissa + "e0")  # the rest of the token is well formed
+            _fraction(mantissa + "e0")  # the rest of the token is well formed
             raise BudgetError(f"exact decimal exponent {power[:20]} passes "
                               f"{EXACT_POWER_BITS} bits; use --float")
     except ValueError:
         pass  # a malformed token: Fraction(text) reports it as before
+
+
+def _fraction(text: str) -> Fraction:
+    """Fraction(text), reading PEP 515 underscores on every Python: 3.10's
+    Fraction refuses them, 3.11's takes them just where float() does."""
+    if "_" in text:
+        with suppress(ValueError):
+            float(text)  # a misplaced underscore is left for Fraction to report
+            text = text.replace("_", "")
+    return Fraction(text)
 
 
 def to_float(x: Number) -> float:

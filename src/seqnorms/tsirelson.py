@@ -86,10 +86,10 @@ plus the best split of the rest, and per-start arrays would add them
 left-nested, which can round differently.  For the right end j, rows[q][x]
 is the best split of [x..j] into q groups, computed once per right end.
 Most queries find their state computed, or need just that one state, whose
-lower row the previous start has already extended; the fill reads or
-computes it in place.  Only the rest go to the kernel, which extends the
-rows that need it.  A state's value does not depend on which code computes
-it or when, so the sums, and their bits, are those of the full search.
+lower row the previous start has already extended; the others extend each
+row they need down to their start.  A state's value does not depend on
+when it is computed, so the sums, and their bits, are those of the full
+search.
 """
 from __future__ import annotations
 
@@ -98,6 +98,7 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from operator import add
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -116,14 +117,6 @@ DEFAULT_ORACLE_CAP = 8
 
 # ---------------------------------------------------------------------------
 # Admissible families
-
-
-@dataclass(frozen=True)
-class AdmissibleFamily:
-    """An ordered family E_1 < ... < E_m with its admissibility parameter k."""
-
-    sets: Tuple[Tuple[int, ...], ...]
-    k: int
 
 
 @dataclass(frozen=True)
@@ -150,31 +143,21 @@ def _ordering_problem(sets: Sequence[Tuple[int, ...]]) -> Optional[str]:
 
 
 def is_admissible(
-    family, h: Optional[HFunction] = None
+    family: Iterable[Iterable[int]], h: Optional[HFunction] = None
 ) -> AdmissibilityResult:
-    """Check the ordering and cardinality/min constraints of a family.
-
-    ``family`` may be an :class:`AdmissibleFamily` or a bare collection of
-    position sets (k is then inferred from the family size).
-    """
-    if isinstance(family, AdmissibleFamily):
-        sets, k = family.sets, family.k
-    else:
-        sets = tuple(tuple(sorted(s)) for s in family)
-        k = None
+    """Check the ordering and cardinality/min constraints of a family of
+    position sets.  The parameter k is the one with h(k) = len(family)
+    (k = len(family) without h)."""
+    sets = tuple(tuple(sorted(s)) for s in family)
     problem = _ordering_problem(sets)
     if problem:
         return AdmissibilityResult(False, problem)
     # h is strictly increasing, so the one k with h(k) == m is h.inverse(m);
-    # comparing with it never evaluates h outside its domain.
+    # finding it that way never evaluates h outside its domain.
     m = len(sets)
-    expected = m if h is None else h.inverse(m)
+    k = m if h is None else h.inverse(m)
     if k is None:
-        if expected is None:
-            return AdmissibilityResult(False, "size-not-in-h-range")
-        k = expected
-    elif k != expected:
-        return AdmissibilityResult(False, "size-mismatch")
+        return AdmissibilityResult(False, "size-not-in-h-range")
     if k > min(sets[0]):
         return AdmissibilityResult(False, "min-violation")
     return AdmissibilityResult(True)
@@ -247,25 +230,15 @@ class TsirelsonEngine:
         self._fit = [bisect_right(self._r, w) for w in range(s + 1)]
         # Sizes (t, t) for t = 1..n: one family size per start suffices.
         self._plain = all(k == r == t for t, (k, r) in enumerate(sizes, 1))
-        self._sup, self._argmax = self._sup_table()
+        self._sup = self._sup_table()
         self._fixed: Optional[List[List[Number]]] = None
 
     # -- shared pieces
 
-    def _sup_table(self) -> Tuple[List[List[Number]], List[List[int]]]:
-        """The sup of every interval [i..j], and the first index attaining it."""
-        s, work = len(self.pos), self._work
-        table = [[0] * s for _ in range(s)]
-        argmax = [[0] * s for _ in range(s)]
-        for i in range(s):
-            running, at = work[i], i
-            row, arg = table[i], argmax[i]
-            for j in range(i, s):
-                if work[j] > running:
-                    running, at = work[j], j
-                row[j] = running
-                arg[j] = at
-        return table, argmax
+    def _sup_table(self) -> List[List[Number]]:
+        """The sup of every interval [i..j]: the first largest work value."""
+        work = self._work
+        return [[0] * i + list(accumulate(work[i:], max)) for i in range(len(work))]
 
     def _number(self, raw: Number, i: int, j: int) -> Number:
         """The value a work-unit entry of interval [i..j] stands for.
@@ -276,66 +249,17 @@ class TsirelsonEngine:
         if self._scale is None:
             return raw
         if raw == self._sup[i][j]:
-            return self.val[self._argmax[i][j]]
+            return self.val[self._work.index(raw, i, j + 1)]
         return Fraction(raw, self._scale)
 
     def _to_numbers(self, table: List[List[Number]]) -> List[List[Number]]:
-        # As _number entry by entry, with one Fraction per distinct value.
+        # As _number entry by entry; entries below the diagonal stay 0.
         if self._scale is None:
             return table
-        val, scale, fractions = self.val, self._scale, {}
-        out = []
-        for i, (row, sup, arg) in enumerate(zip(table, self._sup, self._argmax)):
-            numbers = [0] * len(row)
-            for j in range(i, len(row)):
-                raw = row[j]
-                if raw == sup[j]:
-                    numbers[j] = val[arg[j]]
-                else:
-                    number = fractions.get(raw)
-                    if number is None:
-                        number = fractions[raw] = Fraction(raw, scale)
-                    numbers[j] = number
-            out.append(numbers)
-        return out
-
-    def _best_partition(self, table, rows, lo, a: int, j: int, r: int) -> Number:
-        # Float mode.  Max of sum(table value over groups) over partitions of
-        # support indices [a..j] into exactly r nonempty consecutive groups.
-        #
-        # Per-right-end arrays: for the fixed j, rows[q][x] is the best split
-        # of [x..j] into q groups, filled for lo[q] <= x <= j - q + 1, and
-        # rows[1] is column j of the table itself.  A state takes its first
-        # group [x..t] from row x of the table:
-        #
-        #     rows[q][x] = max over t of table[x][t] + rows[q - 1][t + 1].
-        #
-        # The query (a, j, r) needs the states (x, j, q) with
-        # a + r - q <= x <= j - q + 1 for q = 2..r, a suffix for each q; so
-        # each rows[q] is extended downward to a + r - q, by increasing q, and
-        # nothing else is computed.  That keeps the frontier invariant
-        # lo[q'] <= lo[q] + (q - q') for q' < q: a row that needs no work has
-        # none below it, so the rows to extend are those from the first one,
-        # found by scanning down from r, up to r.  Only table[x][t] with t < j
-        # and column entries x > a are read: strict subintervals of [a..j].
-        # On the fixed-point route column j is still being filled, so rows[1]
-        # must be the live column that _fill_float writes, never a copy.
-        # Rows the caller has not allocated are added empty.
-        while len(rows) <= r:
-            lo.append(j - len(rows) + 2)  # empty: one past the last valid x
-            rows.append([0] * (j + 1))
-        if lo[r] <= a:
-            return rows[r][a]
-        first = r
-        while first > 2 and lo[first - 1] > a + r - first + 1:
-            first -= 1
-        for q in range(first, r + 1):
-            start = a + r - q
-            row, prev, stop = rows[q], rows[q - 1], j - q + 2
-            for x in range(lo[q] - 1, start - 1, -1):
-                row[x] = max(map(add, table[x][x:stop], prev[x + 1 : stop + 1]))
-            lo[q] = start
-        return rows[r][a]
+        return [
+            [0] * i + [self._number(row[j], i, j) for j in range(i, len(row))]
+            for i, row in enumerate(table)
+        ]
 
     def _best_split(self, cols, splits, hi, i: int, j: int, r: int) -> Number:
         # Exact mode.  The same maximum for the interval [i..j], from the
@@ -442,15 +366,23 @@ class TsirelsonEngine:
         # start in increasing k.  The search for [i..j] stops once the l1 mass
         # p * sum |a_n| of the next start cannot beat it.
         #
-        # The best split of [a..j] into r groups is rows[r][a] of the
-        # per-right-end arrays of _best_partition, allocated once per right
-        # end with every row empty.  A state already computed is read in
-        # place.  When the query needs exactly one new state, rows[r][a]
-        # itself (row r is filled down to a + 1 and row r - 1 down to
-        # a + 1), it is computed here with the kernel's own expression.
-        # That is the usual case: the queries of start i + 1 have already
-        # extended the lower rows.  Only a query that needs more goes to
-        # _best_partition.  A state's sum is the same whichever computes it.
+        # The best split of [a..j] into r groups is rows[r][a].  For the fixed
+        # j, rows[q][x] is the best split of [x..j] into q groups, filled for
+        # lo[q] <= x <= j - q + 1 (every row starts empty), and rows[1] is
+        # column j of the table; on the fixed-point route that is the live
+        # column written here, never a copy.  A state takes its first group
+        # [x..t] from row x of the table:
+        #
+        #     rows[q][x] = max over t of table[x][t] + rows[q - 1][t + 1].
+        #
+        # The query (a, j, r) needs rows[q] down to x = a + r - q for
+        # q = 2..r, and each row is extended just that far, by increasing q.
+        # So lo[q'] <= lo[q] + (q - q') for q' < q: the rows to extend run
+        # from the first one that needs work, found by scanning down from r.
+        # The usual query needs only rows[r][a], whose lower row the queries
+        # of start i + 1 have already extended, and takes one step.  Only
+        # table[x][t] with t < j and column entries x > a are read: strict
+        # subintervals of [a..j].
         s = len(self.pos)
         p, prefix = self._p, self._abs_prefix
         sizes = list(zip(self._start, self._r))
@@ -479,7 +411,14 @@ class TsirelsonEngine:
                             row[a] = max(map(add, table[a][a:stop], rows[r - 1][a + 1 : stop + 1]))
                             lo[r] = a
                         elif lo[r] > a:
-                            self._best_partition(table, rows, lo, a, j, r)
+                            first = r
+                            while first > 2 and lo[first - 1] > a + r - first + 1:
+                                first -= 1
+                            for q in range(first, r + 1):
+                                ext, prev, stop = rows[q], rows[q - 1], j - q + 2
+                                for x in range(lo[q] - 1, a + r - q - 1, -1):
+                                    ext[x] = max(map(add, table[x][x:stop], prev[x + 1 : stop + 1]))
+                                lo[q] = a + r - q
                         cand = p * row[a]
                         if cand > best:
                             best = cand
@@ -609,12 +548,11 @@ class CertificateNode:
 
     A leaf (no children) marks level-0 evaluation on its restriction.  An
     internal node carries an admissible family: the children's restrictions
-    are the family's sets.
+    are the family's sets, and its k is the one with h(k) = len(children).
     """
 
     restriction: Tuple[int, ...]
     children: Tuple["CertificateNode", ...] = ()
-    k: Optional[int] = None  # admissibility parameter; inferred when omitted
 
     @staticmethod
     def leaf(positions: Iterable[int]) -> "CertificateNode":
@@ -622,11 +560,9 @@ class CertificateNode:
 
     @staticmethod
     def internal(
-        positions: Iterable[int],
-        children: Iterable["CertificateNode"],
-        k: Optional[int] = None,
+        positions: Iterable[int], children: Iterable["CertificateNode"]
     ) -> "CertificateNode":
-        return CertificateNode(tuple(sorted(positions)), tuple(children), k)
+        return CertificateNode(tuple(sorted(positions)), tuple(children))
 
 
 @dataclass(frozen=True)
@@ -649,12 +585,7 @@ def _evaluate_node(
             raise CertificateError(
                 f"node {path}: child {idx} escapes its parent's restriction"
             )
-    family = (
-        AdmissibleFamily(sets, node.k)
-        if node.k is not None
-        else sets
-    )
-    result = is_admissible(family, h)
+    result = is_admissible(sets, h)
     if not result:
         raise CertificateError(f"node {path}: inadmissible family ({result.reason})")
     total = 0

@@ -478,6 +478,14 @@ class TestReferenceKernels:
         (" 12 ", "int:12"),
         ("+7", "int:7"),
         ("1_0", "int:10"),
+        ("1_0.5", "Fraction:Fraction(21, 2)"),
+        ("1e1_0", "int:" + repr(10 ** 10)),
+        ("1__0", None),
+        ("_1", None),
+        ("1_", None),
+        ("1_e5", None),
+        ("1._5", None),
+        ("in_f", None),
         ("٣", "int:3"),
         ("1e3", "int:1000"),
         ("1e400", "int:" + repr(10 ** 400)),

@@ -352,22 +352,22 @@ class TestIdealCommand:
     def test_axioms_large_lp_exponent(self, capsys):
         # The exact 3000th roots of the weights' power sums (about 34,000
         # bits each) took about 20 s when Newton's iteration started at a
-        # power of two above the root and converged linearly.
+        # power of two above the root and converged linearly.  Those roots
+        # come back a few ulps off; the check compares float sides within
+        # tolerance, so this genuine submeasure passes.
         started = time.perf_counter()
         code, out, _ = run(
             capsys, "ideal", "axioms", "basis-weight:space=lp:p=3000,f=power:s=1,kind=Fin",
             "--samples", "2",
         )
         assert time.perf_counter() - started < 1.0
-        assert code == 5
+        assert code == 0
         assert out == (
             "# ideal=Fin(basis-weight:space=lp:p=3000,f=power:s=1)\n"
             "# seed=0\n"
             "# mode=exact\n"
             "checked,2\n"
-            "flag,FAIL\n"
-            "# prefix values not non-decreasing at [3, 17, 25, 27, 32, 33]\n"
-            "# monotonicity fails at ([9, 14, 19, 33], [7])\n"
+            "flag,PASS\n"
         )
 
 

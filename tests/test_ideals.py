@@ -144,6 +144,26 @@ class TestAxioms:
         report = submeasure_axiom_check(spec, self._pairs(3, 30))
         assert report.passed
 
+    def test_rounded_roots_are_not_violations(self):
+        # phi({7}) is exactly 1/7, but the 3000th root of the union's power
+        # sum comes back through logarithms an ulp below it; the prefix
+        # values of [3, 17, ...] wobble the same way.  Neither is a failure
+        # of a genuine submeasure.
+        spec = SubmeasureSpec.basis_weight(SpaceSpec.lp(3000), RECIPROCAL)
+        assert phi(spec, [7]) == Fraction(1, 7)
+        assert phi(spec, [7, 9, 14, 19, 33]) < Fraction(1, 7)
+        pairs = [([9, 14, 19, 33], [7]), ([3, 17, 25, 27, 32, 33], [])]
+        report = submeasure_axiom_check(spec, pairs)
+        assert report.passed, report.violations
+
+    def test_a_real_violation_is_still_reported(self):
+        # With h(k) = 2k exactly h(k) sets are admitted, so the value is not
+        # subadditive: 8/3 on {3, 4, 5, 6} against 1 + 14/9 for its parts.
+        space = SpaceSpec.tsirelson(Fraction(2, 3), HFunction.affine(2, 0))
+        spec = SubmeasureSpec.basis_weight(space, CoefficientGenerator.constant(1))
+        report = submeasure_axiom_check(spec, [([3], [4, 5, 6])])
+        assert report.violations == ("subadditivity fails at ([3], [4, 5, 6])",)
+
 
 class TestTurbulence:
     def test_reciprocal_weights_turbulent(self):

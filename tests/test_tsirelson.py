@@ -15,7 +15,6 @@ from seqnorms.core import (
     HFunction,
 )
 from seqnorms.tsirelson import (
-    AdmissibleFamily,
     CertificateNode,
     NormCertificate,
     TsirelsonEngine,
@@ -52,20 +51,6 @@ class TestAdmissibility:
 
     def test_empty_family(self):
         assert is_admissible([]).reason == "empty-family"
-
-    def test_declared_k_must_match_size(self):
-        fam = AdmissibleFamily(sets=((2,),), k=2)
-        assert is_admissible(fam).reason == "size-mismatch"
-
-    def test_declared_k_outside_the_h_table_is_a_size_mismatch(self):
-        fam = AdmissibleFamily(sets=((5,), (6,)), k=3)
-        result = is_admissible(fam, HFunction.from_table([(1, 2)]))
-        assert not result and result.reason == "size-mismatch"
-
-    def test_declared_k_below_one_is_a_size_mismatch(self):
-        fam = AdmissibleFamily(sets=((5,), (6,)), k=0)
-        assert is_admissible(fam, HFunction.affine(2, 0)).reason == "size-mismatch"
-        assert is_admissible(fam, HFunction.identity()).reason == "size-mismatch"
 
 
 class TestLevels:
@@ -269,16 +254,6 @@ class TestCertificates:
         )
         with pytest.raises(CertificateError, match="root"):
             certificate_lower_bound(HALF, None, units(1, 2), cert)
-
-    def test_k_outside_the_h_table_is_a_certificate_error(self):
-        cert = NormCertificate(
-            CertificateNode.internal(
-                (5, 6), [CertificateNode.leaf((5,)), CertificateNode.leaf((6,))], k=3
-            )
-        )
-        h = HFunction.from_table([(1, 2)])
-        with pytest.raises(CertificateError, match="size-mismatch"):
-            certificate_lower_bound(HALF, h, units(5, 6), cert)
 
     def test_child_escaping_parent(self):
         cert = NormCertificate(
@@ -488,9 +463,9 @@ class TestPartitionKernel:
         ids=["plain", "affine:2:0", "table"],
     )
     def test_every_float_state_is_the_best_split(self, h):
-        # Every state rows[q][x] that a float fill leaves, whether the fill
-        # computed it in place or _best_partition did, is the best
-        # right-nested split of [x..j] into q groups over the table read.
+        # Every state rows[q][x] that a float fill leaves, whether one step
+        # or a multi-row extension computed it, is the best right-nested
+        # split of [x..j] into q groups over the table read.
         rng = Random(29)
         for _ in range(10):
             v = FiniteVector.from_pairs(
@@ -861,12 +836,10 @@ class TestTopSums:
             engine = TsirelsonEngine(alpha, v)
             work, sup, s = engine._work, engine._sup, len(v.support)
             for j in range(s):
-                rows, lo = [None, [sup[x][j] for x in range(j + 1)]], [None, 0]
                 for a in range(j, -1, -1):
                     ranked = sorted(work[a : j + 1], reverse=True)
                     for r in range(1, j - a + 2):
-                        got = engine._best_partition(sup, rows, lo, a, j, r)
-                        assert got == sum(ranked[:r])
+                        assert right_nested_split(sup, a, j, r) == sum(ranked[:r])
 
     def test_level_one_attains_the_top_sum(self):
         # [4, 1, 3, 1] from position 3: three sets may be used, and the best
