@@ -66,7 +66,7 @@ def block_vectors(
 ) -> List[FiniteVector]:
     """The block vectors u_j, optionally normalized in the given space."""
     if normalize:
-        spec, _ = _normalized_spec(spec, space)
+        spec = _normalized_spec(spec, space)
     return [spec.block_vector(j) for j in range(1, spec.block_count + 1)]
 
 
@@ -86,29 +86,23 @@ def expand_coefficients(c: FiniteVector, spec: BlockBasisSpec) -> FiniteVector:
     return FiniteVector.from_pairs(pairs)
 
 
-def _normalized_spec(spec: BlockBasisSpec, space: SpaceSpec) -> Tuple[BlockBasisSpec, List[Number]]:
-    """Rescale each block to norm one; returns the new spec and the factors."""
-    factors = []
+def _normalized_spec(spec: BlockBasisSpec, space: SpaceSpec) -> BlockBasisSpec:
+    """Rescale each block to norm one."""
     coeffs: List[Number] = []
     for j in range(1, spec.block_count + 1):
-        u = spec.block_vector(j)
-        nrm = eval_norm(space, u)
-        factors.append(nrm)
+        nrm = eval_norm(space, spec.block_vector(j))
         for a in spec._block_slice(j):
             if isinstance(nrm, (Fraction, int)):
                 coeffs.append(Fraction(a) / nrm)
             else:
                 coeffs.append(a / nrm)
-    return BlockBasisSpec(spec.breakpoints, tuple(coeffs)), factors
+    return BlockBasisSpec(spec.breakpoints, tuple(coeffs))
 
 
 @dataclass(frozen=True)
 class CjtCheck:
     ratio: Number
     passed: bool
-    numerator: Number
-    denominator: Number
-    normalization_factors: Tuple[Number, ...]
 
 
 def cjt_ratio_check(
@@ -131,7 +125,7 @@ def cjt_ratio_check(
         if not (spec.breakpoints[j - 1] < k <= spec.breakpoints[j]):
             raise ConfigurationError(f"pick {k} outside block {j}")
     space = SpaceSpec.tsirelson(alpha)
-    normalized, factors = _normalized_spec(spec, space)
+    normalized = _normalized_spec(spec, space)
     numerator = eval_norm(space, expand_coefficients(b, normalized))
     comparison = FiniteVector.from_pairs((picks[j - 1], a) for j, a in zip(b.support, b.values))
     denominator = eval_norm(space, comparison)
@@ -140,14 +134,7 @@ def cjt_ratio_check(
     ratio = numerator / denominator
     if isinstance(ratio, Fraction) and ratio.denominator == 1:
         ratio = int(ratio)
-    passed = CJT_LOWER <= ratio <= CJT_UPPER
-    return CjtCheck(
-        ratio=ratio,
-        passed=passed,
-        numerator=numerator,
-        denominator=denominator,
-        normalization_factors=tuple(factors),
-    )
+    return CjtCheck(ratio=ratio, passed=CJT_LOWER <= ratio <= CJT_UPPER)
 
 
 @dataclass(frozen=True)
@@ -157,7 +144,6 @@ class LshReport:
 
     ratios: Tuple[Number, ...]
     worst: Optional[Number]
-    bound: Optional[Number]
     passed: Optional[bool]
     skipped: int = 0
 
@@ -168,7 +154,7 @@ def lsh_probe(
     samples: Sequence[FiniteVector],
     bound: Optional[Number] = None,
 ) -> LshReport:
-    normalized, _ = _normalized_spec(spec, space)
+    normalized = _normalized_spec(spec, space)
     ratios: List[Number] = []
     skipped = 0
     for b in samples:
@@ -179,9 +165,7 @@ def lsh_probe(
         ratios.append(eval_norm(space, b) / blocked)
     worst = max(ratios, default=None)
     passed = None if bound is None or worst is None else worst <= bound
-    return LshReport(
-        ratios=tuple(ratios), worst=worst, bound=bound, passed=passed, skipped=skipped
-    )
+    return LshReport(ratios=tuple(ratios), worst=worst, passed=passed, skipped=skipped)
 
 
 def random_block_spec(rng: Random) -> BlockBasisSpec:

@@ -3,9 +3,10 @@
 The Luxemburg norm is the unique rho > 0 with sum_n M(|v(n)|/rho) = 1,
 found by bracketing and bisection on the monotone map rho -> sum M(|v(n)|/rho).
 
-Exact power sums run on scaled integers.  For exact entries and an exact
-integer p, the entries become ints x_i = n_i * (L // d_i) over L, the lcm of
-their denominators (and the Lorentz weights likewise over the lcm of theirs:
+Exact power sums run on scaled integers from ``core.scaled_ints``.  For
+exact entries and an exact integer p, the entries become ints
+x_i = n_i * (L // d_i) over L, the lcm of their denominators (and the Lorentz
+weights likewise over the lcm of theirs, from ``WeightSpec.scaled``:
 lcm(1..m) for harmonic weights).  The l_p sum is then sum |x_i|^p over L^p,
 and the Lorentz sum sorts the ints and adds x_i^p * w_i over L^p times the
 weight denominator, with one Fraction built at the end.  A sum of rationals
@@ -37,6 +38,7 @@ from .core import (
     WeightSpec,
     is_exact,
     parse_scalar,
+    scaled_ints,
     to_float,
 )
 
@@ -230,35 +232,6 @@ def _root(value: Number, p: Number) -> Number:
     return float(value) ** (1.0 / float(p))
 
 
-def _scaled(values: Sequence[Number]) -> Optional[Tuple[List[int], int, bool]]:
-    """Exact values as ints over one common denominator.
-
-    Returns (ints, L, fraction): ``ints[i] / L == values[i]`` with L the lcm of
-    the denominators, and whether any value is a Fraction (the type that
-    Fraction arithmetic on the values would give).  None if a value is not
-    an int or a Fraction.
-    """
-    fraction = False
-    for a in values:
-        if type(a) is Fraction:
-            fraction = True
-        elif type(a) is not int:
-            return None
-    if not fraction:
-        return list(values), 1, False
-    L = math.lcm(*(a.denominator for a in values))
-    return [a.numerator * (L // a.denominator) for a in values], L, True
-
-
-def _scaled_weights(w: WeightSpec, m: int) -> Optional[Tuple[List[int], int, bool]]:
-    """The first m weights as ints over one common denominator (see _scaled)."""
-    if w.kind == "harmonic":
-        # w_i = 1/(i+1): the common denominator is lcm(1..m)
-        L = math.lcm(*range(1, m + 1))
-        return [L // k for k in range(1, m + 1)], L, m > 0
-    return _scaled([w.weight(i) for i in range(m)])
-
-
 def _power_sums(p: Number, terms: Sequence[Tuple[Number, Number]]) -> List[Optional[Number]]:
     """Running sums of a^p * w over the (a, w) terms, all a and w >= 0.
 
@@ -312,7 +285,7 @@ def lp_norm(p: Number, v: FiniteVector) -> Number:
         raise ConfigurationError("lp requires p >= 1")
     check_exact_power(p, v.values)
     n = _integer_exponent(p)
-    scaled = _scaled(v.values) if n is not None else None
+    scaled = scaled_ints(v.values) if n is not None else None
     if scaled is not None:
         ints, L, fraction = scaled
         num = sum(abs(x) ** n for x in ints)
@@ -333,8 +306,8 @@ def lorentz_norm(w: WeightSpec, p: Number, v: FiniteVector) -> Number:
         raise ConfigurationError("lorentz requires p >= 1")
     check_exact_power(p, v.values)
     n = _integer_exponent(p)
-    scaled = _scaled(v.values) if n is not None else None
-    weights = _scaled_weights(w, len(v.values)) if scaled is not None else None
+    scaled = scaled_ints(v.values) if n is not None else None
+    weights = w.scaled(len(v.values)) if scaled is not None else None
     if weights is None:
         rearranged = sorted(map(abs, v.values), reverse=True)
         return _power_root(p, [(a, w.weight(i)) for i, a in enumerate(rearranged)])

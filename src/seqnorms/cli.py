@@ -70,10 +70,9 @@ class _Report:
     def note(self, text: str):
         self.lines.append(f"# {text}" if self.fmt == "csv" else text)
 
-    def emit(self, out=None):
-        out = out or sys.stdout
+    def emit(self):
         for line in self.lines:
-            print(line, file=out)
+            print(line)
 
 
 def _read_vector(path: str, exact: bool) -> FiniteVector:

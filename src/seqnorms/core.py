@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from contextlib import suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, compress, count, repeat
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
@@ -133,6 +133,26 @@ def format_scalar(x: Number) -> str:
     if isinstance(x, Fraction):
         return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
     return repr(x) if isinstance(x, float) else str(x)
+
+
+def scaled_ints(values: Sequence[Number]) -> Optional[Tuple[List[int], int, bool]]:
+    """Exact values as ints over one common denominator.
+
+    Returns (ints, L, fraction): ``ints[i] / L == values[i]`` with L the lcm of
+    the denominators, and whether any value is a Fraction (the type that
+    Fraction arithmetic on the values would give).  None if a value is not
+    an int or a Fraction.
+    """
+    fraction = False
+    for a in values:
+        if type(a) is Fraction:
+            fraction = True
+        elif type(a) is not int:
+            return None
+    if not fraction:
+        return list(values), 1, False
+    L = math.lcm(*(a.denominator for a in values))
+    return [a.numerator * (L // a.denominator) for a in values], L, True
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +312,17 @@ class HFunction:
                 return key
         return None
 
+    def sizes(self, s: int) -> List[Tuple[int, int]]:
+        """The family sizes (k, h(k)) over a support of s points, by increasing k.
+
+        Identity and affine h have h(k) >= k, and h(k) sets need h(k) support
+        points, so k <= s suffices.  A table can have h(k) < k, so every entry
+        is kept.
+        """
+        if self.kind == "table":
+            return list(self.table)
+        return [(k, self(k)) for k in range(1, s + 1)]
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -369,6 +400,15 @@ class WeightSpec:
             # Non-increasing tail extension keeps finite evaluations total.
             return self.table[-1]
         return self.table[n]
+
+    def scaled(self, m: int) -> Optional[Tuple[List[int], int, bool]]:
+        """The first m weights as ints over one common denominator, as
+        :func:`scaled_ints` gives them."""
+        if self.kind == "harmonic":
+            # w_i = 1/(i+1): the common denominator is lcm(1..m)
+            L = math.lcm(*range(1, m + 1))
+            return [L // k for k in range(1, m + 1)], L, m > 0
+        return scaled_ints([self.weight(i) for i in range(m)])
 
 
 # ---------------------------------------------------------------------------
@@ -473,12 +513,10 @@ class LpSpace(SpaceSpec):
 
 
 @dataclass(frozen=True)
-class C0Space(SpaceSpec):
-    def norm(self, v: FiniteVector, tol: float = 1e-10) -> Number:
-        return v.sup()
+class C0Space(LpSpace):
+    """c_0: on finitely supported vectors its norm is the sup norm of lp:p=inf."""
 
-    def prefix_norms(self, coeffs: Sequence[Number]) -> List[Number]:
-        return _running(map(abs, coeffs), max)
+    p: Number = field(default=INF, init=False)
 
     def describe(self) -> str:
         return "c0"

@@ -21,6 +21,7 @@ from .core import (
     SpaceSpec,
     _parse_h,
     _parse_kv,
+    _running,
     close,
     eval_norm,
     parse_scalar,
@@ -220,7 +221,8 @@ def phi(
     if not positions:
         return 0
     if spec.source == "summable":
-        return sum(spec.weights.value(n) for n in positions)
+        # left to right from int 0, as sum() does not on Python >= 3.12
+        return _running(map(spec.weights.value, positions))[-1]
     spec.space.check_budget(len(positions), budget)
     pm = spec.position_map
     v = FiniteVector.from_pairs(

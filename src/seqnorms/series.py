@@ -135,8 +135,6 @@ class TailProfile:
     """Tail norms ||sum_{m <= n < N} a_n x_n|| over a grid of (m, N) pairs."""
 
     entries: Tuple[Tuple[int, int, Number], ...]  # (m, N, value)
-    space: SpaceSpec
-    generator: CoefficientGenerator
 
     def value(self, m: int, N: int) -> Number:
         for mm, nn, val in self.entries:
@@ -158,7 +156,7 @@ def tail_profile(
         space.check_budget(N, budget)
         v = gen.vector(m, N - 1)
         entries.append((m, N, eval_norm(space, v)))
-    return TailProfile(entries=tuple(entries), space=space, generator=gen)
+    return TailProfile(entries=tuple(entries))
 
 
 def convergence_verdict(
@@ -202,8 +200,6 @@ class DominationReport:
     dom_verdict: str
     sub_verdict: str
     witnesses_non_domination: bool
-    dom_profile: TailProfile
-    sub_profile: TailProfile
 
 
 def default_tail_grid(N: int) -> List[Tuple[int, int]]:
@@ -240,16 +236,14 @@ def domination_probe(
     first space's basis does not dominate the second's.
     """
     grid = default_tail_grid(N)
-    dom_profile = tail_profile(dom_space, gen, grid, budget=budget)
 
     def verdict(profile: TailProfile, bound: Optional[Number]) -> str:
         return convergence_verdict(profile, shrink_threshold, bound, growth_threshold)
 
-    dom_verdict = verdict(dom_profile, None)
+    dom_verdict = verdict(tail_profile(dom_space, gen, grid, budget=budget), None)
     # a certified lower bound can settle the sub side without profiling it,
     # which matters when that space is expensive to evaluate
-    sub_profile = TailProfile(entries=(), space=sub_space, generator=gen)
-    sub_verdict = verdict(sub_profile, sub_certified_bound)
+    sub_verdict = verdict(TailProfile(entries=()), sub_certified_bound)
     if sub_verdict != DIVERGING:
         sub_profile = tail_profile(sub_space, gen, grid, budget=budget)
         sub_verdict = verdict(sub_profile, sub_certified_bound)
@@ -257,8 +251,6 @@ def domination_probe(
         dom_verdict=dom_verdict,
         sub_verdict=sub_verdict,
         witnesses_non_domination=(dom_verdict == CONVERGING and sub_verdict == DIVERGING),
-        dom_profile=dom_profile,
-        sub_profile=sub_profile,
     )
 
 

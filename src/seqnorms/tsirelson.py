@@ -93,7 +93,6 @@ search.
 """
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
@@ -110,6 +109,7 @@ from .core import (
     HFunction,
     Number,
     is_exact,
+    scaled_ints,
 )
 
 DEFAULT_ORACLE_CAP = 8
@@ -195,13 +195,13 @@ class TsirelsonEngine:
         self.pos: Tuple[int, ...] = v.support
         self.val: Tuple[Number, ...] = tuple(map(abs, v.values))
         s = len(self.pos)
-        if is_exact(alpha) and all(is_exact(a) for a in self.val):
+        scaled = scaled_ints(self.val) if is_exact(alpha) else None
+        if scaled is not None:
             self._p, self._q = alpha.numerator, alpha.denominator
-            lcm = math.lcm(*(a.denominator for a in self.val))
-            self._scale: Optional[int] = lcm * self._q ** max(s - 1, 0)
-            self._work: List[Number] = [
-                a.numerator * (self._scale // a.denominator) for a in self.val
-            ]
+            ints, lcm, _ = scaled
+            unit = self._q ** max(s - 1, 0)
+            self._scale: Optional[int] = lcm * unit
+            self._work: List[Number] = [x * unit for x in ints]
         else:
             self._p, self._q = alpha, 1
             self._scale = None
@@ -209,17 +209,9 @@ class TsirelsonEngine:
         self._abs_prefix = [0] * (s + 1)
         for i, a in enumerate(self._work):
             self._abs_prefix[i + 1] = self._abs_prefix[i] + a
-        # The family sizes (k, r = h(k)), by increasing k.  Identity and
-        # affine h have h(k) >= k, and r sets need r support points, so
-        # k <= s suffices.  A table h can have h(k) < k, so every entry is
-        # kept.  Like the oracle, a table h admits no family for a k it has
-        # no entry for.
-        if h is None:
-            sizes = [(k, k) for k in range(1, s + 1)]
-        elif h.kind == "table":
-            sizes = list(h.table)
-        else:
-            sizes = [(k, h(k)) for k in range(1, s + 1)]
+        # The family sizes (k, r = h(k)), by increasing k.  Like the oracle,
+        # a table h admits no family for a k it has no entry for.
+        sizes = [(k, k) for k in range(1, s + 1)] if h is None else h.sizes(s)
         ks = [k for k, _ in sizes]
         self._r = [r for _, r in sizes]
         # Float mode: the first start index each size admits.
@@ -446,10 +438,7 @@ class TsirelsonEngine:
         return self._fixed if _work_units else self._to_numbers(self._fixed)
 
     def fixed_point_norm(self) -> Number:
-        s = len(self.pos)
-        if s == 0:
-            return 0
-        return self._number(self.fixed_point_table(_work_units=True)[0][s - 1], 0, s - 1)
+        return self.interval_norm(1, self.pos[-1]) if self.pos else 0
 
     def interval_norm(self, lo_pos: int, hi_pos: int) -> Number:
         """Norm of the restriction to positions in [lo_pos, hi_pos]."""
@@ -713,12 +702,10 @@ def oracle_norm(
     families = _families(positions, h, family_shape)
     coeffs = [abs(a) for a in v.values]
 
-    exact = all(is_exact(c) for c in coeffs) and is_exact(alpha)
-    if exact:
-        alpha_frac = Fraction(alpha)
-        a_num, a_den = alpha_frac.numerator, alpha_frac.denominator
-        lcm = math.lcm(*(Fraction(c).denominator for c in coeffs))
-        scaled = [int(Fraction(c) * lcm) for c in coeffs]
+    exact = scaled_ints(coeffs) if is_exact(alpha) else None
+    if exact is not None:
+        a_num, a_den = alpha.numerator, alpha.denominator
+        scaled, lcm, _ = exact
     else:
         a_num, a_den = alpha, 1
         lcm = 1
@@ -759,6 +746,6 @@ def oracle_norm(
         if rounds > s + 1:
             raise AssertionError("oracle level iteration failed to stabilize")
     raw = level[full_mask]
-    if exact:
+    if exact is not None:
         return Fraction(raw, lcm * a_den ** rounds)
     return raw / (lcm * 1.0 * a_den ** rounds)

@@ -274,6 +274,16 @@ class TestScalars:
         assert format_scalar(5) == "5"
 
 
+@pytest.mark.parametrize("values, scaled", [
+    ([], ([], 1, False)),
+    ([3, -2], ([3, -2], 1, False)),
+    ([1, Fraction(-1, 2), Fraction(2, 3)], ([6, -3, 4], 6, True)),
+    ([1, Fraction(1, 2), 0.5], None),
+])
+def test_scaled_ints(values, scaled):
+    assert core.scaled_ints(values) == scaled
+
+
 class TestHFunction:
     def test_identity(self):
         h = HFunction.identity()
@@ -294,6 +304,15 @@ class TestHFunction:
         with pytest.raises(ConfigurationError):
             HFunction.from_table([(1, 3), (2, 3)])
 
+    @pytest.mark.parametrize("h, sizes", [
+        (HFunction.identity(), [(1, 1), (2, 2), (3, 3)]),
+        (HFunction.affine(2, 1), [(1, 3), (2, 5), (3, 7)]),
+        # every entry, with h(2) < 2 and keys beyond the support size
+        (HFunction.from_table([(2, 1), (5, 6), (9, 10)]), [(2, 1), (5, 6), (9, 10)]),
+    ], ids=["identity", "affine", "table"])
+    def test_sizes_over_three_points(self, h, sizes):
+        assert h.sizes(3) == sizes
+
     def test_table_keys_below_one_rejected(self):
         # a k = 0 entry would let the oracle admit families the DP never sees
         with pytest.raises(ConfigurationError):
@@ -306,6 +325,14 @@ class TestWeightSpec:
     def test_harmonic(self):
         w = WeightSpec.harmonic()
         assert w.weight(0) == 1 and w.weight(1) == Fraction(1, 2)
+
+    @pytest.mark.parametrize("w, m", [
+        (WeightSpec.harmonic(), 0), (WeightSpec.harmonic(), 1), (WeightSpec.harmonic(), 12),
+        (WeightSpec.from_table([1, Fraction(2, 3), Fraction(1, 2)]), 5),
+        (WeightSpec.from_table([1, 0.5]), 3),
+    ], ids=["harmonic-0", "harmonic-1", "harmonic-12", "table", "float-table"])
+    def test_scaled_is_scaled_ints_of_the_weights(self, w, m):
+        assert w.scaled(m) == core.scaled_ints([w.weight(i) for i in range(m)])
 
     def test_table_validation(self):
         with pytest.raises(ConfigurationError):
@@ -385,7 +412,8 @@ class TestTextFormats:
     def test_space_descriptors(self):
         assert parse_space("lp:p=2").p == 2
         assert parse_space("lp:p=inf").p == float("inf")
-        assert parse_space("c0") == SpaceSpec.c0()
+        assert parse_space("c0") == SpaceSpec.c0() == core.C0Space()
+        assert SpaceSpec.c0().describe() == "c0" and SpaceSpec.c0() != SpaceSpec.lp(float("inf"))
         sp = parse_space("tsirelson:alpha=1/2")
         assert sp.alpha == Fraction(1, 2)
         sph = parse_space("tsirelson:alpha=1/3,h=affine:2:0")
@@ -549,6 +577,8 @@ V11 = FiniteVector.from_dense([1, 1])
                  id="quantization-bound-missing"),
     pytest.param(lambda tmp: quantize_to_grid(V11, GridSpec.dyadic(), [1, 0]), ConfigurationError, None, None,
                  id="quantization-bound-not-positive"),
+    pytest.param(lambda tmp: core.C0Space(p=2), TypeError,
+                 ["norm", "c0:p=2", "{tmp}/v.txt"], {"v.txt": "1"}, id="c0-takes-no-p"),
     pytest.param(lambda tmp: parse_vector("x:1"), ParseError,
                  ["norm", "lp:p=2", "{tmp}/v.txt"], {"v.txt": "x:1"}, id="sparse-position-not-an-int"),
     pytest.param(lambda tmp: parse_vector("0:1"), ParseError,

@@ -3,7 +3,8 @@ from random import Random
 
 import pytest
 
-from seqnorms.core import BudgetError, ConfigurationError, HFunction, ParseError, SpaceSpec
+from seqnorms import cli, ideals
+from seqnorms.core import INF, BudgetError, ConfigurationError, HFunction, ParseError, SpaceSpec
 from seqnorms.series import CoefficientGenerator
 from seqnorms.ideals import (
     IdealSpec,
@@ -57,6 +58,20 @@ class TestPhi:
     def test_summable_direct_sum(self):
         spec = SubmeasureSpec.summable(RECIPROCAL)
         assert phi(spec, [1, 2, 4]) == Fraction(7, 4)
+
+    @pytest.mark.parametrize("weights", [
+        CoefficientGenerator.power(Fraction(3, 2)), RECIPROCAL, CoefficientGenerator.constant(1),
+    ], ids=["float", "fraction", "int"])
+    def test_summable_adds_left_to_right_from_int_zero(self, weights):
+        # sum() compensates float sums on Python >= 3.12; phi gives every
+        # Python the bits of the plain loop, and exact weights keep their type
+        spec = SubmeasureSpec.summable(weights)
+        for N in range(2, 400, 7):
+            total = 0
+            for n in range(1, N):
+                total = total + weights.value(n)
+            value = phi(spec, range(1, N))
+            assert (type(value), repr(value)) == (type(total), repr(total))
 
     def test_empty_set(self):
         for spec in (
@@ -163,6 +178,64 @@ class TestAxioms:
         spec = SubmeasureSpec.basis_weight(space, CoefficientGenerator.constant(1))
         report = submeasure_axiom_check(spec, [([3], [4, 5, 6])])
         assert report.violations == ("subadditivity fails at ([3], [4, 5, 6])",)
+
+
+class SizeSpace(SpaceSpec):
+    """A fake "norm" that reads only the support size, to break the axioms."""
+
+    def __init__(self, of_size):
+        self.of_size = of_size
+
+    def norm(self, v, tol=1e-10):
+        return self.of_size(len(v.support))
+
+    def describe(self):
+        return "size"
+
+
+def reciprocal_size(k):
+    return Fraction(1, k)
+
+
+def infinite_singletons(k):
+    return INF if k == 1 else 1
+
+
+# phi(empty) != 0 is not reachable: phi returns 0 before it calls the space.
+@pytest.mark.parametrize("of_size, pairs, violations", [
+    pytest.param(reciprocal_size, [([1], [2])], ("monotonicity fails at ([1], [2])",),
+                 id="monotonicity"),
+    pytest.param(infinite_singletons, [([3], [])], ("phi({3}) not finite",),
+                 id="infinite-singleton"),
+    pytest.param(reciprocal_size, [([1, 2], [])], (
+        "prefix values not non-decreasing at [1, 2]", "prefix sup differs from phi at [1, 2]",
+    ), id="falling-prefixes"),
+])
+def test_violation_branches(of_size, pairs, violations):
+    spec = SubmeasureSpec.basis_weight(SizeSpace(of_size), CoefficientGenerator.constant(1))
+    report = submeasure_axiom_check(spec, pairs)
+    assert report.passed is False
+    assert report.violations == violations
+
+
+def test_cli_notes_each_violation(capsys, monkeypatch):
+    # the one pair seed 0 draws is ([3, 17, 25, 27, 32, 33], [20, 23, 31])
+    spec = SubmeasureSpec.basis_weight(
+        SizeSpace(infinite_singletons), CoefficientGenerator.constant(1)
+    )
+    monkeypatch.setattr(ideals, "parse_ideal", lambda text: IdealSpec(spec, "Fin"))
+    assert cli.main(["ideal", "axioms", "size", "--samples", "1"]) == cli.EXIT_VIOLATION
+    assert capsys.readouterr().out == (
+        "# ideal=Fin(basis-weight:space=size,f=constant:c=1)\n"
+        "# seed=0\n"
+        "# mode=exact\n"
+        "checked,1\n"
+        "flag,FAIL\n"
+        "# phi({3}) not finite\n"
+        "# phi({20}) not finite\n"
+        "# prefix values not non-decreasing at [3, 17, 25, 27, 32, 33]\n"
+        "# prefix sup differs from phi at [3, 17, 25, 27, 32, 33]\n"
+    )
 
 
 class TestTurbulence:
