@@ -32,7 +32,6 @@ from .tsirelson import (
 )
 from .classical import (
     OrliczFunction,
-    delta_prime_probe,
     lorentz_norm,
     lp_norm,
     luxemburg_norm,

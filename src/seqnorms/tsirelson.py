@@ -90,6 +90,25 @@ lower row the previous start has already extended; the others extend each
 row they need down to their start.  A state's value does not depend on
 when it is computed, so the sums, and their bits, are those of the full
 search.
+
+On the level route a float fill carries work from one level to the next.  A
+state rows[q][x] for the right end j reads only strict subintervals of
+[x..j].  Let X_j be the largest start x with a strict subinterval of [x..j]
+whose entry differs between the table read and the one the previous level
+read: the larger of the largest a over changed entries [a..b] with b < j,
+and the largest a with [a..j] changed, minus one.  A state with x > X_j reads
+the same floats as at the previous level, so it is taken from the arrays
+that level left for the same j, with lo[q] raised to X_j + 1 (and capped at
+j - q + 2, an empty row).  A query [i..j] with i > X_j writes its floor
+table[i][j] and runs no search, and that is its value bit for bit.  Its
+candidates are those it had at the previous level, whose search returned
+table[i][j] from a floor no larger.  Only the l1 break reads the running
+max, and it breaks sooner on a larger one, so the search would now run over
+a prefix of the same candidates, all at most table[i][j], and keep its
+floor.  Level 1 and the fixed-point route carry nothing, and once a level
+changes no entry the next would repeat it, so the route stops there.  The
+arrays carried are the previous level's only, and only their rows that hold
+a state; the next level reuses those rows in place.
 """
 from __future__ import annotations
 
@@ -353,17 +372,16 @@ class TsirelsonEngine:
                 for y in range(i, s):
                     cols[y][i] = row[y]
 
-    def _fill_float(self, table, out) -> None:
+    def _fill_float(self, table, out, carried=None):
         # By right end, then by decreasing start, trying every size at its own
         # start in increasing k.  The search for [i..j] stops once the l1 mass
         # p * sum |a_n| of the next start cannot beat it.
         #
         # The best split of [a..j] into r groups is rows[r][a].  For the fixed
         # j, rows[q][x] is the best split of [x..j] into q groups, filled for
-        # lo[q] <= x <= j - q + 1 (every row starts empty), and rows[1] is
-        # column j of the table; on the fixed-point route that is the live
-        # column written here, never a copy.  A state takes its first group
-        # [x..t] from row x of the table:
+        # lo[q] <= x <= j - q + 1, and rows[1] is column j of the table; on
+        # the fixed-point route that is the live column written here, never a
+        # copy.  A state takes its first group [x..t] from row x of the table:
         #
         #     rows[q][x] = max over t of table[x][t] + rows[q - 1][t + 1].
         #
@@ -375,20 +393,43 @@ class TsirelsonEngine:
         # of start i + 1 have already extended, and takes one step.  Only
         # table[x][t] with t < j and column entries x > a are read: strict
         # subintervals of [a..j].
+        #
+        # On the level route the fill returns, per right end j, the largest
+        # start of an entry [a..j] it changed (-1 if none) and the rows that
+        # hold a state, rows[2..Q] with their lo.  The next level passes them
+        # back as ``carried``: above thresh, the X_j of the module docstring,
+        # its states are kept and its queries return their floor.  Without
+        # ``carried`` (level 1), thresh = j and every row starts empty.
         s = len(self.pos)
         p, prefix = self._p, self._abs_prefix
         sizes = list(zip(self._start, self._r))
         top_r = max(self._r, default=1)
         live = table is out
         floors = self._sup if live else table
+        moved, kept = [], []
+        seen = -1  # the largest start of a changed entry [a..b] with b < j
         for j in range(s):
             total = prefix[j + 1]
-            col = [0] * (j + 1)  # column j of out
             depth = min(top_r, j + 1)  # at most j + 1 groups fit in [a..j]
-            rows = [None, col if live else [table[x][j] for x in range(j + 1)]]
-            rows += [[0] * (j + 1) for _ in range(depth - 1)]
-            lo = [None, 0, *range(j, j - depth + 1, -1)]  # lo[q] = j - q + 2: empty
-            for i in range(j, -1, -1):
+            if live:
+                col = [0] * (j + 1)  # column j of out
+                rows = [None, col]
+            else:
+                rows = [None, [table[x][j] for x in range(j + 1)]]
+                col = rows[1][:]  # starts at the floors
+            lo = [None, 0]
+            if carried is None:
+                thresh = j
+            else:
+                thresh = max(seen, carried[0][j] - 1)
+                seen = max(seen, carried[0][j])
+                old_rows, old_lo = carried[1][j]
+                rows += old_rows
+                lo += [min(max(x, thresh + 1), j - q + 2) for q, x in enumerate(old_lo, 2)]
+            for q in range(len(rows), depth + 1):
+                rows.append([0] * (j - q + 2))
+                lo.append(j - q + 2)  # empty
+            for i in range(thresh, -1, -1):
                 best = floors[i][j]
                 for start, r in sizes:
                     a = start if start > i else i
@@ -417,6 +458,14 @@ class TsirelsonEngine:
                 col[i] = best
             for x, value in enumerate(col):
                 out[x][j] = value
+            if not live:
+                # The rows with a state are a prefix, by the bound on lo.
+                moved.append(next((i for i in range(thresh, -1, -1) if col[i] != rows[1][i]), -1))
+                top = depth
+                while top >= 2 and lo[top] > j - top + 1:
+                    top -= 1
+                kept.append((rows[2 : top + 1], lo[2 : top + 1]))
+        return moved, kept
 
     # -- fixed-point route (no level trace)
 
@@ -454,12 +503,19 @@ class TsirelsonEngine:
     def _work_level_tables(self, m: int) -> List[List[List[Number]]]:
         s = len(self.pos)
         tables = [self._sup]
+        carried = None
         for _ in range(m):
             # every value read comes from the previous, complete level
             nxt = [[0] * s for _ in range(s)]
-            self._fill(tables[-1], nxt)
+            if self._scale is None:
+                # the fill reports, per right end, the last start it changed
+                carried = self._fill_float(tables[-1], nxt, carried)
+                settled = max(carried[0], default=-1) < 0
+            else:
+                self._fill_exact(tables[-1], nxt)
+                settled = nxt == tables[-1]
             tables.append(nxt)
-            if tables[-1] == tables[-2]:
+            if settled:
                 break  # table-wide fixed point; later levels repeat
         return tables
 

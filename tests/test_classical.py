@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 from random import Random
 
@@ -20,7 +21,6 @@ from seqnorms.classical import (
     OrliczFunction,
     _integer_root,
     _root,
-    delta_prime_probe,
     load_orlicz_table,
     lorentz_norm,
     lp_norm,
@@ -64,6 +64,21 @@ class TestLp:
             LpSpace(p).prefix_norms(list(v.coeffs))
         with pytest.raises(BudgetError):
             lorentz_norm(WeightSpec.harmonic(), p, v)
+
+    def test_many_coefficients_over_a_large_common_scale_refused(self):
+        # Each 1/prime is at most 13 bits, so p * bits stayed far below the
+        # limit, but the exact sum scales all 800 of them to the lcm of the
+        # primes (about 8,700 bits): the sum took 36-43 s.
+        primes = [n for n in range(2, 6200) if all(n % d for d in range(2, math.isqrt(n) + 1))]
+        v = FiniteVector.from_dense([Fraction(1, q) for q in primes[:800]])
+        started = time.perf_counter()
+        with pytest.raises(BudgetError, match="--float"):
+            lp_norm(100, v)
+        with pytest.raises(BudgetError):
+            LpSpace(100).prefix_norms(list(v.coeffs))
+        with pytest.raises(BudgetError):
+            lorentz_norm(WeightSpec.harmonic(), 100, v)
+        assert time.perf_counter() - started < 1.0
 
     def test_large_exponent_within_the_limit(self):
         assert lp_norm(1000, FiniteVector.from_dense([1, 1, 0, 1])) == 3.0 ** (1 / 1000)
@@ -286,27 +301,6 @@ class TestLorentz:
             )
             squared_l2 = sum(a * a for a in v.coeffs)
             assert squared_lorentz <= squared_l2
-
-
-class TestDeltaPrime:
-    def test_power_is_symbolic(self):
-        report = delta_prime_probe(OrliczFunction.power(3), 1, 8)
-        assert report.symbolic and report.empirical_c == 1
-        assert report.verdict == "plausible"
-
-    def test_table_quadratic_on_unit_interval(self):
-        # knots tracing t^2 on (0,1]; the piecewise-linear interpolant
-        # between them stays multiplicatively bounded on the grid
-        knots = [(Fraction(1, 2 ** i), Fraction(1, 4 ** i)) for i in range(8, -1, -1)]
-        report = delta_prime_probe(OrliczFunction.from_knots(knots), 1, 6)
-        assert report.verdict == "plausible"
-        assert report.empirical_c is not None and report.empirical_c > 0.1
-
-    def test_resolution_validated(self):
-        with pytest.raises(ConfigurationError):
-            delta_prime_probe(OrliczFunction.power(2), 1, 1)
-        with pytest.raises(ConfigurationError):
-            delta_prime_probe(OrliczFunction.power(2), 0, 4)
 
 
 # ---------------------------------------------------------------------------

@@ -404,27 +404,40 @@ class TestIntegerKernel:
         assert value == expected and type(value) is Fraction
 
 
-def float_fill_states(engine, table, out):
+def float_fill_states(engine, table, out, carried=None):
     """Run the float fill of ``out`` from ``table``; return the per-right-end
-    arrays it leaves, {j: (rows, lo)}, read from the fill's frame by a line
-    tracer (they are locals of the fill)."""
+    arrays it leaves, {j: (rows, lo, thresh)}, read from the fill's frame by
+    a line tracer (they are locals of the fill), and what the fill returned.
+    The rows are copied: the next level's fill reuses them."""
     code = TsirelsonEngine._fill_float.__code__
     states = {}
 
     def local(frame, event, arg):
         names = frame.f_locals
-        if "lo" in names:
+        if "thresh" in names:
             # the last line event of each right end sees its own arrays
-            states[names["j"]] = (names["rows"], names["lo"])
+            rows = [row if row is None else row[:] for row in names["rows"]]
+            states[names["j"]] = (rows, names["lo"][:], names["thresh"])
         return local
 
     previous = sys.gettrace()
     sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
     try:
-        engine._fill_float(table, out)
+        result = engine._fill_float(table, out, carried)
     finally:
         sys.settrace(previous)
-    return states
+    return states, result
+
+
+def changed_threshold(table, before, j):
+    """The largest start x such that a strict subinterval of [x..j] has an
+    entry that differs between ``table`` and ``before``; -1 if none."""
+    thresh = -1
+    for a in range(j + 1):
+        for b in range(a, j + 1):
+            if table[a][b] != before[a][b]:
+                thresh = max(thresh, a if b < j else a - 1)
+    return thresh
 
 
 class TestPartitionKernel:
@@ -483,16 +496,54 @@ class TestPartitionKernel:
             live = [[0] * s for _ in range(s)]
             fills.append((live, live))  # the fixed-point route
             for table, out in fills:
-                states = float_fill_states(engine, table, out)
-                assert sorted(states) == list(range(s))
+                states, _ = float_fill_states(engine, table, out)
                 if table is live:
                     assert live == fixed
-                for j, (rows, lo) in states.items():
-                    assert rows[1] == [table[x][j] for x in range(j + 1)]
-                    for q in range(2, len(rows)):
-                        assert all(lo[p] <= lo[q] + q - p for p in range(2, q))
-                        for x in range(lo[q], j - q + 2):
-                            assert rows[q][x] == right_nested_split(table, x, j, q)
+                check_float_states(states, table)
+
+    @pytest.mark.parametrize(
+        "h", [None, HFunction.affine(2, 0), HFunction.from_table([(1, 3), (2, 4)])],
+        ids=["plain", "affine:2:0", "table"],
+    )
+    def test_carried_float_states_are_the_best_split(self, h):
+        # The level route from level 2 on: every state is still the best
+        # split over the table read, the states above the threshold are the
+        # previous level's own floats (carried, not recomputed), and the
+        # queries above it keep their floor.
+        rng = Random(31)
+        carried_states = 0
+        for _ in range(12):
+            v = FiniteVector.from_pairs(
+                (rng.randint(1, 16), rng.randint(1, 6) / rng.randint(1, 4))
+                for _ in range(rng.randint(2, 13))
+            )
+            s = len(v.support)
+            engine = TsirelsonEngine(rng.choice((0.5, 2 / 3)), v, h)
+            tables = [engine._sup]
+            before, carried = None, None
+            while True:
+                table, out = tables[-1], [[0] * s for _ in range(s)]
+                states, carried_next = float_fill_states(engine, table, out, carried)
+                scratch = [[0] * s for _ in range(s)]
+                engine._fill_float(table, scratch)
+                assert typed(out) == typed(scratch)
+                check_float_states(states, table)
+                if carried is not None:
+                    for j, (rows, lo, thresh) in states.items():
+                        assert thresh == changed_threshold(table, before, j)
+                        assert all(out[i][j] is table[i][j] for i in range(thresh + 1, j + 1))
+                        old_rows, old_lo, _ = previous[j]
+                        for q in range(2, min(len(rows), len(old_rows))):
+                            keep = max(old_lo[q], thresh + 1)
+                            assert lo[q] <= min(keep, j - q + 2)
+                            for x in range(keep, j - q + 2):
+                                assert rows[q][x] is old_rows[q][x]
+                                carried_states += 1
+                tables.append(out)
+                if out == table:
+                    break
+                before, carried, previous = table, carried_next, states
+        assert carried_states > 0
 
     def test_affine_h_values_recorded(self):
         # recorded from the recursive-memo engine
@@ -509,6 +560,73 @@ class TestPartitionKernel:
         v = FiniteVector.from_pairs((n, 1.0 / (n + 1)) for n in range(1, 49))
         assert fixed_point_norm(0.5, v) == 0.6263489536299753
         assert fixed_point_norm(0.5, v, h=HFunction.affine(2, 0)) == 0.8513489536299753
+
+
+def check_float_states(states, table):
+    """Every state rows[q][x] a float fill leaves, whether one step or a
+    multi-row extension computed it, is the best right-nested split of
+    [x..j] into q groups over the table read."""
+    s = len(table)
+    assert sorted(states) == list(range(s))
+    for j, (rows, lo, _) in states.items():
+        assert rows[1] == [table[x][j] for x in range(j + 1)]
+        for q in range(2, len(rows)):
+            assert all(lo[p] <= lo[q] + q - p for p in range(2, q))
+            for x in range(lo[q], j - q + 2):
+                assert rows[q][x] == right_nested_split(table, x, j, q)
+
+
+class TestCarriedLevels:
+    """The float level route, which carries states and skips queries from
+    one level to the next, against a fill of every level from scratch."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(1, 40), st.integers(-9, 9), st.sampled_from((1, 2, 3, 7))),
+            min_size=1,
+            max_size=24,
+        ),
+        st.sampled_from((0.5, 1 / 3, 2 / 3, 0.9, 0.1)),
+        st.sampled_from((None, HFunction.affine(2, 0), HFunction.from_table([(1, 3), (2, 4)]))),
+    )
+    def test_level_tables_match_fills_from_scratch(self, terms, alpha, h):
+        v = FiniteVector.from_pairs((n, a / d) for n, a, d in terms)
+        s = len(v.support)
+        if s == 0:
+            return
+        engine = TsirelsonEngine(alpha, v, h)
+        expected = [engine._sup]
+        for _ in range(s + 1):
+            nxt = [[0] * s for _ in range(s)]
+            engine._fill_float(expected[-1], nxt)
+            expected.append(nxt)
+            if nxt == expected[-2]:
+                break
+        assert [typed(t) for t in engine.level_tables(s + 1)] == [typed(t) for t in expected]
+        value, trace = engine.norm_with_trace()
+        values = [t[0][s - 1] for t in expected]
+        assert typed([[value] + [x for _, x in trace.levels]]) == typed([[values[-1]] + values])
+
+    def test_float_level_route_memory_stays_small(self):
+        # Only the previous level's arrays are kept, and their rows are
+        # reused by the next level.  At s = 48 the peak reads about 0.54 MB
+        # (the fill alone, without carried arrays, 0.19 MB); a route that
+        # kept a copy of every level's arrays read 1.3 MB.
+        v = FiniteVector.from_pairs((n, 1.0 / (n + 1)) for n in range(1, 49))
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            value, trace = norm(0.5, None, v)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert value == 0.6263489536299753 and len(trace.levels) == 5
+        assert peak < 850_000
 
 
 GAPPED_H = HFunction.from_table([(2, 2), (3, 4), (9, 10)])  # table:2:2;3:4;9:10
