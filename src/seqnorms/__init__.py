@@ -27,7 +27,6 @@ from .tsirelson import (
     certificate_lower_bound,
     is_admissible,
     norm,
-    norm_level,
     oracle_norm,
 )
 from .classical import (
@@ -36,7 +35,7 @@ from .classical import (
     lp_norm,
     luxemburg_norm,
 )
-from .blocks import BlockBasisSpec, block_vectors, cjt_ratio_check, expand_coefficients, lsh_probe
+from .blocks import BlockBasisSpec, cjt_ratio_check, expand_coefficients, lsh_probe
 from .series import (
     CoefficientGenerator,
     convergence_verdict,

@@ -61,15 +61,6 @@ class BlockBasisSpec:
         return FiniteVector.from_pairs(enumerate(self._block_slice(j), start=lo + 1))
 
 
-def block_vectors(
-    spec: BlockBasisSpec, space: SpaceSpec, normalize: bool
-) -> List[FiniteVector]:
-    """The block vectors u_j, optionally normalized in the given space."""
-    if normalize:
-        spec = _normalized_spec(spec, space)
-    return [spec.block_vector(j) for j in range(1, spec.block_count + 1)]
-
-
 def expand_coefficients(c: FiniteVector, spec: BlockBasisSpec) -> FiniteVector:
     """The expansion map: position n inside block j receives c_j * a_n.
 

@@ -214,10 +214,10 @@ def _exact_root(value: Fraction, p: int) -> Optional[Fraction]:
 
     value = Fraction(value)
     num = iroot(value.numerator)
+    if num is None:
+        return None  # irrational, whatever the denominator
     den = iroot(value.denominator)
-    if num is None or den is None:
-        return None
-    return Fraction(num, den)
+    return None if den is None else Fraction(num, den)
 
 
 def _root(value: Number, p: Number) -> Number:

@@ -88,10 +88,10 @@ def _read_vector(path: str, exact: bool) -> FiniteVector:
 
 
 def cmd_norm(args, report: _Report) -> int:
-    space = parse_space(args.space, exact=args.exact)
+    space = parse_space(args.space, exact=args.exact, tol=args.tol, budget=args.budget_support)
     v = _read_vector(args.vector, args.exact)
     report.header(space=space.describe(), mode="exact" if args.exact else "float")
-    space.check_budget(len(v.support), args.budget_support)
+    space.check_budget(len(v.support))
     if isinstance(space, TsirelsonSpace):
         # the level route, so the output can show how the value was reached
         value, trace = tsirelson.norm(space.alpha, space.h, v)
@@ -100,7 +100,7 @@ def cmd_norm(args, report: _Report) -> int:
         for m, val in trace.levels:
             report.row(f"level_{m}", _value_cell(val))
     else:
-        report.row("norm", _value_cell(eval_norm(space, v, tol=args.tol)))
+        report.row("norm", _value_cell(eval_norm(space, v)))
     return EXIT_OK
 
 
@@ -124,9 +124,9 @@ def cmd_oracle(args, report: _Report) -> int:
 
 
 def cmd_scan(args, report: _Report) -> int:
-    space = parse_space(args.space, exact=args.exact)
+    space = parse_space(args.space, exact=args.exact, budget=args.budget_support)
     gen = series.parse_generator(args.generator, exact=args.exact)
-    norms = series.partial_sum_norms(space, gen, args.N, budget=args.budget_support)
+    norms = series.partial_sum_norms(space, gen, args.N)
     report.header(
         space=space.describe(),
         generator=gen.describe(),
@@ -136,9 +136,7 @@ def cmd_scan(args, report: _Report) -> int:
     report.row("K", "value", "decimal")
     for K, value in enumerate(norms, start=1):
         report.row(K, format_scalar(value), _decimal(value))
-    profile = series.tail_profile(
-        space, gen, series.default_tail_grid(args.N), budget=args.budget_support
-    )
+    profile = series.tail_profile(space, gen, series.default_tail_grid(args.N))
     verdict = series.convergence_verdict(profile)
     report.note(f"verdict={verdict} (heuristic)")
     return EXIT_OK
@@ -191,20 +189,16 @@ def cmd_blocks(args, report: _Report) -> int:
 
 
 def cmd_ideal(args, report: _Report) -> int:
-    ideal = ideals.parse_ideal(args.ideal)
+    ideal = ideals.parse_ideal(args.ideal, budget=args.budget_support)
     report.header(ideal=ideal.describe(), seed=args.seed, mode="exact" if args.exact else "float")
     if args.ideal_cmd == "turbulence":
-        verdict = ideals.turbulence_criterion(
-            ideal.submeasure, args.N, budget=args.budget_support
-        )
+        verdict = ideals.turbulence_criterion(ideal.submeasure, args.N)
         report.row("verdict", verdict)
         report.note("verdicts are heuristic finite-scale trends")
         return EXIT_OK
     if args.ideal_cmd == "membership":
         A = ideals.parse_set(args.set)
-        verdict = ideals.membership_verdict(
-            ideal, A, args.N, budget=args.budget_support
-        )
+        verdict = ideals.membership_verdict(ideal, A, args.N)
         report.header(set=A.describe())
         report.row("verdict", verdict)
         report.note("verdicts are heuristic finite-scale trends")
@@ -216,9 +210,7 @@ def cmd_ideal(args, report: _Report) -> int:
         x = sorted(rng.sample(range(1, 41), rng.randint(0, 6)))
         y = sorted(rng.sample(range(1, 41), rng.randint(0, 6)))
         pairs.append((x, y))
-    result = ideals.submeasure_axiom_check(
-        ideal.submeasure, pairs, budget=args.budget_support
-    )
+    result = ideals.submeasure_axiom_check(ideal.submeasure, pairs)
     report.row("checked", result.checked)
     report.row("flag", "PASS" if result.passed else "FAIL")
     for violation in result.violations:

@@ -437,16 +437,8 @@ class SpaceSpec:
     def tsirelson(alpha: Number, h: Optional[HFunction] = None) -> "SpaceSpec":
         return TsirelsonSpace(alpha, h)
 
-    @staticmethod
-    def orlicz_space(M) -> "SpaceSpec":
-        return OrliczSpace(M)
-
-    @staticmethod
-    def lorentz(w: WeightSpec, p: Number) -> "SpaceSpec":
-        return LorentzSpace(w, p)
-
-    def norm(self, v: FiniteVector, tol: float = 1e-10) -> Number:
-        """Norm of sum(v(n) * x_n); ``tol`` bounds iterative solvers."""
+    def norm(self, v: FiniteVector) -> Number:
+        """Norm of sum(v(n) * x_n)."""
         raise NotImplementedError
 
     def describe(self) -> str:
@@ -459,8 +451,9 @@ class SpaceSpec:
             for K in range(1, len(coeffs) + 1)
         ]
 
-    def check_budget(self, positions: int, budget: int) -> None:
-        """Refuse up front an evaluation over more positions than ``budget``."""
+    def check_budget(self, positions: int) -> None:
+        """Refuse up front an evaluation over more positions than the space
+        admits; only the Tsirelson space sets a budget."""
 
 
 def _running(values: Iterable[Number], step=None) -> List[Number]:
@@ -491,7 +484,7 @@ class LpSpace(SpaceSpec):
         if self.p is None or (self.p != INF and self.p < 1):
             raise ConfigurationError("lp requires p >= 1 or p = inf")
 
-    def norm(self, v: FiniteVector, tol: float = 1e-10) -> Number:
+    def norm(self, v: FiniteVector) -> Number:
         from . import classical
         return classical.lp_norm(self.p, v)
 
@@ -524,16 +517,22 @@ class C0Space(LpSpace):
 
 @dataclass(frozen=True)
 class TsirelsonSpace(SpaceSpec):
-    """Tsirelson's space T(alpha), or T(alpha, h) when h is given."""
+    """Tsirelson's space T(alpha), or T(alpha, h) when h is given.
+
+    ``budget`` is the most positions one evaluation may cover
+    (--budget-support); it is a setting, not part of the space, so equality
+    and ``describe`` ignore it.
+    """
 
     alpha: Number
     h: Optional[HFunction] = None
+    budget: int = field(default=DEFAULT_SUPPORT_BUDGET, compare=False)
 
     def __post_init__(self):
         if not (0 < self.alpha < 1):
             raise ConfigurationError("tsirelson requires alpha in (0,1)")
 
-    def norm(self, v: FiniteVector, tol: float = 1e-10) -> Number:
+    def norm(self, v: FiniteVector) -> Number:
         from . import tsirelson
         return tsirelson.fixed_point_norm(self.alpha, v, h=self.h)
 
@@ -546,25 +545,32 @@ class TsirelsonSpace(SpaceSpec):
         h = "" if self.h is None else f",h={self.h.kind}"
         return f"tsirelson:alpha={format_scalar(self.alpha)}{h}"
 
-    def check_budget(self, positions: int, budget: int) -> None:
-        if positions > budget:
+    def check_budget(self, positions: int) -> None:
+        if positions > self.budget:
             raise BudgetError(
                 f"Tsirelson evaluation over {positions} positions exceeds the budget "
-                f"{budget}; evaluate fewer positions or raise --budget-support"
+                f"{self.budget}; evaluate fewer positions or raise --budget-support"
             )
 
 
 @dataclass(frozen=True)
 class OrliczSpace(SpaceSpec):
+    """The Orlicz space of an Orlicz function.
+
+    ``tol`` bounds the Luxemburg bisection (--tol); it is a setting, not part
+    of the space, so equality and ``describe`` ignore it.
+    """
+
     orlicz: "object"  # classical.OrliczFunction
+    tol: float = field(default=1e-10, compare=False)
 
     def __post_init__(self):
         if self.orlicz is None:
             raise ConfigurationError("orlicz requires an Orlicz function")
 
-    def norm(self, v: FiniteVector, tol: float = 1e-10) -> Number:
+    def norm(self, v: FiniteVector) -> Number:
         from . import classical
-        return classical.luxemburg_norm(self.orlicz, v, tol=tol)
+        return classical.luxemburg_norm(self.orlicz, v, tol=self.tol)
 
     def describe(self) -> str:
         return f"orlicz:{self.orlicz.describe()}"
@@ -579,7 +585,7 @@ class LorentzSpace(SpaceSpec):
         if self.weights is None or self.p is None or self.p < 1:
             raise ConfigurationError("lorentz requires weights and p >= 1")
 
-    def norm(self, v: FiniteVector, tol: float = 1e-10) -> Number:
+    def norm(self, v: FiniteVector) -> Number:
         from . import classical
         return classical.lorentz_norm(self.weights, self.p, v)
 
@@ -587,9 +593,9 @@ class LorentzSpace(SpaceSpec):
         return f"lorentz:w={self.weights.kind},p={format_scalar(self.p)}"
 
 
-def eval_norm(space: SpaceSpec, v: FiniteVector, tol: float = 1e-10) -> Number:
+def eval_norm(space: SpaceSpec, v: FiniteVector) -> Number:
     """Norm of sum(v(n) * x_n) in ``space``."""
-    return space.norm(v, tol)
+    return space.norm(v)
 
 
 # ---------------------------------------------------------------------------
@@ -760,8 +766,17 @@ def _parse_h(text: str) -> HFunction:
     raise ParseError(f"unknown h form {text!r}")
 
 
-def parse_space(descriptor: str, exact: bool = True) -> SpaceSpec:
-    """Parse a space mini-language string, e.g. "lp:p=2" or "tsirelson:alpha=1/2"."""
+def parse_space(
+    descriptor: str,
+    exact: bool = True,
+    tol: float = OrliczSpace.tol,
+    budget: int = TsirelsonSpace.budget,
+) -> SpaceSpec:
+    """Parse a space mini-language string, e.g. "lp:p=2" or "tsirelson:alpha=1/2".
+
+    An Orlicz space takes ``tol`` and a Tsirelson space ``budget``; the other
+    spaces read neither.
+    """
     from . import classical
 
     descriptor = descriptor.strip()
@@ -780,22 +795,22 @@ def parse_space(descriptor: str, exact: bool = True) -> SpaceSpec:
             return SpaceSpec.lp(p)
         if name == "tsirelson":
             alpha = parse_scalar(kv["alpha"], exact=exact)
-            return SpaceSpec.tsirelson(alpha, _parse_h(kv["h"]) if "h" in kv else None)
+            return TsirelsonSpace(alpha, _parse_h(kv["h"]) if "h" in kv else None, budget)
         if name == "orlicz":
             if "power" in kv:
-                return SpaceSpec.orlicz_space(
-                    classical.OrliczFunction.power(parse_scalar(kv["power"], exact=exact))
-                )
-            if "table" in kv:
-                return SpaceSpec.orlicz_space(classical.load_orlicz_table(kv["table"]))
-            raise ParseError("orlicz needs power= or table=")
+                M = classical.OrliczFunction.power(parse_scalar(kv["power"], exact=exact))
+            elif "table" in kv:
+                M = classical.load_orlicz_table(kv["table"])
+            else:
+                raise ParseError("orlicz needs power= or table=")
+            return OrliczSpace(M, tol)
         if name == "lorentz":
             w_text = kv.get("w", "harmonic")
             if w_text == "harmonic":
                 w = WeightSpec.harmonic()
             else:
                 raise ParseError(f"unknown lorentz weight {w_text!r}")
-            return SpaceSpec.lorentz(w, parse_scalar(kv["p"], exact=exact))
+            return LorentzSpace(w, parse_scalar(kv["p"], exact=exact))
     except KeyError as exc:
         raise ParseError(f"missing parameter {exc} in {descriptor!r}") from None
     except ConfigurationError as exc:

@@ -12,13 +12,13 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .core import (
-    DEFAULT_SUPPORT_BUDGET,
     ConfigurationError,
     FiniteVector,
     HFunction,
     Number,
     ParseError,
     SpaceSpec,
+    TsirelsonSpace,
     _parse_h,
     _parse_kv,
     _running,
@@ -212,7 +212,6 @@ class SubmeasureSpec:
 def phi(
     spec: SubmeasureSpec,
     A: Sequence[int],
-    budget: int = DEFAULT_SUPPORT_BUDGET,
 ) -> Number:
     """The submeasure of a finite position set."""
     positions = sorted(set(A))
@@ -223,7 +222,7 @@ def phi(
     if spec.source == "summable":
         # left to right from int 0, as sum() does not on Python >= 3.12
         return _running(map(spec.weights.value, positions))[-1]
-    spec.space.check_budget(len(positions), budget)
+    spec.space.check_budget(len(positions))
     pm = spec.position_map
     v = FiniteVector.from_pairs(
         (pm(n) if pm is not None else n, spec.f.value(n)) for n in positions
@@ -236,7 +235,6 @@ def phi_tail_profile(
     A: SetGenerator,
     cut_points: Sequence[int],
     horizon: int,
-    budget: int = DEFAULT_SUPPORT_BUDGET,
 ) -> List[Number]:
     """phi(A intersect [n, horizon)) for each cut point n.
 
@@ -247,7 +245,7 @@ def phi_tail_profile(
     for n in cut_points:
         if n >= horizon:
             raise ConfigurationError("cut points must be below the horizon")
-        out.append(phi(spec, A.members(n, horizon - 1), budget=budget))
+        out.append(phi(spec, A.members(n, horizon - 1)))
     return out
 
 
@@ -265,7 +263,6 @@ class AxiomReport:
 def submeasure_axiom_check(
     spec: SubmeasureSpec,
     samples: Sequence[Tuple[Sequence[int], Sequence[int]]],
-    budget: int = DEFAULT_SUPPORT_BUDGET,
 ) -> AxiomReport:
     """Check the submeasure axioms on finite set pairs.
 
@@ -284,18 +281,18 @@ def submeasure_axiom_check(
     for x, y in samples:
         x, y = sorted(set(x)), sorted(set(y))
         union = sorted(set(x) | set(y))
-        px, py, pu = (phi(spec, s, budget=budget) for s in (x, y, union))
+        px, py, pu = (phi(spec, s) for s in (x, y, union))
         if below(pu, px) or below(pu, py):
             violations.append(f"monotonicity fails at ({x}, {y})")
         if below(px + py, pu):
             violations.append(f"subadditivity fails at ({x}, {y})")
         for n in set(x[:1] + y[:1]):
-            if not phi(spec, [n], budget=budget) < float("inf"):
+            if not phi(spec, [n]) < float("inf"):
                 violations.append(f"phi({{{n}}}) not finite")
         if x:
             # LSC restricted to finite sets: phi(x) is the sup of its prefixes
             prefix_values = [
-                phi(spec, [n for n in x if n < cut], budget=budget)
+                phi(spec, [n for n in x if n < cut])
                 for cut in sorted(set(x))
             ] + [px]
             if any(below(b, a) for a, b in zip(prefix_values, prefix_values[1:])):
@@ -309,9 +306,7 @@ def submeasure_axiom_check(
 # Turbulence and membership diagnostics
 
 
-def turbulence_criterion(
-    spec: SubmeasureSpec, N: int, budget: int = DEFAULT_SUPPORT_BUDGET
-) -> str:
+def turbulence_criterion(spec: SubmeasureSpec, N: int) -> str:
     """Finite-scale reading of the phi({n}) -> 0 criterion.
 
     not-turbulent when the singleton values stay bounded below by
@@ -320,7 +315,7 @@ def turbulence_criterion(
     """
     if N < 1:
         raise ConfigurationError("N must be >= 1")
-    values = [phi(spec, [n], budget=budget) for n in range(1, N + 1)]
+    values = [phi(spec, [n]) for n in range(1, N + 1)]
     tail = values[N // 2 :]
     if min(tail) >= TURBULENCE_FLOOR:
         return NOT_TURBULENT
@@ -348,12 +343,12 @@ class IdealSpec:
 
     @staticmethod
     def tsirelson_ideal(
-        alpha: Number, h: HFunction, f: CoefficientGenerator
+        alpha: Number, h: HFunction, f: CoefficientGenerator, budget: int = TsirelsonSpace.budget
     ) -> "IdealSpec":
         # sets A with sum f(n) t_{h(n)} convergent; convergence shows up as
         # vanishing tails, so the Exh diagnostics apply
         spec = SubmeasureSpec.basis_weight(
-            SpaceSpec.tsirelson(alpha), f,
+            TsirelsonSpace(alpha, budget=budget), f,
             position_map=None if h.kind == "identity" else h,
         )
         return IdealSpec(spec, "Exh", name="T_{f,h,alpha}")
@@ -374,7 +369,6 @@ def membership_verdict(
     ideal: IdealSpec,
     A: SetGenerator,
     horizon: int,
-    budget: int = DEFAULT_SUPPORT_BUDGET,
 ) -> str:
     """Heuristic membership trend of A in the ideal at a finite horizon.
 
@@ -389,11 +383,11 @@ def membership_verdict(
         raise ConfigurationError("horizon must be >= 2")
     spec = ideal.submeasure
     if ideal.kind == "Null":
-        total = phi(spec, A.members(1, horizon), budget=budget)
+        total = phi(spec, A.members(1, horizon))
         return MEMBER if total < MEMBERSHIP_THRESHOLD else NON_MEMBER
     if ideal.kind == "Exh":
         cuts = [c for c in _doubling_cuts(horizon) if c < horizon]
-        tails = phi_tail_profile(spec, A, cuts, horizon, budget=budget)
+        tails = phi_tail_profile(spec, A, cuts, horizon)
         late = tails[len(tails) // 2 :]
         if all(t < MEMBERSHIP_THRESHOLD for t in late):
             return MEMBER
@@ -401,7 +395,7 @@ def membership_verdict(
             return NON_MEMBER
         return INCONCLUSIVE
     cuts = _doubling_cuts(horizon)
-    prefixes = [phi(spec, A.members(1, c), budget=budget) for c in cuts]
+    prefixes = [phi(spec, A.members(1, c)) for c in cuts]
     increments = [b - a for a, b in zip(prefixes, prefixes[1:])]
     if not increments or increments[-1] == 0:
         return MEMBER  # the set is exhausted below the horizon
@@ -428,9 +422,10 @@ def _parse_weight_generator(text: str) -> CoefficientGenerator:
     return parse_generator(text)
 
 
-def parse_ideal(descriptor: str) -> IdealSpec:
+def parse_ideal(descriptor: str, budget: int = TsirelsonSpace.budget) -> IdealSpec:
     """Parse an ideal descriptor, e.g. "summable:w=harmonic" or
-    "tsirelson-ideal:alpha=1/2,h=identity,f=harmonic"."""
+    "tsirelson-ideal:alpha=1/2,h=identity,f=harmonic"; a Tsirelson space in
+    it takes ``budget``."""
     descriptor = descriptor.strip()
     name, _, body = descriptor.partition(":")
     try:
@@ -441,9 +436,9 @@ def parse_ideal(descriptor: str) -> IdealSpec:
             alpha = parse_scalar(kv["alpha"])
             h = _parse_h(kv.get("h", "identity"))
             f = _parse_weight_generator(kv.get("f", "one"))
-            return IdealSpec.tsirelson_ideal(alpha, h, f)
+            return IdealSpec.tsirelson_ideal(alpha, h, f, budget)
         if name == "basis-weight":
-            space = parse_space(kv["space"])
+            space = parse_space(kv["space"], budget=budget)
             f = _parse_weight_generator(kv.get("f", "one"))
             kind = kv.get("kind", "Fin")
             return IdealSpec(SubmeasureSpec.basis_weight(space, f), kind)

@@ -11,7 +11,6 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .core import (
-    DEFAULT_SUPPORT_BUDGET,
     BudgetError,
     ConfigurationError,
     FiniteVector,
@@ -121,12 +120,11 @@ def partial_sum_norms(
     space: SpaceSpec,
     gen: CoefficientGenerator,
     N: int,
-    budget: int = DEFAULT_SUPPORT_BUDGET,
 ) -> List[Number]:
     """Prefix norms ||sum_{n<=K} a_n x_n|| for K = 1..N."""
     if N < 1:
         raise ConfigurationError("N must be >= 1")
-    space.check_budget(N, budget)
+    space.check_budget(N)
     return space.prefix_norms([gen.value(n) for n in range(1, N + 1)])
 
 
@@ -147,13 +145,12 @@ def tail_profile(
     space: SpaceSpec,
     gen: CoefficientGenerator,
     grid: Sequence[Tuple[int, int]],
-    budget: int = DEFAULT_SUPPORT_BUDGET,
 ) -> TailProfile:
     entries = []
     for m, N in grid:
         if not (1 <= m < N):
             raise ConfigurationError(f"need 1 <= m < N, got ({m}, {N})")
-        space.check_budget(N, budget)
+        space.check_budget(N)
         v = gen.vector(m, N - 1)
         entries.append((m, N, eval_norm(space, v)))
     return TailProfile(entries=tuple(entries))
@@ -225,7 +222,6 @@ def domination_probe(
     sub_space: SpaceSpec,
     gen: CoefficientGenerator,
     N: int,
-    budget: int = DEFAULT_SUPPORT_BUDGET,
     shrink_threshold: Number = DEFAULT_SHRINK_THRESHOLD,
     growth_threshold: Optional[Number] = None,
     sub_certified_bound: Optional[Number] = None,
@@ -240,12 +236,12 @@ def domination_probe(
     def verdict(profile: TailProfile, bound: Optional[Number]) -> str:
         return convergence_verdict(profile, shrink_threshold, bound, growth_threshold)
 
-    dom_verdict = verdict(tail_profile(dom_space, gen, grid, budget=budget), None)
+    dom_verdict = verdict(tail_profile(dom_space, gen, grid), None)
     # a certified lower bound can settle the sub side without profiling it,
     # which matters when that space is expensive to evaluate
     sub_verdict = verdict(TailProfile(entries=()), sub_certified_bound)
     if sub_verdict != DIVERGING:
-        sub_profile = tail_profile(sub_space, gen, grid, budget=budget)
+        sub_profile = tail_profile(sub_space, gen, grid)
         sub_verdict = verdict(sub_profile, sub_certified_bound)
     return DominationReport(
         dom_verdict=dom_verdict,

@@ -3,7 +3,7 @@
 Two independent computation routes live here:
 
 * a production dynamic program over interval-shaped admissible families
-  (:func:`norm_level`, :func:`norm`, :func:`fixed_point_norm`), and
+  (:func:`norm`, :func:`fixed_point_norm`), and
 * a brute-force oracle over families of arbitrary finite subsets
   (:func:`oracle_norm`), exponential by design and capped by support size.
 
@@ -302,23 +302,18 @@ class TsirelsonEngine:
             hi[q] = stop
         return splits[r][j]
 
-    def _fill(self, table, out) -> None:
-        """Fill ``out`` with the next table: for every interval g,
-        max(floor(g), alpha * best admissible-family sum over ``table``).
-
-        On the fixed-point route ``table`` is ``out`` itself, read while it is
-        filled, and the floor is the sup.  On the level route ``table`` is the
-        previous, complete level, which is also the floor.  Families whose
-        sets are consecutive index intervals suffice here (production
-        search); gaps never help because restriction shrinks the norm.
-        Single-set families are skipped: they contribute at most alpha times
-        the previous value.  Both orders below fill every strict subinterval
-        of an interval before the interval itself.
-        """
-        if self._scale is None:
-            self._fill_float(table, out)
-        else:
-            self._fill_exact(table, out)
+    # -- the two fills
+    #
+    # Each fills ``out`` with the next table: for every interval g,
+    # max(floor(g), alpha * best admissible-family sum over ``table``).  On the
+    # fixed-point route ``table`` is ``out`` itself, read while it is filled,
+    # and the floor is the sup.  On the level route ``table`` is the previous,
+    # complete level, which is also the floor.  Families whose sets are
+    # consecutive index intervals suffice here (production search); gaps
+    # never help because restriction shrinks the norm.  Single-set families
+    # are skipped: they contribute at most alpha times the previous value.
+    # Both orders fill every strict subinterval of an interval before the
+    # interval itself.
 
     def _fill_exact(self, table, out) -> None:
         # Start-major, with the per-start arrays of _best_split and the five
@@ -482,7 +477,10 @@ class TsirelsonEngine:
         if self._fixed is None:
             s = len(self.pos)
             table = [[0] * s for _ in range(s)]
-            self._fill(table, table)
+            if self._scale is None:
+                self._fill_float(table, table)
+            else:
+                self._fill_exact(table, table)
             self._fixed = table
         return self._fixed if _work_units else self._to_numbers(self._fixed)
 
@@ -522,14 +520,6 @@ class TsirelsonEngine:
     def level_tables(self, m: int) -> List[List[List[Number]]]:
         return [self._to_numbers(t) for t in self._work_level_tables(m)]
 
-    def level_norm(self, m: int) -> Number:
-        s = len(self.pos)
-        if s == 0:
-            return 0
-        tables = self._work_level_tables(m)
-        idx = min(m, len(tables) - 1)
-        return self._number(tables[idx][0][s - 1], 0, s - 1)
-
     def norm_with_trace(self) -> Tuple[Number, LevelTrace]:
         s = len(self.pos)
         if s == 0:
@@ -547,15 +537,6 @@ class TsirelsonEngine:
                 break
         levels = tuple((m, val) for m, val in enumerate(values))
         return values[-1], LevelTrace(levels=levels, stabilization_level=stab)
-
-
-def norm_level(
-    alpha: Number, h: Optional[HFunction], v: FiniteVector, m: int
-) -> Number:
-    """The level-m norm ||v||_m of the recursion."""
-    if m < 0:
-        raise ConfigurationError("level must be >= 0")
-    return TsirelsonEngine(alpha, v, h).level_norm(m)
 
 
 def norm(

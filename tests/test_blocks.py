@@ -6,7 +6,7 @@ import pytest
 from seqnorms.core import ConfigurationError, FiniteVector, SpaceSpec, eval_norm
 from seqnorms.blocks import (
     BlockBasisSpec,
-    block_vectors,
+    _normalized_spec,
     cjt_ratio_check,
     expand_coefficients,
     lsh_probe,
@@ -32,18 +32,18 @@ class TestBlockBasisSpec:
             BlockBasisSpec((0, 1, 2), (1, 0))  # zero block
 
     def test_block_vectors_l1_normalized(self):
-        vs = block_vectors(simple_spec(), SpaceSpec.lp(1), normalize=True)
-        assert vs[0] == FiniteVector.from_dense([HALF, HALF])
-        assert vs[1] == FiniteVector.from_pairs([(3, 1)])
+        spec = _normalized_spec(simple_spec(), SpaceSpec.lp(1))
+        assert spec.block_vector(1) == FiniteVector.from_dense([HALF, HALF])
+        assert spec.block_vector(2) == FiniteVector.from_pairs([(3, 1)])
 
     def test_block_vectors_c0_normalized(self):
-        vs = block_vectors(simple_spec(), SpaceSpec.c0(), normalize=True)
-        assert vs[0] == FiniteVector.from_dense([1, 1])
+        spec = _normalized_spec(simple_spec(), SpaceSpec.c0())
+        assert spec.block_vector(1) == FiniteVector.from_dense([1, 1])
 
     def test_block_vectors_tsirelson_normalized(self):
         # ||x1 + x2|| = 1 so normalization leaves the block unchanged
-        vs = block_vectors(simple_spec(), SpaceSpec.tsirelson(HALF), normalize=True)
-        assert vs[0] == FiniteVector.from_dense([1, 1])
+        spec = _normalized_spec(simple_spec(), SpaceSpec.tsirelson(HALF))
+        assert spec.block_vector(1) == FiniteVector.from_dense([1, 1])
 
 
 class TestExpansion:

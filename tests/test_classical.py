@@ -17,6 +17,7 @@ from seqnorms.core import (
     is_exact,
     parse_scalar,
 )
+from seqnorms import classical
 from seqnorms.classical import (
     OrliczFunction,
     _integer_root,
@@ -174,6 +175,22 @@ class TestIntegerRoot:
     ])
     def test_examples(self, n, p, expected):
         assert _integer_root(n, p) == expected
+
+
+class TestExactRoot:
+    def test_inexact_numerator_skips_the_denominator(self, monkeypatch):
+        calls = []
+
+        def counted(n, p):
+            calls.append(n)
+            return _integer_root(n, p)
+
+        monkeypatch.setattr(classical, "_integer_root", counted)
+        assert classical._exact_root(Fraction(2, 9), 2) is None
+        assert calls == [2]
+        assert classical._exact_root(Fraction(4, 9), 2) == Fraction(2, 3)
+        assert classical._exact_root(Fraction(4, 7), 2) is None
+        assert calls == [2, 4, 9, 4, 7]
 
 
 class TestOrliczFunction:

@@ -165,6 +165,27 @@ class TestNormCommand:
         assert code == 3 and out == ""
 
 
+@pytest.mark.parametrize("argv, positions, budget", [
+    (["norm", "tsirelson:alpha=1/2", "{vec}", "--budget-support", "5"], 10, 5),
+    (["scan", "tsirelson:alpha=1/2", "harmonic", "8", "--budget-support", "4"], 8, 4),
+    (["ideal", "membership", "tsirelson-ideal:alpha=1/2,f=harmonic", "evens", "--N", "16",
+      "--budget-support", "4"], 7, 4),
+    (["ideal", "membership", "basis-weight:space=tsirelson:alpha=1/2,f=harmonic", "naturals",
+      "--N", "16", "--budget-support", "4"], 8, 4),
+    (["ideal", "axioms", "tsirelson-ideal:alpha=1/2,f=harmonic", "--samples", "3", "--seed", "1",
+      "--budget-support", "2"], 6, 2),
+    (["ideal", "turbulence", "tsirelson-ideal:alpha=1/2", "--N", "3", "--budget-support", "0"], 1, 0),
+], ids=["norm", "scan", "tsirelson-ideal", "basis-weight-ideal", "axioms", "turbulence"])
+def test_budget_refusal_message(capsys, tmp_path, argv, positions, budget):
+    vec = write_vector(tmp_path, "v.txt", " ".join(["1"] * 10))
+    code, out, err = run(capsys, *(vec if a == "{vec}" else a for a in argv))
+    assert (code, out) == (3, "")
+    assert err == (
+        f"budget: Tsirelson evaluation over {positions} positions exceeds the budget {budget}; "
+        "evaluate fewer positions or raise --budget-support\n"
+    )
+
+
 # Runs the CLI under a 512 MB address-space limit and reports its own peak
 # RSS.  The high-water mark in /proc/self/status starts afresh at exec;
 # getrusage does not: RUSAGE_CHILDREN keeps the maximum over every earlier

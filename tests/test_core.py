@@ -422,6 +422,17 @@ class TestTextFormats:
         lz = parse_space("lorentz:w=harmonic,p=1")
         assert lz.weights.kind == "harmonic" and lz.p == 1
 
+    @pytest.mark.parametrize("text, setting, value", [
+        ("tsirelson:alpha=1/2", "budget", 3),
+        ("orlicz:power=3/2", "tol", 1e-3),
+    ])
+    def test_settings_are_not_part_of_the_space(self, text, setting, value):
+        default, space = parse_space(text), parse_space(text, **{setting: value})
+        assert getattr(space, setting) == value != getattr(default, setting)
+        assert space == default and hash(space) == hash(default)
+        assert space.describe() == default.describe()
+        assert parse_space("lp:p=2", tol=1e-3, budget=3) == SpaceSpec.lp(2)
+
     def test_bad_descriptor(self):
         with pytest.raises(ParseError):
             parse_space("banach:p=2")

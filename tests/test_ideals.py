@@ -4,7 +4,9 @@ from random import Random
 import pytest
 
 from seqnorms import cli, ideals
-from seqnorms.core import INF, BudgetError, ConfigurationError, HFunction, ParseError, SpaceSpec
+from seqnorms.core import (
+    INF, BudgetError, ConfigurationError, HFunction, ParseError, SpaceSpec, TsirelsonSpace,
+)
 from seqnorms.series import CoefficientGenerator
 from seqnorms.ideals import (
     IdealSpec,
@@ -97,10 +99,10 @@ class TestPhi:
 
     def test_budget(self):
         spec = SubmeasureSpec.basis_weight(
-            SpaceSpec.tsirelson(HALF), CoefficientGenerator.constant(1)
+            TsirelsonSpace(HALF, budget=10), CoefficientGenerator.constant(1)
         )
         with pytest.raises(BudgetError):
-            phi(spec, list(range(1, 20)), budget=10)
+            phi(spec, list(range(1, 20)))
 
     def test_negative_weight_rejected_at_construction(self):
         with pytest.raises(ConfigurationError):
@@ -186,7 +188,7 @@ class SizeSpace(SpaceSpec):
     def __init__(self, of_size):
         self.of_size = of_size
 
-    def norm(self, v, tol=1e-10):
+    def norm(self, v):
         return self.of_size(len(v.support))
 
     def describe(self):
@@ -223,7 +225,7 @@ def test_cli_notes_each_violation(capsys, monkeypatch):
     spec = SubmeasureSpec.basis_weight(
         SizeSpace(infinite_singletons), CoefficientGenerator.constant(1)
     )
-    monkeypatch.setattr(ideals, "parse_ideal", lambda text: IdealSpec(spec, "Fin"))
+    monkeypatch.setattr(ideals, "parse_ideal", lambda text, budget: IdealSpec(spec, "Fin"))
     assert cli.main(["ideal", "axioms", "size", "--samples", "1"]) == cli.EXIT_VIOLATION
     assert capsys.readouterr().out == (
         "# ideal=Fin(basis-weight:space=size,f=constant:c=1)\n"

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from seqnorms.core import BudgetError, ConfigurationError, FiniteVector, SpaceSpec
+from seqnorms.core import BudgetError, ConfigurationError, FiniteVector, SpaceSpec, TsirelsonSpace
 from seqnorms import tsirelson
 from seqnorms.series import (
     CONVERGING,
@@ -81,7 +81,7 @@ class TestPartialSums:
     def test_budget_refusal(self):
         with pytest.raises(BudgetError):
             partial_sum_norms(
-                SpaceSpec.tsirelson(HALF), CoefficientGenerator.harmonic(), 100, budget=64
+                TsirelsonSpace(HALF, budget=64), CoefficientGenerator.harmonic(), 100
             )
 
 

@@ -23,7 +23,6 @@ from seqnorms.tsirelson import (
     fixed_point_norm,
     is_admissible,
     norm,
-    norm_level,
     oracle_norm,
     prefix_norms,
 )
@@ -33,6 +32,13 @@ HALF = Fraction(1, 2)
 
 def units(*positions):
     return FiniteVector.from_pairs((n, 1) for n in positions)
+
+
+def level(alpha, h, v, m):
+    """The level-m value ||v||_m from norm()'s trace, which ends where the
+    levels settle; every later level repeats the last."""
+    levels = norm(alpha, h, v)[1].levels
+    return levels[min(m, len(levels) - 1)][1]
 
 
 class TestAdmissibility:
@@ -56,13 +62,13 @@ class TestAdmissibility:
 class TestLevels:
     def test_level_zero_is_sup(self):
         v = FiniteVector.from_dense([Fraction(1, 3), -2, 1])
-        assert norm_level(HALF, None, v, 0) == 2
+        assert level(HALF, None, v, 0) == 2
 
     def test_adjacent_pair(self):
-        assert norm_level(HALF, None, units(2, 3), 1) == 1
+        assert level(HALF, None, units(2, 3), 1) == 1
 
     def test_three_singletons(self):
-        assert norm_level(HALF, None, units(4, 5, 6), 1) == Fraction(3, 2)
+        assert level(HALF, None, units(4, 5, 6), 1) == Fraction(3, 2)
 
     def test_levels_monotone(self):
         rng = Random(5)
@@ -71,7 +77,7 @@ class TestLevels:
                 (rng.randint(1, 9), Fraction(rng.randint(1, 4), rng.randint(1, 3)))
                 for _ in range(4)
             )
-            values = [norm_level(HALF, None, v, m) for m in range(5)]
+            values = [level(HALF, None, v, m) for m in range(5)]
             assert all(b >= a for a, b in zip(values, values[1:]))
 
 
@@ -321,7 +327,8 @@ class TestIntegerKernel:
                     assert fixed_point_norm(alpha, v, h=h) == expected
                     value, trace = norm(alpha, h, v)
                     assert value == expected
-                    assert norm_level(alpha, h, v, len(v.support)) == expected
+                    tables = TsirelsonEngine(alpha, v, h).level_tables(len(v.support))
+                    assert tables[-1][0][-1] == expected
 
     def test_table_h_k_outside_the_table_admits_no_family(self):
         h = HFunction.from_table([(1, 1), (2, 3)])
@@ -338,7 +345,7 @@ class TestIntegerKernel:
         assert oracle_norm(alpha, v, h=h) == Fraction(16, 9)
         assert fixed_point_norm(alpha, v, h=h) == Fraction(16, 9)
         assert norm(alpha, h, v)[0] == Fraction(16, 9)
-        assert norm_level(alpha, h, v, 4) == Fraction(16, 9)
+        assert level(alpha, h, v, 4) == Fraction(16, 9)
 
     def test_sup_coefficient_keeps_its_type(self):
         v = FiniteVector.from_dense([5, 1, 1])
@@ -964,9 +971,9 @@ class TestTopSums:
         # three-group split keeps 4 and 3 apart, worth 4 + 3 + 1 = 8.  At
         # alpha 1/2 that ties the sup, which keeps its type.
         v = FiniteVector.from_pairs(zip([3, 4, 5, 6], [4, 1, 3, 1]))
-        assert norm_level(HALF, None, v, 1) == 4
-        assert type(norm_level(HALF, None, v, 1)) is int
-        assert norm_level(Fraction(2, 3), None, v, 1) == Fraction(16, 3)
+        assert level(HALF, None, v, 1) == 4
+        assert type(level(HALF, None, v, 1)) is int
+        assert level(Fraction(2, 3), None, v, 1) == Fraction(16, 3)
 
 
 def brute_split(table, i, y, q):
@@ -1108,8 +1115,6 @@ def inadmissible(*children, h=None):
     pytest.param(inadmissible((0,), (2,)), CertificateError, "bad-position", id="position-below-1"),
     pytest.param(inadmissible((3,), (4,), h=HFunction.affine(2, 1)), CertificateError, "size-not-in-h-range",
                  id="size-not-in-h-range"),
-    pytest.param(lambda tmp: norm_level(HALF, None, units(1), -1), ConfigurationError, "level",
-                 id="norm-level-below-0"),
     pytest.param(lambda tmp: certificate_lower_bound(1, None, units(1), NormCertificate(CertificateNode.leaf([1]))),
                  ConfigurationError, "alpha", id="certificate-alpha-outside-0-1"),
 ])
