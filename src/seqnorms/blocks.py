@@ -145,6 +145,7 @@ def lsh_probe(
     samples: Sequence[FiniteVector],
     bound: Optional[Number] = None,
 ) -> LshReport:
+    space.check_budget(spec.breakpoints[-1] - spec.breakpoints[0])
     normalized = _normalized_spec(spec, space)
     ratios: List[Number] = []
     skipped = 0

@@ -164,7 +164,7 @@ def cmd_blocks(args, report: _Report) -> int:
                 "PASS" if check.passed else "FAIL",
             )
     else:
-        space = parse_space(args.space, exact=args.exact)
+        space = parse_space(args.space, exact=args.exact, budget=args.budget_support)
         spec = blocks.random_block_spec(rng)
         samples = []
         for _ in range(args.samples):

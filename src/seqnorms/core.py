@@ -12,11 +12,11 @@ input scalar is exact.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, compress, count, repeat
+from itertools import accumulate, chain, compress, count, repeat
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 Number = Union[int, Fraction, float]
@@ -444,20 +444,17 @@ class SpaceSpec:
     def describe(self) -> str:
         raise NotImplementedError
 
-    def prefix_norms(self, coeffs: Sequence[Number]) -> List[Number]:
-        """Norms of sum_{n <= K} coeffs[n-1] x_n for K = 1..len(coeffs)."""
-        return [
-            eval_norm(self, FiniteVector.from_pairs(zip(range(1, K + 1), coeffs[:K])))
-            for K in range(1, len(coeffs) + 1)
-        ]
+    def interval_norms(self, v: FiniteVector, intervals: Sequence[Tuple[int, int]]) -> List[Number]:
+        """The norms of v restricted to each [lo, hi]; one fresh norm each."""
+        return [self.norm(v.restrict(range(lo, hi + 1))) for lo, hi in intervals]
 
     def check_budget(self, positions: int) -> None:
         """Refuse up front an evaluation over more positions than the space
         admits; only the Tsirelson space sets a budget."""
 
 
-def _running(values: Iterable[Number], step=None) -> List[Number]:
-    """Running sums of ``values`` from 0, or running maxima with step=max.
+def _running(values: Iterable[Number]) -> List[Number]:
+    """Running sums of ``values`` from 0.
 
     Sums are formed left to right, not with sum(), which compensates float
     sums on Python >= 3.12.  An exact term beyond the float range added to a
@@ -465,13 +462,10 @@ def _running(values: Iterable[Number], step=None) -> List[Number]:
     """
     out, acc = [], 0
     for x in values:
-        if step is not None:
-            acc = step(acc, x)
-        else:
-            try:
-                acc = acc + x
-            except OverflowError:
-                acc = INF
+        try:
+            acc = acc + x
+        except OverflowError:
+            acc = INF
         out.append(acc)
     return out
 
@@ -488,18 +482,23 @@ class LpSpace(SpaceSpec):
         from . import classical
         return classical.lp_norm(self.p, v)
 
-    def prefix_norms(self, coeffs: Sequence[Number]) -> List[Number]:
+    def interval_norms(self, v: FiniteVector, intervals: Sequence[Tuple[int, int]]) -> List[Number]:
+        # Intervals from v's first position read one running sum; a later
+        # start, or a float power sum beyond the float range, a fresh norm.
         from . import classical
-        if self.p == INF:
-            return _running(map(abs, coeffs), max)
-        if self.p == 1:
-            return _running(map(abs, coeffs))
-        classical.check_exact_power(self.p, coeffs)
-        powers = classical._power_sums(self.p, [(abs(a), 1) for a in coeffs])
-        if any(t is None for t in powers):
-            # a float power sum left the float range: lp_norm factors out the sup
-            return super().prefix_norms(coeffs)
-        return [classical._root(t, self.p) for t in powers]
+        p, values, out = self.p, list(map(abs, v.values)), []
+        if p in (1, INF):
+            sums = [None] + (list(accumulate(values, max)) if p == INF else _running(values))
+        else:
+            classical.check_exact_power(p, values)
+            sums = [None] + classical._power_sums(p, [(a, 1) for a in values])
+        for lo, hi in intervals:
+            t = sums[bisect_right(v.support, hi)]  # None: an empty window, or past the float range
+            if t is not None and lo <= v.support[0]:
+                out.append(t if p in (1, INF) else classical._root(t, p))
+            else:
+                out.append(self.norm(v.restrict(range(lo, hi + 1))))
+        return out
 
     def describe(self) -> str:
         return f"lp:p={'inf' if self.p == INF else format_scalar(self.p)}"
@@ -536,10 +535,16 @@ class TsirelsonSpace(SpaceSpec):
         from . import tsirelson
         return tsirelson.fixed_point_norm(self.alpha, v, h=self.h)
 
-    def prefix_norms(self, coeffs: Sequence[Number]) -> List[Number]:
+    def interval_norms(self, v: FiniteVector, intervals: Sequence[Tuple[int, int]]) -> List[Number]:
+        # Exact entries (the engine has a scale) are fresh norms' values.  A float
+        # [a..j] reads sums from the table's start: fresh bits only for a = start.
         from . import tsirelson
-        v, prefixes = FiniteVector.from_dense(coeffs), list(range(1, len(coeffs) + 1))
-        return tsirelson.prefix_norms(self.alpha, v, prefixes, h=self.h)
+        engine, first = tsirelson.TsirelsonEngine(self.alpha, v, self.h), min(v.support, default=0)
+        return [
+            engine.interval_norm(lo, hi) if engine._scale is not None or lo <= first
+            else self.norm(v.restrict(range(lo, hi + 1)))
+            for lo, hi in intervals
+        ]
 
     def describe(self) -> str:
         h = "" if self.h is None else f",h={self.h.kind}"

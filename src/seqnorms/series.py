@@ -16,7 +16,6 @@ from .core import (
     FiniteVector,
     Number,
     SpaceSpec,
-    eval_norm,
     is_exact,
     parse_scalar,
 )
@@ -125,7 +124,7 @@ def partial_sum_norms(
     if N < 1:
         raise ConfigurationError("N must be >= 1")
     space.check_budget(N)
-    return space.prefix_norms([gen.value(n) for n in range(1, N + 1)])
+    return space.interval_norms(gen.vector(1, N), [(1, K) for K in range(1, N + 1)])
 
 
 @dataclass(frozen=True)
@@ -134,26 +133,19 @@ class TailProfile:
 
     entries: Tuple[Tuple[int, int, Number], ...]  # (m, N, value)
 
-    def value(self, m: int, N: int) -> Number:
-        for mm, nn, val in self.entries:
-            if mm == m and nn == N:
-                return val
-        raise KeyError((m, N))
-
 
 def tail_profile(
     space: SpaceSpec,
     gen: CoefficientGenerator,
     grid: Sequence[Tuple[int, int]],
 ) -> TailProfile:
-    entries = []
     for m, N in grid:
         if not (1 <= m < N):
             raise ConfigurationError(f"need 1 <= m < N, got ({m}, {N})")
         space.check_budget(N)
-        v = gen.vector(m, N - 1)
-        entries.append((m, N, eval_norm(space, v)))
-    return TailProfile(entries=tuple(entries))
+    v = gen.vector(min((m for m, _ in grid), default=1), max((N for _, N in grid), default=1) - 1)
+    values = space.interval_norms(v, [(m, N - 1) for m, N in grid])
+    return TailProfile(entries=tuple((m, N, x) for (m, N), x in zip(grid, values)))
 
 
 def convergence_verdict(

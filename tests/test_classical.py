@@ -29,6 +29,11 @@ from seqnorms.classical import (
 )
 
 
+def prefix_norms(space, v):
+    """The norms of v restricted to 1..K for K = 1..v's last position."""
+    return space.interval_norms(v, [(1, K) for K in range(1, v.support[-1] + 1)])
+
+
 def random_vector(rng, max_pos=12, max_len=6):
     return FiniteVector.from_pairs(
         (rng.randint(1, max_pos), Fraction(rng.randint(-8, 8), rng.randint(1, 4)))
@@ -62,7 +67,7 @@ class TestLp:
         with pytest.raises(BudgetError):
             lp_norm(p, v)
         with pytest.raises(BudgetError):
-            LpSpace(p).prefix_norms(list(v.coeffs))
+            prefix_norms(LpSpace(p), v)
         with pytest.raises(BudgetError):
             lorentz_norm(WeightSpec.harmonic(), p, v)
 
@@ -76,7 +81,7 @@ class TestLp:
         with pytest.raises(BudgetError, match="--float"):
             lp_norm(100, v)
         with pytest.raises(BudgetError):
-            LpSpace(100).prefix_norms(list(v.coeffs))
+            prefix_norms(LpSpace(100), v)
         with pytest.raises(BudgetError):
             lorentz_norm(WeightSpec.harmonic(), 100, v)
         assert time.perf_counter() - started < 1.0
@@ -111,7 +116,7 @@ class TestLp:
         v = FiniteVector.from_dense(coeffs)
         assert lp_norm(p, v) == 3.0
         assert lorentz_norm(WeightSpec.harmonic(), p, v) == 3.0
-        assert LpSpace(p).prefix_norms(coeffs) == [2.0, 3.0]
+        assert prefix_norms(LpSpace(p), v) == [2.0, 3.0]
 
     @pytest.mark.parametrize("coeffs, first", [([INF, 1e200], INF), ([10 ** 400, 1e200], 10 ** 400)],
                              ids=["inf", "10^400"])
@@ -121,30 +126,46 @@ class TestLp:
         v = FiniteVector.from_dense(coeffs)
         assert lp_norm(3, v) == INF
         assert lorentz_norm(WeightSpec.harmonic(), 3, v) == INF
-        assert LpSpace(3).prefix_norms(coeffs) == [first, INF]
+        assert prefix_norms(LpSpace(3), v) == [first, INF]
 
     def test_float_l1_is_a_plain_left_to_right_sum(self):
         # sum() is compensated on Python >= 3.12 and gave 1.0 there, unlike
         # 3.11 and the running sum of `scan lp:p=1 --float`
         coeffs = [0.1] * 10
         assert lp_norm(1, FiniteVector.from_dense(coeffs)) == 0.9999999999999999
-        assert LpSpace(1).prefix_norms(coeffs)[-1] == 0.9999999999999999
+        assert prefix_norms(LpSpace(1), FiniteVector.from_dense(coeffs))[-1] == 0.9999999999999999
 
     def test_l1_of_floats_and_an_exact_term_beyond_the_float_range(self):
         # adding 1.5 to 10 ** 400 raised OverflowError, in the norm and in
         # the running sum of `scan`
         for coeffs in ([1.5, 10 ** 400], [10 ** 400, 1.5], [Fraction(10 ** 400, 3), 1.5]):
             assert lp_norm(1, FiniteVector.from_dense(coeffs)) == INF
-            assert LpSpace(1).prefix_norms(coeffs)[-1] == INF
+            assert prefix_norms(LpSpace(1), FiniteVector.from_dense(coeffs))[-1] == INF
 
     def test_float_power_sum_below_the_float_range(self):
         # 0.5 ** 100000.0 underflows: the sum of a nonzero vector read 0.0
         v = FiniteVector.from_dense([Fraction(1, 2), Fraction(1, 2)])
         expected = 0.5 * 2.0 ** (1 / 100000.0)
         assert lp_norm(100000.0, v) == expected
-        assert LpSpace(100000.0).prefix_norms(list(v.coeffs)) == [0.5, expected]
+        assert prefix_norms(LpSpace(100000.0), v) == [0.5, expected]
         value = lorentz_norm(WeightSpec.harmonic(), 100000.0, v)
         assert value == 0.5 * 1.5 ** (1 / 100000.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(1, 12), st.integers(-9, 9), st.sampled_from((1, 2, 3, 7)))),
+        st.sampled_from((1, 2, 3, Fraction(5, 2), 1.0, 2.0, 2.5, INF)),
+        st.booleans(),
+    )
+    def test_interval_norms_equal_fresh_norms(self, terms, p, exact):
+        # the running sum from v's first position gives each fresh lp_norm's
+        # value and type; the other intervals take a fresh lp_norm
+        v = FiniteVector.from_pairs((n, Fraction(a, d) if exact else a / d) for n, a, d in terms)
+        intervals = [(lo, hi) for lo in range(1, 14) for hi in range(lo, 14)]
+        got = LpSpace(p).interval_norms(v, intervals)
+        assert [repr(x) for x in got] == [
+            repr(lp_norm(p, v.restrict(range(lo, hi + 1)))) for lo, hi in intervals
+        ]
 
 
 @st.composite

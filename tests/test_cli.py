@@ -175,7 +175,9 @@ class TestNormCommand:
     (["ideal", "axioms", "tsirelson-ideal:alpha=1/2,f=harmonic", "--samples", "3", "--seed", "1",
       "--budget-support", "2"], 6, 2),
     (["ideal", "turbulence", "tsirelson-ideal:alpha=1/2", "--N", "3", "--budget-support", "0"], 1, 0),
-], ids=["norm", "scan", "tsirelson-ideal", "basis-weight-ideal", "axioms", "turbulence"])
+    # seed 0's block basis spans positions 2..6
+    (["blocks", "lsh", "tsirelson:alpha=1/2", "--budget-support", "1", "--samples", "2"], 5, 1),
+], ids=["norm", "scan", "tsirelson-ideal", "basis-weight-ideal", "axioms", "turbulence", "lsh"])
 def test_budget_refusal_message(capsys, tmp_path, argv, positions, budget):
     vec = write_vector(tmp_path, "v.txt", " ".join(["1"] * 10))
     code, out, err = run(capsys, *(vec if a == "{vec}" else a for a in argv))

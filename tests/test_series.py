@@ -89,19 +89,21 @@ class TestTailProfile:
     def test_finite_support_tail_vanishes(self):
         gen = CoefficientGenerator.from_table([1, 1])
         profile = tail_profile(SpaceSpec.lp(1), gen, [(3, 10)])
-        assert profile.value(3, 10) == 0
+        assert profile.entries == ((3, 10, 0),)
 
     def test_power_two_l2_tails_shrink(self):
         gen = CoefficientGenerator.power(2)
         profile = tail_profile(SpaceSpec.lp(2), gen, [(100, 2000)])
-        assert float(profile.value(100, 2000)) < 0.01
+        [(_, _, value)] = profile.entries
+        assert float(value) < 0.01
 
     def test_tsirelson_harmonic_dyadic_block(self):
         # the tail over (2^4, 2^5] keeps at least half its l1 mass
         gen = CoefficientGenerator.harmonic()
         profile = tail_profile(SpaceSpec.tsirelson(HALF), gen, [(17, 33)])
         bound = HALF * sum(Fraction(1, n + 1) for n in range(17, 33))
-        assert profile.value(17, 33) >= bound
+        [(_, _, value)] = profile.entries
+        assert value >= bound
         assert float(bound) > 0.32
 
 
@@ -138,6 +140,32 @@ class TestVerdicts:
             SpaceSpec.lp(2), CoefficientGenerator.harmonic(), default_tail_grid(64)
         )
         assert convergence_verdict(profile, growth_threshold=1000) != DIVERGING
+
+
+class TestScanFills:
+    """A scan fills one Tsirelson table for its prefixes and one for its
+    tails; a float tail from a later start takes a fresh one."""
+
+    @pytest.fixture
+    def fills(self, monkeypatch):
+        count = [0]
+        fill = tsirelson.TsirelsonEngine.fixed_point_table
+
+        def counted(engine, **kwargs):
+            count[0] += engine._fixed is None  # the table is memoized per engine
+            return fill(engine, **kwargs)
+
+        monkeypatch.setattr(tsirelson.TsirelsonEngine, "fixed_point_table", counted)
+        return count
+
+    @pytest.mark.parametrize("alpha, later_fills", [(HALF, 0), (0.5, 4)], ids=["exact", "float"])
+    def test_fill_count(self, fills, alpha, later_fills):
+        N, space, gen = 32, SpaceSpec.tsirelson(alpha), CoefficientGenerator.harmonic()
+        grid = default_tail_grid(N)
+        assert sum(m > 1 for m, _ in grid) == 4
+        partial_sum_norms(space, gen, N)
+        tail_profile(space, gen, grid)
+        assert fills[0] == 2 + later_fills
 
 
 class TestDomination:

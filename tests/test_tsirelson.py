@@ -1,7 +1,7 @@
 import sys
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from random import Random
 
 import pytest
@@ -634,6 +634,41 @@ class TestCarriedLevels:
                 tracemalloc.stop()
         assert value == 0.6263489536299753 and len(trace.levels) == 5
         assert peak < 850_000
+
+
+class TestIntervalQueries:
+    """One table answers a scan's interval queries: every exact interval,
+    and every float interval from the vector's first position, whose entry
+    reads only prefix sums and entries inside it."""
+
+    HS = (None, HFunction.identity(), HFunction.affine(2, 0),
+          HFunction.from_table([(1, 1), (2, 3), (4, 5)]))
+    TERMS = st.lists(
+        st.tuples(st.integers(1, 30), st.integers(-9, 9), st.sampled_from((1, 2, 3, 7))),
+        min_size=1,
+        max_size=14,
+    )
+
+    @settings(max_examples=80, deadline=None)
+    @given(TERMS, st.sampled_from((0.5, 1 / 3, 2 / 3, 0.9, 0.1)), st.sampled_from(HS))
+    def test_float_prefixes_read_one_table_bit_for_bit(self, terms, alpha, h):
+        v = FiniteVector.from_pairs((n, a / d) for n, a, d in terms)
+        if v.is_zero:
+            return
+        engine = TsirelsonEngine(alpha, v, h)
+        first = v.support[0]
+        for K in range(first, v.support[-1] + 1):
+            fresh = fixed_point_norm(alpha, v.restrict(range(first, K + 1)), h=h)
+            assert repr(engine.interval_norm(first, K)) == repr(fresh)
+
+    @settings(max_examples=40, deadline=None)
+    @given(TERMS, st.sampled_from((HALF, Fraction(1, 3), Fraction(2, 3))), st.sampled_from(HS))
+    def test_exact_intervals_read_one_table(self, terms, alpha, h):
+        v = FiniteVector.from_pairs((n, Fraction(a, d)) for n, a, d in terms)
+        engine = TsirelsonEngine(alpha, v, h)
+        for lo, hi in combinations_with_replacement(v.support, 2):
+            fresh = fixed_point_norm(alpha, v.restrict(range(lo, hi + 1)), h=h)
+            assert repr(engine.interval_norm(lo, hi)) == repr(fresh)
 
 
 GAPPED_H = HFunction.from_table([(2, 2), (3, 4), (9, 10)])  # table:2:2;3:4;9:10
