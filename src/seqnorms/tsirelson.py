@@ -85,6 +85,8 @@ per-right-end arrays: they add a split's groups right-nested, first group
 plus the best split of the rest, and per-start arrays would add them
 left-nested, which can round differently.  For the right end j, rows[q][x]
 is the best split of [x..j] into q groups, computed once per right end.
+A state reads its first groups from the row suffix table[x][x:], kept for
+the whole fill, and the l1 masses of the starts are formed once per j.
 Most queries find their state computed, or need just that one state, whose
 lower row the previous start has already extended; the others extend each
 row they need down to their start.  A state's value does not depend on
@@ -370,20 +372,24 @@ class TsirelsonEngine:
     def _fill_float(self, table, out, carried=None):
         # By right end, then by decreasing start, trying every size at its own
         # start in increasing k.  The search for [i..j] stops once the l1 mass
-        # p * sum |a_n| of the next start cannot beat it.
+        # p * sum |a_n| of the next start, mass[a], cannot beat it.
         #
         # The best split of [a..j] into r groups is rows[r][a].  For the fixed
         # j, rows[q][x] is the best split of [x..j] into q groups, filled for
         # lo[q] <= x <= j - q + 1, and rows[1] is column j of the table; on
         # the fixed-point route that is the live column written here, never a
-        # copy.  A state takes its first group [x..t] from row x of the table:
+        # copy.  A state takes its first group [x..t] from shifted[x], the
+        # suffix table[x][x:], sliced once per fill (on the fixed-point route
+        # grown by each column once it is written):
         #
         #     rows[q][x] = max over t of table[x][t] + rows[q - 1][t + 1].
         #
-        # The query (a, j, r) needs rows[q] down to x = a + r - q for
-        # q = 2..r, and each row is extended just that far, by increasing q.
-        # So lo[q'] <= lo[q] + (q - q') for q' < q: the rows to extend run
-        # from the first one that needs work, found by scanning down from r.
+        # rows[q] holds j - q + 2 entries, so map stops at the end of the
+        # lower row, rows[q - 1][x + 1:].  The query (a, j, r) needs rows[q]
+        # down to x = a + r - q for q = 2..r, and each row is extended just
+        # that far, by increasing q.  So lo[q'] <= lo[q] + (q - q') for
+        # q' < q: the rows to extend run from the first one that needs
+        # work, found by scanning down from r.
         # The usual query needs only rows[r][a], whose lower row the queries
         # of start i + 1 have already extended, and takes one step.  Only
         # table[x][t] with t < j and column entries x > a are read: strict
@@ -401,10 +407,12 @@ class TsirelsonEngine:
         top_r = max(self._r, default=1)
         live = table is out
         floors = self._sup if live else table
+        shifted = [[] for _ in range(s)] if live else [row[x:] for x, row in enumerate(table)]
         moved, kept = [], []
         seen = -1  # the largest start of a changed entry [a..b] with b < j
         for j in range(s):
             total = prefix[j + 1]
+            mass = [p * (total - x) for x in prefix[: j + 1]]
             depth = min(top_r, j + 1)  # at most j + 1 groups fit in [a..j]
             if live:
                 col = [0] * (j + 1)  # column j of out
@@ -428,24 +436,23 @@ class TsirelsonEngine:
                 best = floors[i][j]
                 for start, r in sizes:
                     a = start if start > i else i
-                    if a > j or p * (total - prefix[a]) <= best:
+                    if a > j or mass[a] <= best:
                         break  # larger k only shrinks the available l1 mass
                     if r > j - a + 1:
                         break  # r grows and width shrinks with k
                     if r >= 2:
                         row = rows[r]
                         if lo[r] == a + 1 and lo[r - 1] <= a + 1:
-                            stop = j - r + 2
-                            row[a] = max(map(add, table[a][a:stop], rows[r - 1][a + 1 : stop + 1]))
+                            row[a] = max(map(add, shifted[a], rows[r - 1][a + 1 :]))
                             lo[r] = a
                         elif lo[r] > a:
                             first = r
                             while first > 2 and lo[first - 1] > a + r - first + 1:
                                 first -= 1
                             for q in range(first, r + 1):
-                                ext, prev, stop = rows[q], rows[q - 1], j - q + 2
+                                ext, prev = rows[q], rows[q - 1]
                                 for x in range(lo[q] - 1, a + r - q - 1, -1):
-                                    ext[x] = max(map(add, table[x][x:stop], prev[x + 1 : stop + 1]))
+                                    ext[x] = max(map(add, shifted[x], prev[x + 1 :]))
                                 lo[q] = a + r - q
                         cand = p * row[a]
                         if cand > best:
@@ -453,7 +460,10 @@ class TsirelsonEngine:
                 col[i] = best
             for x, value in enumerate(col):
                 out[x][j] = value
-            if not live:
+            if live:
+                for suffix, value in zip(shifted, col):
+                    suffix.append(value)
+            else:
                 # The rows with a state are a prefix, by the bound on lo.
                 moved.append(next((i for i in range(thresh, -1, -1) if col[i] != rows[1][i]), -1))
                 top = depth

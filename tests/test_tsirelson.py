@@ -1,3 +1,4 @@
+import hashlib
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -401,6 +402,30 @@ class TestIntegerKernel:
                 tuple(repr(x) for x in prefix_norms(alpha, v, prefixes, h=h)),
             ))
         assert got == LARGE_FLOAT_CORPUS
+
+    def test_large_float_tables_match_recorded_digest(self):
+        # Every entry of every level, the fixed-point table and the trace, by
+        # type and repr, at the s = 32-48 of the benchmark's float requests:
+        # the level and fixed-point fills must keep every bit there too.
+        # The digest was recorded before the float fill read its first
+        # groups from per-start row suffixes.
+        digest = hashlib.sha256()
+        for case, (s, alpha) in enumerate((s, a) for s in (32, 40, 48) for a in (1 / 3, 0.5, 2 / 3)):
+            h = (None, HFunction.affine(2, 0))[case % 2]
+            rng = Random(f"float-bits/{case}")
+            pos, pairs = 0, []
+            for _ in range(s):
+                pos += rng.randint(1, 3)
+                a = rng.choice((-1, 1)) * rng.randint(1, 20) / rng.choice((1, 2, 3, 5, 7, 12))
+                pairs.append((pos, a))
+            engine = TsirelsonEngine(alpha, FiniteVector.from_pairs(pairs), h)
+            value, trace = engine.norm_with_trace()
+            for table in engine.level_tables(s + 1):
+                digest.update(repr(typed(table)).encode())
+            digest.update(repr(typed([[value] + [x for _, x in trace.levels]])).encode())
+            digest.update(repr(trace.stabilization_level).encode())
+            digest.update(repr(typed(engine.fixed_point_table())).encode())
+        assert digest.hexdigest() == LARGE_FLOAT_DIGEST
 
     @pytest.mark.parametrize("N, expected", [
         (48, Fraction(7764333129948822479951, 12396178016983986825600)),
@@ -1138,6 +1163,9 @@ LARGE_FLOAT_CORPUS = [
      ("14.577777777777778", "35.337566137566135", "44.045502645502644", "51.702645502645495")),
 ]
 
+
+# sha256 of the typed tables of test_large_float_tables_match_recorded_digest.
+LARGE_FLOAT_DIGEST = "7a3247596a7dce22cf1da0a1af3fe074ff3196c76fe0deca64d4a73a6a392e22"
 
 def inadmissible(*children, h=None):
     """certificate_lower_bound on a root family with the given child sets."""
