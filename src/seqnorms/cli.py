@@ -124,7 +124,7 @@ def cmd_oracle(args, report: _Report) -> int:
 
 
 def cmd_scan(args, report: _Report) -> int:
-    space = parse_space(args.space, exact=args.exact, budget=args.budget_support)
+    space = parse_space(args.space, exact=args.exact, tol=args.tol, budget=args.budget_support)
     gen = series.parse_generator(args.generator, exact=args.exact)
     norms = series.partial_sum_norms(space, gen, args.N)
     report.header(
@@ -164,7 +164,7 @@ def cmd_blocks(args, report: _Report) -> int:
                 "PASS" if check.passed else "FAIL",
             )
     else:
-        space = parse_space(args.space, exact=args.exact, budget=args.budget_support)
+        space = parse_space(args.space, exact=args.exact, tol=args.tol, budget=args.budget_support)
         spec = blocks.random_block_spec(rng)
         samples = []
         for _ in range(args.samples):

@@ -219,6 +219,9 @@ class FiniteVector:
         return not self.support
 
     def restrict(self, positions: Iterable[int]) -> "FiniteVector":
+        if isinstance(positions, range) and positions.step == 1:  # a slice, not a set of the range
+            i, j = (bisect_left(self.support, n) for n in (positions.start, positions.stop))
+            return FiniteVector(self.support[i:j], self.values[i:j])
         keep = set(positions)
         return FiniteVector.from_pairs(p for p in zip(self.support, self.values) if p[0] in keep)
 

@@ -3,10 +3,13 @@ turbulence and membership diagnostics.
 
 Only finite horizons are computable here; every verdict derived from them is
 heuristic and labeled as such.  The submeasure axioms themselves are exact
-statements about finite sets and are checked exactly.
+statements about finite sets and are checked exactly.  A diagnostic that reads
+phi on several windows of one set (tails, prefixes) builds the set's vector
+once and asks the space once for all of them, through ``_phi_windows``.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -15,15 +18,14 @@ from .core import (
     ConfigurationError,
     FiniteVector,
     HFunction,
+    LpSpace,
     Number,
     ParseError,
     SpaceSpec,
     TsirelsonSpace,
     _parse_h,
     _parse_kv,
-    _running,
     close,
-    eval_norm,
     parse_scalar,
     parse_space,
 )
@@ -157,36 +159,30 @@ def _set_int(text: str, descriptor: str) -> int:
 
 @dataclass(frozen=True)
 class SubmeasureSpec:
-    """phi(A) from either a weighted basis or a summable weight sequence.
+    """phi(A) = ||sum_{n in A} f(n) x_{pos(n)}|| in a 1-unconditional space.
 
-    basis-weight: phi(A) = ||sum_{n in A} f(n) x_{pos(n)}|| in a
-    1-unconditional space, with pos the optional position map (identity when
-    absent).  summable: phi(A) = sum_{n in A} weights(n).
+    pos is the optional position map (identity when absent).  basis-weight
+    takes any space and f(n) > 0; summable is the l_1 case, phi(A) =
+    sum_{n in A} w(n) with w = f >= 0.
     """
 
     source: str  # "basis-weight" | "summable"
     space: Optional[SpaceSpec] = None
     f: Optional[CoefficientGenerator] = None
-    weights: Optional[CoefficientGenerator] = None
     position_map: Optional[HFunction] = None
 
     def __post_init__(self):
-        if self.source == "basis-weight":
-            if self.space is None or self.f is None:
-                raise ConfigurationError("basis-weight needs a space and a weight generator")
-            # every implemented space has a 1-unconditional unit-vector basis,
-            # so no renorming is needed for monotonicity
-            probe = [self.f.value(n) for n in (1, 2, 7)]
-            if any(a <= 0 for a in probe):
-                raise ConfigurationError("basis-weight requires f(n) > 0")
-        elif self.source == "summable":
-            if self.weights is None:
-                raise ConfigurationError("summable needs a weight generator")
-            probe = [self.weights.value(n) for n in (1, 2, 7)]
-            if any(w < 0 for w in probe):
-                raise ConfigurationError("summable weights must be non-negative")
-        else:
+        if self.source not in ("basis-weight", "summable"):
             raise ConfigurationError(f"unknown submeasure source {self.source!r}")
+        if self.space is None or self.f is None:
+            raise ConfigurationError(f"{self.source} needs a space and a weight generator")
+        # every implemented space has a 1-unconditional unit-vector basis, so
+        # no renorming is needed for monotonicity; a table is probed in full
+        probe = [self.f.value(n) for n in {1, 2, 7, *range(1, len(self.f.table) + 1)}]
+        if self.source == "basis-weight" and any(a <= 0 for a in probe):
+            raise ConfigurationError("basis-weight requires f(n) > 0")
+        if self.source == "summable" and any(w < 0 for w in probe):
+            raise ConfigurationError("summable weights must be non-negative")
 
     @staticmethod
     def basis_weight(
@@ -198,55 +194,58 @@ class SubmeasureSpec:
 
     @staticmethod
     def summable(weights: CoefficientGenerator) -> "SubmeasureSpec":
-        return SubmeasureSpec("summable", weights=weights)
+        return SubmeasureSpec("summable", space=LpSpace(1), f=weights)
 
     def describe(self) -> str:
         if self.source == "summable":
-            return f"summable:w={self.weights.describe()}"
+            return f"summable:w={self.f.describe()}"
         tag = f"basis-weight:space={self.space.describe()},f={self.f.describe()}"
         if self.position_map is not None:
             tag += f",h={self.position_map.kind}"
         return tag
 
 
-def phi(
-    spec: SubmeasureSpec,
-    A: Sequence[int],
-) -> Number:
+def _phi_windows(
+    spec: SubmeasureSpec, members: Sequence[int], windows: Sequence[Tuple[int, int]]
+) -> List[Number]:
+    """phi(members intersect [lo, hi]) for each window, ``members`` increasing.
+
+    One vector sum f(n) x_pos(n) over the members, one ``interval_norms`` call
+    for the non-empty windows, each budget-checked in order; an empty one reads
+    0 without reaching the space."""
+    if members and members[0] < 1:
+        raise ConfigurationError("positions are 1-based")
+    spans = [(bisect_left(members, lo), bisect_right(members, hi)) for lo, hi in windows]
+    asked = [(i, j) for i, j in spans if i < j]
+    for i, j in asked:
+        spec.space.check_budget(j - i)
+    if not asked:
+        return [0] * len(windows)
+    pm = spec.position_map
+    pos = members if pm is None else list(map(pm, members))
+    v = FiniteVector.from_pairs(zip(pos, map(spec.f.value, members)))
+    values = iter(spec.space.interval_norms(v, [(pos[i], pos[j - 1]) for i, j in asked]))
+    return [next(values) if i < j else 0 for i, j in spans]
+
+
+def phi(spec: SubmeasureSpec, A: Sequence[int]) -> Number:
     """The submeasure of a finite position set."""
     positions = sorted(set(A))
-    if any(n < 1 for n in positions):
-        raise ConfigurationError("positions are 1-based")
-    if not positions:
-        return 0
-    if spec.source == "summable":
-        # left to right from int 0, as sum() does not on Python >= 3.12
-        return _running(map(spec.weights.value, positions))[-1]
-    spec.space.check_budget(len(positions))
-    pm = spec.position_map
-    v = FiniteVector.from_pairs(
-        (pm(n) if pm is not None else n, spec.f.value(n)) for n in positions
-    )
-    return eval_norm(spec.space, v)
+    return _phi_windows(spec, positions, [(1, max(positions, default=0))])[0]
 
 
 def phi_tail_profile(
-    spec: SubmeasureSpec,
-    A: SetGenerator,
-    cut_points: Sequence[int],
-    horizon: int,
+    spec: SubmeasureSpec, A: SetGenerator, cut_points: Sequence[int], horizon: int
 ) -> List[Number]:
     """phi(A intersect [n, horizon)) for each cut point n.
 
     Finite-horizon approximants to the tail submeasure; non-increasing in n
     by 1-unconditionality.
     """
-    out = []
-    for n in cut_points:
-        if n >= horizon:
-            raise ConfigurationError("cut points must be below the horizon")
-        out.append(phi(spec, A.members(n, horizon - 1)))
-    return out
+    if any(n >= horizon for n in cut_points):
+        raise ConfigurationError("cut points must be below the horizon")
+    members = A.members(min(cut_points, default=horizon), horizon - 1)
+    return _phi_windows(spec, members, [(n, horizon - 1) for n in cut_points])
 
 
 # ---------------------------------------------------------------------------
@@ -291,10 +290,7 @@ def submeasure_axiom_check(
                 violations.append(f"phi({{{n}}}) not finite")
         if x:
             # LSC restricted to finite sets: phi(x) is the sup of its prefixes
-            prefix_values = [
-                phi(spec, [n for n in x if n < cut])
-                for cut in sorted(set(x))
-            ] + [px]
+            prefix_values = _phi_windows(spec, x, [(1, cut - 1) for cut in x]) + [px]
             if any(below(b, a) for a, b in zip(prefix_values, prefix_values[1:])):
                 violations.append(f"prefix values not non-decreasing at {x}")
             if not close(max(prefix_values), px):
@@ -395,7 +391,7 @@ def membership_verdict(
             return NON_MEMBER
         return INCONCLUSIVE
     cuts = _doubling_cuts(horizon)
-    prefixes = [phi(spec, A.members(1, c)) for c in cuts]
+    prefixes = _phi_windows(spec, A.members(1, horizon), [(1, c) for c in cuts])
     increments = [b - a for a, b in zip(prefixes, prefixes[1:])]
     if not increments or increments[-1] == 0:
         return MEMBER  # the set is exhausted below the horizon

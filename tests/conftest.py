@@ -8,7 +8,7 @@ import io
 
 import pytest
 
-from seqnorms import cli
+from seqnorms import cli, tsirelson
 
 ACCEPTANCE_LINES = []
 
@@ -42,3 +42,17 @@ def refused(tmp_path):
             assert (code, out.getvalue()) == (2, "") and "Traceback" not in err.getvalue()
 
     return check
+
+
+@pytest.fixture
+def fills(monkeypatch):
+    """A count of the Tsirelson fixed-point tables the test fills."""
+    count = [0]
+    fill = tsirelson.TsirelsonEngine.fixed_point_table
+
+    def counted(engine, **kwargs):
+        count[0] += engine._fixed is None  # the table is memoized per engine
+        return fill(engine, **kwargs)
+
+    monkeypatch.setattr(tsirelson.TsirelsonEngine, "fixed_point_table", counted)
+    return count

@@ -54,6 +54,9 @@ class TestFiniteVector:
     def test_restrict(self):
         v = FiniteVector.from_dense([1, 2, 3])
         assert v.restrict([2]) == FiniteVector.from_pairs([(2, 2)])
+        # an interval is sliced from the support, with the same result
+        assert v.restrict(range(2, 10 ** 5)) == FiniteVector.from_pairs([(2, 2), (3, 3)])
+        assert v.restrict(range(3, 1)).is_zero and v.restrict(range(1, 4, 2)) == v.restrict([1, 3])
 
     def test_stores_only_the_support(self):
         v = FiniteVector.from_dense([0, 3, 0.0, Fraction(0), 1, -0.0])
@@ -204,6 +207,7 @@ class TestDenseReference:
         signs = [1 if i % 3 else -1 for i in range(len(a))]
         results = [
             (u + v, ru + rv), (u - v, ru - rv), (u.restrict(keep), ru.restrict(keep)),
+            (u.restrict(range(2, len(a))), ru.restrict(range(2, len(a)))),
             (u.scale(c), ru.scale(c)), (u.scale(0), ru.scale(0)),
             (u.flip_signs(signs), ru.flip_signs(signs)),
         ]

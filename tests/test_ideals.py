@@ -110,6 +110,54 @@ class TestPhi:
         with pytest.raises(ConfigurationError):
             SubmeasureSpec.basis_weight(SpaceSpec.lp(1), CoefficientGenerator.constant(0))
 
+    def test_zero_summable_weights_admitted(self):
+        # a set whose weights are all zero reads 0, the l1 norm of the zero vector
+        spec = SubmeasureSpec.summable(CoefficientGenerator.from_table([1.5, 0.0, 2.0]))
+        assert phi(spec, [1, 2, 3]) == 3.5
+        assert (type(phi(spec, [2])), phi(spec, [2])) == (int, 0)
+
+    def test_summable_is_the_l1_case(self):
+        weights = CoefficientGenerator.power(Fraction(3, 2))
+        spec = SubmeasureSpec.summable(weights)
+        assert spec.space == SpaceSpec.lp(1) and spec.f == weights
+        assert spec.describe() == "summable:w=power:s=3/2"
+
+
+class TestWindows:
+    """Every windowed value is phi of that window's members, bit for bit."""
+
+    SPECS = [
+        SubmeasureSpec.basis_weight(SpaceSpec.tsirelson(0.5), RECIPROCAL, HFunction.affine(2, 0)),
+        SubmeasureSpec.basis_weight(SpaceSpec.tsirelson(HALF), CoefficientGenerator.harmonic()),
+        SubmeasureSpec.basis_weight(SpaceSpec.lp(Fraction(5, 2)), RECIPROCAL, HFunction.affine(1, 3)),
+        SubmeasureSpec.basis_weight(SpaceSpec.lp(2.0), CoefficientGenerator.power(Fraction(3, 2))),
+        SubmeasureSpec.summable(CoefficientGenerator.power(Fraction(3, 2))),
+        SubmeasureSpec.summable(RECIPROCAL),
+    ]
+    SETS = [SetGenerator.naturals(), SetGenerator.evens(), SetGenerator.primes(),
+            SetGenerator.explicit([3, 4, 9, 17, 18])]
+
+    @staticmethod
+    def same(a, b):
+        return (type(a), repr(a)) == (type(b), repr(b))
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.describe())
+    def test_windows_match_phi(self, spec):
+        rng = Random(spec.describe())
+        for _ in range(12):
+            A, horizon = rng.choice(self.SETS), rng.randint(2, 24)
+            members = A.members(1, horizon)
+            # some windows fall between members or past them, and read 0
+            windows = [tuple(sorted(rng.sample(range(0, horizon + 3), 2))) for _ in range(5)]
+            windows.append((horizon + 1, horizon + 2))
+            got = ideals._phi_windows(spec, members, windows)
+            for (lo, hi), value in zip(windows, got):
+                assert self.same(value, phi(spec, [n for n in members if lo <= n <= hi]))
+            cuts = sorted(rng.sample(range(1, horizon), min(4, horizon - 1)))
+            tails = phi_tail_profile(spec, A, cuts, horizon)
+            for cut, value in zip(cuts, tails):
+                assert self.same(value, phi(spec, A.members(cut, horizon - 1)))
+
 
 class TestTailProfile:
     def test_square_summable_tails_shrink(self):
@@ -258,6 +306,24 @@ class TestTurbulence:
         assert turbulence_criterion(spec, 128) == TURBULENT
 
 
+class TestMembershipFills:
+    """One vector, and so one Tsirelson engine, per set: exact windows all
+    read its table; a float tail from a later start takes a fresh one."""
+
+    @pytest.mark.parametrize("alpha, fills_expected", [(HALF, 1), (0.5, 4)], ids=["exact", "float"])
+    def test_exh_tails(self, fills, alpha, fills_expected):
+        # cuts 1, 2, 4, 8 and 16 below the horizon 32; the tails from 1 and 2
+        # both start at the first even, so float mode fills for 1, 4, 8, 16
+        ideal = IdealSpec.tsirelson_ideal(alpha, HFunction.identity(), RECIPROCAL)
+        assert membership_verdict(ideal, SetGenerator.evens(), 32) == NON_MEMBER
+        assert fills[0] == fills_expected
+
+    def test_fin_prefixes(self, fills):
+        spec = SubmeasureSpec.basis_weight(SpaceSpec.tsirelson(HALF), RECIPROCAL)
+        membership_verdict(IdealSpec(spec, "Fin"), SetGenerator.naturals(), 32)
+        assert fills[0] == 1
+
+
 class TestMembership:
     def test_squares_in_reciprocal_ideal(self):
         ideal = IdealSpec.summable_ideal(RECIPROCAL)
@@ -300,6 +366,8 @@ class TestDescriptors:
 
 
 SUMMABLE = SubmeasureSpec.summable(RECIPROCAL)
+EIGHT_WITH_NEGATIVE = CoefficientGenerator.from_table([1, 2, -3, 4, 5, 6, 7, 8])
+SEVEN_WITH_ZERO = CoefficientGenerator.from_table([1, 2, 3, 0, 5, 6, 7])
 
 
 @pytest.mark.parametrize("call, argv", [
@@ -309,6 +377,15 @@ SUMMABLE = SubmeasureSpec.summable(RECIPROCAL)
                  id="basis-weight-without-f"),
     pytest.param(lambda tmp: SubmeasureSpec("summable"), None, id="summable-without-weights"),
     pytest.param(lambda tmp: SubmeasureSpec("counting"), None, id="unknown-source"),
+    # weights are probed at every table entry, not only at 1, 2 and 7
+    pytest.param(lambda tmp: SubmeasureSpec.summable(CoefficientGenerator.from_table([1, 1, -1])),
+                 ["ideal", "axioms", "summable:w=table:1;1;-1", "--samples", "30", "--seed", "1"],
+                 id="summable-negative-table-entry"),
+    pytest.param(lambda tmp: SubmeasureSpec.basis_weight(SpaceSpec.lp(2), EIGHT_WITH_NEGATIVE),
+                 ["ideal", "axioms", "basis-weight:space=lp:p=2,f=table:1;2;-3;4;5;6;7;8"],
+                 id="basis-weight-negative-table-entry"),
+    pytest.param(lambda tmp: SubmeasureSpec.basis_weight(SpaceSpec.lp(2), SEVEN_WITH_ZERO), None,
+                 id="basis-weight-zero-table-entry"),
     pytest.param(lambda tmp: phi(SUMMABLE, [0, 1]), None, id="phi-position-below-1"),
     pytest.param(lambda tmp: phi_tail_profile(SUMMABLE, SetGenerator.evens(), [8], 8), None,
                  id="cut-point-at-horizon"),

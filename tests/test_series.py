@@ -146,18 +146,6 @@ class TestScanFills:
     """A scan fills one Tsirelson table for its prefixes and one for its
     tails; a float tail from a later start takes a fresh one."""
 
-    @pytest.fixture
-    def fills(self, monkeypatch):
-        count = [0]
-        fill = tsirelson.TsirelsonEngine.fixed_point_table
-
-        def counted(engine, **kwargs):
-            count[0] += engine._fixed is None  # the table is memoized per engine
-            return fill(engine, **kwargs)
-
-        monkeypatch.setattr(tsirelson.TsirelsonEngine, "fixed_point_table", counted)
-        return count
-
     @pytest.mark.parametrize("alpha, later_fills", [(HALF, 0), (0.5, 4)], ids=["exact", "float"])
     def test_fill_count(self, fills, alpha, later_fills):
         N, space, gen = 32, SpaceSpec.tsirelson(alpha), CoefficientGenerator.harmonic()
