@@ -23,7 +23,6 @@ from .core import (
 )
 from .tsirelson import (
     LevelTrace,
-    NormCertificate,
     certificate_lower_bound,
     is_admissible,
     norm,

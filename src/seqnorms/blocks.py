@@ -93,7 +93,10 @@ def _normalized_spec(spec: BlockBasisSpec, space: SpaceSpec) -> BlockBasisSpec:
 @dataclass(frozen=True)
 class CjtCheck:
     ratio: Number
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return CJT_LOWER <= self.ratio <= CJT_UPPER
 
 
 def cjt_ratio_check(
@@ -125,7 +128,7 @@ def cjt_ratio_check(
     ratio = numerator / denominator
     if isinstance(ratio, Fraction) and ratio.denominator == 1:
         ratio = int(ratio)
-    return CjtCheck(ratio=ratio, passed=CJT_LOWER <= ratio <= CJT_UPPER)
+    return CjtCheck(ratio)
 
 
 @dataclass(frozen=True)

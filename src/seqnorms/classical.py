@@ -34,6 +34,7 @@ from .core import (
     FiniteVector,
     INF,
     Number,
+    OrliczSpace,
     ParseError,
     WeightSpec,
     is_exact,
@@ -338,7 +339,7 @@ def _luxemburg_functional(M: OrliczFunction, entries: Sequence[Number], u: Numbe
     return total
 
 
-def luxemburg_norm(M: OrliczFunction, v: FiniteVector, tol: float = 1e-10) -> Number:
+def luxemburg_norm(M: OrliczFunction, v: FiniteVector, tol: float = OrliczSpace.tol) -> Number:
     """The Luxemburg norm: the rho > 0 with sum M(|v(n)|/rho) = 1.
 
     Works in u = 1/rho, where the functional f is non-decreasing.  For
@@ -350,8 +351,8 @@ def luxemburg_norm(M: OrliczFunction, v: FiniteVector, tol: float = 1e-10) -> Nu
     directly and the others skip the step.  Otherwise the root is bracketed
     by doubling/halving and bisected until the residual is within ``tol``.
     """
-    if tol <= 0:
-        raise ConfigurationError("tolerance must be positive")
+    if not 0 < tol < INF:
+        raise ConfigurationError("tolerance must be a finite positive number")
     if not v.values:
         return 0
 

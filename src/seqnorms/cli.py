@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from contextlib import suppress
 from fractions import Fraction
 from random import Random
 from typing import List, Optional
@@ -19,9 +20,11 @@ from typing import List, Optional
 from . import blocks, ideals, series, tsirelson
 from .core import (
     DEFAULT_SUPPORT_BUDGET,
+    INF,
     BudgetError,
     ConfigurationError,
     FiniteVector,
+    OrliczSpace,
     ParseError,
     TsirelsonSpace,
     close,
@@ -219,9 +222,9 @@ def cmd_ideal(args, report: _Report) -> int:
 
 
 def cmd_certify(args, report: _Report) -> int:
-    bound, cert = series.harmonic_tsirelson_witness(args.k, budget=args.witness_budget)
+    bound, root = series.harmonic_tsirelson_witness(args.k, budget=args.witness_budget)
     v = series.harmonic_witness_prefix(args.k)
-    check = tsirelson.certificate_lower_bound(Fraction(1, 2), None, v, cert)
+    check = tsirelson.certificate_lower_bound(Fraction(1, 2), None, v, root)
     report.header(k=args.k)
     report.row("lower_bound", _value_cell(bound))
     report.row("certificate_value", _value_cell(check))
@@ -236,12 +239,20 @@ def cmd_certify(args, report: _Report) -> int:
         elif node.children:
             report.note("  " * (depth + 1) + f"{len(node.children)} singleton leaves")
 
-    _walk(cert.root, 0)
+    _walk(root, 0)
     return EXIT_OK if check == bound else EXIT_DISAGREE
 
 
 # ---------------------------------------------------------------------------
 # Parser and entry point
+
+
+def _tolerance(text: str) -> float:
+    """A --tol value: a finite positive float, whichever command reads it."""
+    with suppress(ValueError):
+        if 0 < float(text) < INF:
+            return float(text)
+    raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
 
 
 @functools.lru_cache(maxsize=None)
@@ -258,8 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
                         default=argparse.SUPPRESS, help="exact rational arithmetic (default)")
     common.add_argument("--float", dest="exact", action="store_false",
                         default=argparse.SUPPRESS, help="64-bit floating arithmetic")
-    common.add_argument("--tol", type=float, default=argparse.SUPPRESS,
-                        help="iteration tolerance")
+    common.add_argument("--tol", type=_tolerance, default=argparse.SUPPRESS,
+                        help="iteration tolerance, finite and positive")
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="random seed for sampled runs")
     common.add_argument("--budget-support", type=int, default=argparse.SUPPRESS,
@@ -332,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 _GLOBAL_DEFAULTS = {
     "exact": True,
-    "tol": 1e-10,
+    "tol": OrliczSpace.tol,
     "seed": 0,
     "budget_support": DEFAULT_SUPPORT_BUDGET,
     "oracle_cap": tsirelson.DEFAULT_ORACLE_CAP,

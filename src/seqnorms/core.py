@@ -310,10 +310,11 @@ class HFunction:
         if self.kind == "affine":
             k, rem = divmod(m - self.b, self.a)
             return k if rem == 0 and k >= 1 else None
-        for key, val in self.table:
-            if val == m:
-                return key
-        return None
+        return next((key for key, val in self.table if val == m), None)
+
+    def describe(self) -> str:
+        """How a space or submeasure descriptor names this h."""
+        return self.kind
 
     def sizes(self, s: int) -> List[Tuple[int, int]]:
         """The family sizes (k, h(k)) over a support of s points, by increasing k.
@@ -550,7 +551,7 @@ class TsirelsonSpace(SpaceSpec):
         ]
 
     def describe(self) -> str:
-        h = "" if self.h is None else f",h={self.h.kind}"
+        h = "" if self.h is None else f",h={self.h.describe()}"
         return f"tsirelson:alpha={format_scalar(self.alpha)}{h}"
 
     def check_budget(self, positions: int) -> None:

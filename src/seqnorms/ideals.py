@@ -12,6 +12,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from typing import List, Optional, Sequence, Tuple
 
 from .core import (
@@ -101,13 +102,7 @@ class SetGenerator:
             start = lo + (lo % 2)
             return list(range(start, hi + 1, 2))
         if self.kind == "squares":
-            m = 1
-            out = []
-            while m * m <= hi:
-                if m * m >= lo:
-                    out.append(m * m)
-                m += 1
-            return out
+            return [m * m for m in range(isqrt(lo - 1) + 1, isqrt(hi) + 1)]
         if self.kind == "primes":
             return [n for n in _primes_up_to(hi) if n >= lo]
         if self.kind == "dyadic":
@@ -201,7 +196,7 @@ class SubmeasureSpec:
             return f"summable:w={self.f.describe()}"
         tag = f"basis-weight:space={self.space.describe()},f={self.f.describe()}"
         if self.position_map is not None:
-            tag += f",h={self.position_map.kind}"
+            tag += f",h={self.position_map.describe()}"
         return tag
 
 
@@ -255,8 +250,11 @@ def phi_tail_profile(
 @dataclass(frozen=True)
 class AxiomReport:
     checked: int
-    passed: bool
     violations: Tuple[str, ...]
+
+    @property
+    def passed(self) -> bool:
+        return not self.violations
 
 
 def submeasure_axiom_check(
@@ -295,7 +293,7 @@ def submeasure_axiom_check(
                 violations.append(f"prefix values not non-decreasing at {x}")
             if not close(max(prefix_values), px):
                 violations.append(f"prefix sup differs from phi at {x}")
-    return AxiomReport(checked=len(samples), passed=not violations, violations=tuple(violations))
+    return AxiomReport(len(samples), tuple(violations))
 
 
 # ---------------------------------------------------------------------------

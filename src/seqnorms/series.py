@@ -2,7 +2,9 @@
 
 Finite truncation cannot decide convergence, so verdicts are three-valued
 trends and explicitly heuristic; divergence in Tsirelson space is
-additionally backed by exact certificates.
+additionally backed by exact certificates.  A tail profile is a tuple of
+(m, N, value) triples, and the harmonic witness comes with its
+certificate's root node.
 """
 from __future__ import annotations
 
@@ -127,29 +129,24 @@ def partial_sum_norms(
     return space.interval_norms(gen.vector(1, N), [(1, K) for K in range(1, N + 1)])
 
 
-@dataclass(frozen=True)
-class TailProfile:
-    """Tail norms ||sum_{m <= n < N} a_n x_n|| over a grid of (m, N) pairs."""
-
-    entries: Tuple[Tuple[int, int, Number], ...]  # (m, N, value)
-
-
 def tail_profile(
     space: SpaceSpec,
     gen: CoefficientGenerator,
     grid: Sequence[Tuple[int, int]],
-) -> TailProfile:
+) -> Tuple[Tuple[int, int, Number], ...]:
+    """Tail norms ||sum_{m <= n < N} a_n x_n|| over a grid of (m, N) pairs,
+    as (m, N, value) tuples in grid order."""
     for m, N in grid:
         if not (1 <= m < N):
             raise ConfigurationError(f"need 1 <= m < N, got ({m}, {N})")
         space.check_budget(N)
     v = gen.vector(min((m for m, _ in grid), default=1), max((N for _, N in grid), default=1) - 1)
     values = space.interval_norms(v, [(m, N - 1) for m, N in grid])
-    return TailProfile(entries=tuple((m, N, x) for (m, N), x in zip(grid, values)))
+    return tuple((m, N, x) for (m, N), x in zip(grid, values))
 
 
 def convergence_verdict(
-    profile: TailProfile,
+    profile: Sequence[Tuple[int, int, Number]],
     shrink_threshold: Number = DEFAULT_SHRINK_THRESHOLD,
     certified_lower_bound: Optional[Number] = None,
     growth_threshold: Optional[Number] = None,
@@ -163,17 +160,16 @@ def convergence_verdict(
     """
     if growth_threshold is None:
         growth_threshold = 1 / Fraction(shrink_threshold) if is_exact(shrink_threshold) else 1.0 / shrink_threshold
-    entries = profile.entries
     if certified_lower_bound is not None and certified_lower_bound > growth_threshold:
         return DIVERGING
-    if len(entries) < 2:
+    if len(profile) < 2:
         return INCONCLUSIVE
-    ms = sorted({m for m, _, _ in entries})
+    ms = sorted({m for m, _, _ in profile})
     late = set(ms[-LATE_CUTS:])
-    if all(val < shrink_threshold for m, _, val in entries if m in late):
+    if all(val < shrink_threshold for m, _, val in profile if m in late):
         return CONVERGING
     m0 = ms[0]
-    growth = sorted(((N, val) for m, N, val in entries if m == m0))
+    growth = sorted(((N, val) for m, N, val in profile if m == m0))
     values = [val for _, val in growth]
     if (
         len(values) >= 2
@@ -188,7 +184,10 @@ def convergence_verdict(
 class DominationReport:
     dom_verdict: str
     sub_verdict: str
-    witnesses_non_domination: bool
+
+    @property
+    def witnesses_non_domination(self) -> bool:
+        return self.dom_verdict == CONVERGING and self.sub_verdict == DIVERGING
 
 
 def default_tail_grid(N: int) -> List[Tuple[int, int]]:
@@ -225,21 +224,16 @@ def domination_probe(
     """
     grid = default_tail_grid(N)
 
-    def verdict(profile: TailProfile, bound: Optional[Number]) -> str:
+    def verdict(profile: Sequence[Tuple[int, int, Number]], bound: Optional[Number]) -> str:
         return convergence_verdict(profile, shrink_threshold, bound, growth_threshold)
 
     dom_verdict = verdict(tail_profile(dom_space, gen, grid), None)
     # a certified lower bound can settle the sub side without profiling it,
     # which matters when that space is expensive to evaluate
-    sub_verdict = verdict(TailProfile(entries=()), sub_certified_bound)
+    sub_verdict = verdict((), sub_certified_bound)
     if sub_verdict != DIVERGING:
-        sub_profile = tail_profile(sub_space, gen, grid)
-        sub_verdict = verdict(sub_profile, sub_certified_bound)
-    return DominationReport(
-        dom_verdict=dom_verdict,
-        sub_verdict=sub_verdict,
-        witnesses_non_domination=(dom_verdict == CONVERGING and sub_verdict == DIVERGING),
-    )
+        sub_verdict = verdict(tail_profile(sub_space, gen, grid), sub_certified_bound)
+    return DominationReport(dom_verdict, sub_verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +242,9 @@ def domination_probe(
 
 def harmonic_tsirelson_witness(
     k: int, budget: int = DEFAULT_WITNESS_BUDGET
-) -> Tuple[Fraction, tsirelson.NormCertificate]:
-    """Certified lower bound for the harmonic series in Tsirelson(1/2).
+) -> Tuple[Fraction, tsirelson.CertificateNode]:
+    """Certified lower bound for the harmonic series in Tsirelson(1/2), with
+    the root node of its certificate.
 
     Builds the admissible family of dyadic blocks I_j = (2^j, 2^(j+1)] for
     j = k..2k-1 (k sets, min position 2^k + 1 >= k) with singleton families
@@ -272,12 +267,8 @@ def harmonic_tsirelson_witness(
         singletons = tuple(tsirelson.CertificateNode.leaf((n,)) for n in block)
         children.append(tsirelson.CertificateNode.internal(block, singletons))
         bound += Fraction(1, 2) * sum(Fraction(1, n + 1) for n in block)
-    root = tsirelson.CertificateNode.internal(
-        tuple(range(1, 2 ** (2 * k) + 1)), tuple(children)
-    )
-    cert = tsirelson.NormCertificate(root)
-    lower_bound = Fraction(1, 2) * bound
-    return lower_bound, cert
+    root = tsirelson.CertificateNode.internal(range(1, 2 ** (2 * k) + 1), children)
+    return Fraction(1, 2) * bound, root
 
 
 def harmonic_witness_prefix(k: int) -> FiniteVector:

@@ -7,6 +7,9 @@ Two independent computation routes live here:
 * a brute-force oracle over families of arbitrary finite subsets
   (:func:`oracle_norm`), exponential by design and capped by support size.
 
+A norm certificate is its root :class:`CertificateNode`, and
+:func:`certificate_lower_bound` takes that node.
+
 The recursion being computed, for alpha in (0,1):
 
     ||x||_0    = max_n |a_n|
@@ -142,11 +145,12 @@ DEFAULT_ORACLE_CAP = 8
 
 @dataclass(frozen=True)
 class AdmissibilityResult:
-    ok: bool
     reason: str = "ok"
 
     def __bool__(self) -> bool:
-        return self.ok
+        return self.reason == "ok"
+
+    ok = property(__bool__)
 
 
 def _ordering_problem(sets: Sequence[Tuple[int, ...]]) -> Optional[str]:
@@ -172,16 +176,20 @@ def is_admissible(
     sets = tuple(tuple(sorted(s)) for s in family)
     problem = _ordering_problem(sets)
     if problem:
-        return AdmissibilityResult(False, problem)
-    # h is strictly increasing, so the one k with h(k) == m is h.inverse(m);
+        return AdmissibilityResult(problem)
+    if h is not None and h.inverse(len(sets)) is None:
+        return AdmissibilityResult("size-not-in-h-range")
+    if not _admissible(len(sets), min(sets[0]), h):
+        return AdmissibilityResult("min-violation")
+    return AdmissibilityResult()
+
+
+def _admissible(r: int, min_pos: int, h: Optional[HFunction]) -> bool:
+    """Is a family of r sets whose first set starts at min_pos admissible?"""
+    # h is strictly increasing, so the one k with h(k) == r is h.inverse(r);
     # finding it that way never evaluates h outside its domain.
-    m = len(sets)
-    k = m if h is None else h.inverse(m)
-    if k is None:
-        return AdmissibilityResult(False, "size-not-in-h-range")
-    if k > min(sets[0]):
-        return AdmissibilityResult(False, "min-violation")
-    return AdmissibilityResult(True)
+    k = r if h is None else h.inverse(r)
+    return k is not None and k <= min_pos
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +201,12 @@ class LevelTrace:
     """Level norms up to stabilization: pairs (m, ||x||_m)."""
 
     levels: Tuple[Tuple[int, Number], ...]
-    stabilization_level: int
+
+    @property
+    def stabilization_level(self) -> int:
+        """The first m with ||x||_m == ||x||_m+1, or the last level if none."""
+        pairs = zip(self.levels, self.levels[1:])
+        return next((m for (m, a), (_, b) in pairs if a == b), self.levels[-1][0])
 
 
 # ---------------------------------------------------------------------------
@@ -533,20 +546,12 @@ class TsirelsonEngine:
     def norm_with_trace(self) -> Tuple[Number, LevelTrace]:
         s = len(self.pos)
         if s == 0:
-            return 0, LevelTrace(levels=((0, 0),), stabilization_level=0)
+            return 0, LevelTrace(levels=((0, 0),))
         tables = self._work_level_tables(s + 1)
         if len(tables) >= 2 and tables[-1] != tables[-2]:
-            raise AssertionError(
-                "level recursion did not stabilize within |support| levels"
-            )
+            raise AssertionError("level recursion did not stabilize within |support| levels")
         values = [self._number(t[0][s - 1], 0, s - 1) for t in tables]
-        stab = len(values) - 1
-        for m in range(len(values) - 1):
-            if values[m + 1] == values[m]:
-                stab = m
-                break
-        levels = tuple((m, val) for m, val in enumerate(values))
-        return values[-1], LevelTrace(levels=levels, stabilization_level=stab)
+        return values[-1], LevelTrace(levels=tuple(enumerate(values)))
 
 
 def norm(
@@ -601,11 +606,6 @@ class CertificateNode:
         return CertificateNode(tuple(sorted(positions)), tuple(children))
 
 
-@dataclass(frozen=True)
-class NormCertificate:
-    root: CertificateNode
-
-
 def _evaluate_node(
     node: CertificateNode,
     alpha: Number,
@@ -634,15 +634,16 @@ def certificate_lower_bound(
     alpha: Number,
     h: Optional[HFunction],
     v: FiniteVector,
-    cert: NormCertificate,
+    root: CertificateNode,
 ) -> Number:
-    """Evaluate one explicit choice path through the nested maxima.
+    """Evaluate one explicit choice path, given by its root node, through
+    the nested maxima.
 
     The value is a guaranteed lower bound for norm(alpha, h, v).
     """
     if not (0 < alpha < 1):
         raise ConfigurationError("alpha must lie in (0,1)")
-    return _evaluate_node(cert.root, alpha, h, v, "root")
+    return _evaluate_node(root, alpha, h, v, "root")
 
 
 # ---------------------------------------------------------------------------
@@ -665,12 +666,6 @@ def _compositions(bits: Tuple[int, ...]) -> List[Tuple[int, ...]]:
         blocks.append(current)
         out.append(tuple(blocks))
     return out
-
-
-def _admissible(r: int, min_pos: int, h: Optional[HFunction]) -> bool:
-    """Is a family of r sets whose first set starts at min_pos admissible?"""
-    k = r if h is None else h.inverse(r)
-    return k is not None and k <= min_pos
 
 
 def _is_run(mask: int) -> bool:

@@ -547,6 +547,7 @@ class TestReferenceKernels:
 
 
 ONE_TWO = FiniteVector.from_dense([1, 2])
+HALF_THIRD = FiniteVector.from_dense([Fraction(1, 2), Fraction(1, 3)])
 
 
 def table_norm(text):
@@ -566,6 +567,13 @@ def table_norm(text):
     pytest.param(lambda tmp: luxemburg_norm(OrliczFunction.power(2), ONE_TWO, tol=0),
                  ["norm", "orlicz:power=2", "{tmp}/v.txt", "--tol", "0"], {"v.txt": "1 2"},
                  id="luxemburg-tol-not-positive"),
+    # inf stopped the bisection at once: 0.666... on 1/2 1/3, whose norm is 0.6009...
+    pytest.param(lambda tmp: luxemburg_norm(OrliczFunction.power(2), HALF_THIRD, tol=math.inf),
+                 ["norm", "orlicz:power=2", "{tmp}/v.txt", "--tol", "inf"], {"v.txt": "1/2 1/3"},
+                 id="luxemburg-tol-infinite"),
+    pytest.param(lambda tmp: luxemburg_norm(OrliczFunction.power(2), HALF_THIRD, tol=math.nan),
+                 ["norm", "orlicz:power=2", "{tmp}/v.txt", "--tol", "nan"], {"v.txt": "1/2 1/3"},
+                 id="luxemburg-tol-nan"),
 ])
 def test_validation_branches(refused, call, argv, files):
     refused(call, ConfigurationError, argv, files)

@@ -450,3 +450,39 @@ class TestParserReuse:
         assert all(code == 0 for code, _, _ in shared)
         assert shared[0][1] != shared[1][1] and shared[2][1] != shared[3][1]
         assert shared[4][1] != shared[5][1]
+
+
+# Each command with a tolerance flag that is not a finite positive number.
+# inf stopped the Luxemburg bisection at once (norm orlicz:power=2 on 1/2 1/3
+# printed 0.666...) and made oracle --float agree on any two values; nan ran
+# on; -1 made oracle --float end in a ValueError traceback.
+TOL_COMMANDS = {
+    "norm": ["norm", "orlicz:power=2", "{vec}"],
+    "oracle": ["oracle", "1/2", "{vec}", "--float"],
+    "scan": ["scan", "orlicz:power=2", "harmonic", "3"],
+    "blocks-cjt": ["blocks", "cjt", "--samples", "2"],
+    "blocks-lsh": ["blocks", "lsh", "orlicz:power=2", "--samples", "2"],
+    "ideal-turbulence": ["ideal", "turbulence", "summable:w=harmonic", "--N", "8"],
+    "ideal-membership": ["ideal", "membership", "summable:w=harmonic", "evens", "--N", "8"],
+    "ideal-axioms": ["ideal", "axioms", "summable:w=harmonic", "--samples", "2"],
+    "certify": ["certify", "harmonic-tsirelson"],
+}
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1", "1e-400"])
+@pytest.mark.parametrize("before", [False, True], ids=["after", "before"])
+@pytest.mark.parametrize("command", TOL_COMMANDS)
+def test_tol_must_be_finite_and_positive(capsys, tmp_path, command, before, tol):
+    vec = write_vector(tmp_path, "v.txt", "1/2 1/3")
+    argv = [vec if a == "{vec}" else a for a in TOL_COMMANDS[command]]
+    code, out, err = run(capsys, *(["--tol", tol] + argv if before else argv + ["--tol", tol]))
+    assert (code, out) == (2, "") and "Traceback" not in err
+    assert "--tol" in err
+
+
+@pytest.mark.parametrize("command", TOL_COMMANDS)
+def test_commands_run_with_a_finite_positive_tol(capsys, tmp_path, command):
+    vec = write_vector(tmp_path, "v.txt", "1/2 1/3")
+    argv = [vec if a == "{vec}" else a for a in TOL_COMMANDS[command]]
+    code, _, err = run(capsys, *argv, "--tol", "1e-3")
+    assert code == 0, err

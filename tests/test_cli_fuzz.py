@@ -80,7 +80,7 @@ flags = st.lists(
         st.just(["--float"]),
         st.just(["--exact"]),
         st.just(["--format", "text"]),
-        st.tuples(st.just("--tol"), st.sampled_from(["1e-10", "0", "-1", "nan", "x"])).map(list),
+        st.tuples(st.just("--tol"), st.sampled_from(["1e-10", "0", "-1", "nan", "inf", "x"])).map(list),
         st.tuples(st.just("--budget-support"), small_int).map(list),
         st.tuples(st.just("--oracle-cap"), small_int).map(list),
         st.tuples(st.just("--seed"), small_int).map(list),

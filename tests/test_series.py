@@ -89,12 +89,12 @@ class TestTailProfile:
     def test_finite_support_tail_vanishes(self):
         gen = CoefficientGenerator.from_table([1, 1])
         profile = tail_profile(SpaceSpec.lp(1), gen, [(3, 10)])
-        assert profile.entries == ((3, 10, 0),)
+        assert profile == ((3, 10, 0),)
 
     def test_power_two_l2_tails_shrink(self):
         gen = CoefficientGenerator.power(2)
         profile = tail_profile(SpaceSpec.lp(2), gen, [(100, 2000)])
-        [(_, _, value)] = profile.entries
+        [(_, _, value)] = profile
         assert float(value) < 0.01
 
     def test_tsirelson_harmonic_dyadic_block(self):
@@ -102,7 +102,7 @@ class TestTailProfile:
         gen = CoefficientGenerator.harmonic()
         profile = tail_profile(SpaceSpec.tsirelson(HALF), gen, [(17, 33)])
         bound = HALF * sum(Fraction(1, n + 1) for n in range(17, 33))
-        [(_, _, value)] = profile.entries
+        [(_, _, value)] = profile
         assert value >= bound
         assert float(bound) > 0.32
 

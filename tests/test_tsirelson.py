@@ -17,7 +17,6 @@ from seqnorms.core import (
 )
 from seqnorms.tsirelson import (
     CertificateNode,
-    NormCertificate,
     TsirelsonEngine,
     _families,
     certificate_lower_bound,
@@ -223,16 +222,14 @@ class TestProperties:
 
 class TestCertificates:
     def test_singleton_family(self):
-        cert = NormCertificate(
-            CertificateNode.internal(
-                (4, 5, 6),
-                [CertificateNode.leaf((n,)) for n in (4, 5, 6)],
-            )
+        cert = CertificateNode.internal(
+            (4, 5, 6),
+            [CertificateNode.leaf((n,)) for n in (4, 5, 6)],
         )
         assert certificate_lower_bound(HALF, None, units(4, 5, 6), cert) == Fraction(3, 2)
 
     def test_leaf_only(self):
-        cert = NormCertificate(CertificateNode.leaf((1, 2, 3)))
+        cert = CertificateNode.leaf((1, 2, 3))
         v = FiniteVector.from_dense([1, -3, 2])
         assert certificate_lower_bound(HALF, None, v, cert) == 3
 
@@ -245,7 +242,7 @@ class TestCertificates:
             CertificateNode.internal(b, [CertificateNode.leaf((n,)) for n in b])
             for b in blocks
         ]
-        cert = NormCertificate(CertificateNode.internal(tuple(range(1, 17)), children))
+        cert = CertificateNode.internal(tuple(range(1, 17)), children)
         expected = HALF * (
             HALF * sum(Fraction(1, n + 1) for n in range(5, 9))
             + HALF * sum(Fraction(1, n + 1) for n in range(9, 17))
@@ -253,19 +250,15 @@ class TestCertificates:
         assert certificate_lower_bound(HALF, None, harmonic, cert) == expected
 
     def test_inadmissible_family_names_node(self):
-        cert = NormCertificate(
-            CertificateNode.internal(
-                (1, 2),
-                [CertificateNode.leaf((1,)), CertificateNode.leaf((2,))],
-            )
+        cert = CertificateNode.internal(
+            (1, 2),
+            [CertificateNode.leaf((1,)), CertificateNode.leaf((2,))],
         )
         with pytest.raises(CertificateError, match="root"):
             certificate_lower_bound(HALF, None, units(1, 2), cert)
 
     def test_child_escaping_parent(self):
-        cert = NormCertificate(
-            CertificateNode.internal((2, 3), [CertificateNode.leaf((4,))])
-        )
+        cert = CertificateNode.internal((2, 3), [CertificateNode.leaf((4,))])
         with pytest.raises(CertificateError, match="escapes"):
             certificate_lower_bound(HALF, None, units(2, 3, 4), cert)
 
@@ -290,10 +283,8 @@ class TestCertificates:
                 prev = cut
             if len(pieces) != k:
                 continue
-            cert = NormCertificate(
-                CertificateNode.internal(
-                    tuple(supp), [CertificateNode.leaf(p) for p in pieces]
-                )
+            cert = CertificateNode.internal(
+                tuple(supp), [CertificateNode.leaf(p) for p in pieces]
             )
             assert certificate_lower_bound(HALF, None, v, cert) <= fixed_point_norm(HALF, v)
 
@@ -1170,7 +1161,7 @@ LARGE_FLOAT_DIGEST = "7a3247596a7dce22cf1da0a1af3fe074ff3196c76fe0deca64d4a73a6a
 def inadmissible(*children, h=None):
     """certificate_lower_bound on a root family with the given child sets."""
     root = CertificateNode.internal(range(0, 9), [CertificateNode.leaf(c) for c in children])
-    return lambda tmp: certificate_lower_bound(HALF, h, units(1, 2), NormCertificate(root))
+    return lambda tmp: certificate_lower_bound(HALF, h, units(1, 2), root)
 
 
 @pytest.mark.parametrize("call, error, match", [
@@ -1178,7 +1169,7 @@ def inadmissible(*children, h=None):
     pytest.param(inadmissible((0,), (2,)), CertificateError, "bad-position", id="position-below-1"),
     pytest.param(inadmissible((3,), (4,), h=HFunction.affine(2, 1)), CertificateError, "size-not-in-h-range",
                  id="size-not-in-h-range"),
-    pytest.param(lambda tmp: certificate_lower_bound(1, None, units(1), NormCertificate(CertificateNode.leaf([1]))),
+    pytest.param(lambda tmp: certificate_lower_bound(1, None, units(1), CertificateNode.leaf([1])),
                  ConfigurationError, "alpha", id="certificate-alpha-outside-0-1"),
 ])
 def test_validation_branches(refused, call, error, match):
