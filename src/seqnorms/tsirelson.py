@@ -39,14 +39,19 @@ q groups, with F[1] row i of the table and
 
     F[q][y] = max over x of F[q-1][x-1] + T[x][y],
 
-the last group read from the table kept also as column lists.  F[q] is
-extended lazily, up to y = j - r + q for the query (i, j, r), so each state
-is computed once per fill; the arrays of start i are dropped when i is done,
-and they hold O(s * r) values.
+the last group read from the table kept also as column lists.  The query
+(i, j, r) needs F[q] up to y = j - r + q for q = 2..r, so each state is
+computed once per fill; the arrays of start i are dropped when i is done,
+and they hold O(s * r) values.  For plain h every query of start i asks the
+same r = R (below), so query j needs one more diagonal of states,
+(q, j - R + q) for q = 2..R, and the fill sweeps it by increasing q: a state
+reads the one below it on its own diagonal.  An h with gaps asks several r
+per start, and ``_best_split`` extends each F[q] to its own bound, from the
+first q whose array lags.
 
 For the interval [i..j], a family size k puts its first set at
 a = max(i, first support index with position >= k).  The exact search over
-sizes rests on five exact facts about the tables:
+sizes rests on six exact facts about the tables:
 
 * Running max over starts.  Restriction shrinks every level and the fixed
   point, and a size with a > i gives the same candidate for [i..j] as for
@@ -55,11 +60,16 @@ sizes rests on five exact facts about the tables:
 * One family size per start, for the plain sizes (k, k), k = 1..n.  A family
   may then drop sets, so every table is the table of a norm and subadditive,
   T[x][y] <= T[x][t] + T[t+1][y]: a finer split never loses, and only the
-  largest admissible r <= j - i + 1 is tried.  An h with gaps in its range
-  (``affine:2:0``, most tables) demands exactly h(k) sets; its tables are not
-  subadditive and a smaller r can win, so every admissible r is tried.
+  largest admissible r <= j - i + 1 is tried, r = min(R, j - i + 1) with
+  R = min(pos[i], s).  An h with gaps in its range (``affine:2:0``, most
+  tables) demands exactly h(k) sets; its tables are not subadditive and a
+  smaller r can win, so every admissible r is tried.
 * Singleton closed form.  A split of [a..j] into j - a + 1 groups is the
   singletons, worth the l1 mass of [a..j]; no partition array is filled.
+  For plain h that covers the widths 2..R of start i, filled in one pass
+  without the carry: [i+1..j] admits its singletons too, so its value,
+  max(sup, alpha * l1) of a subinterval, never beats the singletons of
+  [i..j] or the floor.
 
 Two more facts rest on the sum top_r of the r largest |a_n| in [a..j], read
 from a sorted list of the work values of [i..j], grown as j rises:
@@ -78,6 +88,21 @@ from a sorted list of the work values of [i..j], grown as j rises:
   cutting just before the 2nd, ..., r-th of the positions of the r largest
   entries puts one of them in each group and attains the sum.  So the first
   level step fills no partition array.
+
+The sixth reads the last query of the start instead:
+
+* Triangle bound, plain h.  Every table read is then the table of a norm,
+  so T[x][y] <= T[x][t] + l1(t+1..y) for x <= t < y.  Let j' < j be the last
+  query of start i that computed F[R][j'].  Then
+  F[R][j] <= F[R][j'] + l1(j'+1..j).  Take a best R-split of [i..j] and its
+  last group [x..j].  If x <= j', cutting that group at j' leaves an R-split
+  of [i..j'] and loses at most l1(j'+1..j).  Otherwise dropping (j'..x-1]
+  from the first R - 1 groups leaves a split of [i..j'] into at most R - 1
+  groups and loses at most l1(j'+1..x-1); a finer split never loses, and
+  [i..j'] has more than R entries, so an R-split of [i..j'] is worth as
+  much; the last group is worth at most l1(x..j).  So, after the sup bound,
+  the query j is skipped when p * (F[R][j'] + l1(j'+1..j)) <= best, with
+  best held times q as above.
 
 Float mode uses none of them: rounding can put a sum an ulp above or below
 one it provably dominates, so a carried value, a single size, a bound or a
@@ -288,8 +313,8 @@ class TsirelsonEngine:
         ]
 
     def _best_split(self, cols, splits, hi, i: int, j: int, r: int) -> Number:
-        # Exact mode.  The same maximum for the interval [i..j], from the
-        # start's side.
+        # Exact mode, an h with gaps.  The best split of [i..j] into r groups,
+        # from the start's side.
         #
         # Per-start arrays: for the fixed start i, splits[q][y] is the best
         # split of [i..y] into q groups, filled for i + q - 1 <= y <= hi[q],
@@ -300,21 +325,25 @@ class TsirelsonEngine:
         #
         # The query (i, j, r) needs the states (q, y) with y <= j - r + q for
         # q = 2..r, a prefix for each q; so each splits[q] is extended upward
-        # to j - r + q, by increasing q.  A state depends on i, q and y alone,
-        # so later queries of the same start reuse it, and it is computed once
+        # to j - r + q, by increasing q.  Each query raises hi[q] - q to at
+        # least j - r for q <= r, and a new array starts at i - 2, so hi[q] - q
+        # is nonincreasing in q and the arrays to extend are a suffix, found
+        # by scanning down from r.  A state depends on i, q and y alone, so
+        # later queries of the same start reuse it, and it is computed once
         # per fill.  Only row entries y < j and column entries x > i are read:
         # strict subintervals of [i..j].
         while len(splits) <= r:
             hi.append(i + len(splits) - 2)  # empty: one before the first valid y
             splits.append([0] * len(cols))
-        for q in range(2, r + 1):
-            stop = j - r + q
-            if hi[q] >= stop:
-                continue
-            row, prev, first = splits[q], splits[q - 1], i + q - 2
-            for y in range(hi[q] + 1, stop + 1):
-                row[y] = max(map(add, prev[first:y], cols[y][first + 1 : y + 1]))
-            hi[q] = stop
+        if hi[r] < j:
+            first = r
+            while first > 2 and hi[first - 1] < j - r + first - 1:
+                first -= 1
+            for q in range(first, r + 1):
+                row, prev, f = splits[q], splits[q - 1], i + q - 2
+                for y in range(hi[q] + 1, j - r + q + 1):
+                    row[y] = max(map(add, prev[f:y], cols[y][f + 1 :]))
+                hi[q] = j - r + q
         return splits[r][j]
 
     # -- the two fills
@@ -331,14 +360,14 @@ class TsirelsonEngine:
     # interval itself.
 
     def _fill_exact(self, table, out) -> None:
-        # Start-major, with the per-start arrays of _best_split and the five
-        # facts of the module docstring.  The running max is kept multiplied
-        # by q, so alpha = p/q costs one multiplication by p per candidate
-        # and no division until the end.
+        # Start-major, with the per-start arrays of the module docstring and
+        # its exact facts.  The running max is kept multiplied by q, so
+        # alpha = p/q costs one multiplication by p per candidate and no
+        # division until the end.
         s = len(self.pos)
         p, q = self._p, self._q
         prefix, rs, work = self._abs_prefix, self._r, self._work
-        cut, fit, plain = self._cut, self._fit, self._plain
+        cut, fit = self._cut, self._fit
         live = table is out
         floors = self._sup if live else table
         level_one = table is self._sup
@@ -347,40 +376,93 @@ class TsirelsonEngine:
         cols = [[row[y] for row in table[: y + 1]] for y in range(s)]
         for i in range(s - 1, -1, -1):
             row, floor = out[i], floors[i]
-            below = out[i + 1] if i + 1 < s else None
-            splits, hi = [None, table[i]], [None, None]
-            column = []  # the work values of [i..j], sorted
-            base, n_cut = prefix[i], cut[i]
-            for j in range(i, s):
-                insort(column, work[j])
-                width = j - i + 1
-                best = q * floor[j]
-                if j > i:
-                    carry = q * below[j]  # q times the value of [i+1..j]
-                    if carry > best:
-                        best = carry
-                mass = p * (prefix[j + 1] - base)
-                n = min(n_cut, fit[width])  # sizes with k <= pos[i], r <= width
-                for r in rs[n - 1 : n] if plain else rs[:n]:
-                    if mass <= best:
-                        break  # no split of [i..j] beats the running max
-                    if r >= 2:
-                        if r == width:
-                            cand = mass
-                        else:
-                            top = sum(column[width - r :])
-                            if level_one:
-                                cand = p * top
-                            elif p * (mass + (q - p) * top) <= q * best:
-                                continue  # the sup bound: no r-split beats best
+            below = out[i + 1] if i + 1 < s else []
+            row[i] = floor[i]
+            if self._plain:
+                self._plain_row(table, cols, floor, below, row, i, level_one)
+            else:
+                base = prefix[i]
+                column = [work[i]]  # the work values of [i..j], sorted
+                splits, hi = [None, table[i]], [None, None]
+                for j in range(i + 1, s):
+                    insort(column, work[j])
+                    width = j - i + 1
+                    best = q * max(floor[j], below[j])  # or [i+1..j]'s value
+                    mass = p * (prefix[j + 1] - base)
+                    for r in rs[: min(cut[i], fit[width])]:  # k <= pos[i], r <= width
+                        if mass <= best:
+                            break  # no split of [i..j] beats the running max
+                        if r >= 2:
+                            if r == width:
+                                cand = mass
                             else:
-                                cand = p * self._best_split(cols, splits, hi, i, j, r)
-                        if cand > best:
-                            best = cand
-                row[j] = best // q
+                                top = sum(column[width - r :])
+                                if level_one:
+                                    cand = p * top
+                                elif p * (mass + (q - p) * top) <= q * best:
+                                    continue  # the sup bound: no r-split beats best
+                                else:
+                                    cand = p * self._best_split(cols, splits, hi, i, j, r)
+                            if cand > best:
+                                best = cand
+                    row[j] = best // q
             if live:
                 for y in range(i, s):
                     cols[y][i] = row[y]
+
+    def _plain_row(self, table, cols, floor, below, row, i, level_one) -> None:
+        # Exact mode, plain h: row i of the next table past its diagonal.
+        # Start i admits the one size R.  Widths 2..R are the singletons (no
+        # carry needed, see the module docstring); each wider query j reads
+        # F[R][j] from the per-start arrays, once the diagonals after
+        # ``last`` up to j are swept.
+        s = len(row)
+        p, q = self._p, self._q
+        prefix, work, base = self._abs_prefix, self._work, self._abs_prefix[i]
+        R = self._cut[i]
+        stop = min(i + R, s)
+        if stop > i + 1:  # empty slice work costs a fill at s = 2-3 about 30%
+            row[i + 1 : stop] = map(
+                max, floor[i + 1 : stop], [p * (x - base) // q for x in prefix[i + 2 : stop + 1]]
+            )
+        if stop == s:
+            return  # no wider query
+        if R < 2:  # no family of two or more sets starts at i
+            row[stop:] = map(max, floor[stop:], below[stop:])
+            return
+        column = sorted(work[i:stop])  # the work values of [i..j], sorted
+        F, last = None, i + R - 2  # allocated at the first query; no diagonal yet
+        for j in range(stop, s):
+            insort(column, work[j])
+            best = q * max(floor[j], below[j])  # or [i+1..j]'s value
+            mass = p * (prefix[j + 1] - base)
+            if mass > best:
+                top = p * sum(column[-R:])
+                if level_one:
+                    best = max(best, top)
+                elif p * mass + (q - p) * top > q * best and (  # the sup bound
+                    F is None or p * (F[R][last] + prefix[j + 1] - prefix[last + 1]) > best
+                ):  # the triangle bound from the last query
+                    if F is None:
+                        F = [None, table[i]] + [[0] * s for _ in range(R - 1)]
+                        steps = list(zip(F[2:], F[1:], range(i, i + R - 1)))
+                    self._sweep(steps, cols, range(last - R + 3, j - R + 3))
+                    last = j
+                    best = max(best, p * F[R][j])
+            row[j] = best // q
+
+    @staticmethod
+    def _sweep(steps, cols, ys) -> None:
+        # Exact mode, plain h.  The diagonals of the per-start arrays whose
+        # state at q = 2 has y in ys, each by increasing q: steps holds
+        # (F[q], F[q - 1], i + q - 2) for q = 2..R, and the state (q, y) reads
+        # F[q - 1] up to y - 1, which the step before has just filled.  (Kept
+        # apart from _plain_row: in a short function tracemalloc, which looks
+        # up the line of every allocation, stays cheap.)
+        for y in ys:
+            for Fq, Fp, f in steps:
+                Fq[y] = max(map(add, Fp[f:y], cols[y][f + 1 :]))
+                y += 1
 
     def _fill_float(self, table, out, carried=None):
         # By right end, then by decreasing start, trying every size at its own

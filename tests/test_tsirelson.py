@@ -637,17 +637,7 @@ class TestCarriedLevels:
         # (the fill alone, without carried arrays, 0.19 MB); a route that
         # kept a copy of every level's arrays read 1.3 MB.
         v = FiniteVector.from_pairs((n, 1.0 / (n + 1)) for n in range(1, 49))
-        tracing = tracemalloc.is_tracing()
-        if not tracing:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            value, trace = norm(0.5, None, v)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            if not tracing:
-                tracemalloc.stop()
+        (value, trace), peak = traced_peak(lambda: norm(0.5, None, v))
         assert value == 0.6263489536299753 and len(trace.levels) == 5
         assert peak < 850_000
 
@@ -1081,19 +1071,188 @@ class TestStartSplits:
         # The per-start arrays are dropped when their start is done.  The
         # peak reads about 0.57 MB; keeping every start's arrays alive for
         # the whole fill read 3.7 MB.
-        v = FiniteVector.from_pairs((n, Fraction(1, n + 1)) for n in range(1, 97))
-        tracing = tracemalloc.is_tracing()
-        if not tracing:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            fixed_point_norm(HALF, v)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            if not tracing:
-                tracemalloc.stop()
+        _, peak = traced_peak(lambda: fixed_point_norm(HALF, harmonic(96)))
         assert peak < 1_000_000
+
+    def test_exact_level_route_memory_stays_small(self):
+        # The level route keeps every level's table.  On 96 harmonic entries
+        # (5 levels) the peak read 1.52 MB before the plain fill shared the
+        # entries it leaves unchanged with the table below, and 1.10 MB
+        # after.
+        (value, trace), peak = traced_peak(lambda: norm(HALF, None, harmonic(96)))
+        assert len(trace.levels) == 5 and value == trace.levels[-1][1]
+        assert peak < 2_000_000
+
+
+def traced_peak(call):
+    """call() and the peak of traced memory above where it started."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return result, peak
+
+
+def plain_row_arrays(engine, table, floor, below, i):
+    """Run the plain-h row fill of start i over ``table`` (without the level-1
+    closed form); return the row it wrote, its per-start arrays F and the last
+    diagonal it swept, read from its frame as it returns."""
+    code = TsirelsonEngine._plain_row.__code__
+    s = len(table)
+    cols = [[row[y] for row in table[: y + 1]] for y in range(s)]
+    row = [None] * s
+    seen = {}
+
+    def local(frame, event, arg):
+        if event == "return":
+            seen.update(frame.f_locals)
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        engine._plain_row(table, cols, floor, below, row, i, False)
+    finally:
+        sys.settrace(previous)
+    return row, seen.get("F"), seen.get("last")
+
+
+def tables_with_next(engine):
+    """The sup, level-2 and fixed-point tables of an exact engine, each with
+    the floor table it is filled over and the table the fill yields."""
+    levels = engine._work_level_tables(3)
+
+    def lv(m):  # a settled level repeats
+        return levels[min(m, len(levels) - 1)]
+
+    fixed = engine.fixed_point_table(_work_units=True)
+    return ((engine._sup, engine._sup, lv(1)), (lv(2), lv(2), lv(3)), (fixed, engine._sup, fixed))
+
+
+class TestPlainSweep:
+    """The exact fill for plain h: the singleton widths, the diagonal sweep of
+    the per-start arrays and the triangle bound that skips queries."""
+
+    def test_every_swept_state_is_the_best_split(self):
+        # With zero floors no query is skipped and every diagonal is swept;
+        # with the table's own floors the bounds skip queries, the next query
+        # sweeps their diagonals, and the row is the next table's.
+        rng = Random(29)
+        checked = 0
+        for _ in range(30):
+            v = FiniteVector.from_pairs(
+                (rng.randint(1, 12), Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+                for _ in range(rng.randint(4, 12))
+            )
+            engine = TsirelsonEngine(rng.choice((HALF, Fraction(2, 3))), v)
+            s = len(engine.pos)
+            zero = [0] * s
+            for table, floors, nxt in tables_with_next(engine):
+                for i in range(s):
+                    R = engine._cut[i]
+                    below = nxt[i + 1] if i + 1 < s else []
+                    for floor, after in ((zero, zero), (floors[i], below)):
+                        row, F, last = plain_row_arrays(engine, table, floor, after, i)
+                        if floor is not zero:
+                            assert row[i + 1 :] == nxt[i][i + 1 :]
+                        elif R >= 2 and i + R < s:
+                            assert last == s - 1
+                        if F is None:
+                            continue
+                        assert len(F) == R + 1 and F[1] is table[i]
+                        for q in range(2, R + 1):
+                            for y in range(i + q - 1, last - R + q + 1):
+                                assert F[q][y] == brute_split(table, i, y, q)
+                                checked += 1
+        assert checked > 1000
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(1, 12), st.integers(-9, 9), st.integers(1, 7)),
+            min_size=1,
+            max_size=10,
+        ),
+        st.sampled_from((HALF, Fraction(1, 3), Fraction(2, 3))),
+    )
+    def test_triangle_bound(self, terms, alpha):
+        # F[q][j] <= F[q][j'] + l1(j'+1..j) whenever [i..j'] has q entries:
+        # the bound that lets the plain fill skip the query j after j'.
+        v = FiniteVector.from_pairs((n, Fraction(a, d)) for n, a, d in terms)
+        engine = TsirelsonEngine(alpha, v)
+        s, prefix = len(v.support), engine._abs_prefix
+        for table, _, _ in tables_with_next(engine):
+            for i in range(s):
+                for q in range(2, s - i + 1):
+                    split = {y: brute_split(table, i, y, q) for y in range(i + q - 1, s)}
+                    for j in split:
+                        for earlier in range(i + q - 1, j):
+                            l1 = prefix[j + 1] - prefix[earlier + 1]
+                            assert split[j] <= split[earlier] + l1
+
+    def test_triangle_bound_needs_plain_h(self):
+        # With exactly h(k) sets the bound fails.  Under affine:2:0 at alpha
+        # 2/3, 2e_1 + e_2 + ... + e_5 splits as {1}, {2..5} into 2 + 8/3 (four
+        # singletons from position 2), but {2..4} takes two sets, and the
+        # best split of its first four entries is worth 32/9 < 14/3 - 1.
+        v = FiniteVector.from_pairs(zip(range(1, 6), (2, 1, 1, 1, 1)))
+        table = TsirelsonEngine(Fraction(2, 3), v, HFunction.affine(2, 0)).fixed_point_table()
+        assert brute_split(table, 0, 4, 2) == Fraction(14, 3)
+        assert brute_split(table, 0, 3, 2) == Fraction(32, 9)
+
+    @pytest.mark.parametrize("s", [32, 48, 64])
+    def test_plain_fill_matches_every_size_search(self, s):
+        # The one-size fill against the every-size search of an h with gaps,
+        # the same engine with _plain off, on the level route and the fixed
+        # point, at the supports of the benchmark's requests and beyond.
+        for alpha in (HALF, Fraction(1, 3), Fraction(2, 3)):
+            rng = Random(f"every-size/{s}/{alpha}")
+            pos, pairs = rng.randint(0, 3), []
+            for _ in range(s):
+                pos += rng.randint(1, 3)
+                pairs.append((pos, Fraction(rng.choice((-1, 1)) * rng.randint(1, 20), rng.randint(1, 12))))
+            got = []
+            for plain in (True, False):
+                engine = TsirelsonEngine(alpha, FiniteVector.from_pairs(pairs))
+                engine._plain = plain
+                value, trace = engine.norm_with_trace()
+                got.append((
+                    typed(engine.fixed_point_table()),
+                    [typed(table) for table in engine.level_tables(s + 1)],
+                    typed([[value] + [x for _, x in trace.levels]]),
+                    trace.stabilization_level,
+                ))
+            assert got[0] == got[1]
+
+    def test_exact_tables_match_recorded_digest(self):
+        # Every entry of every level, the fixed-point table and the trace, by
+        # type and repr, at s = 32/48/64 for plain h and affine:2:0.  The
+        # digest was recorded before the plain fill swept diagonals.
+        digest = hashlib.sha256()
+        cases = ((s, alpha) for s in (32, 48, 64) for alpha in (Fraction(1, 3), HALF, Fraction(2, 3)))
+        for case, (s, alpha) in enumerate(cases):
+            h = (None, HFunction.affine(2, 0))[case % 2]
+            rng = Random(f"exact-bits/{case}")
+            pos, pairs = 0, []
+            for _ in range(s):
+                pos += rng.randint(1, 3)
+                a = Fraction(rng.choice((-1, 1)) * rng.randint(1, 20), rng.choice((1, 2, 3, 5, 7, 12)))
+                pairs.append((pos, a))
+            engine = TsirelsonEngine(alpha, FiniteVector.from_pairs(pairs), h)
+            value, trace = engine.norm_with_trace()
+            for table in engine.level_tables(s + 1):
+                digest.update(repr(typed(table)).encode())
+            digest.update(repr(typed([[value] + [x for _, x in trace.levels]])).encode())
+            digest.update(repr(trace.stabilization_level).encode())
+            digest.update(repr(typed(engine.fixed_point_table())).encode())
+        assert digest.hexdigest() == EXACT_DIGEST
 
 
 # Values of the Fraction-based engine on the float corpus above.
@@ -1157,6 +1316,9 @@ LARGE_FLOAT_CORPUS = [
 
 # sha256 of the typed tables of test_large_float_tables_match_recorded_digest.
 LARGE_FLOAT_DIGEST = "7a3247596a7dce22cf1da0a1af3fe074ff3196c76fe0deca64d4a73a6a392e22"
+
+# sha256 of the typed tables of test_exact_tables_match_recorded_digest.
+EXACT_DIGEST = "6e34d63f2f59b06f5a559eb57c421a6484f20a2f7ed66b488d41c19809437ec5"
 
 def inadmissible(*children, h=None):
     """certificate_lower_bound on a root family with the given child sets."""

@@ -19,13 +19,20 @@ lower l1 estimate needs the plain sizes (k sets for k).  The triangle
 inequality is checked for plain h only: an h with gaps in its range, such as
 ``affine:2:0``, demands exactly h(k) sets, and the DP and the oracle then
 compute a function that is not a norm (e3 + e4 + e5 + e6 at alpha = 2/3).
+
+Each check also runs in float mode on float copies of other seeded cases.
+The float fill rounds its sums, so an inequality there holds within the
+default ``--tol``, relative to the larger side; flipping signs changes no
+|a_n| the fill reads, so it keeps the value bit for bit.
 """
+import math
 from fractions import Fraction
 from random import Random
 
 import pytest
 
 from seqnorms import FiniteVector, HFunction
+from seqnorms.core import OrliczSpace
 from seqnorms.tsirelson import fixed_point_norm
 
 ALPHAS = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(2, 3), Fraction(3, 5))
@@ -49,6 +56,22 @@ def random_vector(rng, first=1):
 def cases(seed):
     rng = Random(seed)
     return [(rng, rng.choice(ALPHAS), random_vector(rng)) for _ in range(CASES)]
+
+
+TOL = OrliczSpace.tol  # the default --tol
+
+
+def floats(v):
+    return FiniteVector.from_pairs((n, float(a)) for n, a in zip(v.support, v.values))
+
+
+def at_most(a, b):
+    """a <= b within --tol: float sums may round either way."""
+    return a <= b or math.isclose(a, b, rel_tol=TOL)
+
+
+def float_cases(seed):
+    return [(rng, float(alpha), floats(v)) for rng, alpha, v in cases(seed)]
 
 
 @pytest.mark.parametrize("h", EVERY_H.values(), ids=EVERY_H)
@@ -105,3 +128,58 @@ def test_triangle_inequality_for_plain_h():
                 for _ in range(2))
         bound = fixed_point_norm(alpha, x) + fixed_point_norm(alpha, y)
         assert fixed_point_norm(alpha, x + y) <= bound, (alpha, x, y)
+
+
+@pytest.mark.parametrize("h", EVERY_H.values(), ids=EVERY_H)
+def test_float_restriction_never_raises_the_norm(h):
+    for rng, alpha, v in float_cases(11):
+        kept = [n for n in v.support if rng.random() < 0.6]
+        value = fixed_point_norm(alpha, v, h)
+        assert at_most(fixed_point_norm(alpha, v.restrict(kept), h), value), (alpha, v, kept)
+
+
+@pytest.mark.parametrize("h", EVERY_H.values(), ids=EVERY_H)
+def test_float_spreading_never_lowers_the_norm(h):
+    for rng, alpha, v in float_cases(12):
+        shift, spread = 0, []
+        for n, a in zip(v.support, v.values):
+            shift += rng.choice((0, 0, 1, 2))
+            spread.append((n + shift, a))
+        w = FiniteVector.from_pairs(spread)
+        assert at_most(fixed_point_norm(alpha, v, h), fixed_point_norm(alpha, w, h)), (alpha, v, w)
+
+
+@pytest.mark.parametrize("h", EVERY_H.values(), ids=EVERY_H)
+def test_float_one_unconditional(h):
+    for rng, alpha, v in float_cases(13):
+        value = fixed_point_norm(alpha, v, h)
+        signs = [rng.choice((-1, 1)) for _ in range(v.support[-1])]
+        assert fixed_point_norm(alpha, v.flip_signs(signs), h) == value, (alpha, v, signs)
+        shrunk = FiniteVector.from_pairs(
+            (n, a * rng.choice((-1, -0.5, 1 / 3, 1))) for n, a in zip(v.support, v.values)
+        )
+        assert at_most(fixed_point_norm(alpha, shrunk, h), value), (alpha, v, shrunk)
+
+
+def test_float_lower_l1_estimate_for_admissible_blocks():
+    rng = Random(14)
+    for _ in range(CASES):
+        alpha = float(rng.choice(ALPHAS))
+        first = rng.randint(2, 8)
+        v = floats(random_vector(rng, first))
+        k = rng.randint(2, first)  # k <= min supp x_1
+        cuts = [0] + sorted(rng.sample(range(1, len(v.support)), k - 1)) + [len(v.support)]
+        blocks = [v.restrict(v.support[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+        total = sum(fixed_point_norm(alpha, x) for x in blocks)
+        assert at_most(alpha * total, fixed_point_norm(alpha, v)), (alpha, v, cuts)
+
+
+def test_float_triangle_inequality_for_plain_h():
+    rng = Random(15)
+    for _ in range(CASES):
+        alpha = float(rng.choice(ALPHAS))
+        positions = random_vector(rng).support
+        x, y = (FiniteVector.from_pairs((n, float(rng.choice(COEFFS))) for n in positions if rng.random() < 0.7)
+                for _ in range(2))
+        bound = fixed_point_norm(alpha, x) + fixed_point_norm(alpha, y)
+        assert at_most(fixed_point_norm(alpha, x + y), bound), (alpha, x, y)
