@@ -46,8 +46,8 @@ and they hold O(s * r) values.  For plain h every query of start i asks the
 same r = R (below), so query j needs one more diagonal of states,
 (q, j - R + q) for q = 2..R, and the fill sweeps it by increasing q: a state
 reads the one below it on its own diagonal.  An h with gaps asks several r
-per start, and ``_best_split`` extends each F[q] to its own bound, from the
-first q whose array lags.
+per query, widest first, and ``_best_split`` extends each F[q] to its own
+bound, from the first q whose array lags.
 
 For the interval [i..j], a family size k puts its first set at
 a = max(i, first support index with position >= k).  The exact search over
@@ -63,13 +63,21 @@ sizes rests on six exact facts about the tables:
   largest admissible r <= j - i + 1 is tried, r = min(R, j - i + 1) with
   R = min(pos[i], s).  An h with gaps in its range (``affine:2:0``, most
   tables) demands exactly h(k) sets; its tables are not subadditive and a
-  smaller r can win, so every admissible r is tried.
+  smaller r can win, so the admissible r are searched widest first, as the
+  sup bound below allows.
 * Singleton closed form.  A split of [a..j] into j - a + 1 groups is the
   singletons, worth the l1 mass of [a..j]; no partition array is filled.
-  For plain h that covers the widths 2..R of start i, filled in one pass
-  without the carry: [i+1..j] admits its singletons too, so its value,
-  max(sup, alpha * l1) of a subinterval, never beats the singletons of
-  [i..j] or the floor.
+  No split beats the singletons: every entry of every table read, each
+  level and the fixed point, for every h, is at most the l1 mass of its
+  interval (the sup is, and a family value alpha * sum T[g_t] is at most
+  alpha * sum l1(g_t) <= l1(g), by induction over the fill order), so an
+  r-split of [a..j] is worth at most the masses of its groups, l1(a..j).
+  So when the widest admissible r of an h with gaps is the width
+  j - i + 1, the query's value is max(best, alpha * l1) and no partition
+  state is touched.  For plain h the singletons cover the widths 2..R of
+  start i, filled in one pass without the carry: [i+1..j] admits its
+  singletons too, so its value, max(sup, alpha * l1) of a subinterval,
+  never beats the singletons of [i..j] or the floor.
 
 Two more facts rest on the sum top_r of the r largest |a_n| in [a..j], read
 from a sorted list of the work values of [i..j], grown as j rises:
@@ -81,13 +89,17 @@ from a sorted list of the work values of [i..j], grown as j rises:
   the r groups of a split, whose sups are r distinct entries, the split is
   worth at most alpha * l1 + (1 - alpha) * top_r.  So the query (a, j, r)
   is skipped when p * (p * l1 + (q - p) * top_r) <= q * best, with best the
-  running max held times q.  The bound grows with r, so with every
-  admissible r tried (an h with gaps) a skipped r does not end the search.
+  running max held times q.  The bound grows with r, since top_r does, and
+  best only grows.  So an h with gaps tries its admissible r in decreasing
+  order and stops at the first r the bound rules out: it rules out every
+  narrower r too.  Since top_r <= l1, the bound rules out every r once
+  p * l1 <= best, which ends the search before any r is tried.
 * Level 1 in closed form.  On the sup table the best split of [a..j] into
   exactly r groups is top_r: the group maxima are r distinct entries, and
   cutting just before the 2nd, ..., r-th of the positions of the r largest
   entries puts one of them in each group and attains the sum.  So the first
-  level step fills no partition array.
+  level step fills no partition array, and since top_r grows with r, an h
+  with gaps reads only its widest admissible r.
 
 The sixth reads the last query of the start instead:
 
@@ -328,10 +340,11 @@ class TsirelsonEngine:
         # to j - r + q, by increasing q.  Each query raises hi[q] - q to at
         # least j - r for q <= r, and a new array starts at i - 2, so hi[q] - q
         # is nonincreasing in q and the arrays to extend are a suffix, found
-        # by scanning down from r.  A state depends on i, q and y alone, so
-        # later queries of the same start reuse it, and it is computed once
-        # per fill.  Only row entries y < j and column entries x > i are read:
-        # strict subintervals of [i..j].
+        # by scanning down from r; that holds in any order of queries, and
+        # _gap_row asks the sizes of one j widest first.  A state depends on
+        # i, q and y alone, so later queries of the same start reuse it, and
+        # it is computed once per fill.  Only row entries y < j and column
+        # entries x > i are read: strict subintervals of [i..j].
         while len(splits) <= r:
             hi.append(i + len(splits) - 2)  # empty: one before the first valid y
             splits.append([0] * len(cols))
@@ -360,17 +373,15 @@ class TsirelsonEngine:
     # interval itself.
 
     def _fill_exact(self, table, out) -> None:
-        # Start-major, with the per-start arrays of the module docstring and
-        # its exact facts.  The running max is kept multiplied by q, so
-        # alpha = p/q costs one multiplication by p per candidate and no
-        # division until the end.
+        # Start-major, with the per-start arrays of the module docstring; the
+        # row of a start past its diagonal is filled by _plain_row or _gap_row.
+        # Their running max is kept multiplied by q, so alpha = p/q costs one
+        # multiplication by p per candidate and no division until the end.
         s = len(self.pos)
-        p, q = self._p, self._q
-        prefix, rs, work = self._abs_prefix, self._r, self._work
-        cut, fit = self._cut, self._fit
         live = table is out
         floors = self._sup if live else table
         level_one = table is self._sup
+        fill_row = self._plain_row if self._plain else self._gap_row
         # The table as column lists, cols[y][x] = table[x][y].  On the
         # fixed-point route they are refreshed from each finished row.
         cols = [[row[y] for row in table[: y + 1]] for y in range(s)]
@@ -378,34 +389,7 @@ class TsirelsonEngine:
             row, floor = out[i], floors[i]
             below = out[i + 1] if i + 1 < s else []
             row[i] = floor[i]
-            if self._plain:
-                self._plain_row(table, cols, floor, below, row, i, level_one)
-            else:
-                base = prefix[i]
-                column = [work[i]]  # the work values of [i..j], sorted
-                splits, hi = [None, table[i]], [None, None]
-                for j in range(i + 1, s):
-                    insort(column, work[j])
-                    width = j - i + 1
-                    best = q * max(floor[j], below[j])  # or [i+1..j]'s value
-                    mass = p * (prefix[j + 1] - base)
-                    for r in rs[: min(cut[i], fit[width])]:  # k <= pos[i], r <= width
-                        if mass <= best:
-                            break  # no split of [i..j] beats the running max
-                        if r >= 2:
-                            if r == width:
-                                cand = mass
-                            else:
-                                top = sum(column[width - r :])
-                                if level_one:
-                                    cand = p * top
-                                elif p * (mass + (q - p) * top) <= q * best:
-                                    continue  # the sup bound: no r-split beats best
-                                else:
-                                    cand = p * self._best_split(cols, splits, hi, i, j, r)
-                            if cand > best:
-                                best = cand
-                    row[j] = best // q
+            fill_row(table, cols, floor, below, row, i, level_one)
             if live:
                 for y in range(i, s):
                     cols[y][i] = row[y]
@@ -449,6 +433,37 @@ class TsirelsonEngine:
                     self._sweep(steps, cols, range(last - R + 3, j - R + 3))
                     last = j
                     best = max(best, p * F[R][j])
+            row[j] = best // q
+
+    def _gap_row(self, table, cols, floor, below, row, i, level_one) -> None:
+        # Exact mode, an h with gaps: row i of the next table past its
+        # diagonal.  A query tries the admissible r widest first: the
+        # singletons and level 1 close it at once, and otherwise the first r
+        # that the sup bound rules out ends it (module docstring).
+        s = len(row)
+        p, q = self._p, self._q
+        prefix, work, base, fit = self._abs_prefix, self._work, self._abs_prefix[i], self._fit
+        cut = self._cut[i]
+        rs = self._r[:cut]  # the sizes with k <= pos[i]
+        column = [work[i]]  # the work values of [i..j], sorted
+        splits, hi = [None, table[i]], [None, None]
+        for j in range(i + 1, s):
+            insort(column, work[j])
+            width = j - i + 1
+            best = q * max(floor[j], below[j])  # or [i+1..j]'s value
+            mass = p * (prefix[j + 1] - base)
+            n = min(cut, fit[width])  # the admissible r are rs[:n]
+            if n and mass > best:
+                if rs[n - 1] == width:
+                    best = mass  # no split beats the singletons
+                elif level_one:
+                    best = max(best, p * sum(column[width - rs[n - 1] :]))
+                else:
+                    for r in reversed(rs[:n]):
+                        top = sum(column[width - r :])
+                        if r < 2 or p * (mass + (q - p) * top) <= q * best:
+                            break  # the sup bound: no r-split or narrower beats best
+                        best = max(best, p * self._best_split(cols, splits, hi, i, j, r))
             row[j] = best // q
 
     @staticmethod
@@ -541,14 +556,7 @@ class TsirelsonEngine:
                             row[a] = max(map(add, shifted[a], rows[r - 1][a + 1 :]))
                             lo[r] = a
                         elif lo[r] > a:
-                            first = r
-                            while first > 2 and lo[first - 1] > a + r - first + 1:
-                                first -= 1
-                            for q in range(first, r + 1):
-                                ext, prev = rows[q], rows[q - 1]
-                                for x in range(lo[q] - 1, a + r - q - 1, -1):
-                                    ext[x] = max(map(add, shifted[x], prev[x + 1 :]))
-                                lo[q] = a + r - q
+                            self._extend(rows, lo, shifted, a, r)
                         cand = p * row[a]
                         if cand > best:
                             best = cand
@@ -566,6 +574,21 @@ class TsirelsonEngine:
                     top -= 1
                 kept.append((rows[2 : top + 1], lo[2 : top + 1]))
         return moved, kept
+
+    @staticmethod
+    def _extend(rows, lo, shifted, a, r) -> None:
+        # Float mode.  Extend rows[q] down to x = a + r - q for q = 2..r, by
+        # increasing q, from the first row that needs work, found by scanning
+        # down from r.  (Kept apart from _fill_float, as _sweep is from
+        # _plain_row, so that tracemalloc stays cheap.)
+        first = r
+        while first > 2 and lo[first - 1] > a + r - first + 1:
+            first -= 1
+        for q in range(first, r + 1):
+            ext, prev = rows[q], rows[q - 1]
+            for x in range(lo[q] - 1, a + r - q - 1, -1):
+                ext[x] = max(map(add, shifted[x], prev[x + 1 :]))
+            lo[q] = a + r - q
 
     # -- fixed-point route (no level trace)
 

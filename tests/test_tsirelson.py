@@ -1,4 +1,5 @@
 import hashlib
+import math
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -1209,9 +1210,10 @@ class TestPlainSweep:
 
     @pytest.mark.parametrize("s", [32, 48, 64])
     def test_plain_fill_matches_every_size_search(self, s):
-        # The one-size fill against the every-size search of an h with gaps,
-        # the same engine with _plain off, on the level route and the fixed
-        # point, at the supports of the benchmark's requests and beyond.
+        # The one-size fill against the widest-first search of an h with gaps
+        # (_gap_row), the same engine with _plain off, on the level route and
+        # the fixed point, at the supports of the benchmark's requests and
+        # beyond.
         for alpha in (HALF, Fraction(1, 3), Fraction(2, 3)):
             rng = Random(f"every-size/{s}/{alpha}")
             pos, pairs = rng.randint(0, 3), []
@@ -1232,27 +1234,218 @@ class TestPlainSweep:
             assert got[0] == got[1]
 
     def test_exact_tables_match_recorded_digest(self):
-        # Every entry of every level, the fixed-point table and the trace, by
-        # type and repr, at s = 32/48/64 for plain h and affine:2:0.  The
-        # digest was recorded before the plain fill swept diagonals.
-        digest = hashlib.sha256()
-        cases = ((s, alpha) for s in (32, 48, 64) for alpha in (Fraction(1, 3), HALF, Fraction(2, 3)))
-        for case, (s, alpha) in enumerate(cases):
-            h = (None, HFunction.affine(2, 0))[case % 2]
-            rng = Random(f"exact-bits/{case}")
-            pos, pairs = 0, []
-            for _ in range(s):
-                pos += rng.randint(1, 3)
-                a = Fraction(rng.choice((-1, 1)) * rng.randint(1, 20), rng.choice((1, 2, 3, 5, 7, 12)))
-                pairs.append((pos, a))
-            engine = TsirelsonEngine(alpha, FiniteVector.from_pairs(pairs), h)
-            value, trace = engine.norm_with_trace()
-            for table in engine.level_tables(s + 1):
-                digest.update(repr(typed(table)).encode())
-            digest.update(repr(typed([[value] + [x for _, x in trace.levels]])).encode())
-            digest.update(repr(trace.stabilization_level).encode())
-            digest.update(repr(typed(engine.fixed_point_table())).encode())
-        assert digest.hexdigest() == EXACT_DIGEST
+        # At s = 32/48/64 for plain h and affine:2:0.  The digest was recorded
+        # before the plain fill swept diagonals.
+        sizes = [(s, alpha) for s in (32, 48, 64) for alpha in (Fraction(1, 3), HALF, Fraction(2, 3))]
+        hs = (None, HFunction.affine(2, 0))
+        cases = [(s, alpha, hs[case % 2]) for case, (s, alpha) in enumerate(sizes)]
+        assert tables_digest("exact-bits", cases) == EXACT_DIGEST
+
+    def test_gap_tables_match_recorded_digest(self):
+        # At s = 32/48 for affine:3:1 and table:2:2;3:4;9:10.  The digest was
+        # recorded before the fill for h with gaps searched r widest first.
+        sizes = [(s, alpha) for s in (32, 48) for alpha in (Fraction(1, 3), HALF, Fraction(2, 3))]
+        hs = (HFunction.affine(3, 1), GAPPED_H)
+        cases = [(s, alpha, hs[case % 2]) for case, (s, alpha) in enumerate(sizes)]
+        assert tables_digest("gap-bits", cases) == GAP_DIGEST
+
+
+def tables_digest(label, cases):
+    """sha256 of every entry of every level, the fixed-point table and the
+    trace, by type and repr, for one seeded vector per (s, alpha, h)."""
+    digest = hashlib.sha256()
+    for case, (s, alpha, h) in enumerate(cases):
+        engine = TsirelsonEngine(alpha, seeded_vector(Random(f"{label}/{case}"), s), h)
+        value, trace = engine.norm_with_trace()
+        for table in engine.level_tables(s + 1):
+            digest.update(repr(typed(table)).encode())
+        digest.update(repr(typed([[value] + [x for _, x in trace.levels]])).encode())
+        digest.update(repr(trace.stabilization_level).encode())
+        digest.update(repr(typed(engine.fixed_point_table())).encode())
+    return digest.hexdigest()
+
+
+# The last h is the one of these whose narrower r can win after the widest
+# passes the sup bound (test_smaller_family_size_can_win_for_table_h).
+GAP_HS = (
+    HFunction.affine(2, 0), HFunction.affine(3, 1), GAPPED_H, HFunction.from_table([(1, 3), (2, 4)])
+)
+GAP_IDS = ["affine:2:0", "affine:3:1", "table:2:2;3:4;9:10", "table:1:3;2:4"]
+
+
+def seeded_vector(rng, s, pos=0):
+    """s seeded rationals on positions after pos, with gaps of 1-3."""
+    pairs = []
+    for _ in range(s):
+        pos += rng.randint(1, 3)
+        a = Fraction(rng.choice((-1, 1)) * rng.randint(1, 20), rng.choice((1, 2, 3, 5, 7, 12)))
+        pairs.append((pos, a))
+    return FiniteVector.from_pairs(pairs)
+
+
+
+def admissible_sizes(pos, sizes, i, j):
+    """The r >= 2 a family of exactly r sets may split [i..j] into from i."""
+    return [r for k, r in sizes if k <= pos[i] and 2 <= r <= j - i + 1]
+
+
+def chain_split():
+    """brute_split's value by recursion on the last group,
+    split(i, y, q) = max over x of split(i, x - 1, q - 1) + table[x][y],
+    memoized per table entry read; for supports where the cut sets are too
+    many to list.  Every table passed must stay alive, and an entry must be
+    final once a split reads it."""
+    memo = {}
+
+    def split(table, i, y, q):
+        key = (id(table), i, y, q)
+        if key not in memo:
+            memo[key] = table[i][y] if q == 1 else max(
+                split(table, i, x - 1, q - 1) + table[x][y] for x in range(i + q - 1, y + 1)
+            )
+        return memo[key]
+
+    return split
+
+
+def every_r_tables(alpha, v, h, split=brute_split):
+    """Scaled level tables and fixed-point table of an h with gaps, filled
+    by the ascending every-r search.
+
+    Start-major, the value of [i+1..j] carried, and at the start i every
+    admissible r tried in increasing order, its best split read from
+    ``split``: no bound and no closed form.  Entries are ints X standing for
+    X / scale, with scale = L * q^(s - 1) for the lcm L of the denominators,
+    and each alpha * X is checked to be an int.  Returns (scale, levels,
+    fixed); the levels run until the whole table repeats, or s + 1 steps.
+    """
+    pos, val, sizes = reference_sizes(v, h)
+    s = len(pos)
+    p, q = alpha.numerator, alpha.denominator
+    scale = math.lcm(*(Fraction(x).denominator for x in val)) * q ** max(s - 1, 0)
+    work = [int(x * scale) for x in val]
+    sup = [[max(work[i : j + 1]) if j >= i else 0 for j in range(s)] for i in range(s)]
+
+    def fill(table, floors, out):
+        for i in range(s - 1, -1, -1):
+            out[i][i] = floors[i][i]
+            for j in range(i + 1, s):
+                best = max(floors[i][j], out[i + 1][j])
+                for r in admissible_sizes(pos, sizes, i, j):
+                    cand, rest = divmod(p * split(table, i, j, r), q)
+                    assert rest == 0
+                    best = max(best, cand)
+                out[i][j] = best
+
+    levels = [sup]
+    for _ in range(s + 1):
+        nxt = [[0] * s for _ in range(s)]
+        fill(levels[-1], levels[-1], nxt)
+        levels.append(nxt)
+        if nxt == levels[-2]:
+            break
+    fixed = [[0] * s for _ in range(s)]
+    fill(fixed, sup, fixed)
+    return scale, levels, fixed
+
+
+def assert_matches_every_r(alpha, v, h, split=brute_split):
+    """Level tables, fixed-point table, trace and stabilization level of the
+    engine against every_r_tables."""
+    s = len(v.support)
+    scale, levels, fixed = every_r_tables(alpha, v, h, split)
+
+    def values(table):
+        return [[Fraction(x, scale) for x in row] for row in table]
+
+    engine = TsirelsonEngine(alpha, v, h)
+    assert engine.level_tables(s + 1) == [values(t) for t in levels]
+    assert engine.fixed_point_table() == values(fixed)
+    expected = [Fraction(t[0][s - 1], scale) for t in levels]
+    value, trace = norm(alpha, h, v)
+    assert value == expected[-1] and [x for _, x in trace.levels] == expected
+    stab = next((m for m in range(len(expected) - 1) if expected[m + 1] == expected[m]),
+                len(expected) - 1)
+    assert trace.stabilization_level == stab
+
+
+class TestGapSearch:
+    """The exact fill for an h with gaps: no split beats the singletons, the
+    sup bound grows with r, and the widest-first search it allows against
+    the ascending every-r search."""
+
+    @staticmethod
+    def tables(h, label):
+        # (engine, sizes, table) for the sup, level-2 and fixed-point tables
+        # in work units, on seeded vectors small enough to list every cut set
+        rng = Random(f"{label}/{h!r}")
+        for case in range(20):
+            alpha = (Fraction(1, 3), HALF, Fraction(2, 3))[case % 3]
+            v = seeded_vector(rng, rng.randint(2, 10))
+            engine = TsirelsonEngine(alpha, v, h)
+            for table, _, _ in tables_with_next(engine):
+                yield engine, reference_sizes(v, h)[2], table
+
+    @pytest.mark.parametrize("h", GAP_HS, ids=GAP_IDS)
+    def test_no_split_beats_the_singletons(self, h):
+        # Every entry is at most the l1 mass of its interval, and so is every
+        # split: when the widest admissible r is the width, the singletons
+        # close the query.
+        checked = 0
+        for engine, sizes, table in self.tables(h, "singletons"):
+            pos, prefix = engine.pos, engine._abs_prefix
+            for i in range(len(pos)):
+                for j in range(i, len(pos)):
+                    l1 = prefix[j + 1] - prefix[i]
+                    assert table[i][j] <= l1
+                    for r in admissible_sizes(pos, sizes, i, j):
+                        assert brute_split(table, i, j, r) <= l1
+                        checked += 1
+        assert checked > 100
+
+    @pytest.mark.parametrize("h", GAP_HS, ids=GAP_IDS)
+    def test_sup_bound_grows_with_r(self, h):
+        # q * split <= p * l1 + (q - p) * top_r for every admissible r, and
+        # the bound does not fall as r grows: the first r it rules out,
+        # widest first, rules out every narrower one.
+        checked = 0
+        for engine, sizes, table in self.tables(h, "sup-bound"):
+            pos, prefix, work = engine.pos, engine._abs_prefix, engine._work
+            p, q = engine._p, engine._q
+            for i in range(len(pos)):
+                for j in range(i + 1, len(pos)):
+                    l1 = prefix[j + 1] - prefix[i]
+                    ranked = sorted(work[i : j + 1], reverse=True)
+                    bounds = []
+                    for r in admissible_sizes(pos, sizes, i, j):
+                        bounds.append(p * l1 + (q - p) * sum(ranked[:r]))
+                        assert q * brute_split(table, i, j, r) <= bounds[-1]
+                    assert bounds == sorted(bounds)
+                    checked += len(bounds) > 1
+        assert checked > 20
+
+    @pytest.mark.parametrize("h", GAP_HS, ids=GAP_IDS)
+    def test_fill_matches_every_r_search(self, h):
+        # At alpha 9/10 a narrower r of table:1:3;2:4 can win.
+        rng = Random(f"every-r/{h!r}")
+        for case in range(48):
+            alpha = (Fraction(1, 3), HALF, Fraction(2, 3), Fraction(9, 10))[case % 4]
+            v = seeded_vector(rng, rng.randint(1, 14))
+            assert_matches_every_r(alpha, v, h)
+            if case % 5 == 0:  # the memoized split the large cases use
+                assert every_r_tables(alpha, v, h, chain_split()) == every_r_tables(alpha, v, h)
+
+    @pytest.mark.parametrize("s, alpha, h", [
+        pytest.param(32, Fraction(1, 3), GAP_HS[1], id="32-affine:3:1"),
+        pytest.param(32, HALF, GAP_HS[2], id="32-table:2:2;3:4;9:10"),
+        pytest.param(32, Fraction(2, 3), GAP_HS[0], id="32-affine:2:0"),
+        pytest.param(48, Fraction(2, 3), GAP_HS[0], id="48-affine:2:0"),
+        pytest.param(48, HALF, GAP_HS[2], id="48-table:2:2;3:4;9:10"),
+        pytest.param(48, Fraction(1, 3), GAP_HS[3], id="48-table:1:3;2:4"),
+    ])
+    def test_large_fill_matches_every_r_search(self, s, alpha, h):
+        v = seeded_vector(Random(f"every-r/{s}/{alpha}"), s)
+        assert_matches_every_r(alpha, v, h, chain_split())
 
 
 # Values of the Fraction-based engine on the float corpus above.
@@ -1319,6 +1512,9 @@ LARGE_FLOAT_DIGEST = "7a3247596a7dce22cf1da0a1af3fe074ff3196c76fe0deca64d4a73a6a
 
 # sha256 of the typed tables of test_exact_tables_match_recorded_digest.
 EXACT_DIGEST = "6e34d63f2f59b06f5a559eb57c421a6484f20a2f7ed66b488d41c19809437ec5"
+
+# sha256 of the typed tables of test_gap_tables_match_recorded_digest.
+GAP_DIGEST = "773391821cec0332c7fde72a366ad8ef2e26af33985b3bb26088446281634469"
 
 def inadmissible(*children, h=None):
     """certificate_lower_bound on a root family with the given child sets."""
