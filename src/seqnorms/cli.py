@@ -6,6 +6,10 @@ the output header; identical flags and seed give byte-identical output.
 
 Exit codes: 0 ok, 2 parse/configuration failure, 3 budget exceeded,
 4 engine disagreement, 5 property violation.
+
+Building the parser needs only ``core``; each subcommand imports the
+modules it runs when it runs, so start-up does not compile the engines
+a command never reaches.
 """
 from __future__ import annotations
 
@@ -17,9 +21,10 @@ from fractions import Fraction
 from random import Random
 from typing import List, Optional
 
-from . import blocks, ideals, series, tsirelson
 from .core import (
+    DEFAULT_ORACLE_CAP,
     DEFAULT_SUPPORT_BUDGET,
+    DEFAULT_WITNESS_BUDGET,
     INF,
     BudgetError,
     ConfigurationError,
@@ -96,6 +101,8 @@ def cmd_norm(args, report: _Report) -> int:
     report.header(space=space.describe(), mode="exact" if args.exact else "float")
     space.check_budget(len(v.support))
     if isinstance(space, TsirelsonSpace):
+        from . import tsirelson
+
         # the level route, so the output can show how the value was reached
         value, trace = tsirelson.norm(space.alpha, space.h, v)
         report.row("norm", _value_cell(value))
@@ -108,6 +115,8 @@ def cmd_norm(args, report: _Report) -> int:
 
 
 def cmd_oracle(args, report: _Report) -> int:
+    from . import tsirelson
+
     alpha = parse_scalar(args.alpha, exact=args.exact)
     v = _read_vector(args.vector, args.exact)
     if len(v.support) > args.oracle_cap:
@@ -127,6 +136,8 @@ def cmd_oracle(args, report: _Report) -> int:
 
 
 def cmd_scan(args, report: _Report) -> int:
+    from . import series
+
     space = parse_space(args.space, exact=args.exact, tol=args.tol, budget=args.budget_support)
     gen = series.parse_generator(args.generator, exact=args.exact)
     norms = series.partial_sum_norms(space, gen, args.N)
@@ -146,6 +157,8 @@ def cmd_scan(args, report: _Report) -> int:
 
 
 def cmd_blocks(args, report: _Report) -> int:
+    from . import blocks
+
     rng = Random(args.seed)
     report.header(seed=args.seed, mode="exact" if args.exact else "float")
     violations = 0
@@ -192,6 +205,8 @@ def cmd_blocks(args, report: _Report) -> int:
 
 
 def cmd_ideal(args, report: _Report) -> int:
+    from . import ideals
+
     ideal = ideals.parse_ideal(args.ideal, budget=args.budget_support)
     report.header(ideal=ideal.describe(), seed=args.seed, mode="exact" if args.exact else "float")
     if args.ideal_cmd == "turbulence":
@@ -222,6 +237,8 @@ def cmd_ideal(args, report: _Report) -> int:
 
 
 def cmd_certify(args, report: _Report) -> int:
+    from . import series, tsirelson
+
     bound, root = series.harmonic_tsirelson_witness(args.k, budget=args.witness_budget)
     v = series.harmonic_witness_prefix(args.k)
     check = tsirelson.certificate_lower_bound(Fraction(1, 2), None, v, root)
@@ -335,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     csub = p.add_subparsers(dest="certify_cmd", required=True)
     hw = csub.add_parser("harmonic-tsirelson", parents=[common])
     hw.add_argument("--k", type=int, default=1)
-    hw.add_argument("--witness-budget", type=int, default=series.DEFAULT_WITNESS_BUDGET)
+    hw.add_argument("--witness-budget", type=int, default=DEFAULT_WITNESS_BUDGET)
     hw.set_defaults(func=cmd_certify)
 
     return parser
@@ -346,7 +363,7 @@ _GLOBAL_DEFAULTS = {
     "tol": OrliczSpace.tol,
     "seed": 0,
     "budget_support": DEFAULT_SUPPORT_BUDGET,
-    "oracle_cap": tsirelson.DEFAULT_ORACLE_CAP,
+    "oracle_cap": DEFAULT_ORACLE_CAP,
     "format": "csv",
 }
 

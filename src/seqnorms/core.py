@@ -38,6 +38,10 @@ class BudgetError(RuntimeError):
 
 # The most positions one evaluation may cover (--budget-support).
 DEFAULT_SUPPORT_BUDGET = 4096
+# The largest support the brute-force oracle takes (--oracle-cap).
+DEFAULT_ORACLE_CAP = 8
+# The highest level the harmonic Tsirelson witness builds (--witness-budget).
+DEFAULT_WITNESS_BUDGET = 5
 
 # The most bits an exact power may take (classical's t ** p, or the power of
 # ten of an exact decimal: 10^19728 at most).
@@ -786,8 +790,6 @@ def parse_space(
     An Orlicz space takes ``tol`` and a Tsirelson space ``budget``; the other
     spaces read neither.
     """
-    from . import classical
-
     descriptor = descriptor.strip()
     name, _, body = descriptor.partition(":")
     try:
@@ -806,6 +808,8 @@ def parse_space(
             alpha = parse_scalar(kv["alpha"], exact=exact)
             return TsirelsonSpace(alpha, _parse_h(kv["h"]) if "h" in kv else None, budget)
         if name == "orlicz":
+            from . import classical
+
             if "power" in kv:
                 M = classical.OrliczFunction.power(parse_scalar(kv["power"], exact=exact))
             elif "table" in kv:

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from .core import (
+    DEFAULT_WITNESS_BUDGET,
     BudgetError,
     ConfigurationError,
     FiniteVector,
@@ -21,11 +22,12 @@ from .core import (
     is_exact,
     parse_scalar,
 )
-from . import tsirelson
+
+if TYPE_CHECKING:
+    from .tsirelson import CertificateNode
 
 DEFAULT_SHRINK_THRESHOLD = 0.01
 LATE_CUTS = 3
-DEFAULT_WITNESS_BUDGET = 5
 
 CONVERGING = "converging-trend"
 DIVERGING = "diverging-trend"
@@ -242,7 +244,7 @@ def domination_probe(
 
 def harmonic_tsirelson_witness(
     k: int, budget: int = DEFAULT_WITNESS_BUDGET
-) -> Tuple[Fraction, tsirelson.CertificateNode]:
+) -> Tuple[Fraction, CertificateNode]:
     """Certified lower bound for the harmonic series in Tsirelson(1/2), with
     the root node of its certificate.
 
@@ -260,14 +262,16 @@ def harmonic_tsirelson_witness(
         raise ConfigurationError("k must be >= 1")
     if k > budget:
         raise BudgetError(f"witness level {k} exceeds the budget {budget}")
+    from .tsirelson import CertificateNode
+
     children = []
     bound = Fraction(0)
     for j in range(k, 2 * k):
         block = tuple(range(2 ** j + 1, 2 ** (j + 1) + 1))
-        singletons = tuple(tsirelson.CertificateNode.leaf((n,)) for n in block)
-        children.append(tsirelson.CertificateNode.internal(block, singletons))
+        singletons = tuple(CertificateNode.leaf((n,)) for n in block)
+        children.append(CertificateNode.internal(block, singletons))
         bound += Fraction(1, 2) * sum(Fraction(1, n + 1) for n in block)
-    root = tsirelson.CertificateNode.internal(range(1, 2 ** (2 * k) + 1), children)
+    root = CertificateNode.internal(range(1, 2 ** (2 * k) + 1), children)
     return Fraction(1, 2) * bound, root
 
 

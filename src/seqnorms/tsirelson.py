@@ -163,6 +163,7 @@ from operator import add
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .core import (
+    DEFAULT_ORACLE_CAP,
     BudgetError,
     CertificateError,
     ConfigurationError,
@@ -172,8 +173,6 @@ from .core import (
     is_exact,
     scaled_ints,
 )
-
-DEFAULT_ORACLE_CAP = 8
 
 
 # ---------------------------------------------------------------------------

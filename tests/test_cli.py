@@ -452,6 +452,51 @@ class TestParserReuse:
         assert shared[4][1] != shared[5][1]
 
 
+# The parsed namespace of every subcommand, global defaults filled in as main
+# fills them, recorded before oracle_cap's and witness_budget's defaults
+# moved into core; func is left out.
+_COMMON = {"budget_support": 4096, "exact": True, "format": "csv", "oracle_cap": 8,
+           "seed": 0, "tol": 1e-10}
+PARSED = [
+    (["norm", "lp:p=2", "v.txt"],
+     dict(_COMMON, command="norm", space="lp:p=2", vector="v.txt")),
+    (["oracle", "1/2", "v.txt"],
+     dict(_COMMON, command="oracle", alpha="1/2", vector="v.txt")),
+    (["scan", "lp:p=2", "harmonic", "8"],
+     dict(_COMMON, command="scan", space="lp:p=2", generator="harmonic", N=8)),
+    (["blocks", "cjt"],
+     dict(_COMMON, command="blocks", blocks_cmd="cjt", alpha="1/2", samples=100)),
+    (["blocks", "lsh", "c0"],
+     dict(_COMMON, command="blocks", blocks_cmd="lsh", space="c0", bound=None, samples=100)),
+    (["ideal", "turbulence", "summable"],
+     dict(_COMMON, command="ideal", ideal_cmd="turbulence", ideal="summable", N=200)),
+    (["ideal", "membership", "summable", "evens"],
+     dict(_COMMON, command="ideal", ideal_cmd="membership", ideal="summable", set="evens",
+          N=1000)),
+    (["ideal", "axioms", "summable"],
+     dict(_COMMON, command="ideal", ideal_cmd="axioms", ideal="summable", samples=200)),
+    (["certify", "harmonic-tsirelson"],
+     dict(_COMMON, command="certify", certify_cmd="harmonic-tsirelson", k=1, witness_budget=5)),
+    (["--float", "--tol", "1e-3", "--seed", "7", "--budget-support", "9", "--oracle-cap", "5",
+      "--format", "text", "oracle", "1/2", "v.txt"],
+     {"alpha": "1/2", "budget_support": 9, "command": "oracle", "exact": False,
+      "format": "text", "oracle_cap": 5, "seed": 7, "tol": 0.001, "vector": "v.txt"}),
+    (["certify", "harmonic-tsirelson", "--k", "2", "--witness-budget", "3", "--exact"],
+     dict(_COMMON, command="certify", certify_cmd="harmonic-tsirelson", k=2, witness_budget=3)),
+]
+
+
+@pytest.mark.parametrize("argv, expected", PARSED, ids=[" ".join(a) for a, _ in PARSED])
+def test_parsed_arguments_and_defaults(argv, expected):
+    args = cli.build_parser().parse_args(argv)
+    for key, value in cli._GLOBAL_DEFAULTS.items():
+        if not hasattr(args, key):
+            setattr(args, key, value)
+    parsed = vars(args)
+    assert parsed.pop("func") is getattr(cli, f"cmd_{expected['command']}")
+    assert parsed == expected
+
+
 # Each command with a tolerance flag that is not a finite positive number.
 # inf stopped the Luxemburg bisection at once (norm orlicz:power=2 on 1/2 1/3
 # printed 0.666...) and made oracle --float agree on any two values; nan ran

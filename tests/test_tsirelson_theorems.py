@@ -1,7 +1,8 @@
 """Theorem-backed checks of the exact Tsirelson DP beyond the oracle's reach.
 
 The brute-force oracle stops at support 8.  These checks run seeded exact
-cases at support 32-48 against inequalities that every correct engine
+cases at support 32-48, and the triangle inequality and 1-unconditionality
+also at support 64, against inequalities that every correct engine
 satisfies at any size (Figiel-Johnson; Casazza-Shura, ch. I):
 
 * restriction: ||P_E x|| <= ||x|| for every subset E of the support;
@@ -43,12 +44,14 @@ EVERY_H = {
     "table:2:2;3:4;9:10": HFunction.from_table([(2, 2), (3, 4), (9, 10)]),
 }
 CASES = 8
+CASES_64 = 4
 
 
-def random_vector(rng, first=1):
-    """s in 32..48 nonzero entries on positions from ``first``, dense enough
-    near the start that the admissibility bound k <= min E_1 binds."""
-    s = rng.randint(32, 48)
+def random_vector(rng, first=1, sizes=(32, 48)):
+    """s in ``sizes`` (by default 32..48) nonzero entries on positions from
+    ``first``, dense enough near the start that the admissibility bound
+    k <= min E_1 binds."""
+    s = rng.randint(*sizes)
     positions = sorted(rng.sample(range(first, first + s + s // 2), s))
     return FiniteVector.from_pairs((n, rng.choice(COEFFS)) for n in positions)
 
@@ -72,6 +75,24 @@ def at_most(a, b):
 
 def float_cases(seed):
     return [(rng, float(alpha), floats(v)) for rng, alpha, v in cases(seed)]
+
+
+def cases_64(seed, exact):
+    """Plain-h cases at support exactly 64, with the comparison for the mode:
+    exact values compare as they are, float ones within --tol."""
+    rng = Random(seed)
+    out = []
+    for _ in range(CASES_64):
+        alpha, v = rng.choice(ALPHAS), random_vector(rng, sizes=(64, 64))
+        out.append((rng, alpha, v) if exact else (rng, float(alpha), floats(v)))
+    return out, (lambda a, b: a <= b) if exact else at_most
+
+
+def scaled_part(rng, v):
+    """About 70% of v's entries, each times a random coefficient."""
+    return FiniteVector.from_pairs(
+        (n, a * rng.choice(COEFFS)) for n, a in zip(v.support, v.values) if rng.random() < 0.7
+    )
 
 
 @pytest.mark.parametrize("h", EVERY_H.values(), ids=EVERY_H)
@@ -183,3 +204,26 @@ def test_float_triangle_inequality_for_plain_h():
                 for _ in range(2))
         bound = fixed_point_norm(alpha, x) + fixed_point_norm(alpha, y)
         assert at_most(fixed_point_norm(alpha, x + y), bound), (alpha, x, y)
+
+
+@pytest.mark.parametrize("exact", (True, False), ids=("exact", "float"))
+def test_triangle_inequality_at_support_64(exact):
+    cases, leq = cases_64(21 if exact else 22, exact)
+    for rng, alpha, v in cases:
+        x, y = scaled_part(rng, v), scaled_part(rng, v)
+        bound = fixed_point_norm(alpha, x) + fixed_point_norm(alpha, y)
+        assert leq(fixed_point_norm(alpha, x + y), bound), (alpha, x, y)
+
+
+@pytest.mark.parametrize("exact", (True, False), ids=("exact", "float"))
+def test_one_unconditional_at_support_64(exact):
+    cases, leq = cases_64(23 if exact else 24, exact)
+    for rng, alpha, v in cases:
+        value = fixed_point_norm(alpha, v)
+        signs = [rng.choice((-1, 1)) for _ in range(v.support[-1])]
+        assert fixed_point_norm(alpha, v.flip_signs(signs)) == value, (alpha, v, signs)
+        shrunk = FiniteVector.from_pairs(
+            (n, a * rng.choice((-1, Fraction(-1, 2), Fraction(1, 3), 1)))
+            for n, a in zip(v.support, v.values)
+        )
+        assert leq(fixed_point_norm(alpha, shrunk), value), (alpha, v, shrunk)
