@@ -116,9 +116,9 @@ The sixth reads the last query of the start instead:
   the query j is skipped when p * (F[R][j'] + l1(j'+1..j)) <= best, with
   best held times q as above.
 
-Float mode uses none of them: rounding can put a sum an ulp above or below
-one it provably dominates, so a carried value, a single size, a bound or a
-closed form could change the last bits.  It fills by right end, then by
+Float mode uses none of these six: rounding can put a sum an ulp above or
+below one it provably dominates, so a carried value, a single size, a bound
+or a closed form could change the last bits.  It fills by right end, then by
 decreasing start, and tries every size at its own start, in increasing k,
 forming each sum as the full search does.  For the same reason it keeps
 per-right-end arrays: they add a split's groups right-nested, first group
@@ -132,6 +132,28 @@ lower row the previous start has already extended; the others extend each
 row they need down to their start.  A state's value does not depend on
 when it is computed, so the sums, and their bits, are those of the full
 search.
+
+A seventh fact needs no exact arithmetic, only an exact max and a sum that
+does not decrease when an operand grows, and float mode uses it at level 1:
+
+* Level 1 by the next larger entry.  On the sup table S, with S[x][t] the
+  first largest of a_x..a_t, rows[q][x] is the first maximum over t of
+  S[x][t] + rows[q-1][t+1].  First, every row is nonincreasing in x, bit
+  for bit: rows[1][x] = S[x][j] is, and for each t the term of x is at
+  least that of x + 1, since S[x][t] >= S[x+1][t] and the sum is monotone.
+  Second, let g be the first index after x with a_g > a_x.  The terms t in
+  [x, g-1] have S[x][t] = a_x, so by the first step t = x is their best;
+  for t >= g, S[x][t] is S[g][t], the same object, so those terms are
+  those of rows[q][g].  So rows[q][x] = max(a_x + rows[q-1][x+1],
+  rows[q][g]), or the first term alone when g is past the row, and a tie
+  keeps the first term, as the scan keeps its first maximum.  Each state
+  takes one add and one compare, and no row suffix is sliced.  The sum is
+  monotone when the values are all floats (rounding is monotone) or all
+  exact; a float plus an exact value rounds the exact one first, so a
+  larger exact operand can give a smaller sum, and a vector that mixes the
+  two scans every split at level 1 too.  ("Next larger or equal" would do
+  as well: a term of rows[q][g] whose largest entry only ties a_x is then
+  no larger than the first term, so it never wins.)
 
 On the level route a float fill carries work from one level to the next.  A
 state rows[q][x] for the right end j reads only strict subintervals of
@@ -510,13 +532,25 @@ class TsirelsonEngine:
         # back as ``carried``: above thresh, the X_j of the module docstring,
         # its states are kept and its queries return their floor.  Without
         # ``carried`` (level 1), thresh = j and every row starts empty.
+        #
+        # Level 1 reads the sup table, and there a state takes one step from
+        # the first later entry larger than its own, nge[x] (module
+        # docstring): rows[q][x] = max(a_x + rows[q - 1][x + 1], rows[q][g])
+        # with g = nge[x], or the first term alone when g is past the row.
+        # No suffix is sliced there: shifted holds the work values a_x.
         s = len(self.pos)
         p, prefix = self._p, self._abs_prefix
         sizes = list(zip(self._start, self._r))
         top_r = max(self._r, default=1)
         live = table is out
         floors = self._sup if live else table
-        shifted = [[] for _ in range(s)] if live else [row[x:] for x, row in enumerate(table)]
+        nge = self._next_larger() if table is self._sup else None
+        if live:
+            shifted = [[] for _ in range(s)]
+        elif nge is None:
+            shifted = [row[x:] for x, row in enumerate(table)]
+        else:
+            shifted = self._work
         moved, kept = [], []
         seen = -1  # the largest start of a changed entry [a..b] with b < j
         for j in range(s):
@@ -552,10 +586,14 @@ class TsirelsonEngine:
                     if r >= 2:
                         row = rows[r]
                         if lo[r] == a + 1 and lo[r - 1] <= a + 1:
-                            row[a] = max(map(add, shifted[a], rows[r - 1][a + 1 :]))
+                            if nge is None:
+                                row[a] = max(map(add, shifted[a], rows[r - 1][a + 1 :]))
+                            else:
+                                step, g = shifted[a] + rows[r - 1][a + 1], nge[a]
+                                row[a] = row[g] if g < len(row) and row[g] > step else step
                             lo[r] = a
                         elif lo[r] > a:
-                            self._extend(rows, lo, shifted, a, r)
+                            self._extend(rows, lo, shifted, a, r, nge)
                         cand = p * row[a]
                         if cand > best:
                             best = cand
@@ -575,19 +613,43 @@ class TsirelsonEngine:
         return moved, kept
 
     @staticmethod
-    def _extend(rows, lo, shifted, a, r) -> None:
+    def _extend(rows, lo, shifted, a, r, nge) -> None:
         # Float mode.  Extend rows[q] down to x = a + r - q for q = 2..r, by
         # increasing q, from the first row that needs work, found by scanning
-        # down from r.  (Kept apart from _fill_float, as _sweep is from
+        # down from r.  At level 1 (nge given) each state takes the one step
+        # of _fill_float.  (Kept apart from _fill_float, as _sweep is from
         # _plain_row, so that tracemalloc stays cheap.)
         first = r
         while first > 2 and lo[first - 1] > a + r - first + 1:
             first -= 1
         for q in range(first, r + 1):
             ext, prev = rows[q], rows[q - 1]
-            for x in range(lo[q] - 1, a + r - q - 1, -1):
-                ext[x] = max(map(add, shifted[x], prev[x + 1 :]))
+            if nge is None:
+                for x in range(lo[q] - 1, a + r - q - 1, -1):
+                    ext[x] = max(map(add, shifted[x], prev[x + 1 :]))
+            else:
+                end = len(ext)
+                for x in range(lo[q] - 1, a + r - q - 1, -1):
+                    step, g = shifted[x] + prev[x + 1], nge[x]
+                    ext[x] = ext[g] if g < end and ext[g] > step else step
             lo[q] = a + r - q
+
+    def _next_larger(self) -> Optional[List[int]]:
+        # Float level 1: nge[x] is the first g > x with a_g > a_x, or s if
+        # there is none, from one pass with a stack of the entries still
+        # waiting for a larger one.  None if the work values mix floats with
+        # ints or Fractions: adding a float and an exact value rounds the
+        # exact one first, so a larger exact term can give a smaller sum, and
+        # the rows need not be monotone; such a fill scans every split.
+        work = self._work
+        if not (all(type(a) is float for a in work) or all(map(is_exact, work))):
+            return None
+        nge, waiting = [len(work)] * len(work), []
+        for g, a in enumerate(work):
+            while waiting and work[waiting[-1]] < a:
+                nge[waiting.pop()] = g
+            waiting.append(g)
+        return nge
 
     # -- fixed-point route (no level trace)
 

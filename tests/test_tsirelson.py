@@ -3,6 +3,7 @@ import math
 import sys
 import tracemalloc
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from random import Random
 
@@ -569,6 +570,71 @@ class TestPartitionKernel:
                 before, carried, previous = table, carried_next, states
         assert carried_states > 0
 
+    @pytest.mark.parametrize("h", [None, HFunction.affine(2, 0)], ids=["plain", "affine:2:0"])
+    def test_level_one_float_states_at_benchmark_sizes(self, h):
+        # Level 1 takes each state in one step from the next larger entry.
+        # At the s = 32-48 of the benchmark's float requests every state it
+        # leaves is still the best split.  The vectors repeat values (ties
+        # the step must keep), fall (no later entry is larger) and rise (the
+        # next entry always is).  A level fill returns its rows that hold a
+        # state, per right end.
+        rng = Random(47)
+        vectors = []
+        for s in (32, 40, 48):
+            vectors.append([(n + n // 2 + 1, (-1) ** n * (n % 7 + 1) / (n % 5 + 2)) for n in range(s)])
+            vectors.append([(n, rng.choice((1, 2, 3)) / rng.choice((1, 2))) for n in range(1, s + 1)])
+        vectors.append([(n, 1.0 / (n + 1)) for n in range(1, 33)])
+        vectors.append([(n, n / (n + 1)) for n in range(1, 33)])
+        checked = 0
+        for pairs in vectors:
+            engine = TsirelsonEngine(2 / 3, FiniteVector.from_pairs(pairs), h)
+            table, s = engine._sup, len(pairs)
+            _, kept = engine._fill_float(table, [[0] * s for _ in range(s)])
+            states = {
+                j: ([None, [table[x][j] for x in range(j + 1)]] + rows, [None, 0] + lo, j)
+                for j, (rows, lo) in enumerate(kept)
+            }
+            check_float_states(states, table, scanned_split(table))
+            checked += sum(len(row) - x for rows, lo in kept for row, x in zip(rows, lo))
+        assert checked > 10_000
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(1, 16), st.integers(-3, 3), st.sampled_from(("int", "fraction", "half"))),
+            min_size=1,
+            max_size=10,
+        ),
+        st.booleans(),
+        st.sampled_from((0.5, 2 / 3, 0.1)),
+        st.sampled_from(HS),
+    )
+    def test_float_level_one_matches_the_reference(self, terms, exact, alpha, h):
+        # Small values tie often.  Exact coefficients under a float alpha
+        # run in float mode too, as ints, Fractions or both.
+        if exact:
+            forms = {"int": int, "fraction": Fraction, "half": lambda a: Fraction(a, 2)}
+        else:
+            forms = {"int": float, "fraction": float, "half": lambda a: a / 2}
+        v = FiniteVector.from_pairs((n, forms[form](a)) for n, a, form in terms)
+        if v.is_zero:
+            return
+        level = TsirelsonEngine(alpha, v, h).level_tables(1)[1]
+        assert typed(level) == typed(float_reference_tables(alpha, v, h)[1])
+
+    def test_mixed_float_and_exact_values_scan_at_level_one(self):
+        # A float plus an exact value rounds the exact one first, so the
+        # rows of a vector that mixes them need not be monotone and level 1
+        # scans every split.  Here the scan gives [0..3] the Fraction 37/9,
+        # where the one-step rule would give a float.
+        v = FiniteVector((20, 21, 22, 25), (Fraction(8, 3), -1.0, Fraction(-1), Fraction(5, 2)))
+        h = HFunction.from_table([(1, 1), (2, 3), (4, 5)])
+        engine = TsirelsonEngine(Fraction(2, 3), v, h)
+        assert engine._next_larger() is None
+        level = engine.level_tables(1)[1]
+        assert typed([[level[0][3]]]) == [["Fraction:Fraction(37, 9)"]]
+        assert typed(level) == typed(float_reference_tables(Fraction(2, 3), v, h)[1])
+
     def test_affine_h_values_recorded(self):
         # recorded from the recursive-memo engine
         v = harmonic(48)
@@ -586,10 +652,11 @@ class TestPartitionKernel:
         assert fixed_point_norm(0.5, v, h=HFunction.affine(2, 0)) == 0.8513489536299753
 
 
-def check_float_states(states, table):
+def check_float_states(states, table, split=None):
     """Every state rows[q][x] a float fill leaves, whether one step or a
     multi-row extension computed it, is the best right-nested split of
-    [x..j] into q groups over the table read."""
+    [x..j] into q groups over the table read (``split(x, j, q)``, by
+    default over every cut set)."""
     s = len(table)
     assert sorted(states) == list(range(s))
     for j, (rows, lo, _) in states.items():
@@ -597,7 +664,22 @@ def check_float_states(states, table):
         for q in range(2, len(rows)):
             assert all(lo[p] <= lo[q] + q - p for p in range(2, q))
             for x in range(lo[q], j - q + 2):
-                assert rows[q][x] == right_nested_split(table, x, j, q)
+                expected = right_nested_split(table, x, j, q) if split is None else split(x, j, q)
+                assert rows[q][x] == expected
+
+
+def scanned_split(table):
+    """right_nested_split for supports too large to enumerate the cut sets:
+    the first maximum over the first group's end t of table[a][t] plus the
+    best split of the rest, each (a, j, r) computed once.  Float addition is
+    monotone, so on float tables this is the same float."""
+    @lru_cache(maxsize=None)
+    def split(a, j, r):
+        if r == 1:
+            return table[a][j]
+        return max(table[a][t] + split(t + 1, j, r - 1) for t in range(a, j - r + 2))
+
+    return split
 
 
 class TestCarriedLevels:
