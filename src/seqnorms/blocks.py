@@ -2,7 +2,6 @@
 lower semi-homogeneity probes."""
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 from typing import List, Optional, Sequence, Tuple
@@ -10,6 +9,7 @@ from typing import List, Optional, Sequence, Tuple
 from .core import (
     ConfigurationError,
     FiniteVector,
+    Frozen,
     Number,
     SpaceSpec,
     eval_norm,
@@ -21,8 +21,7 @@ CJT_UPPER = 18
 COEFF_GRID = (Fraction(-2), Fraction(-1), Fraction(-1, 2), Fraction(1, 2), Fraction(1), Fraction(2))
 
 
-@dataclass(frozen=True)
-class BlockBasisSpec:
+class BlockBasisSpec(Frozen):
     """Breakpoints p_1 < ... < p_{J+1} and coefficients on (p_1, p_last].
 
     Block j is u_j = sum of a_n x_n over p_j < n <= p_{j+1}; every block
@@ -90,8 +89,7 @@ def _normalized_spec(spec: BlockBasisSpec, space: SpaceSpec) -> BlockBasisSpec:
     return BlockBasisSpec(spec.breakpoints, tuple(coeffs))
 
 
-@dataclass(frozen=True)
-class CjtCheck:
+class CjtCheck(Frozen):
     ratio: Number
 
     @property
@@ -131,8 +129,7 @@ def cjt_ratio_check(
     return CjtCheck(ratio)
 
 
-@dataclass(frozen=True)
-class LshReport:
+class LshReport(Frozen):
     """Lower semi-homogeneity probe: worst ratio over the samples of
     ||sum b_j x_j|| to ||sum b_j u_j|| for normalized blocks u_j."""
 

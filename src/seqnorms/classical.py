@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -32,6 +31,7 @@ from .core import (
     BudgetError,
     ConfigurationError,
     FiniteVector,
+    Frozen,
     INF,
     Number,
     OrliczSpace,
@@ -48,8 +48,7 @@ from .core import (
 # Orlicz functions
 
 
-@dataclass(frozen=True)
-class OrliczFunction:
+class OrliczFunction(Frozen):
     """Convex non-decreasing M with M(0)=0 and M(t) -> infinity.
 
     Either a power M(t) = t^p with p >= 1, or a table of (t, M(t)) knots

@@ -14,9 +14,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from contextlib import suppress
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, chain, compress, count, repeat
+from operator import attrgetter
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 Number = Union[int, Fraction, float]
@@ -160,11 +160,87 @@ def scaled_ints(values: Sequence[Number]) -> Optional[Tuple[List[int], int, bool
 
 
 # ---------------------------------------------------------------------------
+# Value types
+
+
+class Frozen:
+    """Base of the immutable value types.
+
+    The fields are the annotated names of the class and of its ``Frozen``
+    bases, in MRO order; a class attribute of the same name is a field's
+    default.  Instances are built positionally or by keyword, run
+    ``__post_init__`` and refuse assignment.  ``==`` (between instances of
+    one class) and ``hash`` read every field except those in ``_settings``,
+    knobs such as a budget that are not part of the value; ``repr`` shows
+    every field.
+    """
+
+    _fields = ()
+    _settings = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields = {}
+        for c in reversed(cls.__mro__):
+            if issubclass(c, Frozen):
+                fields.update(dict.fromkeys(c.__annotations__))
+        cls._fields = cls.__match_args__ = tuple(fields)
+        cls._defaults = {n: getattr(cls, n) for n in fields if hasattr(cls, n)}
+        compared = [n for n in fields if n not in cls._settings]
+        key = attrgetter(*compared)
+        # always a tuple, so the hash is that of the tuple of compared fields
+        cls._key = staticmethod(key if len(compared) > 1 else lambda self: (key(self),))
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(self._fields):
+            args = self._arguments(args, kwargs)
+        self.__dict__.update(zip(self._fields, args))
+        self.__post_init__()
+
+    def _arguments(self, args, kwargs) -> list:
+        """Every field's value, in order, from the arguments and the defaults."""
+        fields, name = self._fields, type(self).__name__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes at most {len(fields)} arguments")
+        values = list(args)
+        for field in fields[len(args):]:
+            if field in kwargs:
+                values.append(kwargs.pop(field))
+            elif field in self._defaults:
+                values.append(self._defaults[field])
+            else:
+                raise TypeError(f"{name}() missing the argument {field!r}")
+        if kwargs:
+            raise TypeError(f"{name}() got an unexpected or repeated argument {next(iter(kwargs))!r}")
+        return values
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        body = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+
+# ---------------------------------------------------------------------------
 # Finite vectors
 
 
-@dataclass(frozen=True)
-class FiniteVector:
+class FiniteVector(Frozen):
     """A finitely supported coefficient sequence, stored by its support.
 
     ``support`` holds the increasing positions with a nonzero coefficient and
@@ -176,9 +252,19 @@ class FiniteVector:
     support: Tuple[int, ...]
     values: Tuple[Number, ...] = ()  # so a lone dense tuple fails the length check
 
-    def __post_init__(self):
-        if len(self.support) != len(self.values):
+    def __init__(self, support: Tuple[int, ...], values: Tuple[Number, ...] = ()):
+        # Built per block, sample and parse, so it skips the generic path.
+        if len(support) != len(values):
             raise ConfigurationError("a vector takes one value per support position")
+        self.__dict__.update(support=support, values=values)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.support == other.support and self.values == other.values
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.support, self.values))
 
     @staticmethod
     def from_dense(values: Sequence[Number]) -> "FiniteVector":
@@ -258,8 +344,7 @@ class FiniteVector:
 # Parameter types
 
 
-@dataclass(frozen=True)
-class HFunction:
+class HFunction(Frozen):
     """A strictly increasing family-size function k -> h(k), h(k) >= 1."""
 
     kind: str  # "identity" | "affine" | "table"
@@ -332,8 +417,7 @@ class HFunction:
         return [(k, self(k)) for k in range(1, s + 1)]
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(Frozen):
     """Per-position grid mesh; position n uses epsilon index n-1.
 
     Default closed form is the dyadic mesh eps_i = 2^-i (so position 1 has
@@ -368,8 +452,7 @@ class GridSpec:
         return self.table[position - 1]
 
 
-@dataclass(frozen=True)
-class WeightSpec:
+class WeightSpec(Frozen):
     """Lorentz weights: w_0 = 1, positive, non-increasing, divergent sum.
 
     A table is extended by its last entry, so its sum diverges.
@@ -478,8 +561,7 @@ def _running(values: Iterable[Number]) -> List[Number]:
     return out
 
 
-@dataclass(frozen=True)
-class LpSpace(SpaceSpec):
+class LpSpace(SpaceSpec, Frozen):
     p: Number
 
     def __post_init__(self):
@@ -512,18 +594,17 @@ class LpSpace(SpaceSpec):
         return f"lp:p={'inf' if self.p == INF else format_scalar(self.p)}"
 
 
-@dataclass(frozen=True)
 class C0Space(LpSpace):
     """c_0: on finitely supported vectors its norm is the sup norm of lp:p=inf."""
 
-    p: Number = field(default=INF, init=False)
+    def __init__(self):
+        super().__init__(INF)
 
     def describe(self) -> str:
         return "c0"
 
 
-@dataclass(frozen=True)
-class TsirelsonSpace(SpaceSpec):
+class TsirelsonSpace(SpaceSpec, Frozen):
     """Tsirelson's space T(alpha), or T(alpha, h) when h is given.
 
     ``budget`` is the most positions one evaluation may cover
@@ -533,7 +614,9 @@ class TsirelsonSpace(SpaceSpec):
 
     alpha: Number
     h: Optional[HFunction] = None
-    budget: int = field(default=DEFAULT_SUPPORT_BUDGET, compare=False)
+    budget: int = DEFAULT_SUPPORT_BUDGET
+
+    _settings = ("budget",)
 
     def __post_init__(self):
         if not (0 < self.alpha < 1):
@@ -566,8 +649,7 @@ class TsirelsonSpace(SpaceSpec):
             )
 
 
-@dataclass(frozen=True)
-class OrliczSpace(SpaceSpec):
+class OrliczSpace(SpaceSpec, Frozen):
     """The Orlicz space of an Orlicz function.
 
     ``tol`` bounds the Luxemburg bisection (--tol); it is a setting, not part
@@ -575,7 +657,9 @@ class OrliczSpace(SpaceSpec):
     """
 
     orlicz: "object"  # classical.OrliczFunction
-    tol: float = field(default=1e-10, compare=False)
+    tol: float = 1e-10
+
+    _settings = ("tol",)
 
     def __post_init__(self):
         if self.orlicz is None:
@@ -589,8 +673,7 @@ class OrliczSpace(SpaceSpec):
         return f"orlicz:{self.orlicz.describe()}"
 
 
-@dataclass(frozen=True)
-class LorentzSpace(SpaceSpec):
+class LorentzSpace(SpaceSpec, Frozen):
     weights: WeightSpec
     p: Number
 

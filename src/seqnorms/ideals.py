@@ -10,7 +10,6 @@ once and asks the space once for all of them, through ``_phi_windows``.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from typing import List, Optional, Sequence, Tuple
@@ -18,6 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 from .core import (
     ConfigurationError,
     FiniteVector,
+    Frozen,
     HFunction,
     LpSpace,
     Number,
@@ -50,8 +50,7 @@ FLAT_RATIO = Fraction(95, 100)
 # Position-set generators
 
 
-@dataclass(frozen=True)
-class SetGenerator:
+class SetGenerator(Frozen):
     """Deterministic subsets of the naturals, enumerable on any finite window."""
 
     kind: str  # "naturals" | "evens" | "squares" | "primes" | "dyadic" | "explicit"
@@ -152,8 +151,7 @@ def _set_int(text: str, descriptor: str) -> int:
 # Submeasures
 
 
-@dataclass(frozen=True)
-class SubmeasureSpec:
+class SubmeasureSpec(Frozen):
     """phi(A) = ||sum_{n in A} f(n) x_{pos(n)}|| in a 1-unconditional space.
 
     pos is the optional position map (identity when absent).  basis-weight
@@ -247,8 +245,7 @@ def phi_tail_profile(
 # Axiom checks
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(Frozen):
     checked: int
     violations: Tuple[str, ...]
 
@@ -318,8 +315,7 @@ def turbulence_criterion(spec: SubmeasureSpec, N: int) -> str:
     return INCONCLUSIVE
 
 
-@dataclass(frozen=True)
-class IdealSpec:
+class IdealSpec(Frozen):
     """A named ideal derived from a submeasure: Fin, Null, or Exh."""
 
     submeasure: SubmeasureSpec

@@ -8,7 +8,6 @@ certificate's root node.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
@@ -17,6 +16,7 @@ from .core import (
     BudgetError,
     ConfigurationError,
     FiniteVector,
+    Frozen,
     Number,
     SpaceSpec,
     is_exact,
@@ -38,8 +38,7 @@ INCONCLUSIVE = "inconclusive"
 # Coefficient generators
 
 
-@dataclass(frozen=True)
-class CoefficientGenerator:
+class CoefficientGenerator(Frozen):
     """Deterministic coefficient sequences; exact rationals for rational forms.
 
     harmonic: a_n = 1/(n+1).  power(s): a_n = n^-s.  constant(c).  table.
@@ -182,8 +181,7 @@ def convergence_verdict(
     return INCONCLUSIVE
 
 
-@dataclass(frozen=True)
-class DominationReport:
+class DominationReport(Frozen):
     dom_verdict: str
     sub_verdict: str
 

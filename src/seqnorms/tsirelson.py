@@ -177,7 +177,6 @@ a state; the next level reuses those rows in place.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -190,6 +189,7 @@ from .core import (
     CertificateError,
     ConfigurationError,
     FiniteVector,
+    Frozen,
     HFunction,
     Number,
     is_exact,
@@ -201,8 +201,7 @@ from .core import (
 # Admissible families
 
 
-@dataclass(frozen=True)
-class AdmissibilityResult:
+class AdmissibilityResult(Frozen):
     reason: str = "ok"
 
     def __bool__(self) -> bool:
@@ -254,8 +253,7 @@ def _admissible(r: int, min_pos: int, h: Optional[HFunction]) -> bool:
 # Level traces
 
 
-@dataclass(frozen=True)
-class LevelTrace:
+class LevelTrace(Frozen):
     """Level norms up to stabilization: pairs (m, ||x||_m)."""
 
     levels: Tuple[Tuple[int, Number], ...]
@@ -749,8 +747,7 @@ def prefix_norms(
 # Norm certificates
 
 
-@dataclass(frozen=True)
-class CertificateNode:
+class CertificateNode(Frozen):
     """One node of a norm certificate.
 
     A leaf (no children) marks level-0 evaluation on its restriction.  An

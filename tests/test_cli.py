@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -311,6 +312,18 @@ class TestBlocksCommand:
         assert code == 0
         assert out.count("PASS") == 25
         assert "FAIL" not in out
+
+    def test_cjt_violation_exit_code(self, capsys, monkeypatch):
+        # the stub's ratio for the second of three samples is below 1/3
+        from seqnorms import blocks
+
+        ratios = iter([Fraction(1), Fraction(1, 4), Fraction(18)])
+        monkeypatch.setattr(blocks, "cjt_ratio_check", lambda *a, **k: blocks.CjtCheck(next(ratios)))
+        code, out, _ = run(capsys, "blocks", "cjt", "--samples", "3")
+        assert code == cli.EXIT_VIOLATION == 5
+        assert out.splitlines()[-4:] == [
+            "0,1,1.0,PASS", "1,1/4,0.25,FAIL", "2,18,18.0,PASS", "# violations=1",
+        ]
 
     def test_lsh_l1(self, capsys):
         code, out, _ = run(

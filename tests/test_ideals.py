@@ -9,10 +9,13 @@ from seqnorms.core import (
 )
 from seqnorms.series import CoefficientGenerator
 from seqnorms.ideals import (
+    FLAT_RATIO,
+    INCONCLUSIVE,
     IdealSpec,
     MEMBER,
     NON_MEMBER,
     NOT_TURBULENT,
+    SHRINK_RATIO,
     TURBULENT,
     SetGenerator,
     SubmeasureSpec,
@@ -304,6 +307,29 @@ class TestTurbulence:
     def test_tsirelson_reciprocal_weight_turbulent(self):
         spec = SubmeasureSpec.basis_weight(SpaceSpec.tsirelson(HALF), RECIPROCAL)
         assert turbulence_criterion(spec, 128) == TURBULENT
+
+
+class TestMiddleVerdicts:
+    """Summable weight tables whose readings fall between the two trends."""
+
+    def test_turbulence_with_small_singletons_that_do_not_decrease(self):
+        # phi({n}) = w(n): the last half dips below the floor, but the values
+        # go back up on the way
+        weights = CoefficientGenerator.from_table([1, Fraction(1, 1000)] * 2)
+        assert turbulence_criterion(SubmeasureSpec.summable(weights), 4) == INCONCLUSIVE
+
+    def test_exh_with_late_tails_on_both_sides_of_the_threshold(self):
+        # weight 1 on 1..7, then 0: the late tails, from the cuts 4 and 8, are 4 and 0
+        spec = SubmeasureSpec.summable(CoefficientGenerator.from_table([1] * 7 + [0] * 9))
+        assert phi_tail_profile(spec, SetGenerator.naturals(), [1, 2, 4, 8], 16) == [7, 6, 4, 0]
+        assert membership_verdict(IdealSpec(spec, "Exh"), SetGenerator.naturals(), 16) == INCONCLUSIVE
+
+    def test_fin_with_increments_neither_shrinking_nor_flat(self):
+        # the prefixes to the cuts 1, 2, 4 grow by w(2) = 1, then w(3) + w(4) = 23/25
+        weights = CoefficientGenerator.from_table([1, 1, Fraction(1, 2), Fraction(21, 50)])
+        assert SHRINK_RATIO < Fraction(23, 25) < FLAT_RATIO
+        ideal = IdealSpec(SubmeasureSpec.summable(weights), "Fin")
+        assert membership_verdict(ideal, SetGenerator.naturals(), 4) == INCONCLUSIVE
 
 
 class TestMembershipFills:

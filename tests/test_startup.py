@@ -52,6 +52,9 @@ COMMAND_MODULES = {
     ("certify", "harmonic-tsirelson"): {"series", "tsirelson"},
 }
 BASE = {"seqnorms", "seqnorms.core", "seqnorms.cli"}
+# Standard modules that generated value classes (dataclasses) would pull in;
+# neither set-up nor any command loads them.
+UNLOADED = ("dataclasses", "inspect")
 
 _LOADED_AFTER = """
 import json, sys
@@ -60,8 +63,9 @@ from seqnorms import cli
 cli.build_parser()
 code = 0 if len(sys.argv) == 1 else cli.main(sys.argv[1:])
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "seqnorms")
-print(json.dumps([code, loaded]), file=sys.stderr)
-"""
+heavy = sorted(m for m in {unloaded!r} if m in sys.modules)
+print(json.dumps([code, loaded, heavy]), file=sys.stderr)
+""".format(unloaded=UNLOADED)
 
 
 def fresh_python(code, *argv):
@@ -80,16 +84,18 @@ def loaded_after(*argv):
 
 class TestImportGraph:
     def test_parser_loads_only_core_and_cli(self):
-        code, loaded = loaded_after()
+        code, loaded, heavy = loaded_after()
         assert set(loaded) == BASE
+        assert heavy == []
 
     @pytest.mark.parametrize("argv", COMMAND_MODULES, ids=" ".join)
     def test_command_loads_what_it_runs(self, tmp_path, argv):
         vec = tmp_path / "v.txt"
         vec.write_text("0 1 1 1 1 1 1\n")
-        code, loaded = loaded_after(*(a.format(v=vec) for a in argv))
+        code, loaded, heavy = loaded_after(*(a.format(v=vec) for a in argv))
         assert code == 0
         assert set(loaded) == BASE | {f"seqnorms.{m}" for m in COMMAND_MODULES[argv]}
+        assert heavy == []
 
 
 class TestLazyExports:
