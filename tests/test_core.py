@@ -1,5 +1,6 @@
 from dataclasses import dataclass
 from fractions import Fraction
+from random import Random
 from typing import Iterable, Sequence, Tuple
 
 import pytest
@@ -398,6 +399,31 @@ class TestQuantize:
         out = quantize_to_grid(v, grid, [Fraction(3, 2), Fraction(1, 2)])
         assert out.coefficient(1) == 1
 
+    def test_float_values_match_the_exact_branch(self):
+        # Dyadic values are floats without rounding, so the float branch must
+        # pick the same multiples as the exact one, ties and refusals included.
+        def quantize(kind, values, eps, bounds):
+            try:
+                return quantize_to_grid(FiniteVector.from_dense([kind(x) for x in values]),
+                                        GridSpec.from_table([kind(e) for e in eps]), [kind(b) for b in bounds])
+            except QuantizationError as err:
+                return err.index
+
+        rng = Random(21)
+        refused = 0
+        for _ in range(60):
+            n = rng.randint(1, 8)
+            eps = [Fraction(1, 2 ** rng.randint(0, 4)) for _ in range(n)]
+            bounds = [Fraction(rng.randint(1, 8), 8) for _ in range(n)]
+            values = [Fraction(rng.randint(-40, 40), 16) for _ in range(n)]
+            exact, approx = (quantize(kind, values, eps, bounds) for kind in (Fraction, float))
+            if isinstance(exact, int):
+                refused += 1
+                assert approx == exact
+            else:
+                assert approx.support == exact.support and approx.values == exact.values
+                assert all(type(x) is float for x in approx.values)
+        assert 0 < refused < 60
 
 class TestTextFormats:
     def test_dense_vector(self):

@@ -291,6 +291,31 @@ def test_cli_notes_each_violation(capsys, monkeypatch):
     )
 
 
+def test_cli_reports_a_broken_phi(capsys, monkeypatch):
+    # phi itself never breaks the first three axioms, so a stub does: 1 on
+    # the empty set, |A| up to 6 points (the most a sample set holds, so the
+    # prefix checks agree), 0 on 7-8 points and 100 from 9 on.
+    real = ideals.phi
+
+    def broken(spec, A):
+        k = len(set(A))
+        if 1 <= k <= 6:
+            return real(spec, A)
+        return 1 if k == 0 else 0 if k <= 8 else 100
+
+    monkeypatch.setattr(ideals, "phi", broken)
+    argv = ["ideal", "axioms", "basis-weight:space=lp:p=1,f=constant:c=1,kind=Fin", "--samples", "6"]
+    assert cli.main(argv) == cli.EXIT_VIOLATION == 5
+    out = capsys.readouterr().out.splitlines()
+    assert out[3:5] == ["checked,6", "flag,FAIL"]
+    assert out[5:] == [
+        "# phi(empty) != 0",
+        "# subadditivity fails at ([3, 17, 25, 27, 32, 33], [20, 23, 31])",
+        "# monotonicity fails at ([7, 22, 23, 28, 31, 36], [14, 40])",
+        "# subadditivity fails at ([1, 6, 26, 32, 36, 39], [5, 13, 15, 16, 21, 22])",
+    ]
+
+
 class TestTurbulence:
     def test_reciprocal_weights_turbulent(self):
         spec = SubmeasureSpec.summable(RECIPROCAL)

@@ -1,5 +1,7 @@
 import hashlib
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -10,6 +12,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from seqnorms import tsirelson as tsirelson_module
 from seqnorms.core import (
     BudgetError,
     CertificateError,
@@ -160,9 +163,12 @@ class TestOracle:
             oracle_norm(HALF, units(2, 3), family_shape="runs")
 
     def test_family_counts_with_every_size_admissible(self):
-        # Positions >= s admit every family size, so a mask of w elements
-        # holds the (3^w - 1)/2 families of subsets of it, and a run of
-        # width w the F(2w + 1) - 1 sequences of disjoint runs inside it.
+        # Positions >= s admit every family size.  Each family is listed once,
+        # under its union, and a union of w points splits into consecutive
+        # blocks in 2^(w - 1) ways.  Summed over the submasks of a mask of w
+        # points, that gives the (3^w - 1)/2 families of subsets of it; summed
+        # over the submasks of a run of width w, the interval shape gives the
+        # F(2w + 1) - 1 sequences of disjoint runs inside it.
         fib = [0, 1]
         while len(fib) < 17:
             fib.append(fib[-1] + fib[-2])
@@ -171,21 +177,64 @@ class TestOracle:
             subsets = _families(positions, None, "subsets")
             intervals = _families(positions, None, "intervals")
             assert sorted(subsets) == list(range(1, 1 << s))
-            for mask, fams in subsets.items():
-                w = bin(mask).count("1")
-                assert len(fams) == (3 ** w - 1) // 2
-                assert len(set(fams)) == len(fams)
-            runs = [((1 << w) - 1) << lo for w in range(1, s + 1) for lo in range(s - w + 1)]
-            assert sorted(intervals) == sorted(runs)
-            for mask, fams in intervals.items():
-                w = bin(mask).count("1")
-                assert len(fams) == fib[2 * w + 1] - 1
-                assert len(set(fams)) == len(fams)
+            for union, fams in subsets.items():
+                assert len(fams) == 2 ** (bin(union).count("1") - 1)
+            for table in (subsets, intervals):
+                listed = [fam for fams in table.values() for fam in fams]
+                assert len(set(listed)) == len(listed)
+                for union, fams in table.items():
+                    for fam in fams:
+                        assert all(block & ~union == 0 for block in fam)
+                        assert sum(fam) == union and all(a < b & -b for a, b in zip(fam, fam[1:]))
+            for union, fams in intervals.items():
+                assert set(fams) <= set(subsets[union])
                 for fam in fams:
-                    assert all(block & ~mask == 0 for block in fam)
                     for block in fam:
                         low = block & -block
                         assert block == low * ((1 << bin(block).count("1")) - 1)
+            for mask in range(1, 1 << s):
+                w = bin(mask).count("1")
+                inside = sum(len(fams) for union, fams in subsets.items() if union & ~mask == 0)
+                assert inside == (3 ** w - 1) // 2
+            runs = [((1 << w) - 1) << lo for w in range(1, s + 1) for lo in range(s - w + 1)]
+            for run in runs:
+                w = bin(run).count("1")
+                inside = sum(len(fams) for union, fams in intervals.items() if union & ~run == 0)
+                assert inside == fib[2 * w + 1] - 1
+
+    def test_values_match_recorded_digest(self):
+        # The cases build 3,529 family tables; the 512 the cache would keep
+        # hold about 50 MB, so they are dropped.
+        try:
+            assert oracle_digest() == ORACLE_DIGEST
+        finally:
+            _families.cache_clear()
+
+    def test_one_shot_memory_stays_small(self):
+        # A one-shot oracle at s = 8, every family size admissible, in a fresh
+        # interpreter as the CLI runs it: the table holds its 3,280 families
+        # once each.  Listing every family again under each supermask of its
+        # union (32,640 references) peaked at 544 KB; the table by union peaks
+        # at about 251 KB.  In this process the tuple free lists that earlier
+        # tests leave would hide part of either figure.
+        code = (
+            "import tracemalloc\n"
+            "from fractions import Fraction\n"
+            "from seqnorms.core import FiniteVector\n"
+            "from seqnorms.tsirelson import oracle_norm\n"
+            "values = map(Fraction, ('11/7', '-2/7', '2', '17/12', '6', '6/7', '-2', '-18/7'))\n"
+            "v = FiniteVector.from_pairs(zip((8, 9, 12, 13, 16, 17, 19, 20), values))\n"
+            "tracemalloc.start()\n"
+            "value = oracle_norm(Fraction(1, 2), v)\n"
+            "print(value, tracemalloc.get_traced_memory()[1])\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(tsirelson_module.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        value, peak = proc.stdout.split()
+        assert value == "1403/168"
+        assert int(peak) < 350_000
 
     def test_h_variant_agrees_with_dp(self):
         h = HFunction.affine(2, 0)
@@ -1347,6 +1396,45 @@ def tables_digest(label, cases):
     return digest.hexdigest()
 
 
+ORACLE_HS = (None, HFunction.affine(2, 0), HFunction.affine(3, 1), GAPPED_H,
+             HFunction.from_table([(5, 1), (6, 2), (7, 3)]))
+
+# Coefficient draws; the last three are tie-heavy, and 0.1 + 0.2 != 0.3 in
+# floats, so a change in the order of a float sum shows.
+ORACLE_COEFFICIENTS = (
+    lambda rng: Fraction(rng.choice((-1, 1)) * rng.randint(1, 20), rng.choice((1, 2, 3, 5, 7, 12))),
+    lambda rng: rng.uniform(-4.0, 4.0),
+    lambda rng: rng.choice((-2, -1, 1, 1, 2, 3)),
+    lambda rng: rng.choice((0.1, 0.2, 0.3, -0.1, 0.5, 1.0, -1.0)),
+    lambda rng: rng.choice((Fraction(1, 3), Fraction(-2, 3), 1, 2, 0.1, 0.2, -0.3)),
+)
+
+
+def oracle_digest():
+    """sha256 of the type and repr of oracle_norm over 3,200 seeded cases:
+    s = 1-8, five h (the last with h(k) < k), both family shapes, exact and
+    float alpha, and the coefficient draws above, four seeds each."""
+    digest = hashlib.sha256()
+    for s in range(1, 9):
+        for h_index, h in enumerate(ORACLE_HS):
+            for shape in ("subsets", "intervals"):
+                for exact in (True, False):
+                    for kind, draw in enumerate(ORACLE_COEFFICIENTS):
+                        for seed in range(4):
+                            rng = Random(f"oracle/{s}/{h_index}/{shape}/{exact}/{kind}/{seed}")
+                            alphas = (HALF, Fraction(1, 3), Fraction(2, 3), Fraction(9, 10))
+                            alpha = rng.choice(alphas)
+                            if not exact:
+                                alpha = float(alpha)
+                            pos, pairs = rng.randint(0, 5), []
+                            for _ in range(s):
+                                pos += rng.randint(1, 3)
+                                pairs.append((pos, draw(rng)))
+                            value = oracle_norm(alpha, FiniteVector.from_pairs(pairs), h=h, family_shape=shape)
+                            digest.update(f"{type(value).__name__}:{value!r};".encode())
+    return digest.hexdigest()
+
+
 # The last h is the one of these whose narrower r can win after the widest
 # passes the sup bound (test_smaller_family_size_can_win_for_table_h).
 GAP_HS = (
@@ -1597,6 +1685,10 @@ EXACT_DIGEST = "6e34d63f2f59b06f5a559eb57c421a6484f20a2f7ed66b488d41c19809437ec5
 
 # sha256 of the typed tables of test_gap_tables_match_recorded_digest.
 GAP_DIGEST = "773391821cec0332c7fde72a366ad8ef2e26af33985b3bb26088446281634469"
+
+# sha256 of oracle_digest(), recorded before the family table was stored
+# once per union.
+ORACLE_DIGEST = "992b62626b8b13e2095931136d20ad2d9227a5ab5d8d4e02a44be540a2771acf"
 
 def inadmissible(*children, h=None):
     """certificate_lower_bound on a root family with the given child sets."""
