@@ -178,7 +178,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate
 from operator import add
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -818,14 +817,6 @@ def _is_run(mask: int) -> bool:
     return mask & (mask + (mask & -mask)) == 0
 
 
-# Tier-1 tests touch 3,800 distinct (positions, h, shape) keys.  3,529 of
-# them come from the oracle digest test, which draws fresh positions for
-# every case, so no bound would let it share a table.  The other tests touch
-# 366; a bound below that recomputes families they share.
-FAMILY_CACHE_SIZE = 512
-
-
-@lru_cache(maxsize=FAMILY_CACHE_SIZE)
 def _families(
     positions: Tuple[int, ...], h: Optional[HFunction], shape: str
 ) -> Dict[int, Tuple[Tuple[int, ...], ...]]:
@@ -836,7 +827,8 @@ def _families(
     every family of sets; shape "intervals" keeps those whose every set is a
     run: the traces of integer intervals.  With every size admissible, a
     union of w points holds 2^(w-1) families, so s points hold (3^s - 1)/2
-    in all.
+    in all.  Nothing is kept: each call builds its table, and the interval
+    shape filters a subset table that it builds itself.
     """
     if shape == "intervals":
         traces = {}
@@ -889,7 +881,8 @@ def oracle_norm(
     right, and keeps each union's best sum; a restriction's best is then
     the max over its submasks, one pass over the masks in increasing order.
     No value comes from a split recursion, so the oracle stays independent
-    of the DP.
+    of the DP.  Each call builds its own family table and drops it when it
+    returns, so a repeat on the same support pays the build again.
     """
     if not (0 < alpha < 1):
         raise ConfigurationError("alpha must lie in (0,1)")

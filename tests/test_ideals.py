@@ -35,6 +35,7 @@ RECIPROCAL = CoefficientGenerator.power(1)  # weights 1/n
 class TestSetGenerators:
     def test_evens(self):
         assert SetGenerator.evens().members(1, 9) == [2, 4, 6, 8]
+        assert SetGenerator.evens().members(9, 8) == []
 
     def test_squares(self):
         assert SetGenerator.squares().members(2, 20) == [4, 9, 16]

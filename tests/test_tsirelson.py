@@ -10,7 +10,7 @@ from itertools import combinations, combinations_with_replacement
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from seqnorms import tsirelson as tsirelson_module
 from seqnorms.core import (
@@ -203,12 +203,7 @@ class TestOracle:
                 assert inside == fib[2 * w + 1] - 1
 
     def test_values_match_recorded_digest(self):
-        # The cases build 3,529 family tables; the 512 the cache would keep
-        # hold about 50 MB, so they are dropped.
-        try:
-            assert oracle_digest() == ORACLE_DIGEST
-        finally:
-            _families.cache_clear()
+        assert oracle_digest() == ORACLE_DIGEST
 
     def test_one_shot_memory_stays_small(self):
         # A one-shot oracle at s = 8, every family size admissible, in a fresh
@@ -235,6 +230,30 @@ class TestOracle:
         value, peak = proc.stdout.split()
         assert value == "1403/168"
         assert int(peak) < 350_000
+
+    def test_no_family_table_outlives_a_call(self):
+        # One-shot oracles on 24 distinct 7-point supports, every family size
+        # admissible, in a fresh interpreter: here a bounded cache that earlier
+        # tests had filled would evict rather than grow.  A kept table is about
+        # 87 KB at s = 7, so keeping the last twelve would add about 1 MB.
+        code = (
+            "import gc, tracemalloc\n"
+            "from seqnorms.core import FiniteVector\n"
+            "from seqnorms.tsirelson import oracle_norm\n"
+            "tracemalloc.start()\n"
+            "readings = []\n"
+            "for first in range(7, 31):\n"
+            "    v = FiniteVector.from_pairs((first + 2 * k, 1 + k % 3) for k in range(7))\n"
+            "    oracle_norm(0.5, v)\n"
+            "    gc.collect()\n"
+            "    readings.append(tracemalloc.get_traced_memory()[0])\n"
+            "print(readings[23] - readings[11])\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(tsirelson_module.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 64_000
 
     def test_h_variant_agrees_with_dp(self):
         h = HFunction.affine(2, 0)
@@ -801,12 +820,18 @@ class TestIntervalQueries:
 
     @settings(max_examples=40, deadline=None)
     @given(TERMS, st.sampled_from((HALF, Fraction(1, 3), Fraction(2, 3))), st.sampled_from(HS))
+    @example([(2, 1, 1), (5, -3, 2)], HALF, None)
     def test_exact_intervals_read_one_table(self, terms, alpha, h):
         v = FiniteVector.from_pairs((n, Fraction(a, d)) for n, a, d in terms)
         engine = TsirelsonEngine(alpha, v, h)
         for lo, hi in combinations_with_replacement(v.support, 2):
             fresh = fixed_point_norm(alpha, v.restrict(range(lo, hi + 1)), h=h)
             assert repr(engine.interval_norm(lo, hi)) == repr(fresh)
+        # a window in a gap between positions, or past the last, reads int 0
+        last = v.support[-1] if v.support else 0
+        gaps = [(a + 1, b - 1) for a, b in zip(v.support, v.support[1:]) if b > a + 1]
+        for lo, hi in gaps + [(last + 1, last + 3)]:
+            assert repr(engine.interval_norm(lo, hi)) == "0"
 
 
 GAPPED_H = HFunction.from_table([(2, 2), (3, 4), (9, 10)])  # table:2:2;3:4;9:10
