@@ -6,14 +6,26 @@ found by bracketing and bisection on the monotone map rho -> sum M(|v(n)|/rho).
 Exact power sums run on scaled integers from ``core.scaled_ints``.  For
 exact entries and an exact integer p, the entries become ints
 x_i = n_i * (L // d_i) over L, the lcm of their denominators (and the Lorentz
-weights likewise over the lcm of theirs, from ``WeightSpec.scaled``:
-lcm(1..m) for harmonic weights).  The l_p sum is then sum |x_i|^p over L^p,
-and the Lorentz sum sorts the ints and adds x_i^p * w_i over L^p times the
-weight denominator, with one Fraction built at the end.  A sum of rationals
-has one value however it is formed, so this is the value of the term-by-term
-Fraction sum, and the type follows the same rule: a Fraction if any term is
-a Fraction, else an int.  Float entries, a non-integer p and float weights
-are summed term by term.
+weights likewise over the lcm of theirs, from ``WeightSpec.scaled``).  The
+l_p sum is then sum |x_i|^p over L^p, and the Lorentz sum sorts the ints and
+adds x_i^p * w_i over L^p times the weight denominator, with one Fraction
+built at the end.  A sum of rationals has one value however it is formed, so
+this is the value of the term-by-term Fraction sum, and the type follows the
+same rule: a Fraction if any term is a Fraction, else an int.  Float
+entries, a non-integer p and float weights are summed term by term.
+
+For harmonic weights w_i = 1/(i+1) the denominator of the first m is
+lcm(1..m), formed as the product of the largest prime power <= m of each
+prime <= m; only the k in (m/2, m] take a division L // k, and the others
+double: L/k = 2 * L/(2k).  Lorentz norms of many windows of one vector
+(``lorentz_interval_norms``, behind ``LorentzSpace.interval_norms``) take
+one scaling per window set: the vector's ints and their p-th powers once,
+and the weights of the longest window once.  A window from the vector's
+first position over which |values| do not rise (every prefix of
+``harmonic`` and ``power:s``) reads one running sum; any other window takes
+a fresh ``lorentz_norm``.  Each sum is the fresh norm's, so value and type
+are the fresh ``lorentz_norm``'s.
+
 The float bisection of the Luxemburg norm for M(t) = t^p adds (a*u)^p entry
 by entry in a plain loop, not with sum() (compensated on Python 3.12), so
 its floats are those of evaluating M on each entry in turn.  A float power
@@ -23,7 +35,10 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .core import (
@@ -328,6 +343,49 @@ def lorentz_norm(w: WeightSpec, p: Number, v: FiniteVector) -> Number:
     num = sum(x ** n * c for x, c in zip(rearranged, wints))
     total = Fraction(num, L ** n * Lw) if fraction or wfraction else num
     return total if n == 1 else _root(total, n)
+
+
+def lorentz_interval_norms(
+    w: WeightSpec, p: Number, v: FiniteVector, intervals: Sequence[Tuple[int, int]]
+) -> List[Number]:
+    """lorentz_norm of v restricted to each [lo, hi].
+
+    With exact values and weights and an integer p from 1 to SMALL_EXPONENT,
+    windows from v's first position over which |values| do not rise read one
+    running sum on one scaling (see the module docstring); every other window
+    takes a fresh lorentz_norm.  A sum is a Fraction if a value or weight used
+    is one, else an int, as the fresh sum is."""
+    n = _integer_exponent(p)
+    scaled = scaled_ints(v.values) if n is not None and 1 <= n <= SMALL_EXPONENT else None
+    ends = {}
+    if scaled is not None:
+        powers = [abs(x) ** n for x in scaled[0]]
+        falls = next((i for i in range(1, len(powers)) if powers[i - 1] < powers[i]), len(powers))
+        for k, (lo, hi) in enumerate(intervals):
+            b = bisect_right(v.support, hi)
+            if 0 < b <= falls and lo <= v.support[0]:
+                ends[k] = b
+    weights = w.scaled(max(ends.values())) if ends else None
+    if weights is None:
+        ends = {}
+    else:
+        (_, L, _), (wints, Lw, _) = scaled, weights
+        sums = [0] + list(accumulate(map(mul, powers, wints)))
+        scale = L ** n * Lw
+        # the first value and the first weight that are Fractions
+        vfirst = next((i for i, a in enumerate(v.values) if type(a) is Fraction), len(v.values))
+        wfirst = 0 if w.kind == "harmonic" else next(
+            (i for i, c in enumerate(w.table) if type(c) is Fraction), len(wints))
+        fractions_from = min(vfirst, wfirst)
+    out = []
+    for k, (lo, hi) in enumerate(intervals):
+        b = ends.get(k)
+        if b is None:
+            out.append(lorentz_norm(w, p, v.restrict(range(lo, hi + 1))))
+            continue
+        total = Fraction(sums[b], scale) if b > fractions_from else sums[b] // scale
+        out.append(total if n == 1 else _root(total, n))
+    return out
 
 
 def _luxemburg_functional(M: OrliczFunction, entries: Sequence[Number], u: Number) -> Number:

@@ -26,6 +26,7 @@ from .core import (
     DEFAULT_SUPPORT_BUDGET,
     DEFAULT_WITNESS_BUDGET,
     INF,
+    ORACLE_SUPPORT_LIMIT,
     BudgetError,
     ConfigurationError,
     FiniteVector,
@@ -119,10 +120,7 @@ def cmd_oracle(args, report: _Report) -> int:
 
     alpha = parse_scalar(args.alpha, exact=args.exact)
     v = _read_vector(args.vector, args.exact)
-    if len(v.support) > args.oracle_cap:
-        raise BudgetError(
-            f"support {len(v.support)} exceeds oracle cap {args.oracle_cap}"
-        )
+    tsirelson.check_oracle_support(len(v.support), args.oracle_cap)
     dp = tsirelson.fixed_point_norm(alpha, v)
     oracle = tsirelson.oracle_norm(alpha, v, cap=args.oracle_cap)
     # exact values must be equal; floats summed in a different order may
@@ -293,7 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--budget-support", type=int, default=argparse.SUPPRESS,
                         help="max positions for Tsirelson evaluations")
     common.add_argument("--oracle-cap", type=int, default=argparse.SUPPRESS,
-                        help="max support for the brute-force oracle")
+                        help="max support for the brute-force oracle "
+                        f"(never above {ORACLE_SUPPORT_LIMIT})")
     common.add_argument("--format", choices=("csv", "text"), default=argparse.SUPPRESS)
 
     parser = argparse.ArgumentParser(

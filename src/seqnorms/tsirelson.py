@@ -184,6 +184,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .core import (
     DEFAULT_ORACLE_CAP,
+    ORACLE_SUPPORT_LIMIT,
     BudgetError,
     CertificateError,
     ConfigurationError,
@@ -861,6 +862,20 @@ def _families(
     return per_union
 
 
+def check_oracle_support(s: int, cap: int) -> None:
+    """Refuse an oracle search over more than ``cap`` points, and over more
+    than ORACLE_SUPPORT_LIMIT whatever the cap, before any table is built."""
+    if s > ORACLE_SUPPORT_LIMIT:
+        raise BudgetError(
+            f"oracle support {s} exceeds the oracle limit {ORACLE_SUPPORT_LIMIT}, "
+            "whatever the cap; the search is exponential by design"
+        )
+    if s > cap:
+        raise BudgetError(
+            f"oracle support {s} exceeds cap {cap}; the search is exponential by design"
+        )
+
+
 def oracle_norm(
     alpha: Number,
     v: FiniteVector,
@@ -872,10 +887,11 @@ def oracle_norm(
 
     Level tables over restriction subsets are iterated until they reach a
     fixed point.  Exponential in the support size; refuses supports above
-    ``cap``.  A family of r sets is admissible when k <= min E_1 for the
-    k with h(k) = r (k = r without h).  ``family_shape`` selects families
-    of arbitrary subsets (the literal definition) or, as a filter of those,
-    of integer-interval traces on run restrictions.
+    ``cap`` or ORACLE_SUPPORT_LIMIT (see :func:`check_oracle_support`).  A
+    family of r sets is admissible when k <= min E_1 for the k with
+    h(k) = r (k = r without h).  ``family_shape`` selects families of
+    arbitrary subsets (the literal definition) or, as a filter of those, of
+    integer-interval traces on run restrictions.
 
     Each level sums every admissible family explicitly, blocks left to
     right, and keeps each union's best sum; a restriction's best is then
@@ -892,10 +908,7 @@ def oracle_norm(
     s = len(positions)
     if s == 0:
         return 0
-    if s > cap:
-        raise BudgetError(
-            f"oracle support {s} exceeds cap {cap}; the search is exponential by design"
-        )
+    check_oracle_support(s, cap)
     families = _families(positions, h, family_shape)
     coeffs = [abs(a) for a in v.values]
 

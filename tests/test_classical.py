@@ -11,13 +11,15 @@ from seqnorms.core import (
     ConfigurationError,
     FiniteVector,
     INF,
+    LorentzSpace,
     LpSpace,
     ParseError,
     WeightSpec,
     is_exact,
     parse_scalar,
 )
-from seqnorms import classical
+from seqnorms import classical, ideals
+from seqnorms.series import CoefficientGenerator
 from seqnorms.classical import (
     OrliczFunction,
     _integer_root,
@@ -339,6 +341,58 @@ class TestLorentz:
             )
             squared_l2 = sum(a * a for a in v.coeffs)
             assert squared_lorentz <= squared_l2
+
+    def test_interval_norms_equal_fresh_norms(self):
+        # one scaling per window set: every window keeps a fresh lorentz_norm's
+        # type and repr, for harmonic and table weights (int, Fraction, float),
+        # int, Fraction, mixed and float values, monotone |values| or not, and
+        # empty and reversed windows
+        rng, windows = Random(29), 0
+        weights = [
+            WeightSpec.harmonic(), WeightSpec.from_table([1, 1, 1]),
+            WeightSpec.from_table([1, Fraction(2, 3), Fraction(1, 2)]),
+            WeightSpec.from_table([1, 1, Fraction(1, 3)]), WeightSpec.from_table([Fraction(1), 1]),
+            WeightSpec.from_table([1, 0.5, 0.25]), WeightSpec.from_table([1, 1, 1, 0.5]),
+        ]
+        entries = {
+            "int": lambda: rng.randint(-9, 9),
+            "fraction": lambda: Fraction(rng.randint(-30, 30), rng.randint(1, 12)),
+            "mixed": lambda: rng.choice((rng.randint(-9, 9), Fraction(3), Fraction(rng.randint(-30, 30), 7))),
+            "float": lambda: rng.choice((rng.uniform(-5, 5), Fraction(rng.randint(-30, 30), 7))),
+        }
+        for case in range(210):
+            make = entries[("int", "fraction", "mixed", "float")[case % 4]]
+            values = [make() for _ in range(rng.randint(0, 14))]
+            if case % 3 == 0:
+                values.sort(key=abs, reverse=True)
+            v = FiniteVector.from_pairs(zip(sorted(rng.sample(range(1, 30), len(values))), values))
+            w, p = weights[case % len(weights)], rng.choice((1, 2, 3, Fraction(3, 2), 1.0))
+            intervals = [(rng.randint(0, 31), rng.randint(0, 31)) for _ in range(8)]
+            intervals += [(1, K) for K in range(1, 31, 3)]
+            got = LorentzSpace(w, p).interval_norms(v, intervals)
+            assert list(map(typed, got)) == [
+                typed(lorentz_norm(w, p, v.restrict(range(lo, hi + 1)))) for lo, hi in intervals
+            ], (v, w, p)
+            windows += len(intervals)
+        assert windows >= 2000
+
+    def test_basis_weight_windows_equal_fresh_norms(self):
+        # the ideal diagnostics ask the same windows through _phi_windows
+        rng = Random(30)
+        table = CoefficientGenerator.from_table(
+            [rng.choice((1, 2, Fraction(rng.randint(1, 9), rng.randint(1, 9)))) for _ in range(40)])
+        for w, p in ((WeightSpec.harmonic(), 1), (WeightSpec.harmonic(), 2),
+                     (WeightSpec.from_table([1, Fraction(1, 2)]), 3)):
+            for f in (CoefficientGenerator.harmonic(), CoefficientGenerator.power(2), table):
+                spec = ideals.SubmeasureSpec.basis_weight(LorentzSpace(w, p), f)
+                members = sorted(rng.sample(range(1, 40), 12))
+                windows = [tuple(sorted(rng.sample(range(0, 42), 2))) for _ in range(10)]
+                got = ideals._phi_windows(spec, members, windows)
+                assert list(map(typed, got)) == [
+                    typed(lorentz_norm(w, p, FiniteVector.from_pairs(
+                        (n, f.value(n)) for n in members if lo <= n <= hi)))
+                    for lo, hi in windows
+                ]
 
 
 # ---------------------------------------------------------------------------

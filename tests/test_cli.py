@@ -256,6 +256,21 @@ class TestOracleCommand:
         code, out, _ = run(capsys, "oracle", "1/2", vec)
         assert code == 3 and out == ""
 
+    def test_support_limit_holds_whatever_the_cap(self, capsys, tmp_path, monkeypatch):
+        # the family table of 14 points would hold (3^14 - 1)/2 families:
+        # the refusal comes before the DP or any table is reached
+        from seqnorms import tsirelson
+
+        def reached(*args, **kwargs):
+            raise AssertionError("the oracle went past its support limit")
+
+        monkeypatch.setattr(tsirelson, "_families", reached)
+        monkeypatch.setattr(tsirelson, "fixed_point_norm", reached)
+        vec = write_vector(tmp_path, "v.txt", " ".join(["1"] * 14))
+        code, out, err = run(capsys, "oracle", "1/2", vec, "--oracle-cap", "16")
+        assert code == 3 and out == ""
+        assert err.startswith("budget: ")
+
 
 class TestScanCommand:
     def test_power_negative_exponent(self, capsys):

@@ -1,3 +1,4 @@
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
@@ -334,10 +335,19 @@ class TestWeightSpec:
     @pytest.mark.parametrize("w, m", [
         (WeightSpec.harmonic(), 0), (WeightSpec.harmonic(), 1), (WeightSpec.harmonic(), 12),
         (WeightSpec.from_table([1, Fraction(2, 3), Fraction(1, 2)]), 5),
-        (WeightSpec.from_table([1, 0.5]), 3),
-    ], ids=["harmonic-0", "harmonic-1", "harmonic-12", "table", "float-table"])
+        (WeightSpec.from_table([1, 0.5]), 3), (WeightSpec.from_table([1, 1, 1]), 4),
+    ], ids=["harmonic-0", "harmonic-1", "harmonic-12", "table", "float-table", "int-table"])
     def test_scaled_is_scaled_ints_of_the_weights(self, w, m):
         assert w.scaled(m) == core.scaled_ints([w.weight(i) for i in range(m)])
+
+    def test_harmonic_scaled_from_prime_powers(self):
+        # lcm(1..m) as a product of prime powers and the weights by halving,
+        # against the direct lcm and divisions: m = 0-2, primes and prime
+        # powers all fall in this range
+        w, L = WeightSpec.harmonic(), 1
+        for m in range(1201):
+            L = math.lcm(L, m) if m else 1
+            assert w.scaled(m) == ([L // k for k in range(1, m + 1)], L, m > 0), m
 
     def test_table_validation(self):
         with pytest.raises(ConfigurationError):

@@ -19,6 +19,7 @@ from seqnorms.core import (
     ConfigurationError,
     FiniteVector,
     HFunction,
+    ORACLE_SUPPORT_LIMIT,
 )
 from seqnorms.tsirelson import (
     CertificateNode,
@@ -129,6 +130,10 @@ class TestOracle:
     def test_cap_refusal(self):
         with pytest.raises(BudgetError):
             oracle_norm(HALF, units(*range(1, 10)), cap=8)
+
+    def test_support_limit_refuses_above_any_cap(self):
+        with pytest.raises(BudgetError, match="exceeds the oracle limit"):
+            oracle_norm(HALF, units(*range(1, ORACLE_SUPPORT_LIMIT + 2)), cap=ORACLE_SUPPORT_LIMIT + 4)
 
     def test_agrees_with_dp_on_random_vectors(self):
         rng = Random(11)
