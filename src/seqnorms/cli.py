@@ -138,7 +138,10 @@ def cmd_scan(args, report: _Report) -> int:
 
     space = parse_space(args.space, exact=args.exact, tol=args.tol, budget=args.budget_support)
     gen = series.parse_generator(args.generator, exact=args.exact)
-    norms = series.partial_sum_norms(space, gen, args.N)
+    if args.N < 1:
+        raise ConfigurationError("N must be >= 1")
+    prefixes = [(1, K + 1) for K in range(1, args.N + 1)]
+    answer = series.tail_profile(space, gen, prefixes + series.default_tail_grid(args.N))
     report.header(
         space=space.describe(),
         generator=gen.describe(),
@@ -146,10 +149,9 @@ def cmd_scan(args, report: _Report) -> int:
         mode="exact" if args.exact else "float",
     )
     report.row("K", "value", "decimal")
-    for K, value in enumerate(norms, start=1):
+    for K, (_, _, value) in enumerate(answer[:args.N], start=1):
         report.row(K, format_scalar(value), _decimal(value))
-    profile = series.tail_profile(space, gen, series.default_tail_grid(args.N))
-    verdict = series.convergence_verdict(profile)
+    verdict = series.convergence_verdict(answer[args.N:])
     report.note(f"verdict={verdict} (heuristic)")
     return EXIT_OK
 

@@ -163,6 +163,15 @@ def scaled_ints(values: Sequence[Number]) -> Optional[Tuple[List[int], int, bool
     return [a.numerator * (L // a.denominator) for a in values], L, True
 
 
+def _primes_up_to(n: int) -> Iterable[int]:
+    """The primes <= n, increasing, from a sieve of Eratosthenes."""
+    sieve = bytearray([0, 0]) + bytearray([1]) * (n - 1)
+    for q in range(2, math.isqrt(n) + 1):
+        if sieve[q]:
+            sieve[q * q::q] = bytes(len(range(q * q, n + 1, q)))
+    return compress(range(n + 1), sieve)
+
+
 # ---------------------------------------------------------------------------
 # Value types
 
@@ -501,14 +510,10 @@ class WeightSpec(Frozen):
         :func:`scaled_ints` gives them."""
         if self.kind == "harmonic":
             # w_i = 1/(i+1) over L = lcm(1..m), the product of the largest
-            # power q^e <= m of each prime q <= m (sieved); L/k = 2 * L/(2k),
-            # so only the k in (m/2, m] take a division
-            sieve = bytearray([0, 0]) + bytearray([1]) * (m - 1)
-            for q in range(2, math.isqrt(m) + 1):
-                if sieve[q]:
-                    sieve[q * q::q] = bytes(len(range(q * q, m + 1, q)))
+            # power q^e <= m of each prime q <= m; L/k = 2 * L/(2k), so only
+            # the k in (m/2, m] take a division
             L = 1
-            for q in compress(range(m + 1), sieve):
+            for q in _primes_up_to(m):
                 power = q
                 while power * q <= m:
                     power *= q

@@ -26,6 +26,7 @@ from .core import (
     TsirelsonSpace,
     _parse_h,
     _parse_kv,
+    _primes_up_to,
     close,
     parse_scalar,
     parse_space,
@@ -114,17 +115,6 @@ class SetGenerator(Frozen):
         if self.kind == "explicit":
             return "explicit:" + ";".join(str(n) for n in self.elements)
         return self.kind
-
-
-def _primes_up_to(n: int) -> List[int]:
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, int(n ** 0.5) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [p for p in range(2, n + 1) if sieve[p]]
 
 
 def parse_set(descriptor: str) -> SetGenerator:
@@ -275,7 +265,10 @@ def submeasure_axiom_check(
     for x, y in samples:
         x, y = sorted(set(x)), sorted(set(y))
         union = sorted(set(x) | set(y))
-        px, py, pu = (phi(spec, s) for s in (x, y, union))
+        # x's whole window first, so a budget refusal names all of x, then its prefixes
+        windows = [(1, max(x, default=0))] + [(1, cut - 1) for cut in x]
+        px, *prefix_values = _phi_windows(spec, x, windows)
+        py, pu = phi(spec, y), phi(spec, union)
         if below(pu, px) or below(pu, py):
             violations.append(f"monotonicity fails at ({x}, {y})")
         if below(px + py, pu):
@@ -285,7 +278,7 @@ def submeasure_axiom_check(
                 violations.append(f"phi({{{n}}}) not finite")
         if x:
             # LSC restricted to finite sets: phi(x) is the sup of its prefixes
-            prefix_values = _phi_windows(spec, x, [(1, cut - 1) for cut in x]) + [px]
+            prefix_values.append(px)
             if any(below(b, a) for a, b in zip(prefix_values, prefix_values[1:])):
                 violations.append(f"prefix values not non-decreasing at {x}")
             if not close(max(prefix_values), px):

@@ -123,11 +123,11 @@ def partial_sum_norms(
     gen: CoefficientGenerator,
     N: int,
 ) -> List[Number]:
-    """Prefix norms ||sum_{n<=K} a_n x_n|| for K = 1..N."""
+    """Prefix norms ||sum_{n<=K} a_n x_n|| for K = 1..N: :func:`tail_profile`
+    on the windows (1, K + 1), so the budget counts N positions."""
     if N < 1:
         raise ConfigurationError("N must be >= 1")
-    space.check_budget(N)
-    return space.interval_norms(gen.vector(1, N), [(1, K) for K in range(1, N + 1)])
+    return [x for _, _, x in tail_profile(space, gen, [(1, K + 1) for K in range(1, N + 1)])]
 
 
 def tail_profile(
@@ -135,14 +135,14 @@ def tail_profile(
     gen: CoefficientGenerator,
     grid: Sequence[Tuple[int, int]],
 ) -> Tuple[Tuple[int, int, Number], ...]:
-    """Tail norms ||sum_{m <= n < N} a_n x_n|| over a grid of (m, N) pairs,
-    as (m, N, value) tuples in grid order."""
+    """Tail norms ||sum_{m <= n < N} a_n x_n|| as (m, N, value) tuples in grid order, from one
+    ``interval_norms`` call on positions min m .. max N - 1, all of which the budget counts."""
     for m, N in grid:
         if not (1 <= m < N):
             raise ConfigurationError(f"need 1 <= m < N, got ({m}, {N})")
-        space.check_budget(N)
-    v = gen.vector(min((m for m, _ in grid), default=1), max((N for _, N in grid), default=1) - 1)
-    values = space.interval_norms(v, [(m, N - 1) for m, N in grid])
+    lo, hi = min((m for m, _ in grid), default=1), max((N for _, N in grid), default=1) - 1
+    space.check_budget(hi - lo + 1)
+    values = space.interval_norms(gen.vector(lo, hi), [(m, N - 1) for m, N in grid])
     return tuple((m, N, x) for (m, N), x in zip(grid, values))
 
 

@@ -1,3 +1,5 @@
+import math
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from random import Random
 
@@ -42,6 +44,13 @@ class TestSetGenerators:
 
     def test_primes(self):
         assert SetGenerator.primes().members(1, 12) == [2, 3, 5, 7, 11]
+        # against trial division: every window [1, hi] and every [lo, 2000]
+        N, gen = 2000, SetGenerator.primes()
+        primes = [n for n in range(2, N + 1) if all(n % d for d in range(2, math.isqrt(n) + 1))]
+        for hi in range(-1, N + 1):
+            assert gen.members(1, hi) == primes[:bisect_right(primes, hi)], hi
+        for lo in range(-1, N + 2):
+            assert gen.members(lo, N) == primes[bisect_left(primes, lo):], lo
 
     def test_dyadic_block(self):
         assert SetGenerator.dyadic_block(2).members(1, 100) == [5, 6, 7, 8]
@@ -374,6 +383,12 @@ class TestMembershipFills:
         spec = SubmeasureSpec.basis_weight(SpaceSpec.tsirelson(HALF), RECIPROCAL)
         membership_verdict(IdealSpec(spec, "Fin"), SetGenerator.naturals(), 32)
         assert fills[0] == 1
+
+    def test_axiom_pair_reads_x_once(self, fills):
+        # one table each for x with its prefixes, y, the union, {2} and {5}
+        ideal = IdealSpec.tsirelson_ideal(HALF, HFunction.identity(), RECIPROCAL)
+        assert submeasure_axiom_check(ideal.submeasure, [([2, 3], [5])]).passed
+        assert fills[0] == 5
 
 
 class TestMembership:

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from seqnorms.core import BudgetError, ConfigurationError, FiniteVector, SpaceSpec, TsirelsonSpace
-from seqnorms import tsirelson
+from seqnorms import cli, tsirelson
 from seqnorms.series import (
     CONVERGING,
     DIVERGING,
@@ -143,8 +143,10 @@ class TestVerdicts:
 
 
 class TestScanFills:
-    """A scan fills one Tsirelson table for its prefixes and one for its
-    tails; a float tail from a later start takes a fresh one."""
+    """One Tsirelson table per vector: ``partial_sum_norms`` (positions 1..N)
+    and ``tail_profile`` on the default grid (1..N - 1) fill one each, and
+    the ``scan`` command, which asks once for both, fills one.  A float tail
+    from a later start takes a fresh one."""
 
     @pytest.mark.parametrize("alpha, later_fills", [(HALF, 0), (0.5, 4)], ids=["exact", "float"])
     def test_fill_count(self, fills, alpha, later_fills):
@@ -154,6 +156,34 @@ class TestScanFills:
         partial_sum_norms(space, gen, N)
         tail_profile(space, gen, grid)
         assert fills[0] == 2 + later_fills
+
+    @pytest.mark.parametrize("flags, later_fills", [([], 0), (["--float"], 4)], ids=["exact", "float"])
+    def test_cli_scan_fills_one_table(self, fills, capsys, flags, later_fills):
+        assert cli.main([*flags, "scan", "tsirelson:alpha=1/2", "harmonic", "32"]) == 0
+        assert capsys.readouterr().out.endswith("# verdict=inconclusive (heuristic)\n")
+        assert fills[0] == 1 + later_fills
+
+
+class TestBudgetRule:
+    """A query counts the positions of the one vector it builds: lo = min m
+    to hi = max N - 1, so hi - lo + 1 positions."""
+
+    def test_tail_profile_counts_its_vector(self):
+        space, gen = TsirelsonSpace(HALF, budget=8), CoefficientGenerator.harmonic()
+        assert len(tail_profile(space, gen, [(1, 9)])) == 1
+        for grid, positions in (([(1, 10)], 9), ([(5, 14)], 9)):
+            with pytest.raises(BudgetError, match=f"over {positions} positions exceeds the budget 8;"):
+                tail_profile(space, gen, grid)
+
+    def test_scan_admits_n_at_budget_n(self, capsys):
+        argv = ["scan", "tsirelson:alpha=1/2", "harmonic"]
+        assert cli.main([*argv, "8", "--budget-support", "8"]) == 0
+        assert capsys.readouterr().out.startswith("# space=tsirelson:alpha=1/2\n")
+        assert cli.main([*argv, "9", "--budget-support", "8"]) == cli.EXIT_BUDGET
+        assert capsys.readouterr() == ("", (
+            "budget: Tsirelson evaluation over 9 positions exceeds the budget 8; "
+            "evaluate fewer positions or raise --budget-support\n"
+        ))
 
 
 class TestDomination:
