@@ -12,11 +12,12 @@ input scalar is exact.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left, bisect_right
 from contextlib import suppress
 from fractions import Fraction
 from itertools import accumulate, chain, compress, count, repeat
-from operator import attrgetter
+from operator import attrgetter, mul
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 Number = Union[int, Fraction, float]
@@ -139,8 +140,29 @@ def to_float(x: Number) -> float:
 
 def format_scalar(x: Number) -> str:
     if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-    return repr(x) if isinstance(x, float) else str(x)
+        num, den = _int_text(x.numerator), _int_text(x.denominator)
+        return f"{num}/{den}" if x.denominator != 1 else num
+    if isinstance(x, float):
+        return repr(x)
+    return _int_text(x) if type(x) is int else str(x)
+
+
+def _int_text(n: int) -> str:
+    """str(n) for an int of any length.
+
+    CPython refuses to convert an int of more digits than
+    ``sys.get_int_max_str_digits()`` (4,300 by default) to text.  A longer
+    one is split by a power of ten into a high and a low half, each
+    converted the same way, the low half padded to its width."""
+    # 0 is no limit, as on a Python without the limit
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if not limit or n.bit_length() <= 3 * limit:  # 3 bits make less than one digit
+        return str(n)
+    if n < 0:
+        return "-" + _int_text(-n)
+    width = n.bit_length() * 3 // 20  # about half the digits
+    high, low = divmod(n, 10 ** width)
+    return _int_text(high) + _int_text(low).zfill(width)
 
 
 def scaled_ints(values: Sequence[Number]) -> Optional[Tuple[List[int], int, bool]]:
@@ -149,18 +171,21 @@ def scaled_ints(values: Sequence[Number]) -> Optional[Tuple[List[int], int, bool
     Returns (ints, L, fraction): ``ints[i] / L == values[i]`` with L the lcm of
     the denominators, and whether any value is a Fraction (the type that
     Fraction arithmetic on the values would give).  None if a value is not
-    an int or a Fraction.
+    an int or a Fraction (a bool, a float or an int subclass included).
     """
-    fraction = False
-    for a in values:
-        if type(a) is Fraction:
-            fraction = True
-        elif type(a) is not int:
-            return None
-    if not fraction:
+    kinds = set(map(type, values))
+    if not kinds <= {int, Fraction}:
+        return None
+    if Fraction not in kinds:
         return list(values), 1, False
-    L = math.lcm(*(a.denominator for a in values))
-    return [a.numerator * (L // a.denominator) for a in values], L, True
+    # Two attrgetter passes cost less than one as_integer_ratio pass, whose
+    # pairs would have to be built and split again.
+    dens = list(map(attrgetter("denominator"), values))
+    distinct = set(dens)
+    L = math.lcm(*distinct)
+    factor = {d: L // d for d in distinct}
+    nums = map(attrgetter("numerator"), values)
+    return list(map(mul, nums, map(factor.__getitem__, dens))), L, True
 
 
 def _primes_up_to(n: int) -> Iterable[int]:

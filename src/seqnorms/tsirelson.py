@@ -42,16 +42,20 @@ q groups, with F[1] row i of the table and
 the last group read from the table kept also as column lists.  The query
 (i, j, r) needs F[q] up to y = j - r + q for q = 2..r, so each state is
 computed once per fill; the arrays of start i are dropped when i is done,
-and they hold O(s * r) values.  For plain h every query of start i asks the
-same r = R (below), so query j needs one more diagonal of states,
-(q, j - R + q) for q = 2..R, and the fill sweeps it by increasing q: a state
-reads the one below it on its own diagonal.  An h with gaps asks several r
-per query, widest first, and ``_best_split`` extends each F[q] to its own
-bound, from the first q whose array lags.
+and they hold O(s * r) values.  Each F[q] is held from its first state,
+y = i + q - 1, on and grows by appending, so a state pairs the whole of
+F[q-1] with its column slice and slices no per-start array; row i, F[1],
+is sliced once per query that extends F[2].  For plain h every query of
+start i asks the same r = R (below), so query j needs one more diagonal of
+states, (q, j - R + q) for q = 2..R, and the fill sweeps it by increasing
+q: a state reads the one below it on its own diagonal.  An h with gaps asks
+several r per query, widest first, and ``_best_split`` extends each F[q] to
+its own bound, from the first q whose array lags.
 
 For the interval [i..j], a family size k puts its first set at
 a = max(i, first support index with position >= k).  The exact search over
-sizes rests on six exact facts about the tables:
+sizes rests on six exact facts about the tables (an eighth, below, caps the
+level route):
 
 * Running max over starts.  Restriction shrinks every level and the fixed
   point, and a size with a > i gives the same candidate for [i..j] as for
@@ -79,8 +83,12 @@ sizes rests on six exact facts about the tables:
   singletons too, so its value, max(sup, alpha * l1) of a subinterval,
   never beats the singletons of [i..j] or the floor.
 
-Two more facts rest on the sum top_r of the r largest |a_n| in [a..j], read
-from a sorted list of the work values of [i..j], grown as j rises:
+Two more facts rest on the sum top_r of the r largest |a_n| in [a..j].  An
+h with gaps reads it from a sorted list of the work values of [i..j], grown
+as j rises.  Plain h needs only top_R of [i..j], and keeps it running: a
+min-heap holds the R largest values, and a new value w that beats the
+smallest of them, the R-th largest, replaces it and adds w minus that value
+to the sum; any other w leaves the sum as it is.
 
 * Sup bound (Figiel-Johnson).  Every table, each level and the fixed point,
   for every h, satisfies T[g] <= alpha * l1(g) + (1 - alpha) * sup(g): the
@@ -116,9 +124,10 @@ The sixth reads the last query of the start instead:
   the query j is skipped when p * (F[R][j'] + l1(j'+1..j)) <= best, with
   best held times q as above.
 
-Float mode uses none of these six: rounding can put a sum an ulp above or
-below one it provably dominates, so a carried value, a single size, a bound
-or a closed form could change the last bits.  It fills by right end, then by
+Float mode uses none of these six, nor the eighth below: rounding can put a
+sum an ulp above or below one it provably dominates, so a carried value, a
+single size, a bound or a closed form could change the last bits.  It fills
+by right end, then by
 decreasing start, and tries every size at its own start, in increasing k,
 forming each sum as the full search does.  For the same reason it keeps
 per-right-end arrays: they add a split's groups right-nested, first group
@@ -155,6 +164,26 @@ does not decrease when an operand grows, and float mode uses it at level 1:
   as well: a term of rows[q][g] whose largest entry only ties a_x is then
   no larger than the first term, so it never wins.)
 
+The eighth fact caps the exact level route by the fixed-point table F:
+
+* Fixed-point ceiling.  Every level lies below F entrywise, for every h.
+  The sup table L_0 is, since F is at least the sup.  The level step, T to
+  max(T, alpha * best admissible split over T), is monotone in T, and F is
+  a fixed point of it (F is at least alpha times its own best split), so
+  L_m <= F gives L_m+1 <= F.  Levels do not decrease either, so an entry
+  with L_m[g] = F[g] keeps that value at every later level, and a table
+  equal to F repeats.  So from level 2 on the fill reads F, filled once
+  through ``fixed_point_table`` before the first level >= 2, as its
+  ceiling: an entry whose floor (the previous level) or carry (the next
+  level's [i+1..j], itself at most the entry) already equals F's entry is
+  written without a search, which could only return a value between the
+  two.  A level that equals F is repeated as the next level without a
+  fill.  A level equals the next exactly when it equals F, the unique
+  solution of the fixed-point equation, so the route stops where the full
+  fills stop.  Level 1 runs no search, so ``level_tables(m)`` with m < 2
+  fills no F; the columns of the table read are built only once a level
+  fill has to search.
+
 On the level route a float fill carries work from one level to the next.  A
 state rows[q][x] for the right end j reads only strict subintervals of
 [x..j].  Let X_j be the largest start x with a strict subinterval of [x..j]
@@ -177,6 +206,7 @@ a state; the next level reuses those rows in place.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
+from heapq import heapify, heappushpop
 from fractions import Fraction
 from itertools import accumulate
 from operator import add
@@ -283,22 +313,20 @@ class TsirelsonEngine:
             raise ConfigurationError("alpha must lie in (0,1)")
         self.alpha = alpha
         self.pos: Tuple[int, ...] = v.support
-        self.val: Tuple[Number, ...] = tuple(map(abs, v.values))
+        self._values = v.values
         s = len(self.pos)
-        scaled = scaled_ints(self.val) if is_exact(alpha) else None
+        scaled = scaled_ints(v.values) if is_exact(alpha) else None
         if scaled is not None:
             self._p, self._q = alpha.numerator, alpha.denominator
             ints, lcm, _ = scaled
             unit = self._q ** max(s - 1, 0)
             self._scale: Optional[int] = lcm * unit
-            self._work: List[Number] = [x * unit for x in ints]
+            self._work: List[Number] = list(map(unit.__mul__, map(abs, ints)))
         else:
             self._p, self._q = alpha, 1
             self._scale = None
-            self._work = list(self.val)
-        self._abs_prefix = [0] * (s + 1)
-        for i, a in enumerate(self._work):
-            self._abs_prefix[i + 1] = self._abs_prefix[i] + a
+            self._work = list(map(abs, v.values))
+        self._abs_prefix = list(accumulate(self._work, initial=0))
         # The family sizes (k, r = h(k)), by increasing k.  Like the oracle,
         # a table h admits no family for a k it has no entry for.
         sizes = [(k, k) for k in range(1, s + 1)] if h is None else h.sizes(s)
@@ -318,9 +346,21 @@ class TsirelsonEngine:
     # -- shared pieces
 
     def _sup_table(self) -> List[List[Number]]:
-        """The sup of every interval [i..j]: the first largest work value."""
+        """The sup of every interval [i..j]: the first largest work value.
+
+        Row i is a_i up to the first later entry larger than a_i, and row
+        i + 1 from there on; that entry is found by bisection, since row
+        i + 1 does not decrease."""
         work = self._work
-        return [[0] * i + list(accumulate(work[i:], max)) for i in range(len(work))]
+        s = len(work)
+        rows, below = [], [0] * s
+        for i in range(s - 1, -1, -1):
+            a = work[i]
+            t = bisect_right(below, a, i + 1)
+            below = [0] * i + [a] * (t - i) + below[t:]
+            rows.append(below)
+        rows.reverse()
+        return rows
 
     def _number(self, raw: Number, i: int, j: int) -> Number:
         """The value a work-unit entry of interval [i..j] stands for.
@@ -331,7 +371,7 @@ class TsirelsonEngine:
         if self._scale is None:
             return raw
         if raw == self._sup[i][j]:
-            return self.val[self._work.index(raw, i, j + 1)]
+            return abs(self._values[self._work.index(raw, i, j + 1)])
         return Fraction(raw, self._scale)
 
     def _to_numbers(self, table: List[List[Number]]) -> List[List[Number]]:
@@ -343,40 +383,45 @@ class TsirelsonEngine:
             for i, row in enumerate(table)
         ]
 
-    def _best_split(self, cols, splits, hi, i: int, j: int, r: int) -> Number:
+    def _best_split(self, cols, splits, i: int, j: int, r: int) -> Number:
         # Exact mode, an h with gaps.  The best split of [i..j] into r groups,
         # from the start's side.
         #
-        # Per-start arrays: for the fixed start i, splits[q][y] is the best
-        # split of [i..y] into q groups, filled for i + q - 1 <= y <= hi[q],
-        # and splits[1] is row i of the table itself.  A state takes its last
-        # group [x..y] from column y of the table, cols[y][x]:
+        # Per-start arrays: for the fixed start i, splits[q][k] is the best
+        # split of [i..y] into q groups with y = i + q - 1 + k, filled for
+        # k < len(splits[q]), and splits[1] is row i of the table itself.  A
+        # state takes its last group [x..y] from column y of the table,
+        # cols[y][x]:
         #
-        #     splits[q][y] = max over x of splits[q - 1][x - 1] + cols[y][x].
+        #     state (q, y) = max over x of state (q - 1, x - 1) + cols[y][x].
         #
         # The query (i, j, r) needs the states (q, y) with y <= j - r + q for
-        # q = 2..r, a prefix for each q; so each splits[q] is extended upward
-        # to j - r + q, by increasing q.  Each query raises hi[q] - q to at
-        # least j - r for q <= r, and a new array starts at i - 2, so hi[q] - q
-        # is nonincreasing in q and the arrays to extend are a suffix, found
-        # by scanning down from r; that holds in any order of queries, and
-        # _gap_row asks the sizes of one j widest first.  A state depends on
-        # i, q and y alone, so later queries of the same start reuse it, and
-        # it is computed once per fill.  Only row entries y < j and column
-        # entries x > i are read: strict subintervals of [i..j].
+        # q = 2..r: the first n = j - i - r + 2 of each splits[q].  So each
+        # is extended to n states, by increasing q, appending in increasing
+        # y.  A query lengthens the arrays q <= r to at least its n, and a
+        # new array starts empty, so the lengths do not increase with q and
+        # the arrays to extend are a suffix, found by scanning down from r;
+        # that holds in any order of queries, and _gap_row asks the sizes of
+        # one j widest first.  A state (q, y) reads the first y - i - q + 2
+        # states of splits[q - 1], all of the array's that the column slice
+        # pairs with (map stops at the shorter), and row i from i up to
+        # y - 1 when q = 2.  A state depends on i, q and y alone, so later
+        # queries of the same start reuse it, and it is computed once per
+        # fill.  Only row entries y < j and column entries x > i are read:
+        # strict subintervals of [i..j].
+        n = j - i - r + 2
         while len(splits) <= r:
-            hi.append(i + len(splits) - 2)  # empty: one before the first valid y
-            splits.append([0] * len(cols))
-        if hi[r] < j:
+            splits.append([])
+        if len(splits[r]) < n:
             first = r
-            while first > 2 and hi[first - 1] < j - r + first - 1:
+            while first > 2 and len(splits[first - 1]) < n:
                 first -= 1
             for q in range(first, r + 1):
-                row, prev, f = splits[q], splits[q - 1], i + q - 2
-                for y in range(hi[q] + 1, j - r + q + 1):
-                    row[y] = max(map(add, prev[f:y], cols[y][f + 1 :]))
-                hi[q] = j - r + q
-        return splits[r][j]
+                row, f = splits[q], i + q - 2
+                prev = splits[1][i:j] if q == 2 else splits[q - 1]
+                for y in range(f + 1 + len(row), f + 1 + n):
+                    row.append(max(map(add, prev, cols[y][f + 1 :])))
+        return splits[r][n - 1]
 
     # -- the two fills
     #
@@ -391,34 +436,47 @@ class TsirelsonEngine:
     # Both orders fill every strict subinterval of an interval before the
     # interval itself.
 
-    def _fill_exact(self, table, out) -> None:
+    def _fill_exact(self, table, out, ceiling=None) -> None:
         # Start-major, with the per-start arrays of the module docstring; the
         # row of a start past its diagonal is filled by _plain_row or _gap_row.
         # Their running max is kept multiplied by q, so alpha = p/q costs one
         # multiplication by p per candidate and no division until the end.
+        # A level fill may pass the fixed-point table as ``ceiling``: an entry
+        # whose floor or carry already equals it is written without a search.
         s = len(self.pos)
         live = table is out
         floors = self._sup if live else table
         level_one = table is self._sup
         fill_row = self._plain_row if self._plain else self._gap_row
         # The table as column lists, cols[y][x] = table[x][y].  On the
-        # fixed-point route they are refreshed from each finished row.
-        cols = [[row[y] for row in table[: y + 1]] for y in range(s)]
+        # fixed-point route they are refreshed from each finished row; on the
+        # level route _columns builds them at the fill's first search.
+        cols = [[row[y] for row in table[: y + 1]] for y in range(s)] if live else []
         for i in range(s - 1, -1, -1):
             row, floor = out[i], floors[i]
             below = out[i + 1] if i + 1 < s else []
             row[i] = floor[i]
-            fill_row(table, cols, floor, below, row, i, level_one)
+            cap = ceiling[i] if ceiling is not None else None
+            fill_row(table, cols, floor, below, row, i, level_one, cap)
             if live:
                 for y in range(i, s):
                     cols[y][i] = row[y]
 
-    def _plain_row(self, table, cols, floor, below, row, i, level_one) -> None:
+    @staticmethod
+    def _columns(table, cols):
+        # The complete table read by a level fill as column lists, built in
+        # place the first time a query of the fill searches.
+        if not cols:
+            cols += [[row[y] for row in table[: y + 1]] for y in range(len(table))]
+        return cols
+
+    def _plain_row(self, table, cols, floor, below, row, i, level_one, cap) -> None:
         # Exact mode, plain h: row i of the next table past its diagonal.
         # Start i admits the one size R.  Widths 2..R are the singletons (no
         # carry needed, see the module docstring); each wider query j reads
-        # F[R][j] from the per-start arrays, once the diagonals after
-        # ``last`` up to j are swept.
+        # the state (R, j), the last of F[R], once the diagonals after
+        # ``last`` up to j are swept.  ``top`` is a min-heap of the R largest
+        # work values of [i..j] and ``total`` their sum, top_R.
         s = len(row)
         p, q = self._p, self._q
         prefix, work, base = self._abs_prefix, self._work, self._abs_prefix[i]
@@ -433,28 +491,35 @@ class TsirelsonEngine:
         if R < 2:  # no family of two or more sets starts at i
             row[stop:] = map(max, floor[stop:], below[stop:])
             return
-        column = sorted(work[i:stop])  # the work values of [i..j], sorted
+        top = work[i:stop]
+        heapify(top)
+        total = sum(top)
         F, last = None, i + R - 2  # allocated at the first query; no diagonal yet
         for j in range(stop, s):
-            insort(column, work[j])
-            best = q * max(floor[j], below[j])  # or [i+1..j]'s value
+            w = work[j]
+            total += w - heappushpop(top, w)  # w itself unless it beats the R-th largest
+            lower = max(floor[j], below[j])  # or [i+1..j]'s value
+            if cap is not None and lower == cap[j]:
+                row[j] = lower  # the fixed-point ceiling
+                continue
+            best = q * lower
             mass = p * (prefix[j + 1] - base)
             if mass > best:
-                top = p * sum(column[-R:])
                 if level_one:
-                    best = max(best, top)
-                elif p * mass + (q - p) * top > q * best and (  # the sup bound
-                    F is None or p * (F[R][last] + prefix[j + 1] - prefix[last + 1]) > best
+                    best = max(best, p * total)
+                elif p * (mass + (q - p) * total) > q * best and (  # the sup bound
+                    F is None or p * (F[R][-1] + prefix[j + 1] - prefix[last + 1]) > best
                 ):  # the triangle bound from the last query
                     if F is None:
-                        F = [None, table[i]] + [[0] * s for _ in range(R - 1)]
+                        F = [None] + [[] for _ in range(R)]
                         steps = list(zip(F[2:], F[1:], range(i, i + R - 1)))
-                    self._sweep(steps, cols, range(last - R + 3, j - R + 3))
+                    F[1][:] = table[i][i:j]  # the states (1, y) for y < j
+                    self._sweep(steps, self._columns(table, cols), range(last - R + 3, j - R + 3))
                     last = j
-                    best = max(best, p * F[R][j])
+                    best = max(best, p * F[R][-1])
             row[j] = best // q
 
-    def _gap_row(self, table, cols, floor, below, row, i, level_one) -> None:
+    def _gap_row(self, table, cols, floor, below, row, i, level_one, cap) -> None:
         # Exact mode, an h with gaps: row i of the next table past its
         # diagonal.  A query tries the admissible r widest first: the
         # singletons and level 1 close it at once, and otherwise the first r
@@ -465,11 +530,15 @@ class TsirelsonEngine:
         cut = self._cut[i]
         rs = self._r[:cut]  # the sizes with k <= pos[i]
         column = [work[i]]  # the work values of [i..j], sorted
-        splits, hi = [None, table[i]], [None, None]
+        splits = [None, table[i]]
         for j in range(i + 1, s):
             insort(column, work[j])
+            lower = max(floor[j], below[j])  # or [i+1..j]'s value
+            if cap is not None and lower == cap[j]:
+                row[j] = lower  # the fixed-point ceiling
+                continue
             width = j - i + 1
-            best = q * max(floor[j], below[j])  # or [i+1..j]'s value
+            best = q * lower
             mass = p * (prefix[j + 1] - base)
             n = min(cut, fit[width])  # the admissible r are rs[:n]
             if n and mass > best:
@@ -482,20 +551,24 @@ class TsirelsonEngine:
                         top = sum(column[width - r :])
                         if r < 2 or p * (mass + (q - p) * top) <= q * best:
                             break  # the sup bound: no r-split or narrower beats best
-                        best = max(best, p * self._best_split(cols, splits, hi, i, j, r))
+                        split = self._best_split(self._columns(table, cols), splits, i, j, r)
+                        best = max(best, p * split)
             row[j] = best // q
 
     @staticmethod
     def _sweep(steps, cols, ys) -> None:
         # Exact mode, plain h.  The diagonals of the per-start arrays whose
         # state at q = 2 has y in ys, each by increasing q: steps holds
-        # (F[q], F[q - 1], i + q - 2) for q = 2..R, and the state (q, y) reads
-        # F[q - 1] up to y - 1, which the step before has just filled.  (Kept
-        # apart from _plain_row: in a short function tracemalloc, which looks
-        # up the line of every allocation, stays cheap.)
+        # (F[q], F[q - 1], i + q - 2) for q = 2..R.  As in _best_split,
+        # F[q][k] is the state (q, i + q - 1 + k), and F[1] is row i from i
+        # up to the query's end; the state (q, y) is appended to F[q] and pairs the whole of
+        # F[q - 1], which the step before has just brought up to y - 1, with
+        # the column slice.  (Kept apart from _plain_row: in a short function
+        # tracemalloc, which looks up the line of every allocation, stays
+        # cheap.)
         for y in ys:
             for Fq, Fp, f in steps:
-                Fq[y] = max(map(add, Fp[f:y], cols[y][f + 1 :]))
+                Fq.append(max(map(add, Fp, cols[y][f + 1 :])))
                 y += 1
 
     def _fill_float(self, table, out, carried=None):
@@ -686,10 +759,18 @@ class TsirelsonEngine:
     # -- level route (Def-style recursion with trace)
 
     def _work_level_tables(self, m: int) -> List[List[List[Number]]]:
+        # An exact route reads the fixed-point table from level 2 on: every
+        # level lies below it, and a level equal to it is repeated unfilled
+        # (the eighth fact of the module docstring).
         s = len(self.pos)
         tables = [self._sup]
-        carried = None
-        for _ in range(m):
+        carried = ceiling = None
+        for level in range(1, m + 1):
+            if self._scale is not None and level == 2:
+                ceiling = self.fixed_point_table(_work_units=True)
+            if ceiling is not None and tables[-1] == ceiling:
+                tables.append(tables[-1])
+                break
             # every value read comes from the previous, complete level
             nxt = [[0] * s for _ in range(s)]
             if self._scale is None:
@@ -697,7 +778,7 @@ class TsirelsonEngine:
                 carried = self._fill_float(tables[-1], nxt, carried)
                 settled = max(carried[0], default=-1) < 0
             else:
-                self._fill_exact(tables[-1], nxt)
+                self._fill_exact(tables[-1], nxt, ceiling)
                 settled = nxt == tables[-1]
             tables.append(nxt)
             if settled:

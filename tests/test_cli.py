@@ -15,6 +15,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def int_from_digits(text):
+    """int(text) in pieces of 1,000 digits, below CPython's digit limit."""
+    value = 0
+    for start in range(0, len(text), 1000):
+        piece = text[start : start + 1000]
+        value = value * 10 ** len(piece) + int(piece)
+    return value
+
+
 def write_vector(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
@@ -128,6 +137,29 @@ class TestNormCommand:
         vec = write_vector(tmp_path, "v.txt", "1e400 1")
         code, out, err = run(capsys, "norm", space, vec)
         assert code == 0 and row in out.splitlines() and "Traceback" not in err
+
+    def test_exact_value_past_the_digit_limit(self, capsys, tmp_path):
+        # Both tokens are admitted, and the sum's denominator 2^8000 * 3^5000
+        # has 4,794 digits: past CPython's 4,300-digit limit on int to text,
+        # where the output once ended in a ValueError traceback.  The limit
+        # itself is left as it was.
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        vec = write_vector(tmp_path, "v.txt", f"1/{2 ** 8000} 1/{3 ** 5000}")
+        code, out, err = run(capsys, "norm", "lp:p=1", vec)
+        assert code == 0 and "Traceback" not in err
+        value = Fraction(1, 2 ** 8000) + Fraction(1, 3 ** 5000)
+        exact, decimal = out.splitlines()[-1].removeprefix("norm,").split(",")
+        num, den = exact.split("/")
+        assert (int_from_digits(num), int_from_digits(den), decimal) == (
+            value.numerator, value.denominator, "0.0")
+        assert len(den) == 4794 and getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+    def test_scan_value_past_the_digit_limit(self, capsys):
+        generator = f"table:1/{2 ** 8000};1/{3 ** 5000}"
+        code, out, _ = run(capsys, "scan", "lp:p=1", generator, "2")
+        rows = [row.split(",") for row in out.splitlines() if row[:1].isdigit()]
+        assert code == 0 and [row[0] for row in rows] == ["1", "2"]
+        assert int_from_digits(rows[1][1].split("/")[1]) == 2 ** 8000 * 3 ** 5000
 
     @pytest.mark.parametrize("space", ["lp:p=3000", "lorentz:w=harmonic,p=3000"])
     def test_large_float_exponent(self, capsys, tmp_path, space):

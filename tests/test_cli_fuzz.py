@@ -67,11 +67,15 @@ position_set = st.one_of(
     fmt("explicit:{};{}", small_int, small_int),
 )
 # 1e400 is exact in exact mode and beyond the float range; exact mode refuses
-# 1e99999999, whose power of ten would take seconds to build
+# 1e99999999, whose power of ten would take seconds to build.  The long
+# fractions are admitted, and a sum of the pair has a 4,794-digit
+# denominator, past CPython's limit on int to text.
+LONG = [f"1/{2 ** 8000}", f"-1/{3 ** 5000}"]
 token = st.one_of(
     scalar,
     st.just("1e400"),
     st.just("1e99999999"),
+    st.sampled_from(LONG + [" ".join(LONG)]),
     fmt("{}:{}", st.sampled_from(["0", "1", "2", "7", "40", "-3", "x"]), scalar),
 )
 vector_text = st.lists(token, max_size=6).map(" ".join)

@@ -279,6 +279,23 @@ class TestScalars:
         assert format_scalar(Fraction(3, 4)) == "3/4"
         assert format_scalar(5) == "5"
 
+    @pytest.mark.parametrize("digits", [1, 4299, 4300, 4301, 9000, 30001])
+    def test_format_past_the_digit_limit(self, digits):
+        # CPython converts at most 4,300 digits at once by default; longer
+        # ints are written in pieces, zeros inside a piece kept.
+        rng = Random(digits)
+        body = "".join(rng.choice("0123456789") for _ in range(digits - 1))
+        if digits > 2000:
+            body = body[:1000] + "0" * 900 + body[1900:]
+        text = str(rng.randint(1, 9)) + body
+        n = 0
+        for start in range(0, digits, 1000):
+            piece = text[start : start + 1000]
+            n = n * 10 ** len(piece) + int(piece)
+        assert format_scalar(n) == text and format_scalar(-n) == "-" + text
+        assert format_scalar(Fraction(-1, n)) == ("-1/" + text if n > 1 else "-1")
+        assert format_scalar(True) == "True"
+
 
 @pytest.mark.parametrize("values, scaled", [
     ([], ([], 1, False)),

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import math
 import os
 import subprocess
@@ -12,7 +14,7 @@ from random import Random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from seqnorms import tsirelson as tsirelson_module
+from seqnorms import cli, tsirelson as tsirelson_module
 from seqnorms.core import (
     BudgetError,
     CertificateError,
@@ -20,9 +22,11 @@ from seqnorms.core import (
     FiniteVector,
     HFunction,
     ORACLE_SUPPORT_LIMIT,
+    close,
 )
 from seqnorms.tsirelson import (
     CertificateNode,
+    LevelTrace,
     TsirelsonEngine,
     _families,
     certificate_lower_bound,
@@ -1215,7 +1219,7 @@ class TestStartSplits:
             for table in tables:
                 cols = [[row[y] for row in table[: y + 1]] for y in range(s)]
                 for i in range(s):
-                    splits, hi = [None, table[i]], [None, None]
+                    splits = [None, table[i]]
                     # j rises, columns are skipped (the next query catches
                     # up), and the sizes asked come in any order
                     for j in range(i + 1, s):
@@ -1223,11 +1227,12 @@ class TestStartSplits:
                             continue
                         sizes = list(range(2, j - i + 2))
                         for r in rng.sample(sizes, rng.randint(1, len(sizes))):
-                            got = engine._best_split(cols, splits, hi, i, j, r)
+                            got = engine._best_split(cols, splits, i, j, r)
                             assert got == brute_split(table, i, j, r)
+                    # splits[q][k] is the state (q, i + q - 1 + k)
                     for q in range(2, len(splits)):
-                        for y in range(i + q - 1, hi[q] + 1):
-                            assert splits[q][y] == brute_split(table, i, y, q)
+                        for k, state in enumerate(splits[q]):
+                            assert state == brute_split(table, i, i + q - 1 + k, q)
 
     def test_exact_fill_memory_stays_small(self):
         # The per-start arrays are dropped when their start is done.  The
@@ -1263,9 +1268,10 @@ def traced_peak(call):
 
 
 def plain_row_arrays(engine, table, floor, below, i):
-    """Run the plain-h row fill of start i over ``table`` (without the level-1
-    closed form); return the row it wrote, its per-start arrays F and the last
-    diagonal it swept, read from its frame as it returns."""
+    """Run the plain-h row fill of start i over ``table`` (without a ceiling
+    or the level-1 closed form); return the row it wrote, its per-start
+    arrays F and the last diagonal it swept, read from its frame as it
+    returns."""
     code = TsirelsonEngine._plain_row.__code__
     s = len(table)
     cols = [[row[y] for row in table[: y + 1]] for y in range(s)]
@@ -1280,7 +1286,7 @@ def plain_row_arrays(engine, table, floor, below, i):
     previous = sys.gettrace()
     sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
     try:
-        engine._plain_row(table, cols, floor, below, row, i, False)
+        engine._plain_row(table, cols, floor, below, row, i, False, None)
     finally:
         sys.settrace(previous)
     return row, seen.get("F"), seen.get("last")
@@ -1328,10 +1334,13 @@ class TestPlainSweep:
                             assert last == s - 1
                         if F is None:
                             continue
-                        assert len(F) == R + 1 and F[1] is table[i]
+                        # F[q][k] is the state (q, i + q - 1 + k), swept
+                        # up to the diagonal of the last query
+                        assert len(F) == R + 1 and F[1] == table[i][i:last]
                         for q in range(2, R + 1):
-                            for y in range(i + q - 1, last - R + q + 1):
-                                assert F[q][y] == brute_split(table, i, y, q)
+                            assert len(F[q]) == last - R - i + 2
+                            for k, state in enumerate(F[q]):
+                                assert state == brute_split(table, i, i + q - 1 + k, q)
                                 checked += 1
         assert checked > 1000
 
@@ -1409,6 +1418,184 @@ class TestPlainSweep:
         hs = (HFunction.affine(3, 1), GAPPED_H)
         cases = [(s, alpha, hs[case % 2]) for case, (s, alpha) in enumerate(sizes)]
         assert tables_digest("gap-bits", cases) == GAP_DIGEST
+
+
+def uncapped_level_tables(engine, m):
+    """The exact level route without the fixed-point ceiling: each level
+    filled in full by _fill_exact over the one before, stopping where a
+    level repeats."""
+    s = len(engine.pos)
+    tables = [engine._sup]
+    for _ in range(m):
+        nxt = [[0] * s for _ in range(s)]
+        engine._fill_exact(tables[-1], nxt)
+        tables.append(nxt)
+        if nxt == tables[-2]:
+            break
+    return tables
+
+
+# Every h kind: plain, the identity, affine with and without gaps, and
+# tables with gaps, with h(k) > k and with h(k) < k.
+CEILING_HS = (
+    ("", None),
+    (",h=identity", HFunction.identity()),
+    (",h=affine:2:0", HFunction.affine(2, 0)),
+    (",h=affine:3:1", HFunction.affine(3, 1)),
+    (",h=table:2:2;3:4;9:10", GAPPED_H),
+    (",h=table:1:3;2:4", HFunction.from_table([(1, 3), (2, 4)])),
+    (",h=table:4:2;9:3", HFunction.from_table([(4, 2), (9, 3)])),
+)
+CEILING_ALPHAS = (Fraction(1, 3), HALF, Fraction(2, 3))
+# Value draws by the position n: seeded rationals, tie-heavy values, the
+# harmonic 1/(n + 1), and ints mixed with Fractions.
+CEILING_VALUES = (
+    lambda rng, n: Fraction(rng.choice((-1, 1)) * rng.randint(1, 20), rng.choice((1, 2, 3, 5, 7, 12))),
+    lambda rng, n: rng.choice((1, -1, 2, Fraction(1, 2), Fraction(-1, 2))),
+    lambda rng, n: Fraction(1, n + 1),
+    lambda rng, n: rng.choice((rng.randint(1, 5), -rng.randint(1, 5), Fraction(rng.randint(1, 9), 4))),
+)
+
+
+class TestFixedPointCeiling:
+    """The exact level route reads the fixed-point table from level 2 on:
+    an entry whose floor or carry reaches it is written without a search,
+    and a level equal to it repeats unfilled.  Every level lies below the
+    fixed point, so the route gives what the full fills give."""
+
+    def test_capped_route_matches_the_full_fills(self, tmp_path, monkeypatch):
+        # 4,200 seeded cases: each h kind at alpha 1/3, 1/2 and 2/3, the
+        # first position 1-5, and the four value draws; level_tables(m) for
+        # every m up to one past the last level, and norm_with_trace, by
+        # type and repr; the CLI's norm output for every tenth case.
+        cases, cli_cases = 0, []
+        for seed in range(50):
+            for kind, draw in enumerate(CEILING_VALUES):
+                for alpha in CEILING_ALPHAS:
+                    for text, h in CEILING_HS:
+                        rng = Random(f"ceiling/{seed}/{kind}/{alpha}/{text}")
+                        pos, pairs = rng.randint(1, 5), []
+                        for _ in range(rng.randint(1, 8)):
+                            pairs.append((pos, draw(rng, pos)))
+                            pos += rng.randint(1, 3)
+                        v = FiniteVector.from_pairs(pairs)
+                        s = len(v.support)
+                        reference = TsirelsonEngine(alpha, v, h)
+                        full = uncapped_level_tables(reference, s + 1)
+                        expected = [typed(reference._to_numbers(t)) for t in full]
+                        engine = TsirelsonEngine(alpha, v, h)
+                        for m in (0, 1):  # no fixed-point fill below level 2
+                            assert engine._work_level_tables(m) == full[: m + 1]
+                            assert engine._fixed is None
+                        # The route stops where a level repeats, so m past
+                        # the last level gives what m = len(full) gives.
+                        # Equal work units convert alike, so only the last
+                        # m is compared by type and repr.
+                        for m in range(2, len(full)):
+                            assert engine._work_level_tables(m) == full[: m + 1], (seed, kind, alpha, text, m)
+                        got = [typed(t) for t in engine.level_tables(len(full))]
+                        assert got == expected, (seed, kind, alpha, text)
+                        value, trace = TsirelsonEngine(alpha, v, h).norm_with_trace()
+                        values = [reference._number(t[0][s - 1], 0, s - 1) for t in full]
+                        assert typed([[value] + [x for _, x in trace.levels]]) == typed([values[-1:] + values])
+                        assert trace.stabilization_level == LevelTrace(levels=tuple(enumerate(values))).stabilization_level
+                        cases += 1
+                        if cases % 10 == 0:
+                            cli_cases.append((f"tsirelson:alpha={alpha}{text}", pairs))
+        assert cases == 4200
+
+        def outputs():
+            got = []
+            for space, pairs in cli_cases:
+                path = tmp_path / "v.txt"
+                path.write_text(" ".join(f"{n}:{a}" for n, a in pairs))
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    code = cli.main(["norm", space, str(path)])
+                got.append((code, out.getvalue()))
+            return got
+
+        capped = outputs()
+        monkeypatch.setattr(TsirelsonEngine, "_work_level_tables", uncapped_level_tables)
+        assert capped == outputs() and {code for code, _ in capped} == {0}
+
+    @pytest.mark.parametrize("values", [
+        (True, Fraction(1, 2), 3),
+        (Fraction(1, 3), 0.25, 2),
+        (1, 2.0, Fraction(-3, 4), 1),
+    ], ids=["bool", "float", "int-float"])
+    def test_values_that_are_not_int_or_fraction_take_the_float_route(self, values):
+        # scaled_ints refuses a bool or a float, so the engine fills by the
+        # float route, which reads no ceiling; its tables are the slow
+        # float search's, entry by entry.
+        v = FiniteVector(tuple(range(2, 2 + len(values))), values)
+        engine = TsirelsonEngine(HALF, v)
+        assert engine._scale is None
+        s = len(values)
+        expected = float_reference_tables(HALF, v, None)
+        assert [typed(t) for t in engine.level_tables(s + 1)] == [typed(t) for t in expected]
+        assert engine._fixed is None
+
+    def test_a_level_equal_to_the_fixed_point_repeats_unfilled(self, monkeypatch):
+        # 96 harmonic entries: level 1 differs from the fixed point, and the
+        # capped route fills levels 1 and 2 and the fixed point, where the
+        # full route fills levels 1-4.
+        engine = TsirelsonEngine(HALF, harmonic(96))
+        fills = []
+        fill = TsirelsonEngine._fill_exact
+
+        def counted(self, table, out, ceiling=None):
+            fills.append("fixed" if table is out else "capped" if ceiling is not None else "level")
+            return fill(self, table, out, ceiling)
+
+        monkeypatch.setattr(TsirelsonEngine, "_fill_exact", counted)
+        tables = engine._work_level_tables(97)
+        assert len(tables) == 5 and tables[4] is tables[3] and tables[3] == engine._fixed
+        assert sorted(fills) == ["capped", "capped", "fixed", "level"]
+
+
+# Supports of the DP = oracle sweep, by case: one exact oracle call took
+# about 4, 16, 40, 140 and 350 ms at s = 8-12.
+SWEEP_SIZES = (8, 8, 8, 9, 9, 9, 10, 10, 10, 11, 11, 12)
+
+
+def sweep_case(case):
+    """(alpha, v, h, exact) of case ``case`` of the DP = oracle sweep: the
+    size, h kind, alpha, value draw and mode cycle with the case number, and
+    the positions, starting at 1-5 with gaps of 1-3, are seeded by it."""
+    rng = Random(f"oracle-sweep/{case}")
+    s = SWEEP_SIZES[case % len(SWEEP_SIZES)]
+    h = CEILING_HS[case % len(CEILING_HS)][1]
+    alpha = CEILING_ALPHAS[case % len(CEILING_ALPHAS)]
+    draw = CEILING_VALUES[case % len(CEILING_VALUES)]
+    exact = case % 2 == 0
+    pos, pairs = rng.randint(1, 5), []
+    for _ in range(s):
+        pairs.append((pos, draw(rng, pos) if exact else float(draw(rng, pos))))
+        pos += rng.randint(1, 3)
+    return (alpha if exact else float(alpha)), FiniteVector.from_pairs(pairs), h, exact
+
+
+class TestOracleSweep:
+    """The DP against the brute-force oracle up to the oracle's limit."""
+
+    def test_dp_equals_oracle_up_to_the_support_limit(self):
+        # Exact values are equal, on the fixed-point route and on the level
+        # route, which reads the fixed-point table as its ceiling; floats
+        # agree within the default --tol.  The CI runs 2,000 cases through
+        # ORACLE_SWEEP_CASES; tier-1 runs the first 36, about 3 s.
+        count = int(os.environ.get("ORACLE_SWEEP_CASES", "36"))
+        sizes = set()
+        for case in range(count):
+            alpha, v, h, exact = sweep_case(case)
+            expected = oracle_norm(alpha, v, cap=ORACLE_SUPPORT_LIMIT, h=h)
+            got = (fixed_point_norm(alpha, v, h), norm(alpha, h, v)[0])
+            if exact:
+                assert got == (expected, expected), case
+            else:
+                assert all(close(value, expected) for value in got), case
+            sizes.add(len(v.support))
+        assert sizes == set(SWEEP_SIZES) or count < len(SWEEP_SIZES)
 
 
 def tables_digest(label, cases):
