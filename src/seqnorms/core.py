@@ -675,15 +675,10 @@ class TsirelsonSpace(SpaceSpec, Frozen):
         return tsirelson.fixed_point_norm(self.alpha, v, h=self.h)
 
     def interval_norms(self, v: FiniteVector, intervals: Sequence[Tuple[int, int]]) -> List[Number]:
-        # Exact entries (the engine has a scale) are fresh norms' values.  A float
-        # [a..j] reads sums from the table's start: fresh bits only for a = start.
+        # Every table entry, exact or float, is the fresh norm of its window.
         from . import tsirelson
-        engine, first = tsirelson.TsirelsonEngine(self.alpha, v, self.h), min(v.support, default=0)
-        return [
-            engine.interval_norm(lo, hi) if engine._scale is not None or lo <= first
-            else self.norm(v.restrict(range(lo, hi + 1)))
-            for lo, hi in intervals
-        ]
+        engine = tsirelson.TsirelsonEngine(self.alpha, v, self.h)
+        return [engine.interval_norm(lo, hi) for lo, hi in intervals]
 
     def describe(self) -> str:
         h = "" if self.h is None else f",h={self.h.describe()}"

@@ -124,23 +124,23 @@ The sixth reads the last query of the start instead:
   the query j is skipped when p * (F[R][j'] + l1(j'+1..j)) <= best, with
   best held times q as above.
 
-Float mode uses none of these six, nor the eighth below: rounding can put a
-sum an ulp above or below one it provably dominates, so a carried value, a
-single size, a bound or a closed form could change the last bits.  It fills
-by right end, then by
-decreasing start, and tries every size at its own start, in increasing k,
-forming each sum as the full search does.  For the same reason it keeps
-per-right-end arrays: they add a split's groups right-nested, first group
-plus the best split of the rest, and per-start arrays would add them
+Float mode uses none of these six, nor the eighth below, and no bound at
+all: rounding can put a sum an ulp above or below one it provably dominates,
+so a carried value, a single size, a bound or a closed form could change the
+last bits.  It fills by right end, then by decreasing start, and tries every
+size at its own start, in increasing k, forming each sum as the full search
+does.  So an entry is the fresh norm of its interval, bit for bit, however
+far the engine's vector reaches on either side.  For the same reason it
+keeps per-right-end arrays: they add a split's groups right-nested, first
+group plus the best split of the rest, and per-start arrays would add them
 left-nested, which can round differently.  For the right end j, rows[q][x]
 is the best split of [x..j] into q groups, computed once per right end.
 A state reads its first groups from the row suffix table[x][x:], kept for
-the whole fill, and the l1 masses of the starts are formed once per j.
-Most queries find their state computed, or need just that one state, whose
-lower row the previous start has already extended; the others extend each
-row they need down to their start.  A state's value does not depend on
-when it is computed, so the sums, and their bits, are those of the full
-search.
+the whole fill.  Most queries find their state computed, or need just that
+one state, whose lower row the previous start has already extended; the
+others extend each row they need down to their start.  A state's value does
+not depend on when it is computed, so the sums, and their bits, are those
+of the full search.
 
 A seventh fact needs no exact arithmetic, only an exact max and a sum that
 does not decrease when an operand grows, and float mode uses it at level 1:
@@ -195,13 +195,12 @@ that level left for the same j, with lo[q] raised to X_j + 1 (and capped at
 j - q + 2, an empty row).  A query [i..j] with i > X_j writes its floor
 table[i][j] and runs no search, and that is its value bit for bit.  Its
 candidates are those it had at the previous level, whose search returned
-table[i][j] from a floor no larger.  Only the l1 break reads the running
-max, and it breaks sooner on a larger one, so the search would now run over
-a prefix of the same candidates, all at most table[i][j], and keep its
-floor.  Level 1 and the fixed-point route carry nothing, and once a level
-changes no entry the next would repeat it, so the route stops there.  The
-arrays carried are the previous level's only, and only their rows that hold
-a state; the next level reuses those rows in place.
+table[i][j] from a floor no larger, so they are all at most table[i][j] and
+the search would keep its floor.  Level 1 and the fixed-point route carry
+nothing, and once a level changes no entry the next would repeat it, so the
+route stops there.  The arrays carried are the previous level's only, and
+only their rows that hold a state; the next level reuses those rows in
+place.
 """
 from __future__ import annotations
 
@@ -573,8 +572,9 @@ class TsirelsonEngine:
 
     def _fill_float(self, table, out, carried=None):
         # By right end, then by decreasing start, trying every size at its own
-        # start in increasing k.  The search for [i..j] stops once the l1 mass
-        # p * sum |a_n| of the next start, mass[a], cannot beat it.
+        # start in increasing k, until r outgrows the width left at that start:
+        # the full search, with no bound, so an entry is the fresh norm of its
+        # interval wherever the engine starts.
         #
         # The best split of [a..j] into r groups is rows[r][a].  For the fixed
         # j, rows[q][x] is the best split of [x..j] into q groups, filled for
@@ -610,7 +610,7 @@ class TsirelsonEngine:
         # with g = nge[x], or the first term alone when g is past the row.
         # No suffix is sliced there: shifted holds the work values a_x.
         s = len(self.pos)
-        p, prefix = self._p, self._abs_prefix
+        p = self._p
         sizes = list(zip(self._start, self._r))
         top_r = max(self._r, default=1)
         live = table is out
@@ -625,8 +625,6 @@ class TsirelsonEngine:
         moved, kept = [], []
         seen = -1  # the largest start of a changed entry [a..b] with b < j
         for j in range(s):
-            total = prefix[j + 1]
-            mass = [p * (total - x) for x in prefix[: j + 1]]
             depth = min(top_r, j + 1)  # at most j + 1 groups fit in [a..j]
             if live:
                 col = [0] * (j + 1)  # column j of out
@@ -650,8 +648,6 @@ class TsirelsonEngine:
                 best = floors[i][j]
                 for start, r in sizes:
                     a = start if start > i else i
-                    if a > j or mass[a] <= best:
-                        break  # larger k only shrinks the available l1 mass
                     if r > j - a + 1:
                         break  # r grows and width shrinks with k
                     if r >= 2:
@@ -786,7 +782,13 @@ class TsirelsonEngine:
         return tables
 
     def level_tables(self, m: int) -> List[List[List[Number]]]:
-        return [self._to_numbers(t) for t in self._work_level_tables(m)]
+        # A final level equal to the fixed point is the previous table again:
+        # it is converted once, and the list holds the converted table twice.
+        numbers, prev = [], None
+        for t in self._work_level_tables(m):
+            numbers.append(numbers[-1] if t is prev else self._to_numbers(t))
+            prev = t
+        return numbers
 
     def norm_with_trace(self) -> Tuple[Number, LevelTrace]:
         s = len(self.pos)

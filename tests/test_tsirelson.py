@@ -22,6 +22,7 @@ from seqnorms.core import (
     FiniteVector,
     HFunction,
     ORACLE_SUPPORT_LIMIT,
+    TsirelsonSpace,
     close,
 )
 from seqnorms.tsirelson import (
@@ -1046,15 +1047,10 @@ def float_reference_tables(alpha, v, h):
 
     Every split is enumerated, with right-nested group sums; the sizes are
     tried in increasing k, each at its own start a = max(i, first support
-    index with position >= k), and the search for [i..j] stops on the same
-    l1 break as the engine's, with the l1 mass from left-to-right prefix
-    sums.  No partition arrays, no memo.
+    index with position >= k).  No bound, no partition arrays, no memo.
     """
     pos, val, sizes = reference_sizes(v, h)
     s = len(pos)
-    prefix = [0]
-    for a in val:
-        prefix.append(prefix[-1] + a)
     table = [[max(val[i : j + 1]) if j >= i else 0 for j in range(s)] for i in range(s)]
     tables = [table]
     for _ in range(s + 1):
@@ -1064,8 +1060,6 @@ def float_reference_tables(alpha, v, h):
                 best = table[i][j]
                 for k, r in sizes:
                     a = next((x for x in range(i, s) if pos[x] >= k), s)
-                    if a > j or alpha * (prefix[j + 1] - prefix[a]) <= best:
-                        break
                     if 2 <= r <= j - a + 1:
                         best = max(best, alpha * right_nested_split(table, a, j, r))
                 nxt[i][j] = best
@@ -1137,6 +1131,9 @@ class TestFloatReferenceDP:
         st.sampled_from((0.5, 1 / 3, 2 / 3, 0.9, 0.1)),
         st.sampled_from(REFERENCE_HS),
     )
+    # Two vectors on which a search that stops on the l1 mass skips the winner.
+    @example(terms=[(3, 4, 3), (4, 1, 1), (5, 2, 1), (5, -7, 3)], alpha=0.5, h=None)
+    @example(terms=[(6, 3, 10), (7, 2, 10), (9, 3, 10), (11, 1, 10)], alpha=1 / 3, h=None)
     def test_tables_and_trace_match_the_reference(self, terms, alpha, h):
         v = FiniteVector.from_pairs((n, a / d) for n, a, d in terms)
         s = len(v.support)
@@ -1152,6 +1149,46 @@ class TestFloatReferenceDP:
         value, trace = norm(alpha, h, v)
         assert typed([[value] + [x for _, x in trace.levels]]) == typed([[values[-1]] + values])
         assert trace.stabilization_level == stab
+
+
+class TestFloatWindows:
+    """Every float table entry is the fresh norm of its window, by type and
+    repr: the float search has no bound, so an entry does not depend on the
+    rest of the engine's vector."""
+
+    def test_a_huge_first_entry(self):
+        # (1e16 + 1 + 1) - 1e16 rounds to 0: an l1 mass taken from the
+        # engine's first entry would close the search for [6..8] at once.
+        v = FiniteVector.from_pairs([(4, 1e16), (6, 1.0), (8, 1.0)])
+        fresh = fixed_point_norm(2 / 3, v.restrict(range(6, 9)))
+        assert repr(fresh) == "1.3333333333333333"
+        engine = TsirelsonEngine(2 / 3, v)
+        assert typed([[engine.interval_norm(6, 8), engine.fixed_point_table()[1][2]]]) == typed([[fresh] * 2])
+        assert typed([engine.level_tables(4)[-1][1]]) == typed([[0, 1.0, fresh]])
+
+    def test_every_entry_is_its_window_norm(self):
+        # 400 seeded vectors, each h kind, magnitudes within a factor of 10
+        # or spread over 1e-8 to 1e16: every table entry, and every window
+        # of TsirelsonSpace.interval_norms, against a fresh engine.
+        windows = 0
+        for case in range(400):
+            rng = Random(f"float-windows/{case}")
+            h = REFERENCE_HS[case % len(REFERENCE_HS)]
+            alpha = (0.5, 1 / 3, 2 / 3, 0.9, 0.1)[case % 5]
+            pos, pairs = rng.randint(1, 5), []
+            for _ in range(rng.randint(1, 12)):
+                size = rng.uniform(1, 10) if case % 2 else 10 ** rng.uniform(-8, 16)
+                pairs.append((pos, rng.choice((1, -1)) * size))
+                pos += rng.randint(1, 3)
+            v = FiniteVector.from_pairs(pairs)
+            table, support = TsirelsonEngine(alpha, v, h).fixed_point_table(), v.support
+            spans = [(i, j) for j in range(len(support)) for i in range(j + 1)]
+            fresh = [fixed_point_norm(alpha, v.restrict(range(support[i], support[j] + 1)), h) for i, j in spans]
+            assert typed([[table[i][j] for i, j in spans]]) == typed([fresh]), case
+            intervals = [(support[i], support[j]) for i, j in spans]
+            assert typed([TsirelsonSpace(alpha, h).interval_norms(v, intervals)]) == typed([fresh]), case
+            windows += len(spans)
+        assert windows > 10000
 
 
 class TestTopSums:
@@ -1552,6 +1589,23 @@ class TestFixedPointCeiling:
         tables = engine._work_level_tables(97)
         assert len(tables) == 5 and tables[4] is tables[3] and tables[3] == engine._fixed
         assert sorted(fills) == ["capped", "capped", "fixed", "level"]
+
+    def test_a_repeated_level_is_converted_once(self, monkeypatch):
+        # 8 harmonic entries: levels 0-2 and the repeat of level 2; each of
+        # the three distinct tables converts its 36 entries once.
+        engine = TsirelsonEngine(HALF, harmonic(8))
+        calls = []
+        number = TsirelsonEngine._number
+
+        def counted(self, raw, i, j):
+            calls.append((i, j))
+            return number(self, raw, i, j)
+
+        monkeypatch.setattr(TsirelsonEngine, "_number", counted)
+        tables = engine.level_tables(9)
+        assert len(tables) == 4 and len(calls) == 3 * 36
+        assert tables[3] is tables[2]
+        assert typed(tables[3]) == typed(engine._to_numbers(engine._fixed))
 
 
 # Supports of the DP = oracle sweep, by case: one exact oracle call took
