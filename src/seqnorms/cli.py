@@ -22,11 +22,9 @@ from random import Random
 from typing import List, Optional
 
 from .core import (
-    DEFAULT_ORACLE_CAP,
     DEFAULT_SUPPORT_BUDGET,
     DEFAULT_WITNESS_BUDGET,
     INF,
-    ORACLE_SUPPORT_LIMIT,
     BudgetError,
     ConfigurationError,
     FiniteVector,
@@ -120,9 +118,9 @@ def cmd_oracle(args, report: _Report) -> int:
 
     alpha = parse_scalar(args.alpha, exact=args.exact)
     v = _read_vector(args.vector, args.exact)
-    tsirelson.check_oracle_support(len(v.support), args.oracle_cap)
+    # the oracle first: it refuses a support above its limit before any work
+    oracle = tsirelson.oracle_norm(alpha, v)
     dp = tsirelson.fixed_point_norm(alpha, v)
-    oracle = tsirelson.oracle_norm(alpha, v, cap=args.oracle_cap)
     # exact values must be equal; floats summed in a different order may
     # differ in the last bits, so they need only agree within --tol
     agree = close(dp, oracle, rel_tol=args.tol)
@@ -140,6 +138,7 @@ def cmd_scan(args, report: _Report) -> int:
     gen = series.parse_generator(args.generator, exact=args.exact)
     if args.N < 1:
         raise ConfigurationError("N must be >= 1")
+    space.check_budget(args.N)  # before the N windows are built
     prefixes = [(1, K + 1) for K in range(1, args.N + 1)]
     answer = series.tail_profile(space, gen, prefixes + series.default_tail_grid(args.N))
     report.header(
@@ -292,9 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="random seed for sampled runs")
     common.add_argument("--budget-support", type=int, default=argparse.SUPPRESS,
                         help="max positions for Tsirelson evaluations")
-    common.add_argument("--oracle-cap", type=int, default=argparse.SUPPRESS,
-                        help="max support for the brute-force oracle "
-                        f"(never above {ORACLE_SUPPORT_LIMIT})")
     common.add_argument("--format", choices=("csv", "text"), default=argparse.SUPPRESS)
 
     parser = argparse.ArgumentParser(
@@ -364,7 +360,6 @@ _GLOBAL_DEFAULTS = {
     "tol": OrliczSpace.tol,
     "seed": 0,
     "budget_support": DEFAULT_SUPPORT_BUDGET,
-    "oracle_cap": DEFAULT_ORACLE_CAP,
     "format": "csv",
 }
 

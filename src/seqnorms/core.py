@@ -39,9 +39,7 @@ class BudgetError(RuntimeError):
 
 # The most positions one evaluation may cover (--budget-support).
 DEFAULT_SUPPORT_BUDGET = 4096
-# The largest support the brute-force oracle takes (--oracle-cap).
-DEFAULT_ORACLE_CAP = 8
-# The largest support it takes whatever the cap: s points hold up to
+# The largest support the brute-force oracle takes: s points hold up to
 # (3^s - 1)/2 families, and one exact call took 0.08, 0.20 and 0.63 s at
 # s = 11, 12 and 13 (peak RSS 23, 39 and 92 MB), about 3x per point.
 ORACLE_SUPPORT_LIMIT = 12

@@ -212,7 +212,6 @@ from operator import add
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .core import (
-    DEFAULT_ORACLE_CAP,
     ORACLE_SUPPORT_LIMIT,
     BudgetError,
     CertificateError,
@@ -321,11 +320,11 @@ class TsirelsonEngine:
             unit = self._q ** max(s - 1, 0)
             self._scale: Optional[int] = lcm * unit
             self._work: List[Number] = list(map(unit.__mul__, map(abs, ints)))
+            self._abs_prefix = list(accumulate(self._work, initial=0))
         else:
             self._p, self._q = alpha, 1
             self._scale = None
             self._work = list(map(abs, v.values))
-        self._abs_prefix = list(accumulate(self._work, initial=0))
         # The family sizes (k, r = h(k)), by increasing k.  Like the oracle,
         # a table h admits no family for a k it has no entry for.
         sizes = [(k, k) for k in range(1, s + 1)] if h is None else h.sizes(s)
@@ -945,24 +944,9 @@ def _families(
     return per_union
 
 
-def check_oracle_support(s: int, cap: int) -> None:
-    """Refuse an oracle search over more than ``cap`` points, and over more
-    than ORACLE_SUPPORT_LIMIT whatever the cap, before any table is built."""
-    if s > ORACLE_SUPPORT_LIMIT:
-        raise BudgetError(
-            f"oracle support {s} exceeds the oracle limit {ORACLE_SUPPORT_LIMIT}, "
-            "whatever the cap; the search is exponential by design"
-        )
-    if s > cap:
-        raise BudgetError(
-            f"oracle support {s} exceeds cap {cap}; the search is exponential by design"
-        )
-
-
 def oracle_norm(
     alpha: Number,
     v: FiniteVector,
-    cap: int = DEFAULT_ORACLE_CAP,
     h: Optional[HFunction] = None,
     family_shape: str = "subsets",
 ) -> Number:
@@ -970,11 +954,11 @@ def oracle_norm(
 
     Level tables over restriction subsets are iterated until they reach a
     fixed point.  Exponential in the support size; refuses supports above
-    ``cap`` or ORACLE_SUPPORT_LIMIT (see :func:`check_oracle_support`).  A
-    family of r sets is admissible when k <= min E_1 for the k with
-    h(k) = r (k = r without h).  ``family_shape`` selects families of
-    arbitrary subsets (the literal definition) or, as a filter of those, of
-    integer-interval traces on run restrictions.
+    ORACLE_SUPPORT_LIMIT before it builds any table.  A family of r sets is
+    admissible when k <= min E_1 for the k with h(k) = r (k = r without h).
+    ``family_shape`` selects families of arbitrary subsets (the literal
+    definition) or, as a filter of those, of integer-interval traces on run
+    restrictions.
 
     Each level sums every admissible family explicitly, blocks left to
     right, and keeps each union's best sum; a restriction's best is then
@@ -991,7 +975,11 @@ def oracle_norm(
     s = len(positions)
     if s == 0:
         return 0
-    check_oracle_support(s, cap)
+    if s > ORACLE_SUPPORT_LIMIT:
+        raise BudgetError(
+            f"oracle support {s} exceeds the oracle limit {ORACLE_SUPPORT_LIMIT}; "
+            "the search is exponential by design"
+        )
     families = _families(positions, h, family_shape)
     coeffs = [abs(a) for a in v.values]
 

@@ -395,8 +395,10 @@ class TestCliContract:
         wide.write_text(" ".join(["1"] * 10))
         code, out = self._run("norm", "tsirelson:alpha=1/2", str(wide), "--budget-support", "5")
         ok &= code == 3 and out == ""
-        code, _ = self._run("oracle", "1/2", str(wide))
-        ok &= code == 3
+        wider = tmp_path / "wider.txt"  # one point past the oracle's support limit
+        wider.write_text(" ".join(["1"] * 13))
+        code, out = self._run("oracle", "1/2", str(wider))
+        ok &= code == 3 and out == ""
 
         code, out = self._run(
             "blocks", "lsh", "lp:p=1", "--samples", "10", "--bound", "1/100"

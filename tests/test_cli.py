@@ -239,6 +239,16 @@ sys.exit(code)
 """
 
 
+def run_limited(*argv):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-c", _LIMITED_CLI, *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
 class TestLargePositions:
     """A vector costs its support, not its largest position."""
 
@@ -249,13 +259,7 @@ class TestLargePositions:
     def test_far_position_runs_in_small_memory(self, tmp_path, space, row):
         # the dense vector held 10^8 slots and raised MemoryError under the limit
         vec = write_vector(tmp_path, "far.txt", "100000000:1 3:1")
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-c", _LIMITED_CLI, "norm", space, vec],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        proc = run_limited("norm", space, vec)
         assert proc.returncode == 0, proc.stderr
         assert row in proc.stdout.splitlines()
         peak_kb = int(proc.stderr.rsplit("peak_rss_kb=", 1)[1])
@@ -283,10 +287,21 @@ class TestOracleCommand:
         assert code == 0
         assert "flag,AGREE" in out
 
-    def test_cap_exceeded(self, capsys, tmp_path):
-        vec = write_vector(tmp_path, "v.txt", " ".join(["1"] * 9))
-        code, out, _ = run(capsys, "oracle", "1/2", vec)
-        assert code == 3 and out == ""
+    def test_every_support_up_to_the_limit_runs(self, capsys, tmp_path):
+        # 12 points at positions 12..23, so every family size is admissible
+        vec = write_vector(tmp_path, "v.txt", "12:1/2 13:2/3 14:3/4 15:4/2 16:5/3 17:1/4 "
+                           "18:2/2 19:3/3 20:4/4 21:5/2 22:1/3 23:2/4")
+        code, out, _ = run(capsys, "oracle", "2/3", vec)
+        assert code == 0
+        assert out.splitlines()[-3:] == [
+            "dp,73/9,8.11111111111111", "oracle,73/9,8.11111111111111", "flag,AGREE"]
+
+    def test_oracle_cap_is_no_flag(self, capsys, tmp_path):
+        vec = write_vector(tmp_path, "v.txt", "0 1 1")
+        for argv in (["oracle", "1/2", vec, "--oracle-cap", "8"],
+                     ["--oracle-cap", "8", "norm", "lp:p=2", vec]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "") and "Traceback" not in err
 
     def test_support_limit_holds_whatever_the_cap(self, capsys, tmp_path, monkeypatch):
         # the family table of 14 points would hold (3^14 - 1)/2 families:
@@ -299,12 +314,22 @@ class TestOracleCommand:
         monkeypatch.setattr(tsirelson, "_families", reached)
         monkeypatch.setattr(tsirelson, "fixed_point_norm", reached)
         vec = write_vector(tmp_path, "v.txt", " ".join(["1"] * 14))
-        code, out, err = run(capsys, "oracle", "1/2", vec, "--oracle-cap", "16")
+        code, out, err = run(capsys, "oracle", "1/2", vec)
         assert code == 3 and out == ""
         assert err.startswith("budget: ")
 
 
 class TestScanCommand:
+    def test_over_budget_scan_is_refused_before_its_windows(self):
+        # the 5,000,000 prefix windows were built before the budget check:
+        # a MemoryError traceback and exit 1 under the limit
+        proc = run_limited("scan", "tsirelson:alpha=1/2", "harmonic", "5000000")
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr.startswith(
+            "budget: Tsirelson evaluation over 5000000 positions exceeds the budget 4096; "
+            "evaluate fewer positions or raise --budget-support\n"
+        )
+
     def test_power_negative_exponent(self, capsys):
         code, out, err = run(capsys, "scan", "lp:p=1", "power:s=-1", "4")
         assert code == 0 and "4,10,10.0" in out
@@ -513,10 +538,9 @@ class TestParserReuse:
 
 
 # The parsed namespace of every subcommand, global defaults filled in as main
-# fills them, recorded before oracle_cap's and witness_budget's defaults
-# moved into core; func is left out.
-_COMMON = {"budget_support": 4096, "exact": True, "format": "csv", "oracle_cap": 8,
-           "seed": 0, "tol": 1e-10}
+# fills them, recorded before witness_budget's default moved into core; func
+# is left out.
+_COMMON = {"budget_support": 4096, "exact": True, "format": "csv", "seed": 0, "tol": 1e-10}
 PARSED = [
     (["norm", "lp:p=2", "v.txt"],
      dict(_COMMON, command="norm", space="lp:p=2", vector="v.txt")),
@@ -537,10 +561,10 @@ PARSED = [
      dict(_COMMON, command="ideal", ideal_cmd="axioms", ideal="summable", samples=200)),
     (["certify", "harmonic-tsirelson"],
      dict(_COMMON, command="certify", certify_cmd="harmonic-tsirelson", k=1, witness_budget=5)),
-    (["--float", "--tol", "1e-3", "--seed", "7", "--budget-support", "9", "--oracle-cap", "5",
+    (["--float", "--tol", "1e-3", "--seed", "7", "--budget-support", "9",
       "--format", "text", "oracle", "1/2", "v.txt"],
      {"alpha": "1/2", "budget_support": 9, "command": "oracle", "exact": False,
-      "format": "text", "oracle_cap": 5, "seed": 7, "tol": 0.001, "vector": "v.txt"}),
+      "format": "text", "seed": 7, "tol": 0.001, "vector": "v.txt"}),
     (["certify", "harmonic-tsirelson", "--k", "2", "--witness-budget", "3", "--exact"],
      dict(_COMMON, command="certify", certify_cmd="harmonic-tsirelson", k=2, witness_budget=3)),
 ]

@@ -11,7 +11,6 @@ import tempfile
 from hypothesis import given, settings, strategies as st
 
 from seqnorms import cli
-from seqnorms.core import ORACLE_SUPPORT_LIMIT
 
 SCALARS = ["2", "1", "3/2", "1/2", "1/3", "0.3", "0", "-1", "-1/2", "0/3", "inf",
            "-inf", "nan", "1/0", "x", "", "2/x"]
@@ -87,9 +86,6 @@ flags = st.lists(
         st.just(["--format", "text"]),
         st.tuples(st.just("--tol"), st.sampled_from(["1e-10", "0", "-1", "nan", "inf", "x"])).map(list),
         st.tuples(st.just("--budget-support"), small_int).map(list),
-        # caps just below and just above the oracle's own support limit
-        st.tuples(st.just("--oracle-cap"), st.sampled_from(
-            INTS + [str(ORACLE_SUPPORT_LIMIT - 1), str(ORACLE_SUPPORT_LIMIT + 1)])).map(list),
         st.tuples(st.just("--seed"), small_int).map(list),
     ),
     max_size=2,

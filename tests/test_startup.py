@@ -141,9 +141,7 @@ assert "series" in dir(seqnorms)
 
 
 def test_moved_defaults_keep_their_old_names():
-    from seqnorms import core, series, tsirelson
+    from seqnorms import core, series
 
-    assert tsirelson.DEFAULT_ORACLE_CAP == core.DEFAULT_ORACLE_CAP == 8
     assert series.DEFAULT_WITNESS_BUDGET == core.DEFAULT_WITNESS_BUDGET == 5
-    assert tsirelson.oracle_norm.__defaults__[0] == core.DEFAULT_ORACLE_CAP
     assert series.harmonic_tsirelson_witness.__defaults__ == (core.DEFAULT_WITNESS_BUDGET,)

@@ -132,13 +132,9 @@ class TestOracle:
     def test_zero(self):
         assert oracle_norm(HALF, FiniteVector.zero()) == 0
 
-    def test_cap_refusal(self):
-        with pytest.raises(BudgetError):
-            oracle_norm(HALF, units(*range(1, 10)), cap=8)
-
     def test_support_limit_refuses_above_any_cap(self):
         with pytest.raises(BudgetError, match="exceeds the oracle limit"):
-            oracle_norm(HALF, units(*range(1, ORACLE_SUPPORT_LIMIT + 2)), cap=ORACLE_SUPPORT_LIMIT + 4)
+            oracle_norm(HALF, units(*range(1, ORACLE_SUPPORT_LIMIT + 2)))
 
     def test_agrees_with_dp_on_random_vectors(self):
         rng = Random(11)
@@ -1642,7 +1638,7 @@ class TestOracleSweep:
         sizes = set()
         for case in range(count):
             alpha, v, h, exact = sweep_case(case)
-            expected = oracle_norm(alpha, v, cap=ORACLE_SUPPORT_LIMIT, h=h)
+            expected = oracle_norm(alpha, v, h=h)
             got = (fixed_point_norm(alpha, v, h), norm(alpha, h, v)[0])
             if exact:
                 assert got == (expected, expected), case
