@@ -93,20 +93,27 @@ class SetGenerator(Frozen):
 
     def members(self, lo: int, hi: int) -> List[int]:
         """Members in [lo, hi], increasing."""
+        return list(self._members(lo, hi))
+
+    def _members(self, lo: int, hi: int) -> Sequence[int]:
+        # As members, but a range for the arithmetic sets, so that a
+        # diagnostic can bisect a wide horizon and refuse it by its budget
+        # before any member is listed.
         lo = max(lo, 1)
         if hi < lo:
             return []
         if self.kind == "naturals":
-            return list(range(lo, hi + 1))
+            return range(lo, hi + 1)
         if self.kind == "evens":
-            start = lo + (lo % 2)
-            return list(range(start, hi + 1, 2))
+            return range(lo + (lo % 2), hi + 1, 2)
         if self.kind == "squares":
             return [m * m for m in range(isqrt(lo - 1) + 1, isqrt(hi) + 1)]
         if self.kind == "primes":
             return [n for n in _primes_up_to(hi) if n >= lo]
         if self.kind == "dyadic":
-            return list(range(max(lo, 2 ** self.j + 1), min(hi, 2 ** (self.j + 1)) + 1))
+            if self.j >= hi.bit_length():
+                return []  # 2^j > hi: no member, and 2^j is never formed
+            return range(max(lo, 2 ** self.j + 1), min(hi, 2 ** (self.j + 1)) + 1)
         return [n for n in self.elements if lo <= n <= hi]
 
     def describe(self) -> str:
@@ -227,7 +234,7 @@ def phi_tail_profile(
     """
     if any(n >= horizon for n in cut_points):
         raise ConfigurationError("cut points must be below the horizon")
-    members = A.members(min(cut_points, default=horizon), horizon - 1)
+    members = A._members(min(cut_points, default=horizon), horizon - 1)
     return _phi_windows(spec, members, [(n, horizon - 1) for n in cut_points])
 
 
@@ -366,7 +373,7 @@ def membership_verdict(
         raise ConfigurationError("horizon must be >= 2")
     spec = ideal.submeasure
     if ideal.kind == "Null":
-        total = phi(spec, A.members(1, horizon))
+        total = _phi_windows(spec, A._members(1, horizon), [(1, horizon)])[0]
         return MEMBER if total < MEMBERSHIP_THRESHOLD else NON_MEMBER
     if ideal.kind == "Exh":
         cuts = [c for c in _doubling_cuts(horizon) if c < horizon]
@@ -378,7 +385,7 @@ def membership_verdict(
             return NON_MEMBER
         return INCONCLUSIVE
     cuts = _doubling_cuts(horizon)
-    prefixes = _phi_windows(spec, A.members(1, horizon), [(1, c) for c in cuts])
+    prefixes = _phi_windows(spec, A._members(1, horizon), [(1, c) for c in cuts])
     increments = [b - a for a, b in zip(prefixes, prefixes[1:])]
     if not increments or increments[-1] == 0:
         return MEMBER  # the set is exhausted below the horizon

@@ -42,15 +42,16 @@ q groups, with F[1] row i of the table and
 the last group read from the table kept also as column lists.  The query
 (i, j, r) needs F[q] up to y = j - r + q for q = 2..r, so each state is
 computed once per fill; the arrays of start i are dropped when i is done,
-and they hold O(s * r) values.  Each F[q] is held from its first state,
-y = i + q - 1, on and grows by appending, so a state pairs the whole of
-F[q-1] with its column slice and slices no per-start array; row i, F[1],
-is sliced once per query that extends F[2].  For plain h every query of
-start i asks the same r = R (below), so query j needs one more diagonal of
-states, (q, j - R + q) for q = 2..R, and the fill sweeps it by increasing
-q: a state reads the one below it on its own diagonal.  An h with gaps asks
-several r per query, widest first, and ``_best_split`` extends each F[q] to
-its own bound, from the first q whose array lags.
+and they hold O(s * r) values.  One routine, ``_split``, serves every h.
+Each F[q] is held from its first state, y = i + q - 1, on and grows by
+appending, diagonal by diagonal: the k-th state goes to every F[q] that
+lacks it, by increasing q, so a state reads the one below it on its own
+diagonal and slices no per-start array; row i, F[1], is sliced once per
+query that extends.  For plain h every query of start i asks the same
+r = R (below), and query j appends the diagonals since the last query
+that searched.  An h with gaps asks several r per query, widest first; a
+narrower r extends the arrays q <= r further, from the first q whose array
+lags, so array lengths never increase with q.
 
 For the interval [i..j], a family size k puts its first set at
 a = max(i, first support index with position >= k).  The exact search over
@@ -381,45 +382,33 @@ class TsirelsonEngine:
             for i, row in enumerate(table)
         ]
 
-    def _best_split(self, cols, splits, i: int, j: int, r: int) -> Number:
-        # Exact mode, an h with gaps.  The best split of [i..j] into r groups,
-        # from the start's side.
-        #
-        # Per-start arrays: for the fixed start i, splits[q][k] is the best
-        # split of [i..y] into q groups with y = i + q - 1 + k, filled for
-        # k < len(splits[q]), and splits[1] is row i of the table itself.  A
-        # state takes its last group [x..y] from column y of the table,
-        # cols[y][x]:
-        #
-        #     state (q, y) = max over x of state (q - 1, x - 1) + cols[y][x].
-        #
-        # The query (i, j, r) needs the states (q, y) with y <= j - r + q for
-        # q = 2..r: the first n = j - i - r + 2 of each splits[q].  So each
-        # is extended to n states, by increasing q, appending in increasing
-        # y.  A query lengthens the arrays q <= r to at least its n, and a
-        # new array starts empty, so the lengths do not increase with q and
-        # the arrays to extend are a suffix, found by scanning down from r;
-        # that holds in any order of queries, and _gap_row asks the sizes of
-        # one j widest first.  A state (q, y) reads the first y - i - q + 2
-        # states of splits[q - 1], all of the array's that the column slice
-        # pairs with (map stops at the shorter), and row i from i up to
-        # y - 1 when q = 2.  A state depends on i, q and y alone, so later
-        # queries of the same start reuse it, and it is computed once per
-        # fill.  Only row entries y < j and column entries x > i are read:
-        # strict subintervals of [i..j].
+    @staticmethod
+    def _split(F, cols, table, i: int, j: int, r: int) -> Number:
+        # Exact mode.  The best split of [i..j] into r groups, from the
+        # per-start arrays of the module docstring: F[q][k] is the state
+        # (q, i + q - 1 + k), and F[1] is row i from i up to j - 1.  The query
+        # needs the first n = j - i - r + 2 states of each F[q], q = 2..r.
+        # State k of F[q] pairs the first k + 1 states of F[q - 1] with its
+        # column slice (map stops at the shorter), so it is appended after
+        # state k of F[q - 1].  Only row entries y < j and column entries
+        # x > i are read: strict subintervals of [i..j].  (Kept short: in a
+        # short function tracemalloc, which looks up the line of every
+        # allocation, stays cheap.)
         n = j - i - r + 2
-        while len(splits) <= r:
-            splits.append([])
-        if len(splits[r]) < n:
-            first = r
-            while first > 2 and len(splits[first - 1]) < n:
-                first -= 1
-            for q in range(first, r + 1):
-                row, f = splits[q], i + q - 2
-                prev = splits[1][i:j] if q == 2 else splits[q - 1]
-                for y in range(f + 1 + len(row), f + 1 + n):
-                    row.append(max(map(add, prev, cols[y][f + 1 :])))
-        return splits[r][n - 1]
+        while len(F) <= r:
+            F.append([])
+        if len(F[r]) < n:
+            F[1] = table[i][i:j]
+            # Lengths never increase with q, so the arrays lacking state k are
+            # F[first..r]; all of them lag from the start if F[2] does.
+            first = 2 if len(F[2]) == len(F[r]) else r
+            for k in range(len(F[r]), n):
+                while first > 2 and len(F[first - 1]) <= k:
+                    first -= 1
+                xs = range(i + first - 1, i + r)  # state (q, x + k) reads cols[x + k][x:]
+                for lower, Fq, x in zip(F[first - 1 : r], F[first : r + 1], xs):
+                    Fq.append(max(map(add, lower, cols[x + k][x:])))
+        return F[r][n - 1]
 
     # -- the two fills
     #
@@ -471,10 +460,11 @@ class TsirelsonEngine:
     def _plain_row(self, table, cols, floor, below, row, i, level_one, cap) -> None:
         # Exact mode, plain h: row i of the next table past its diagonal.
         # Start i admits the one size R.  Widths 2..R are the singletons (no
-        # carry needed, see the module docstring); each wider query j reads
-        # the state (R, j), the last of F[R], once the diagonals after
-        # ``last`` up to j are swept.  ``top`` is a min-heap of the R largest
-        # work values of [i..j] and ``total`` their sum, top_R.
+        # carry needed, see the module docstring); each wider query j that
+        # searches reads the state (R, j), the last of F[R], once _split has
+        # appended the diagonals after ``last``, the query that searched
+        # before it.  ``top`` is a min-heap of the R largest work values of
+        # [i..j] and ``total`` their sum, top_R.
         s = len(row)
         p, q = self._p, self._q
         prefix, work, base = self._abs_prefix, self._work, self._abs_prefix[i]
@@ -492,7 +482,7 @@ class TsirelsonEngine:
         top = work[i:stop]
         heapify(top)
         total = sum(top)
-        F, last = None, i + R - 2  # allocated at the first query; no diagonal yet
+        F, last = [None, []], None  # no query has searched yet
         for j in range(stop, s):
             w = work[j]
             total += w - heappushpop(top, w)  # w itself unless it beats the R-th largest
@@ -506,15 +496,11 @@ class TsirelsonEngine:
                 if level_one:
                     best = max(best, p * total)
                 elif p * (mass + (q - p) * total) > q * best and (  # the sup bound
-                    F is None or p * (F[R][-1] + prefix[j + 1] - prefix[last + 1]) > best
+                    last is None or p * (F[R][-1] + prefix[j + 1] - prefix[last + 1]) > best
                 ):  # the triangle bound from the last query
-                    if F is None:
-                        F = [None] + [[] for _ in range(R)]
-                        steps = list(zip(F[2:], F[1:], range(i, i + R - 1)))
-                    F[1][:] = table[i][i:j]  # the states (1, y) for y < j
-                    self._sweep(steps, self._columns(table, cols), range(last - R + 3, j - R + 3))
+                    split = self._split(F, self._columns(table, cols), table, i, j, R)
                     last = j
-                    best = max(best, p * F[R][-1])
+                    best = max(best, p * split)
             row[j] = best // q
 
     def _gap_row(self, table, cols, floor, below, row, i, level_one, cap) -> None:
@@ -528,7 +514,7 @@ class TsirelsonEngine:
         cut = self._cut[i]
         rs = self._r[:cut]  # the sizes with k <= pos[i]
         column = [work[i]]  # the work values of [i..j], sorted
-        splits = [None, table[i]]
+        F = [None, []]
         for j in range(i + 1, s):
             insort(column, work[j])
             lower = max(floor[j], below[j])  # or [i+1..j]'s value
@@ -549,25 +535,9 @@ class TsirelsonEngine:
                         top = sum(column[width - r :])
                         if r < 2 or p * (mass + (q - p) * top) <= q * best:
                             break  # the sup bound: no r-split or narrower beats best
-                        split = self._best_split(self._columns(table, cols), splits, i, j, r)
+                        split = self._split(F, self._columns(table, cols), table, i, j, r)
                         best = max(best, p * split)
             row[j] = best // q
-
-    @staticmethod
-    def _sweep(steps, cols, ys) -> None:
-        # Exact mode, plain h.  The diagonals of the per-start arrays whose
-        # state at q = 2 has y in ys, each by increasing q: steps holds
-        # (F[q], F[q - 1], i + q - 2) for q = 2..R.  As in _best_split,
-        # F[q][k] is the state (q, i + q - 1 + k), and F[1] is row i from i
-        # up to the query's end; the state (q, y) is appended to F[q] and pairs the whole of
-        # F[q - 1], which the step before has just brought up to y - 1, with
-        # the column slice.  (Kept apart from _plain_row: in a short function
-        # tracemalloc, which looks up the line of every allocation, stays
-        # cheap.)
-        for y in ys:
-            for Fq, Fp, f in steps:
-                Fq.append(max(map(add, Fp, cols[y][f + 1 :])))
-                y += 1
 
     def _fill_float(self, table, out, carried=None):
         # By right end, then by decreasing start, trying every size at its own
@@ -683,8 +653,8 @@ class TsirelsonEngine:
         # Float mode.  Extend rows[q] down to x = a + r - q for q = 2..r, by
         # increasing q, from the first row that needs work, found by scanning
         # down from r.  At level 1 (nge given) each state takes the one step
-        # of _fill_float.  (Kept apart from _fill_float, as _sweep is from
-        # _plain_row, so that tracemalloc stays cheap.)
+        # of _fill_float.  (Kept apart from _fill_float, as _split is from
+        # the exact rows, so that tracemalloc stays cheap.)
         first = r
         while first > 2 and lo[first - 1] > a + r - first + 1:
             first -= 1

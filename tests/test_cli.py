@@ -266,6 +266,30 @@ class TestLargePositions:
         assert peak_kb < 40 * 1024
 
 
+class TestLargeHorizons:
+    """An ideal diagnostic costs the members it reads, not its horizon."""
+
+    @pytest.mark.parametrize("ideal", [
+        "tsirelson-ideal:alpha=1/2,f=harmonic",
+        "basis-weight:space=tsirelson:alpha=1/2,f=harmonic,kind=Fin",
+        "basis-weight:space=tsirelson:alpha=1/2,f=harmonic,kind=Null",
+    ], ids=["Exh", "Fin", "Null"])
+    @pytest.mark.parametrize("members", ["naturals", "evens"])
+    def test_refused_before_members_are_listed(self, ideal, members):
+        # listing 25-50 million members raised MemoryError under the limit
+        proc = run_limited("ideal", "membership", ideal, members, "--N", "50000000")
+        assert (proc.returncode, proc.stdout) == (3, ""), proc.stderr
+        assert proc.stderr.startswith("budget: ")
+
+    def test_far_dyadic_block_is_empty(self, capsys):
+        # 2 ** (10^10) raised MemoryError under the limit
+        ideal = "tsirelson-ideal:alpha=1/2,f=harmonic"
+        proc = run_limited("ideal", "membership", ideal, "dyadic:10000000000", "--N", "64")
+        code, out, _ = run(capsys, "ideal", "membership", ideal, "dyadic:20", "--N", "64")
+        assert (proc.returncode, code) == (0, 0), proc.stderr
+        assert proc.stdout == out.replace("# set=dyadic:20\n", "# set=dyadic:10000000000\n")
+
+
 class TestOracleCommand:
     def test_agreement(self, capsys, tmp_path):
         vec = write_vector(tmp_path, "v.txt", "0 1 1")

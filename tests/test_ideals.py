@@ -62,6 +62,15 @@ class TestSetGenerators:
         assert SetGenerator.dyadic_block(60).members(1, 100) == []
         assert SetGenerator.dyadic_block(60).members(2 ** 61 - 1, 2 ** 62) == [2 ** 61 - 1, 2 ** 61]
 
+    def test_block_past_the_window_forms_no_power(self):
+        # 2 ** (10^10) raised MemoryError; a block past hi is empty at once
+        assert SetGenerator.dyadic_block(10 ** 10).members(1, 64) == []
+        # the block (2^j, 2^(j+1)] against hi = 2^j - 1, 2^j and 2^j + 1
+        for j in range(6):
+            for hi in (2 ** j - 1, 2 ** j, 2 ** j + 1):
+                expected = list(range(2 ** j + 1, min(hi, 2 ** (j + 1)) + 1))
+                assert SetGenerator.dyadic_block(j).members(1, hi) == expected, (j, hi)
+
     def test_parse(self):
         assert parse_set("evens").kind == "evens"
         assert parse_set("explicit:3;1;3").members(1, 10) == [1, 3]

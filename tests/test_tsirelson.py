@@ -1252,7 +1252,7 @@ class TestStartSplits:
             for table in tables:
                 cols = [[row[y] for row in table[: y + 1]] for y in range(s)]
                 for i in range(s):
-                    splits = [None, table[i]]
+                    F = [None, []]
                     # j rises, columns are skipped (the next query catches
                     # up), and the sizes asked come in any order
                     for j in range(i + 1, s):
@@ -1260,27 +1260,37 @@ class TestStartSplits:
                             continue
                         sizes = list(range(2, j - i + 2))
                         for r in rng.sample(sizes, rng.randint(1, len(sizes))):
-                            got = engine._best_split(cols, splits, i, j, r)
+                            got = engine._split(F, cols, table, i, j, r)
                             assert got == brute_split(table, i, j, r)
-                    # splits[q][k] is the state (q, i + q - 1 + k)
-                    for q in range(2, len(splits)):
-                        for k, state in enumerate(splits[q]):
+                    # F[q][k] is the state (q, i + q - 1 + k)
+                    for q in range(2, len(F)):
+                        for k, state in enumerate(F[q]):
                             assert state == brute_split(table, i, i + q - 1 + k, q)
 
-    def test_exact_fill_memory_stays_small(self):
+    MEMORY_HS = pytest.mark.parametrize(
+        "h",
+        [None, HFunction.affine(2, 0), HFunction.from_table([(1, 1), (2, 3), (4, 5)])],
+        ids=["plain", "affine:2:0", "table"],
+    )
+
+    @MEMORY_HS
+    def test_exact_fill_memory_stays_small(self, h):
         # The per-start arrays are dropped when their start is done.  The
-        # peak reads about 0.57 MB; keeping every start's arrays alive for
-        # the whole fill read 3.7 MB.
-        _, peak = traced_peak(lambda: fixed_point_norm(HALF, harmonic(96)))
+        # peaks read about 0.48, 0.53 and 0.49 MB; keeping every start's
+        # arrays alive for the whole plain fill read 3.7 MB.
+        _, peak = traced_peak(lambda: fixed_point_norm(HALF, harmonic(96), h))
         assert peak < 1_000_000
 
-    def test_exact_level_route_memory_stays_small(self):
+    @MEMORY_HS
+    def test_exact_level_route_memory_stays_small(self, h):
         # The level route keeps every level's table.  On 96 harmonic entries
-        # (5 levels) the peak read 1.52 MB before the plain fill shared the
-        # entries it leaves unchanged with the table below, and 1.10 MB
-        # after.
-        (value, trace), peak = traced_peak(lambda: norm(HALF, None, harmonic(96)))
-        assert len(trace.levels) == 5 and value == trace.levels[-1][1]
+        # (5 levels for plain h) the plain peak read 1.52 MB before the plain
+        # fill shared the entries it leaves unchanged with the table below;
+        # the three peaks now read about 1.14, 1.14 and 1.67 MB.
+        (value, trace), peak = traced_peak(lambda: norm(HALF, h, harmonic(96)))
+        assert value == trace.levels[-1][1]
+        if h is None:
+            assert len(trace.levels) == 5
         assert peak < 2_000_000
 
 
@@ -1303,8 +1313,8 @@ def traced_peak(call):
 def plain_row_arrays(engine, table, floor, below, i):
     """Run the plain-h row fill of start i over ``table`` (without a ceiling
     or the level-1 closed form); return the row it wrote, its per-start
-    arrays F and the last diagonal it swept, read from its frame as it
-    returns."""
+    arrays F and the last query that searched (None if none did), read from
+    its frame as it returns."""
     code = TsirelsonEngine._plain_row.__code__
     s = len(table)
     cols = [[row[y] for row in table[: y + 1]] for y in range(s)]
@@ -1365,7 +1375,7 @@ class TestPlainSweep:
                             assert row[i + 1 :] == nxt[i][i + 1 :]
                         elif R >= 2 and i + R < s:
                             assert last == s - 1
-                        if F is None:
+                        if last is None:
                             continue
                         # F[q][k] is the state (q, i + q - 1 + k), swept
                         # up to the diagonal of the last query
