@@ -23,7 +23,6 @@ from typing import List, Optional
 
 from .core import (
     DEFAULT_SUPPORT_BUDGET,
-    DEFAULT_WITNESS_BUDGET,
     INF,
     BudgetError,
     ConfigurationError,
@@ -238,9 +237,17 @@ def cmd_ideal(args, report: _Report) -> int:
 def cmd_certify(args, report: _Report) -> int:
     from . import series, tsirelson
 
-    bound, root = series.harmonic_tsirelson_witness(args.k, budget=args.witness_budget)
-    v = series.harmonic_witness_prefix(args.k)
-    check = tsirelson.certificate_lower_bound(Fraction(1, 2), None, v, root)
+    if args.k < 1:
+        raise ConfigurationError("k must be >= 1")
+    # the certificate covers 4^k positions; past the budget's bit length that
+    # count is surely over, so a larger k is refused without forming it
+    TsirelsonSpace(Fraction(1, 2), budget=args.budget_support).check_budget(
+        4 ** min(args.k, args.budget_support.bit_length())
+    )
+    bound, root = series.harmonic_tsirelson_witness(args.k)
+    check = tsirelson.certificate_lower_bound(
+        Fraction(1, 2), None, series.harmonic_witness_prefix(args.k), root
+    )
     report.header(k=args.k)
     report.row("lower_bound", _value_cell(bound))
     report.row("certificate_value", _value_cell(check))
@@ -349,7 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     csub = p.add_subparsers(dest="certify_cmd", required=True)
     hw = csub.add_parser("harmonic-tsirelson", parents=[common])
     hw.add_argument("--k", type=int, default=1)
-    hw.add_argument("--witness-budget", type=int, default=DEFAULT_WITNESS_BUDGET)
     hw.set_defaults(func=cmd_certify)
 
     return parser

@@ -43,8 +43,6 @@ DEFAULT_SUPPORT_BUDGET = 4096
 # (3^s - 1)/2 families, and one exact call took 0.08, 0.20 and 0.63 s at
 # s = 11, 12 and 13 (peak RSS 23, 39 and 92 MB), about 3x per point.
 ORACLE_SUPPORT_LIMIT = 12
-# The highest level the harmonic Tsirelson witness builds (--witness-budget).
-DEFAULT_WITNESS_BUDGET = 5
 
 # The most bits an exact power may take (classical's t ** p, or the power of
 # ten of an exact decimal: 10^19728 at most).

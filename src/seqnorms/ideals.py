@@ -306,6 +306,7 @@ def turbulence_criterion(spec: SubmeasureSpec, N: int) -> str:
     """
     if N < 1:
         raise ConfigurationError("N must be >= 1")
+    spec.space.check_budget(N)  # N singleton norms, before the first
     values = [phi(spec, [n]) for n in range(1, N + 1)]
     tail = values[N // 2 :]
     if min(tail) >= TURBULENCE_FLOOR:

@@ -12,8 +12,6 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from .core import (
-    DEFAULT_WITNESS_BUDGET,
-    BudgetError,
     ConfigurationError,
     FiniteVector,
     Frozen,
@@ -240,9 +238,7 @@ def domination_probe(
 # The certified harmonic divergence witness in T
 
 
-def harmonic_tsirelson_witness(
-    k: int, budget: int = DEFAULT_WITNESS_BUDGET
-) -> Tuple[Fraction, CertificateNode]:
+def harmonic_tsirelson_witness(k: int) -> Tuple[Fraction, CertificateNode]:
     """Certified lower bound for the harmonic series in Tsirelson(1/2), with
     the root node of its certificate.
 
@@ -258,8 +254,6 @@ def harmonic_tsirelson_witness(
     """
     if k < 1:
         raise ConfigurationError("k must be >= 1")
-    if k > budget:
-        raise BudgetError(f"witness level {k} exceeds the budget {budget}")
     from .tsirelson import CertificateNode
 
     children = []

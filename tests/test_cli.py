@@ -207,10 +207,13 @@ class TestNormCommand:
       "--N", "16", "--budget-support", "4"], 8, 4),
     (["ideal", "axioms", "tsirelson-ideal:alpha=1/2,f=harmonic", "--samples", "3", "--seed", "1",
       "--budget-support", "2"], 6, 2),
-    (["ideal", "turbulence", "tsirelson-ideal:alpha=1/2", "--N", "3", "--budget-support", "0"], 1, 0),
+    (["ideal", "turbulence", "tsirelson-ideal:alpha=1/2", "--N", "3", "--budget-support", "0"], 3, 0),
     # seed 0's block basis spans positions 2..6
     (["blocks", "lsh", "tsirelson:alpha=1/2", "--budget-support", "1", "--samples", "2"], 5, 1),
-], ids=["norm", "scan", "tsirelson-ideal", "basis-weight-ideal", "axioms", "turbulence", "lsh"])
+    # the level-6 certificate covers positions 1..4^6
+    (["--budget-support", "1024", "certify", "harmonic-tsirelson", "--k", "6"], 4096, 1024),
+], ids=["norm", "scan", "tsirelson-ideal", "basis-weight-ideal", "axioms", "turbulence", "lsh",
+        "certify"])
 def test_budget_refusal_message(capsys, tmp_path, argv, positions, budget):
     vec = write_vector(tmp_path, "v.txt", " ".join(["1"] * 10))
     code, out, err = run(capsys, *(vec if a == "{vec}" else a for a in argv))
@@ -288,6 +291,14 @@ class TestLargeHorizons:
         code, out, _ = run(capsys, "ideal", "membership", ideal, "dyadic:20", "--N", "64")
         assert (proc.returncode, code) == (0, 0), proc.stderr
         assert proc.stdout == out.replace("# set=dyadic:20\n", "# set=dyadic:10000000000\n")
+
+    def test_turbulence_refused_before_its_first_norm(self):
+        # one singleton norm per position was still running after 60 s
+        proc = run_limited(
+            "ideal", "turbulence", "tsirelson-ideal:alpha=1/2,f=harmonic", "--N", "50000000"
+        )
+        assert (proc.returncode, proc.stdout) == (3, ""), proc.stderr
+        assert proc.stderr.startswith("budget: ")
 
 
 class TestOracleCommand:
@@ -513,6 +524,32 @@ class TestCertifyCommand:
         code, out, _ = run(capsys, "certify", "harmonic-tsirelson", "--k", "9")
         assert code == 3
 
+    def test_default_budget_admits_k6(self, capsys):
+        # 4^6 = 4096 positions, the default --budget-support
+        code, out, _ = run(capsys, "certify", "harmonic-tsirelson", "--k", "6")
+        rows = dict(line.split(",", 1) for line in out.splitlines() if not line.startswith("#"))
+        assert code == 0
+        assert rows["certificate_value"] == rows["lower_bound"]
+
+    def test_huge_k_refused_before_its_count_is_formed(self):
+        # 4^k alone would hold 2 * 10^9 bits
+        started = time.perf_counter()
+        proc = run_limited("certify", "harmonic-tsirelson", "--k", "1000000000")
+        assert time.perf_counter() - started < 10
+        assert (proc.returncode, proc.stdout) == (3, ""), proc.stderr
+        assert proc.stderr.startswith("budget: ")
+
+    def test_k_below_one_is_a_configuration_error(self, capsys):
+        # even where the budget admits no position
+        code, out, err = run(
+            capsys, "certify", "harmonic-tsirelson", "--k", "0", "--budget-support", "0"
+        )
+        assert (code, out, err) == (2, "", "error: k must be >= 1\n")
+
+    def test_witness_budget_is_not_a_flag(self, capsys):
+        code, out, _ = run(capsys, "certify", "harmonic-tsirelson", "--witness-budget", "5")
+        assert (code, out) == (2, "")
+
 
 class TestDeterminism:
     def test_identical_seeds_identical_bytes(self, capsys):
@@ -562,8 +599,7 @@ class TestParserReuse:
 
 
 # The parsed namespace of every subcommand, global defaults filled in as main
-# fills them, recorded before witness_budget's default moved into core; func
-# is left out.
+# fills them; func is left out.
 _COMMON = {"budget_support": 4096, "exact": True, "format": "csv", "seed": 0, "tol": 1e-10}
 PARSED = [
     (["norm", "lp:p=2", "v.txt"],
@@ -584,13 +620,13 @@ PARSED = [
     (["ideal", "axioms", "summable"],
      dict(_COMMON, command="ideal", ideal_cmd="axioms", ideal="summable", samples=200)),
     (["certify", "harmonic-tsirelson"],
-     dict(_COMMON, command="certify", certify_cmd="harmonic-tsirelson", k=1, witness_budget=5)),
+     dict(_COMMON, command="certify", certify_cmd="harmonic-tsirelson", k=1)),
     (["--float", "--tol", "1e-3", "--seed", "7", "--budget-support", "9",
       "--format", "text", "oracle", "1/2", "v.txt"],
      {"alpha": "1/2", "budget_support": 9, "command": "oracle", "exact": False,
       "format": "text", "seed": 7, "tol": 0.001, "vector": "v.txt"}),
-    (["certify", "harmonic-tsirelson", "--k", "2", "--witness-budget", "3", "--exact"],
-     dict(_COMMON, command="certify", certify_cmd="harmonic-tsirelson", k=2, witness_budget=3)),
+    (["certify", "harmonic-tsirelson", "--k", "2", "--exact"],
+     dict(_COMMON, command="certify", certify_cmd="harmonic-tsirelson", k=2)),
 ]
 
 

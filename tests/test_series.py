@@ -248,10 +248,6 @@ class TestHarmonicWitness:
             v = harmonic_witness_prefix(k)
             assert bound <= tsirelson.fixed_point_norm(HALF, v)
 
-    def test_budget(self):
-        with pytest.raises(BudgetError):
-            harmonic_tsirelson_witness(6)
-
 
 LP2 = SpaceSpec.lp(2)
 HARMONIC = CoefficientGenerator.harmonic()

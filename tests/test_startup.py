@@ -138,10 +138,3 @@ assert seqnorms.series.tail_profile is sys.modules["seqnorms.series"].tail_profi
 assert "series" in dir(seqnorms)
 """
         fresh_python(code)
-
-
-def test_moved_defaults_keep_their_old_names():
-    from seqnorms import core, series
-
-    assert series.DEFAULT_WITNESS_BUDGET == core.DEFAULT_WITNESS_BUDGET == 5
-    assert series.harmonic_tsirelson_witness.__defaults__ == (core.DEFAULT_WITNESS_BUDGET,)
