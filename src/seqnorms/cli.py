@@ -278,6 +278,14 @@ def _tolerance(text: str) -> float:
     raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
 
 
+def _budget(text: str) -> int:
+    """A --budget-support value: a count of positions, so an int >= 0."""
+    with suppress(ValueError):
+        if int(text) >= 0:
+            return int(text)
+    raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+
+
 @functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     # Built once per process: parse_args returns a fresh namespace and keeps
@@ -296,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="iteration tolerance, finite and positive")
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="random seed for sampled runs")
-    common.add_argument("--budget-support", type=int, default=argparse.SUPPRESS,
+    common.add_argument("--budget-support", type=_budget, default=argparse.SUPPRESS,
                         help="max positions for Tsirelson evaluations")
     common.add_argument("--format", choices=("csv", "text"), default=argparse.SUPPRESS)
 

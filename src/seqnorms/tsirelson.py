@@ -125,23 +125,47 @@ The sixth reads the last query of the start instead:
   the query j is skipped when p * (F[R][j'] + l1(j'+1..j)) <= best, with
   best held times q as above.
 
-Float mode uses none of these six, nor the eighth below, and no bound at
-all: rounding can put a sum an ulp above or below one it provably dominates,
-so a carried value, a single size, a bound or a closed form could change the
-last bits.  It fills by right end, then by decreasing start, and tries every
-size at its own start, in increasing k, forming each sum as the full search
-does.  So an entry is the fresh norm of its interval, bit for bit, however
-far the engine's vector reaches on either side.  For the same reason it
-keeps per-right-end arrays: they add a split's groups right-nested, first
-group plus the best split of the rest, and per-start arrays would add them
-left-nested, which can round differently.  For the right end j, rows[q][x]
-is the best split of [x..j] into q groups, computed once per right end.
-A state reads its first groups from the row suffix table[x][x:], kept for
-the whole fill.  Most queries find their state computed, or need just that
-one state, whose lower row the previous start has already extended; the
-others extend each row they need down to their start.  A state's value does
-not depend on when it is computed, so the sums, and their bits, are those
-of the full search.
+Float mode uses none of the second to sixth, nor the eighth below, and no
+bound at all: rounding can put a sum an ulp above or below one it provably
+dominates, so a single size, a bound or a closed form could change the last
+bits.  It fills by right end, then by decreasing start, forming each sum as
+the full search does, so an entry is the fresh norm of its interval, bit for
+bit, however far the engine's vector reaches on either side.  For the same
+reason it keeps per-right-end arrays: they add a split's groups
+right-nested, first group plus the best split of the rest, and per-start
+arrays would add them left-nested, which can round differently.  For the
+right end j, rows[q][x] is the best split of [x..j] into q groups, computed
+once per right end.  A state reads its first groups from the row suffix
+table[x][x:], kept for the whole fill.  A state's value does not depend on
+when it is computed, so the sums, and their bits, are those of the full
+search.  The first fact holds in float mode too, bit for bit, when every
+work value is a float:
+
+* Running max over starts, float.  IEEE 754 round-to-nearest is monotone:
+  x <= x' gives fl(x + y) <= fl(x' + y) and fl(p * x) <= fl(p * x').  So
+  every float table read is nonincreasing in its start, bit for bit, by
+  induction over the fill order and over the levels.  The sup table is.  If
+  the entries a fill reads are, then rows[q][x] >= rows[q][x + 1]: each
+  term T[x][t] + rows[q - 1][t + 1] of x is at least the term of x + 1 for
+  the same t, since T[x][t] >= T[x + 1][t].  A candidate of [i+1..j] with
+  a size whose first admitted start is past i is the same candidate in
+  [i..j]; one with k <= pos[i] sits at i + 1 and is at most the same
+  size's candidate at i; and the floor of [i+1..j] is at most that of
+  [i..j].  So the value of [i..j] is the max of its floor, the value of
+  [i+1..j] and p * rows[r][i] over the sizes with k <= pos[i] and
+  r <= j - i + 1, and it is at least the value of [i+1..j], which carries
+  the induction on.  max is exact and ties are equal floats, so the value
+  has the bits of the search over every size at its own start.  Each start
+  fills its states rows[q][i] for q = 2..min(largest r with k <= pos[i],
+  j - i + 1) in one pass over q: each reads rows[q - 1] from i + 1 on,
+  which the start i + 1 has filled, and no later start needs more.  A
+  vector that mixes floats with ints or Fractions, or holds exact values
+  under a float alpha, has tables that mix the two, and a float plus an
+  exact value rounds the exact one first, so a larger exact operand can
+  give a smaller sum.  Such a fill tries every size at its own start, in
+  increasing k: most queries find their state computed, or need just that
+  one state, whose lower row the previous start has already extended; the
+  others extend each row they need down to their start.
 
 A seventh fact needs no exact arithmetic, only an exact max and a sum that
 does not decrease when an operand grows, and float mode uses it at level 1:
@@ -331,10 +355,13 @@ class TsirelsonEngine:
         sizes = [(k, k) for k in range(1, s + 1)] if h is None else h.sizes(s)
         ks = [k for k, _ in sizes]
         self._r = [r for _, r in sizes]
-        # Float mode: the first start index each size admits.
+        # Float mode: the first start index each size admits, and whether
+        # every work value is a float, so that the tables are monotone and a
+        # fill may carry [i+1..j] into [i..j] (module docstring).
         self._start = [bisect_left(self.pos, k) for k in ks]
-        # Exact mode: how many sizes have k <= pos[i], and how many r <= w
-        # (h is strictly increasing, so both are prefixes of the sizes).
+        self._floats = scaled is None and all(type(a) is float for a in self._work)
+        # How many sizes have k <= pos[i], and how many r <= w (h is strictly
+        # increasing, so both are prefixes of the sizes).
         self._cut = [bisect_right(ks, n) for n in self.pos]
         self._fit = [bisect_right(self._r, w) for w in range(s + 1)]
         # Sizes (t, t) for t = 1..n: one family size per start suffices.
@@ -543,7 +570,8 @@ class TsirelsonEngine:
         # By right end, then by decreasing start, trying every size at its own
         # start in increasing k, until r outgrows the width left at that start:
         # the full search, with no bound, so an entry is the fresh norm of its
-        # interval wherever the engine starts.
+        # interval wherever the engine starts.  (All-float vectors take the
+        # running max over starts instead; see the end of this comment.)
         #
         # The best split of [a..j] into r groups is rows[r][a].  For the fixed
         # j, rows[q][x] is the best split of [x..j] into q groups, filled for
@@ -578,6 +606,11 @@ class TsirelsonEngine:
         # docstring): rows[q][x] = max(a_x + rows[q - 1][x + 1], rows[q][g])
         # with g = nge[x], or the first term alone when g is past the row.
         # No suffix is sliced there: shifted holds the work values a_x.
+        #
+        # When every work value is a float, a query [i..j] instead carries
+        # the value of [i+1..j] and reads only the states at i, which
+        # _start_states fills for every q the start needs, so no lo is
+        # tested; lo[q] then runs from the first start that admits q.
         s = len(self.pos)
         p = self._p
         sizes = list(zip(self._start, self._r))
@@ -585,6 +618,12 @@ class TsirelsonEngine:
         live = table is out
         floors = self._sup if live else table
         nge = self._next_larger() if table is self._sup else None
+        floats, plain, rs, fit = self._floats, self._plain, self._r, self._fit
+        # All-float fills: the largest r each start admits (h is increasing),
+        # the first start that admits each q <= s, and how many r are < 2.
+        reach = [rs[c - 1] if c else 0 for c in self._cut]
+        first_start = [bisect_left(reach, q) for q in range(min(top_r, s) + 1)]
+        one = bisect_left(rs, 2)
         if live:
             shifted = [[] for _ in range(s)]
         elif nge is None:
@@ -613,27 +652,44 @@ class TsirelsonEngine:
             for q in range(len(rows), depth + 1):
                 rows.append([0] * (j - q + 2))
                 lo.append(j - q + 2)  # empty
-            for i in range(thresh, -1, -1):
-                best = floors[i][j]
-                for start, r in sizes:
-                    a = start if start > i else i
-                    if r > j - a + 1:
-                        break  # r grows and width shrinks with k
-                    if r >= 2:
-                        row = rows[r]
-                        if lo[r] == a + 1 and lo[r - 1] <= a + 1:
-                            if nge is None:
-                                row[a] = max(map(add, shifted[a], rows[r - 1][a + 1 :]))
-                            else:
-                                step, g = shifted[a] + rows[r - 1][a + 1], nge[a]
-                                row[a] = row[g] if g < len(row) and row[g] > step else step
-                            lo[r] = a
-                        elif lo[r] > a:
-                            self._extend(rows, lo, shifted, a, r, nge)
-                        cand = p * row[a]
+            if floats:
+                col[j] = floors[j][j]
+                for i in range(min(thresh, j - 1), -1, -1):
+                    best, width = floors[i][j], j - i + 1
+                    if col[i + 1] > best:
+                        best = col[i + 1]  # the value of [i+1..j]
+                    most = reach[i] if reach[i] < width else width
+                    if most >= 2:
+                        state = self._start_states(rows, shifted, nge, i, most)
+                        if not plain:  # the largest state of an admissible r
+                            state = max([rows[r][i] for r in rs[one : fit[most]]], default=0.0)
+                        cand = p * state
                         if cand > best:
                             best = cand
-                col[i] = best
+                    col[i] = best
+                lo[2:] = [min(first_start[q], j - q + 2) for q in range(2, len(rows))]
+            else:
+                for i in range(thresh, -1, -1):
+                    best = floors[i][j]
+                    for start, r in sizes:
+                        a = start if start > i else i
+                        if r > j - a + 1:
+                            break  # r grows and width shrinks with k
+                        if r >= 2:
+                            row = rows[r]
+                            if lo[r] == a + 1 and lo[r - 1] <= a + 1:
+                                if nge is None:
+                                    row[a] = max(map(add, shifted[a], rows[r - 1][a + 1 :]))
+                                else:
+                                    step, g = shifted[a] + rows[r - 1][a + 1], nge[a]
+                                    row[a] = row[g] if g < len(row) and row[g] > step else step
+                                lo[r] = a
+                            elif lo[r] > a:
+                                self._extend(rows, lo, shifted, a, r, nge)
+                            cand = p * row[a]
+                            if cand > best:
+                                best = cand
+                    col[i] = best
             for x, value in enumerate(col):
                 out[x][j] = value
             if live:
@@ -647,6 +703,32 @@ class TsirelsonEngine:
                     top -= 1
                 kept.append((rows[2 : top + 1], lo[2 : top + 1]))
         return moved, kept
+
+    @staticmethod
+    def _start_states(rows, shifted, nge, i, depth) -> float:
+        # Float mode, all-float values: the states rows[q][i], q = 2..depth,
+        # in one pass over q, and the largest of them.  Each reads rows[q - 1]
+        # from i + 1 on, which the start i + 1, or the previous level, has
+        # filled.  At level 1 (nge given) each takes the one step of
+        # _fill_float; rows[q] reaches g for q <= edge.
+        top = 0.0
+        if nge is None:
+            suffix = shifted[i]
+            for lower, row in zip(rows[1:depth], rows[2 : depth + 1]):
+                row[i] = state = max(map(add, suffix, lower[i + 1 :]))
+                if state > top:
+                    top = state
+        else:
+            a, g = shifted[i], nge[i]
+            edge = len(rows[1]) - g
+            for q, lower, row in zip(range(2, depth + 1), rows[1:depth], rows[2 : depth + 1]):
+                state = a + lower[i + 1]
+                if q <= edge and row[g] > state:
+                    state = row[g]
+                row[i] = state
+                if state > top:
+                    top = state
+        return top
 
     @staticmethod
     def _extend(rows, lo, shifted, a, r, nge) -> None:
@@ -678,7 +760,7 @@ class TsirelsonEngine:
         # exact one first, so a larger exact term can give a smaller sum, and
         # the rows need not be monotone; such a fill scans every split.
         work = self._work
-        if not (all(type(a) is float for a in work) or all(map(is_exact, work))):
+        if not (self._floats or all(map(is_exact, work))):
             return None
         nge, waiting = [len(work)] * len(work), []
         for g, a in enumerate(work):

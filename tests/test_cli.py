@@ -669,6 +669,27 @@ def test_tol_must_be_finite_and_positive(capsys, tmp_path, command, before, tol)
     assert "--tol" in err
 
 
+# A negative --budget-support is a usage error, like --tol -1, not a refusal
+# of the work: certify --k 1 with -5 exited 3.  A budget of 0 stays legal.
+BUDGET_COMMANDS = {
+    "certify": ["certify", "harmonic-tsirelson", "--k", "1"],
+    "norm": ["norm", "tsirelson:alpha=1/2", "{vec}"],
+    "ideal-turbulence": ["ideal", "turbulence", "tsirelson-ideal:alpha=1/2", "--N", "3"],
+}
+
+
+@pytest.mark.parametrize("budget", ["-5", "-1", "x"])
+@pytest.mark.parametrize("before", [False, True], ids=["after", "before"])
+@pytest.mark.parametrize("command", BUDGET_COMMANDS)
+def test_budget_support_must_be_a_nonnegative_integer(capsys, tmp_path, command, before, budget):
+    vec = write_vector(tmp_path, "v.txt", "1/2 1/3")
+    argv = [vec if a == "{vec}" else a for a in BUDGET_COMMANDS[command]]
+    flag = ["--budget-support", budget]
+    code, out, err = run(capsys, *(flag + argv if before else argv + flag))
+    assert (code, out) == (2, "") and "Traceback" not in err
+    assert "--budget-support" in err
+
+
 @pytest.mark.parametrize("command", TOL_COMMANDS)
 def test_commands_run_with_a_finite_positive_tol(capsys, tmp_path, command):
     vec = write_vector(tmp_path, "v.txt", "1/2 1/3")

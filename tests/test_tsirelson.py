@@ -799,6 +799,117 @@ class TestCarriedLevels:
         assert peak < 850_000
 
 
+PARITY_ALPHAS = (0.1, 1 / 3, 0.5, 2 / 3, 0.9)
+# Value draws of the float parity sweep by the position n: spread values,
+# tie-heavy ones (0.1 + 0.2 != 0.3 in floats), the harmonic 1/(n + 1),
+# powers of two (exact sums, so many ties), magnitudes from 1e-8 to 1e16,
+# and floats mixed with ints and Fractions.  The last is the one draw whose
+# tables need not be monotone.
+PARITY_VALUES = (
+    lambda rng, n: rng.choice((-1, 1)) * rng.uniform(0.5, 4.0),
+    lambda rng, n: rng.choice((0.1, 0.2, 0.3, -0.1, 0.5, 1.0, -1.0)),
+    lambda rng, n: 1.0 / (n + 1),
+    lambda rng, n: rng.choice((0.25, 0.5, 1.0, -2.0)),
+    lambda rng, n: rng.choice((-1, 1)) * 10 ** rng.uniform(-8, 16),
+    lambda rng, n: rng.choice((1.0, 0.5, 1 / 3, -0.1, Fraction(1, 3), 1, Fraction(-2, 3))),
+)
+MIXED_DRAW = len(PARITY_VALUES) - 1
+
+
+def parity_case(case):
+    """(alpha, v, h) of case ``case`` of the float parity sweep.  h, alpha
+    and the value draw cycle with the case number; one block of draws in
+    eight takes s = 32-48 (the all-float draws), the others s = 1-9.  The
+    size and the positions, starting at 1-5 with gaps of 1-3, are seeded."""
+    rng = Random(f"float-parity/{case}")
+    draw = case % len(PARITY_VALUES)
+    large = case // len(PARITY_VALUES) % 8 == 7 and draw != MIXED_DRAW
+    s = rng.choice((32, 40, 48)) if large else rng.randint(1, 9)
+    pos, pairs = rng.randint(1, 5), []
+    for _ in range(s):
+        pairs.append((pos, PARITY_VALUES[draw](rng, pos)))
+        pos += rng.randint(1, 3)
+    h = CEILING_HS[case % len(CEILING_HS)][1]
+    return PARITY_ALPHAS[case % len(PARITY_ALPHAS)], FiniteVector.from_pairs(pairs), h
+
+
+def float_tables(engine, s):
+    """Every level table, the fixed-point table and the trace values of a
+    float engine, by type and repr."""
+    value, trace = engine.norm_with_trace()
+    return (
+        [typed(t) for t in engine.level_tables(s + 1)],
+        typed(engine.fixed_point_table()),
+        typed([[value] + [x for _, x in trace.levels]]),
+        trace.stabilization_level,
+    )
+
+
+class TestFloatRunningMax:
+    """Float fills on all-float vectors carry the value of [i+1..j] into
+    [i..j] and try only the sizes that start at i; vectors that mix floats
+    with exact values try every size at its own start."""
+
+    def test_float_tables_are_monotone(self):
+        # Rounding is monotone, so every float table is nonincreasing in its
+        # start and nondecreasing in its end, bit for bit: the fact the
+        # carry rests on.
+        checked = 0
+        for case, s in enumerate((8, 16, 24, 32, 40, 48) * 4):
+            rng = Random(f"float-monotone/{case}")
+            h = CEILING_HS[case % len(CEILING_HS)][1]
+            draw = PARITY_VALUES[case % MIXED_DRAW]
+            pos, pairs = rng.randint(1, 5), []
+            for _ in range(s):
+                pairs.append((pos, draw(rng, pos)))
+                pos += rng.randint(1, 3)
+            v = FiniteVector.from_pairs(pairs)
+            engine = TsirelsonEngine(PARITY_ALPHAS[case % len(PARITY_ALPHAS)], v, h)
+            for table in engine.level_tables(s + 1) + [engine.fixed_point_table()]:
+                for i in range(s):
+                    for j in range(i, s):
+                        assert i == 0 or table[i - 1][j] >= table[i][j], (case, i, j)
+                        assert j == i or table[i][j - 1] <= table[i][j], (case, i, j)
+                        checked += 1
+        assert checked > 50_000
+
+    def test_fill_matches_every_size_at_its_own_start(self):
+        # The level tables, the fixed-point table and the trace against the
+        # reference that tries every size at its own start: over every cut
+        # set up to s = 9, and by scanned_split at s = 32-48.  The CI runs
+        # 4,000 cases through FLOAT_PARITY_CASES; tier-1 runs the first 96.
+        count = int(os.environ.get("FLOAT_PARITY_CASES", "96"))
+        large = 0
+        for case in range(count):
+            alpha, v, h = parity_case(case)
+            s = len(v.support)
+            if s == 0:
+                continue
+            expected = float_reference_tables(alpha, v, h, scan=s > 9)
+            values = [t[0][s - 1] for t in expected]
+            stab = next((m for m in range(len(values) - 1) if values[m + 1] == values[m]),
+                        len(values) - 1)
+            assert float_tables(TsirelsonEngine(alpha, v, h), s) == (
+                [typed(t) for t in expected],
+                typed(expected[-1]),
+                typed([[values[-1]] + values]),
+                stab,
+            ), case
+            large += s > 9
+        assert large > 0 or count < 48
+
+    def test_mixed_vector_scans_at_every_level(self):
+        # The vector of test_mixed_float_and_exact_values_scan_at_level_one
+        # on the level route past level 1 and on the fixed-point route.
+        v = FiniteVector((20, 21, 22, 25), (Fraction(8, 3), -1.0, Fraction(-1), Fraction(5, 2)))
+        h = HFunction.from_table([(1, 1), (2, 3), (4, 5)])
+        engine = TsirelsonEngine(Fraction(2, 3), v, h)
+        expected = float_reference_tables(Fraction(2, 3), v, h)
+        assert len(expected) >= 3
+        assert [typed(t) for t in engine.level_tables(5)] == [typed(t) for t in expected]
+        assert typed(engine.fixed_point_table()) == typed(expected[-1])
+
+
 class TestIntervalQueries:
     """One table answers a scan's interval queries: every exact interval,
     and every float interval from the vector's first position, whose entry
@@ -1038,12 +1149,14 @@ def right_nested_split(table, a, j, r):
     return best
 
 
-def float_reference_tables(alpha, v, h):
+def float_reference_tables(alpha, v, h, scan=False):
     """Level tables of the float search, computed the slow way.
 
     Every split is enumerated, with right-nested group sums; the sizes are
     tried in increasing k, each at its own start a = max(i, first support
     index with position >= k).  No bound, no partition arrays, no memo.
+    With ``scan`` the best splits come from scanned_split instead, for
+    all-float supports too large to enumerate the cut sets.
     """
     pos, val, sizes = reference_sizes(v, h)
     s = len(pos)
@@ -1051,13 +1164,14 @@ def float_reference_tables(alpha, v, h):
     tables = [table]
     for _ in range(s + 1):
         nxt = [row[:] for row in table]
+        split = scanned_split(table) if scan else lambda a, j, r: right_nested_split(table, a, j, r)
         for i in range(s):
             for j in range(i, s):
                 best = table[i][j]
                 for k, r in sizes:
                     a = next((x for x in range(i, s) if pos[x] >= k), s)
                     if 2 <= r <= j - a + 1:
-                        best = max(best, alpha * right_nested_split(table, a, j, r))
+                        best = max(best, alpha * split(a, j, r))
                 nxt[i][j] = best
         tables.append(nxt)
         if nxt == table:
