@@ -29,7 +29,8 @@ l <= s has d <= s - 1, and its scaled form is an integer.  The l1-bound
 prune compares ``p * sum <= q * best`` and divides nothing.  Values leave the
 engine as ``Fraction(X, scale)``, except that a value equal to the interval's
 sup is returned as that coefficient itself, as Fraction arithmetic would.
-Float mode keeps the values themselves, with q = 1.
+Float mode reads every value, and alpha, as a double, as the oracle does,
+and keeps the values themselves, with q = 1.
 
 Exact mode fills a table start-major: i from s - 1 down to 0, then j from i
 up, so every strict subinterval of [i..j] (a later start, or the same start
@@ -138,7 +139,7 @@ right end j, rows[q][x] is the best split of [x..j] into q groups, computed
 once per right end.  A state reads its first groups from the row suffix
 table[x][x:], kept for the whole fill.  A state's value does not depend on
 when it is computed, so the sums, and their bits, are those of the full
-search.  The first fact holds in float mode too, bit for bit, when every
+search.  The first fact holds in float mode too, bit for bit, since every
 work value is a float:
 
 * Running max over starts, float.  IEEE 754 round-to-nearest is monotone:
@@ -158,14 +159,7 @@ work value is a float:
   has the bits of the search over every size at its own start.  Each start
   fills its states rows[q][i] for q = 2..min(largest r with k <= pos[i],
   j - i + 1) in one pass over q: each reads rows[q - 1] from i + 1 on,
-  which the start i + 1 has filled, and no later start needs more.  A
-  vector that mixes floats with ints or Fractions, or holds exact values
-  under a float alpha, has tables that mix the two, and a float plus an
-  exact value rounds the exact one first, so a larger exact operand can
-  give a smaller sum.  Such a fill tries every size at its own start, in
-  increasing k: most queries find their state computed, or need just that
-  one state, whose lower row the previous start has already extended; the
-  others extend each row they need down to their start.
+  which the start i + 1 has filled, and no later start needs more.
 
 A seventh fact needs no exact arithmetic, only an exact max and a sum that
 does not decrease when an operand grows, and float mode uses it at level 1:
@@ -181,12 +175,9 @@ does not decrease when an operand grows, and float mode uses it at level 1:
   those of rows[q][g].  So rows[q][x] = max(a_x + rows[q-1][x+1],
   rows[q][g]), or the first term alone when g is past the row, and a tie
   keeps the first term, as the scan keeps its first maximum.  Each state
-  takes one add and one compare, and no row suffix is sliced.  The sum is
-  monotone when the values are all floats (rounding is monotone) or all
-  exact; a float plus an exact value rounds the exact one first, so a
-  larger exact operand can give a smaller sum, and a vector that mixes the
-  two scans every split at level 1 too.  ("Next larger or equal" would do
-  as well: a term of rows[q][g] whose largest entry only ties a_x is then
+  takes one add and one compare, and no row suffix is sliced.  The float
+  sum is monotone, since rounding is.  ("Next larger or equal" would do as
+  well: a term of rows[q][g] whose largest entry only ties a_x is then
   no larger than the first term, so it never wins.)
 
 The eighth fact caps the exact level route by the fixed-point table F:
@@ -216,8 +207,8 @@ whose entry differs between the table read and the one the previous level
 read: the larger of the largest a over changed entries [a..b] with b < j,
 and the largest a with [a..j] changed, minus one.  A state with x > X_j reads
 the same floats as at the previous level, so it is taken from the arrays
-that level left for the same j, with lo[q] raised to X_j + 1 (and capped at
-j - q + 2, an empty row).  A query [i..j] with i > X_j writes its floor
+that level left for the same j; the starts x <= X_j fill their states
+again.  A query [i..j] with i > X_j writes its floor
 table[i][j] and runs no search, and that is its value bit for bit.  Its
 candidates are those it had at the previous level, whose search returned
 table[i][j] from a floor no larger, so they are all at most table[i][j] and
@@ -347,19 +338,16 @@ class TsirelsonEngine:
             self._work: List[Number] = list(map(unit.__mul__, map(abs, ints)))
             self._abs_prefix = list(accumulate(self._work, initial=0))
         else:
-            self._p, self._q = alpha, 1
+            # Float mode reads every value, and alpha, as a double, as the
+            # oracle does; an exact value past the double range overflows.
+            self._p, self._q = float(alpha), 1
             self._scale = None
-            self._work = list(map(abs, v.values))
+            self._work = list(map(float, map(abs, v.values)))
         # The family sizes (k, r = h(k)), by increasing k.  Like the oracle,
         # a table h admits no family for a k it has no entry for.
         sizes = [(k, k) for k in range(1, s + 1)] if h is None else h.sizes(s)
         ks = [k for k, _ in sizes]
         self._r = [r for _, r in sizes]
-        # Float mode: the first start index each size admits, and whether
-        # every work value is a float, so that the tables are monotone and a
-        # fill may carry [i+1..j] into [i..j] (module docstring).
-        self._start = [bisect_left(self.pos, k) for k in ks]
-        self._floats = scaled is None and all(type(a) is float for a in self._work)
         # How many sizes have k <= pos[i], and how many r <= w (h is strictly
         # increasing, so both are prefixes of the sizes).
         self._cut = [bisect_right(ks, n) for n in self.pos]
@@ -567,39 +555,29 @@ class TsirelsonEngine:
             row[j] = best // q
 
     def _fill_float(self, table, out, carried=None):
-        # By right end, then by decreasing start, trying every size at its own
-        # start in increasing k, until r outgrows the width left at that start:
-        # the full search, with no bound, so an entry is the fresh norm of its
-        # interval wherever the engine starts.  (All-float vectors take the
-        # running max over starts instead; see the end of this comment.)
+        # By right end, then by decreasing start, with no bound: every work
+        # value is a float, so a query [i..j] takes the max of its floor, the
+        # value of [i+1..j] and p times the states at start i over the sizes
+        # with k <= pos[i] (the running max over starts, module docstring).
+        # That is the full search, bit for bit, so an entry is the fresh
+        # norm of its interval wherever the engine starts.
         #
-        # The best split of [a..j] into r groups is rows[r][a].  For the fixed
-        # j, rows[q][x] is the best split of [x..j] into q groups, filled for
-        # lo[q] <= x <= j - q + 1, and rows[1] is column j of the table; on
-        # the fixed-point route that is the live column written here, never a
-        # copy.  A state takes its first group [x..t] from shifted[x], the
-        # suffix table[x][x:], sliced once per fill (on the fixed-point route
-        # grown by each column once it is written):
+        # For the fixed j, rows[q][x] is the best split of [x..j] into q
+        # groups, and rows[1] is column j of the table; on the fixed-point
+        # route that is the live column written here, never a copy.  A state
+        # takes its first group [x..t] from shifted[x], the suffix
+        # table[x][x:], sliced once per fill (on the fixed-point route grown
+        # by each column once it is written):
         #
         #     rows[q][x] = max over t of table[x][t] + rows[q - 1][t + 1].
         #
         # rows[q] holds j - q + 2 entries, so map stops at the end of the
-        # lower row, rows[q - 1][x + 1:].  The query (a, j, r) needs rows[q]
-        # down to x = a + r - q for q = 2..r, and each row is extended just
-        # that far, by increasing q.  So lo[q'] <= lo[q] + (q - q') for
-        # q' < q: the rows to extend run from the first one that needs
-        # work, found by scanning down from r.
-        # The usual query needs only rows[r][a], whose lower row the queries
-        # of start i + 1 have already extended, and takes one step.  Only
-        # table[x][t] with t < j and column entries x > a are read: strict
-        # subintervals of [a..j].
-        #
-        # On the level route the fill returns, per right end j, the largest
-        # start of an entry [a..j] it changed (-1 if none) and the rows that
-        # hold a state, rows[2..Q] with their lo.  The next level passes them
-        # back as ``carried``: above thresh, the X_j of the module docstring,
-        # its states are kept and its queries return their floor.  Without
-        # ``carried`` (level 1), thresh = j and every row starts empty.
+        # lower row, rows[q - 1][x + 1:].  _start_states fills the states of
+        # start i for q = 2..min(largest r it admits, j - i + 1), each from
+        # rows[q - 1] at i + 1 on, which start i + 1 has filled; so rows[q]
+        # holds a state from lo[q], the first start that admits q, up to
+        # j - q + 1.  Only table[x][t] with t < j and column entries x > i
+        # are read: strict subintervals of [i..j].
         #
         # Level 1 reads the sup table, and there a state takes one step from
         # the first later entry larger than its own, nge[x] (module
@@ -607,20 +585,21 @@ class TsirelsonEngine:
         # with g = nge[x], or the first term alone when g is past the row.
         # No suffix is sliced there: shifted holds the work values a_x.
         #
-        # When every work value is a float, a query [i..j] instead carries
-        # the value of [i+1..j] and reads only the states at i, which
-        # _start_states fills for every q the start needs, so no lo is
-        # tested; lo[q] then runs from the first start that admits q.
+        # On the level route the fill returns, per right end j, the largest
+        # start of an entry [a..j] it changed (-1 if none) and the rows that
+        # hold a state, rows[2..Q].  The next level passes them back as
+        # ``carried``: above thresh, the X_j of the module docstring, its
+        # states are kept and its queries return their floor.  Without
+        # ``carried`` every query below the diagonal searches and every row
+        # starts empty.
         s = len(self.pos)
-        p = self._p
-        sizes = list(zip(self._start, self._r))
-        top_r = max(self._r, default=1)
+        p, rs, fit, plain = self._p, self._r, self._fit, self._plain
+        top_r = max(rs, default=1)
         live = table is out
         floors = self._sup if live else table
         nge = self._next_larger() if table is self._sup else None
-        floats, plain, rs, fit = self._floats, self._plain, self._r, self._fit
-        # All-float fills: the largest r each start admits (h is increasing),
-        # the first start that admits each q <= s, and how many r are < 2.
+        # The largest r each start admits (h is increasing), the first start
+        # that admits each q <= s, and how many r are < 2.
         reach = [rs[c - 1] if c else 0 for c in self._cut]
         first_start = [bisect_left(reach, q) for q in range(min(top_r, s) + 1)]
         one = bisect_left(rs, 2)
@@ -634,83 +613,55 @@ class TsirelsonEngine:
         seen = -1  # the largest start of a changed entry [a..b] with b < j
         for j in range(s):
             depth = min(top_r, j + 1)  # at most j + 1 groups fit in [a..j]
+            lo = [None, 0] + [min(first_start[q], j - q + 2) for q in range(2, depth + 1)]
             if live:
                 col = [0] * (j + 1)  # column j of out
+                col[j] = floors[j][j]
                 rows = [None, col]
             else:
                 rows = [None, [table[x][j] for x in range(j + 1)]]
                 col = rows[1][:]  # starts at the floors
-            lo = [None, 0]
             if carried is None:
-                thresh = j
+                thresh = j - 1
             else:
                 thresh = max(seen, carried[0][j] - 1)
                 seen = max(seen, carried[0][j])
-                old_rows, old_lo = carried[1][j]
-                rows += old_rows
-                lo += [min(max(x, thresh + 1), j - q + 2) for q, x in enumerate(old_lo, 2)]
-            for q in range(len(rows), depth + 1):
-                rows.append([0] * (j - q + 2))
-                lo.append(j - q + 2)  # empty
-            if floats:
-                col[j] = floors[j][j]
-                for i in range(min(thresh, j - 1), -1, -1):
-                    best, width = floors[i][j], j - i + 1
-                    if col[i + 1] > best:
-                        best = col[i + 1]  # the value of [i+1..j]
-                    most = reach[i] if reach[i] < width else width
-                    if most >= 2:
-                        state = self._start_states(rows, shifted, nge, i, most)
-                        if not plain:  # the largest state of an admissible r
-                            state = max([rows[r][i] for r in rs[one : fit[most]]], default=0.0)
-                        cand = p * state
-                        if cand > best:
-                            best = cand
-                    col[i] = best
-                lo[2:] = [min(first_start[q], j - q + 2) for q in range(2, len(rows))]
-            else:
-                for i in range(thresh, -1, -1):
-                    best = floors[i][j]
-                    for start, r in sizes:
-                        a = start if start > i else i
-                        if r > j - a + 1:
-                            break  # r grows and width shrinks with k
-                        if r >= 2:
-                            row = rows[r]
-                            if lo[r] == a + 1 and lo[r - 1] <= a + 1:
-                                if nge is None:
-                                    row[a] = max(map(add, shifted[a], rows[r - 1][a + 1 :]))
-                                else:
-                                    step, g = shifted[a] + rows[r - 1][a + 1], nge[a]
-                                    row[a] = row[g] if g < len(row) and row[g] > step else step
-                                lo[r] = a
-                            elif lo[r] > a:
-                                self._extend(rows, lo, shifted, a, r, nge)
-                            cand = p * row[a]
-                            if cand > best:
-                                best = cand
-                    col[i] = best
+                rows += carried[1][j]
+            rows += [[0] * (j - q + 2) for q in range(len(rows), depth + 1)]
+            for i in range(thresh, -1, -1):
+                best, width = floors[i][j], j - i + 1
+                if col[i + 1] > best:
+                    best = col[i + 1]  # the value of [i+1..j]
+                most = reach[i] if reach[i] < width else width
+                if most >= 2:
+                    state = self._start_states(rows, shifted, nge, i, most)
+                    if not plain:  # the largest state of an admissible r
+                        state = max([rows[r][i] for r in rs[one : fit[most]]], default=0.0)
+                    cand = p * state
+                    if cand > best:
+                        best = cand
+                col[i] = best
             for x, value in enumerate(col):
                 out[x][j] = value
             if live:
                 for suffix, value in zip(shifted, col):
                     suffix.append(value)
             else:
-                # The rows with a state are a prefix, by the bound on lo.
+                # The rows with a state are a prefix: first_start grows with q.
                 moved.append(next((i for i in range(thresh, -1, -1) if col[i] != rows[1][i]), -1))
                 top = depth
                 while top >= 2 and lo[top] > j - top + 1:
                     top -= 1
-                kept.append((rows[2 : top + 1], lo[2 : top + 1]))
+                kept.append(rows[2 : top + 1])
         return moved, kept
 
     @staticmethod
     def _start_states(rows, shifted, nge, i, depth) -> float:
-        # Float mode, all-float values: the states rows[q][i], q = 2..depth,
-        # in one pass over q, and the largest of them.  Each reads rows[q - 1]
-        # from i + 1 on, which the start i + 1, or the previous level, has
-        # filled.  At level 1 (nge given) each takes the one step of
-        # _fill_float; rows[q] reaches g for q <= edge.
+        # Float mode: the states rows[q][i], q = 2..depth, in one pass over
+        # q, and the largest of them.  Each reads rows[q - 1] from i + 1 on,
+        # which the start i + 1, or the previous level, has filled.  At
+        # level 1 (nge given) each takes the one step of _fill_float;
+        # rows[q] reaches g for q <= edge.
         top = 0.0
         if nge is None:
             suffix = shifted[i]
@@ -730,38 +681,11 @@ class TsirelsonEngine:
                     top = state
         return top
 
-    @staticmethod
-    def _extend(rows, lo, shifted, a, r, nge) -> None:
-        # Float mode.  Extend rows[q] down to x = a + r - q for q = 2..r, by
-        # increasing q, from the first row that needs work, found by scanning
-        # down from r.  At level 1 (nge given) each state takes the one step
-        # of _fill_float.  (Kept apart from _fill_float, as _split is from
-        # the exact rows, so that tracemalloc stays cheap.)
-        first = r
-        while first > 2 and lo[first - 1] > a + r - first + 1:
-            first -= 1
-        for q in range(first, r + 1):
-            ext, prev = rows[q], rows[q - 1]
-            if nge is None:
-                for x in range(lo[q] - 1, a + r - q - 1, -1):
-                    ext[x] = max(map(add, shifted[x], prev[x + 1 :]))
-            else:
-                end = len(ext)
-                for x in range(lo[q] - 1, a + r - q - 1, -1):
-                    step, g = shifted[x] + prev[x + 1], nge[x]
-                    ext[x] = ext[g] if g < end and ext[g] > step else step
-            lo[q] = a + r - q
-
-    def _next_larger(self) -> Optional[List[int]]:
+    def _next_larger(self) -> List[int]:
         # Float level 1: nge[x] is the first g > x with a_g > a_x, or s if
         # there is none, from one pass with a stack of the entries still
-        # waiting for a larger one.  None if the work values mix floats with
-        # ints or Fractions: adding a float and an exact value rounds the
-        # exact one first, so a larger exact term can give a smaller sum, and
-        # the rows need not be monotone; such a fill scans every split.
+        # waiting for a larger one.
         work = self._work
-        if not (self._floats or all(map(is_exact, work))):
-            return None
         nge, waiting = [len(work)] * len(work), []
         for g, a in enumerate(work):
             while waiting and work[waiting[-1]] < a:

@@ -408,6 +408,20 @@ class TestScanCommand:
         bound, _ = harmonic_tsirelson_witness(2)
         assert final >= bound
 
+    def test_float_tsirelson_scan_rows_are_the_float_norms(self, capsys, tmp_path):
+        # Row K of a float scan is what norm --float prints for the first K
+        # entries.  The scan read the generated Fractions raw: its value
+        # column read 1/2, and at K = 23 and 80 a last bit off the norm.
+        code, out, _ = run(capsys, "--float", "scan", "tsirelson:alpha=1/2", "harmonic", "80")
+        assert code == 0
+        rows = [l.split(",", 1) for l in out.splitlines() if l[:1].isdigit()]
+        assert [int(K) for K, _ in rows] == list(range(1, 81))
+        vec = tmp_path / "v.txt"
+        for K, value in rows:
+            vec.write_text(" ".join(f"1/{n + 1}" for n in range(1, int(K) + 1)))
+            code, out, _ = run(capsys, "--float", "norm", "tsirelson:alpha=1/2", str(vec))
+            assert code == 0 and f"\nnorm,{value}\n" in out, K
+
     def test_seed_recorded_in_header(self, capsys):
         code, out, _ = run(capsys, "scan", "c0", "harmonic", "3", "--seed", "9")
         assert "# seed=9" in out

@@ -651,7 +651,8 @@ class TestPartitionKernel:
         # leaves is still the best split.  The vectors repeat values (ties
         # the step must keep), fall (no later entry is larger) and rise (the
         # next entry always is).  A level fill returns its rows that hold a
-        # state, per right end.
+        # state, per right end; rows[q] holds one from the first start that
+        # admits q.
         rng = Random(47)
         vectors = []
         for s in (32, 40, 48):
@@ -661,15 +662,19 @@ class TestPartitionKernel:
         vectors.append([(n, n / (n + 1)) for n in range(1, 33)])
         checked = 0
         for pairs in vectors:
-            engine = TsirelsonEngine(2 / 3, FiniteVector.from_pairs(pairs), h)
+            v = FiniteVector.from_pairs(pairs)
+            engine = TsirelsonEngine(2 / 3, v, h)
             table, s = engine._sup, len(pairs)
             _, kept = engine._fill_float(table, [[0] * s for _ in range(s)])
-            states = {
-                j: ([None, [table[x][j] for x in range(j + 1)]] + rows, [None, 0] + lo, j)
-                for j, (rows, lo) in enumerate(kept)
-            }
+            pos, _, sizes = reference_sizes(v, h)
+            reach = [max((r for k, r in sizes if k <= n), default=0) for n in pos]
+            first = [next((x for x in range(s) if reach[x] >= q), s) for q in range(s + 2)]
+            states = {}
+            for j, rows in enumerate(kept):
+                lo = [None, 0] + [min(first[q], j - q + 2) for q in range(2, len(rows) + 2)]
+                states[j] = ([None, [table[x][j] for x in range(j + 1)]] + rows, lo, j)
+                checked += sum(len(row) - x for row, x in zip(rows, lo[2:]))
             check_float_states(states, table, scanned_split(table))
-            checked += sum(len(row) - x for rows, lo in kept for row, x in zip(rows, lo))
         assert checked > 10_000
 
     @settings(max_examples=100, deadline=None)
@@ -695,19 +700,6 @@ class TestPartitionKernel:
             return
         level = TsirelsonEngine(alpha, v, h).level_tables(1)[1]
         assert typed(level) == typed(float_reference_tables(alpha, v, h)[1])
-
-    def test_mixed_float_and_exact_values_scan_at_level_one(self):
-        # A float plus an exact value rounds the exact one first, so the
-        # rows of a vector that mixes them need not be monotone and level 1
-        # scans every split.  Here the scan gives [0..3] the Fraction 37/9,
-        # where the one-step rule would give a float.
-        v = FiniteVector((20, 21, 22, 25), (Fraction(8, 3), -1.0, Fraction(-1), Fraction(5, 2)))
-        h = HFunction.from_table([(1, 1), (2, 3), (4, 5)])
-        engine = TsirelsonEngine(Fraction(2, 3), v, h)
-        assert engine._next_larger() is None
-        level = engine.level_tables(1)[1]
-        assert typed([[level[0][3]]]) == [["Fraction:Fraction(37, 9)"]]
-        assert typed(level) == typed(float_reference_tables(Fraction(2, 3), v, h)[1])
 
     def test_affine_h_values_recorded(self):
         # recorded from the recursive-memo engine
@@ -803,8 +795,7 @@ PARITY_ALPHAS = (0.1, 1 / 3, 0.5, 2 / 3, 0.9)
 # Value draws of the float parity sweep by the position n: spread values,
 # tie-heavy ones (0.1 + 0.2 != 0.3 in floats), the harmonic 1/(n + 1),
 # powers of two (exact sums, so many ties), magnitudes from 1e-8 to 1e16,
-# and floats mixed with ints and Fractions.  The last is the one draw whose
-# tables need not be monotone.
+# and floats mixed with ints and Fractions, which float mode reads as doubles.
 PARITY_VALUES = (
     lambda rng, n: rng.choice((-1, 1)) * rng.uniform(0.5, 4.0),
     lambda rng, n: rng.choice((0.1, 0.2, 0.3, -0.1, 0.5, 1.0, -1.0)),
@@ -814,16 +805,19 @@ PARITY_VALUES = (
     lambda rng, n: rng.choice((1.0, 0.5, 1 / 3, -0.1, Fraction(1, 3), 1, Fraction(-2, 3))),
 )
 MIXED_DRAW = len(PARITY_VALUES) - 1
+# A vector that mixes floats with ints and Fractions, and an h with gaps.
+MIXED_VECTOR = FiniteVector((20, 21, 22, 25), (Fraction(8, 3), -1.0, Fraction(-1), Fraction(5, 2)))
+MIXED_H = HFunction.from_table([(1, 1), (2, 3), (4, 5)])
 
 
 def parity_case(case):
     """(alpha, v, h) of case ``case`` of the float parity sweep.  h, alpha
     and the value draw cycle with the case number; one block of draws in
-    eight takes s = 32-48 (the all-float draws), the others s = 1-9.  The
-    size and the positions, starting at 1-5 with gaps of 1-3, are seeded."""
+    eight takes s = 32-48, the others s = 1-9.  The size and the positions,
+    starting at 1-5 with gaps of 1-3, are seeded."""
     rng = Random(f"float-parity/{case}")
     draw = case % len(PARITY_VALUES)
-    large = case // len(PARITY_VALUES) % 8 == 7 and draw != MIXED_DRAW
+    large = case // len(PARITY_VALUES) % 8 == 7
     s = rng.choice((32, 40, 48)) if large else rng.randint(1, 9)
     pos, pairs = rng.randint(1, 5), []
     for _ in range(s):
@@ -846,9 +840,9 @@ def float_tables(engine, s):
 
 
 class TestFloatRunningMax:
-    """Float fills on all-float vectors carry the value of [i+1..j] into
-    [i..j] and try only the sizes that start at i; vectors that mix floats
-    with exact values try every size at its own start."""
+    """Float mode reads every value as a double, so every float fill carries
+    the value of [i+1..j] into [i..j] and tries only the sizes that start at
+    i."""
 
     def test_float_tables_are_monotone(self):
         # Rounding is monotone, so every float table is nonincreasing in its
@@ -898,16 +892,37 @@ class TestFloatRunningMax:
             large += s > 9
         assert large > 0 or count < 48
 
-    def test_mixed_vector_scans_at_every_level(self):
-        # The vector of test_mixed_float_and_exact_values_scan_at_level_one
-        # on the level route past level 1 and on the fixed-point route.
-        v = FiniteVector((20, 21, 22, 25), (Fraction(8, 3), -1.0, Fraction(-1), Fraction(5, 2)))
-        h = HFunction.from_table([(1, 1), (2, 3), (4, 5)])
-        engine = TsirelsonEngine(Fraction(2, 3), v, h)
-        expected = float_reference_tables(Fraction(2, 3), v, h)
+    def test_mixed_vector_tables_hold_only_floats(self):
+        # Float mode read the exact values raw, so level 1 of this vector
+        # held the Fraction 37/9 at [0..3] next to floats.
+        engine = TsirelsonEngine(Fraction(2, 3), MIXED_VECTOR, MIXED_H)
+        for table in engine.level_tables(5) + [engine.fixed_point_table()]:
+            assert all(type(table[i][j]) is float for i in range(4) for j in range(i, 4))
+
+    def test_mixed_vector_reads_as_its_doubles(self):
+        # Every level table, the fixed-point table and the trace of a vector
+        # that mixes floats with ints and Fractions are those of its float
+        # conversion under float(alpha), bit for bit, and the slow search's.
+        doubles = FiniteVector(MIXED_VECTOR.support, tuple(map(float, MIXED_VECTOR.values)))
+        engine = TsirelsonEngine(Fraction(2, 3), MIXED_VECTOR, MIXED_H)
+        converted = TsirelsonEngine(2 / 3, doubles, MIXED_H)
+        expected = float_reference_tables(Fraction(2, 3), MIXED_VECTOR, MIXED_H)
         assert len(expected) >= 3
+        assert float_tables(engine, 4) == float_tables(converted, 4)
         assert [typed(t) for t in engine.level_tables(5)] == [typed(t) for t in expected]
         assert typed(engine.fixed_point_table()) == typed(expected[-1])
+
+    @pytest.mark.parametrize("big", [10 ** 400, Fraction(-(10 ** 400), 3)], ids=["int", "fraction"])
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_exact_value_past_the_double_range_overflows_at_construction(self, s, big):
+        # Under a float alpha every value is read as a double, as oracle_norm
+        # reads it.  The engine returned the exact value itself at s <= 2 and
+        # raised in the fill at s = 3.
+        v = FiniteVector(tuple(range(1, s + 1)), (big,) + (1.0,) * (s - 1))
+        with pytest.raises(OverflowError):
+            TsirelsonEngine(0.5, v)
+        with pytest.raises(OverflowError):
+            oracle_norm(0.5, v)
 
 
 class TestIntervalQueries:
@@ -1156,9 +1171,11 @@ def float_reference_tables(alpha, v, h, scan=False):
     tried in increasing k, each at its own start a = max(i, first support
     index with position >= k).  No bound, no partition arrays, no memo.
     With ``scan`` the best splits come from scanned_split instead, for
-    all-float supports too large to enumerate the cut sets.
+    all-float supports too large to enumerate the cut sets.  Every value and
+    alpha are read as doubles, as float mode reads them.
     """
     pos, val, sizes = reference_sizes(v, h)
+    alpha, val = float(alpha), list(map(float, val))
     s = len(pos)
     table = [[max(val[i : j + 1]) if j >= i else 0 for j in range(s)] for i in range(s)]
     tables = [table]
