@@ -701,6 +701,17 @@ class TestPartitionKernel:
         level = TsirelsonEngine(alpha, v, h).level_tables(1)[1]
         assert typed(level) == typed(float_reference_tables(alpha, v, h)[1])
 
+    def test_mixed_float_and_exact_values_scan_at_level_one(self):
+        # Float mode reads a vector that mixes floats with exact values as
+        # its doubles, so its rows are monotone and level 1 takes the
+        # one-step rule.  The scan gave [0..3] the Fraction 37/9; it now
+        # holds the double nearest 37/9.
+        engine = TsirelsonEngine(Fraction(2, 3), MIXED_VECTOR, MIXED_H)
+        assert engine._next_larger() is not None
+        level = engine.level_tables(1)[1]
+        assert typed([[level[0][3]]]) == typed([[37 / 9]])
+        assert typed(level) == typed(float_reference_tables(Fraction(2, 3), MIXED_VECTOR, MIXED_H)[1])
+
     def test_affine_h_values_recorded(self):
         # recorded from the recursive-memo engine
         v = harmonic(48)
@@ -899,10 +910,12 @@ class TestFloatRunningMax:
         for table in engine.level_tables(5) + [engine.fixed_point_table()]:
             assert all(type(table[i][j]) is float for i in range(4) for j in range(i, 4))
 
-    def test_mixed_vector_reads_as_its_doubles(self):
-        # Every level table, the fixed-point table and the trace of a vector
-        # that mixes floats with ints and Fractions are those of its float
-        # conversion under float(alpha), bit for bit, and the slow search's.
+    def test_mixed_vector_scans_at_every_level(self):
+        # The vector of test_mixed_float_and_exact_values_scan_at_level_one
+        # on the level route past level 1 and on the fixed-point route:
+        # every level table, the fixed-point table and the trace are those
+        # of its float conversion under float(alpha), bit for bit, and the
+        # slow search's.
         doubles = FiniteVector(MIXED_VECTOR.support, tuple(map(float, MIXED_VECTOR.values)))
         engine = TsirelsonEngine(Fraction(2, 3), MIXED_VECTOR, MIXED_H)
         converted = TsirelsonEngine(2 / 3, doubles, MIXED_H)
