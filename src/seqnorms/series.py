@@ -8,6 +8,7 @@ certificate's root node.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
@@ -79,7 +80,10 @@ class CoefficientGenerator(Frozen):
         if self.kind == "power":
             if is_exact(self.s) and Fraction(self.s).denominator == 1:
                 return Fraction(n) ** -int(self.s)
-            return float(n) ** -float(self.s)
+            try:
+                return float(n) ** -float(self.s)
+            except OverflowError:  # past the float range: inf, as core.to_float reads it
+                return math.inf
         if self.kind == "constant":
             return self.c
         return self.table[n - 1] if n <= len(self.table) else 0

@@ -575,9 +575,9 @@ class TsirelsonEngine:
         # lower row, rows[q - 1][x + 1:].  _start_states fills the states of
         # start i for q = 2..min(largest r it admits, j - i + 1), each from
         # rows[q - 1] at i + 1 on, which start i + 1 has filled; so rows[q]
-        # holds a state from lo[q], the first start that admits q, up to
-        # j - q + 1.  Only table[x][t] with t < j and column entries x > i
-        # are read: strict subintervals of [i..j].
+        # holds a state at each start from first_start[q], the first start
+        # that admits q, up to j - q + 1.  Only table[x][t] with t < j and
+        # column entries x > i are read: strict subintervals of [i..j].
         #
         # Level 1 reads the sup table, and there a state takes one step from
         # the first later entry larger than its own, nge[x] (module
@@ -613,7 +613,6 @@ class TsirelsonEngine:
         seen = -1  # the largest start of a changed entry [a..b] with b < j
         for j in range(s):
             depth = min(top_r, j + 1)  # at most j + 1 groups fit in [a..j]
-            lo = [None, 0] + [min(first_start[q], j - q + 2) for q in range(2, depth + 1)]
             if live:
                 col = [0] * (j + 1)  # column j of out
                 col[j] = floors[j][j]
@@ -650,7 +649,7 @@ class TsirelsonEngine:
                 # The rows with a state are a prefix: first_start grows with q.
                 moved.append(next((i for i in range(thresh, -1, -1) if col[i] != rows[1][i]), -1))
                 top = depth
-                while top >= 2 and lo[top] > j - top + 1:
+                while top >= 2 and first_start[top] > j - top + 1:
                     top -= 1
                 kept.append(rows[2 : top + 1])
         return moved, kept

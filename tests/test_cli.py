@@ -291,6 +291,7 @@ class TestLargeHorizons:
         code, out, _ = run(capsys, "ideal", "membership", ideal, "dyadic:20", "--N", "64")
         assert (proc.returncode, code) == (0, 0), proc.stderr
         assert proc.stdout == out.replace("# set=dyadic:20\n", "# set=dyadic:10000000000\n")
+        assert "verdict,member-trend" in out.splitlines()
 
     def test_turbulence_refused_before_its_first_norm(self):
         # one singleton norm per position was still running after 60 s

@@ -2,8 +2,9 @@
 
 ``data/cli_golden.json`` lists one record per command: ``argv`` (with
 ``{data}`` standing for this test's data directory), the expected ``exit``
-code and the expected ``stdout``.  Re-record it only from a tree whose output
-is known to be right:
+code and the expected ``stdout``; a refusal over the budget (exit 3) must
+also say ``budget: `` on stderr.  The inputs are files beside the corpus.
+Re-record it only from a tree whose output is known to be right:
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
@@ -35,6 +36,8 @@ def test_golden(record):
     code, out, err = run(record["argv"])
     assert (code, out) == (record["exit"], record["stdout"])
     assert "Traceback" not in err
+    if code == cli.EXIT_BUDGET:
+        assert err.startswith("budget: "), err
 
 
 if __name__ == "__main__":

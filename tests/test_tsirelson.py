@@ -507,7 +507,9 @@ def float_fill_states(engine, table, out, carried=None):
     """Run the float fill of ``out`` from ``table``; return the per-right-end
     arrays it leaves, {j: (rows, lo, thresh)}, read from the fill's frame by
     a line tracer (they are locals of the fill), and what the fill returned.
-    The rows are copied: the next level's fill reuses them."""
+    lo[q] = min(first_start[q], j - q + 2) is the first start at which
+    rows[q] may hold a state, from the fill's first_start.  The rows are
+    copied: the next level's fill reuses them."""
     code = TsirelsonEngine._fill_float.__code__
     states = {}
 
@@ -516,7 +518,9 @@ def float_fill_states(engine, table, out, carried=None):
         if "thresh" in names:
             # the last line event of each right end sees its own arrays
             rows = [row if row is None else row[:] for row in names["rows"]]
-            states[names["j"]] = (rows, names["lo"][:], names["thresh"])
+            j, first_start = names["j"], names["first_start"]
+            lo = [None, 0] + [min(first_start[q], j - q + 2) for q in range(2, len(rows))]
+            states[j] = (rows, lo, names["thresh"])
         return local
 
     previous = sys.gettrace()
