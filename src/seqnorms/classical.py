@@ -374,8 +374,7 @@ def lorentz_interval_norms(
         scale = L ** n * Lw
         # the first value and the first weight that are Fractions
         vfirst = next((i for i, a in enumerate(v.values) if type(a) is Fraction), len(v.values))
-        wfirst = 0 if w.kind == "harmonic" else next(
-            (i for i, c in enumerate(w.table) if type(c) is Fraction), len(wints))
+        wfirst = next((i for i in range(len(wints)) if type(w.weight(i)) is Fraction), len(wints))
         fractions_from = min(vfirst, wfirst)
     out = []
     for k, (lo, hi) in enumerate(intervals):

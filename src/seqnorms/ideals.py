@@ -19,6 +19,7 @@ from .core import (
     FiniteVector,
     Frozen,
     HFunction,
+    INF,
     LpSpace,
     Number,
     ParseError,
@@ -366,9 +367,10 @@ def membership_verdict(
     Fin: looks at phi of the prefixes A intersect [1, n] along doubling cut
     points; when the increments shrink geometrically the total extrapolates
     to a finite bound (member-trend), when they stay flat the sums grow
-    without bound (non-member-trend).  Exh: tail values below
-    MEMBERSHIP_THRESHOLD mean member-trend, tails bounded away from 0 mean
-    non-member-trend.  Null: phi of the whole window against it.
+    without bound (non-member-trend), and an infinite last prefix is
+    non-member-trend at once.  Exh: tail values below MEMBERSHIP_THRESHOLD
+    mean member-trend, tails bounded away from 0 mean non-member-trend.
+    Null: phi of the whole window against it.
     """
     if horizon < 2:
         raise ConfigurationError("horizon must be >= 2")
@@ -387,6 +389,8 @@ def membership_verdict(
         return INCONCLUSIVE
     cuts = _doubling_cuts(horizon)
     prefixes = _phi_windows(spec, A._members(1, horizon), [(1, c) for c in cuts])
+    if prefixes[-1] == INF:
+        return NON_MEMBER  # phi(A) = inf; two infinite prefixes differ by nan
     increments = [b - a for a, b in zip(prefixes, prefixes[1:])]
     if not increments or increments[-1] == 0:
         return MEMBER  # the set is exhausted below the horizon

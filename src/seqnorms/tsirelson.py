@@ -169,7 +169,8 @@ does not decrease when an operand grows, and float mode uses it at level 1:
   S[x][t] + rows[q-1][t+1].  First, every row is nonincreasing in x, bit
   for bit: rows[1][x] = S[x][j] is, and for each t the term of x is at
   least that of x + 1, since S[x][t] >= S[x+1][t] and the sum is monotone.
-  Second, let g be the first index after x with a_g > a_x.  The terms t in
+  Second, let g be the first index after x with a_g > a_x: the sup table's
+  bisection finds it when it builds row x, and keeps it.  The terms t in
   [x, g-1] have S[x][t] = a_x, so by the first step t = x is their best;
   for t >= g, S[x][t] is S[g][t], the same object, so those terms are
   those of rows[q][g].  So rows[q][x] = max(a_x + rows[q-1][x+1],
@@ -197,8 +198,8 @@ The eighth fact caps the exact level route by the fixed-point table F:
   fill.  A level equals the next exactly when it equals F, the unique
   solution of the fixed-point equation, so the route stops where the full
   fills stop.  Level 1 runs no search, so ``level_tables(m)`` with m < 2
-  fills no F; the columns of the table read are built only once a level
-  fill has to search.
+  fills no F; the columns of the table read are built only once a fill
+  has to search.
 
 On the level route a float fill carries work from one level to the next.  A
 state rows[q][x] for the right end j reads only strict subintervals of
@@ -364,13 +365,14 @@ class TsirelsonEngine:
 
         Row i is a_i up to the first later entry larger than a_i, and row
         i + 1 from there on; that entry is found by bisection, since row
-        i + 1 does not decrease."""
+        i + 1 does not decrease, and kept as self._nge[i] (s if none) for
+        the float level 1."""
         work = self._work
         s = len(work)
-        rows, below = [], [0] * s
+        rows, below, self._nge = [], [0] * s, [0] * s
         for i in range(s - 1, -1, -1):
             a = work[i]
-            t = bisect_right(below, a, i + 1)
+            self._nge[i] = t = bisect_right(below, a, i + 1)
             below = [0] * i + [a] * (t - i) + below[t:]
             rows.append(below)
         rows.reverse()
@@ -450,24 +452,25 @@ class TsirelsonEngine:
         floors = self._sup if live else table
         level_one = table is self._sup
         fill_row = self._plain_row if self._plain else self._gap_row
-        # The table as column lists, cols[y][x] = table[x][y].  On the
-        # fixed-point route they are refreshed from each finished row; on the
-        # level route _columns builds them at the fill's first search.
-        cols = [[row[y] for row in table[: y + 1]] for y in range(s)] if live else []
+        # The table as column lists, cols[y][x] = table[x][y], built by
+        # _columns at the fill's first search.  _split reads only column
+        # entries x > i, whose rows are complete by then; on the fixed-point
+        # route each row finished after that is copied in.
+        cols = []
         for i in range(s - 1, -1, -1):
             row, floor = out[i], floors[i]
             below = out[i + 1] if i + 1 < s else []
             row[i] = floor[i]
             cap = ceiling[i] if ceiling is not None else None
             fill_row(table, cols, floor, below, row, i, level_one, cap)
-            if live:
+            if live and cols:
                 for y in range(i, s):
                     cols[y][i] = row[y]
 
     @staticmethod
     def _columns(table, cols):
-        # The complete table read by a level fill as column lists, built in
-        # place the first time a query of the fill searches.
+        # The table read by a fill as column lists, built in place the first
+        # time a query of the fill searches.
         if not cols:
             cols += [[row[y] for row in table[: y + 1]] for y in range(len(table))]
         return cols
@@ -573,35 +576,37 @@ class TsirelsonEngine:
         #
         # rows[q] holds j - q + 2 entries, so map stops at the end of the
         # lower row, rows[q - 1][x + 1:].  _start_states fills the states of
-        # start i for q = 2..min(largest r it admits, j - i + 1), each from
-        # rows[q - 1] at i + 1 on, which start i + 1 has filled; so rows[q]
-        # holds a state at each start from first_start[q], the first start
-        # that admits q, up to j - q + 1.  Only table[x][t] with t < j and
-        # column entries x > i are read: strict subintervals of [i..j].
+        # start i for q = 2..min(reach[i], j - i + 1), reach[i] the largest r
+        # that start i admits, each from rows[q - 1] at i + 1 on, which start
+        # i + 1 has filled.  reach does not decrease along the starts, so
+        # rows[q] holds a state at each start x <= j - q + 1 with
+        # reach[x] >= q, and holds one at all exactly when
+        # reach[j - q + 1] >= q: the rows with a state are rows[2..depth],
+        # and no other row is made.  Only table[x][t] with t < j and column
+        # entries x > i are read: strict subintervals of [i..j].
         #
         # Level 1 reads the sup table, and there a state takes one step from
         # the first later entry larger than its own, nge[x] (module
         # docstring): rows[q][x] = max(a_x + rows[q - 1][x + 1], rows[q][g])
-        # with g = nge[x], or the first term alone when g is past the row.
+        # with g = nge[x], the index _sup_table's bisection found, or the
+        # first term alone when g is past the row.
         # No suffix is sliced there: shifted holds the work values a_x.
         #
         # On the level route the fill returns, per right end j, the largest
         # start of an entry [a..j] it changed (-1 if none) and the rows that
-        # hold a state, rows[2..Q].  The next level passes them back as
+        # hold a state, rows[2..depth].  The next level passes them back as
         # ``carried``: above thresh, the X_j of the module docstring, its
         # states are kept and its queries return their floor.  Without
         # ``carried`` every query below the diagonal searches and every row
         # starts empty.
         s = len(self.pos)
         p, rs, fit, plain = self._p, self._r, self._fit, self._plain
-        top_r = max(rs, default=1)
         live = table is out
         floors = self._sup if live else table
-        nge = self._next_larger() if table is self._sup else None
-        # The largest r each start admits (h is increasing), the first start
-        # that admits each q <= s, and how many r are < 2.
+        nge = self._nge if table is self._sup else None
+        # The largest r each start admits (h is increasing), and how many r
+        # are < 2.
         reach = [rs[c - 1] if c else 0 for c in self._cut]
-        first_start = [bisect_left(reach, q) for q in range(min(top_r, s) + 1)]
         one = bisect_left(rs, 2)
         if live:
             shifted = [[] for _ in range(s)]
@@ -612,7 +617,9 @@ class TsirelsonEngine:
         moved, kept = [], []
         seen = -1  # the largest start of a changed entry [a..b] with b < j
         for j in range(s):
-            depth = min(top_r, j + 1)  # at most j + 1 groups fit in [a..j]
+            depth = min(reach[j], j + 1)  # rows[2..depth] hold a state (above)
+            while depth >= 2 and reach[j - depth + 1] < depth:
+                depth -= 1
             if live:
                 col = [0] * (j + 1)  # column j of out
                 col[j] = floors[j][j]
@@ -646,12 +653,8 @@ class TsirelsonEngine:
                 for suffix, value in zip(shifted, col):
                     suffix.append(value)
             else:
-                # The rows with a state are a prefix: first_start grows with q.
                 moved.append(next((i for i in range(thresh, -1, -1) if col[i] != rows[1][i]), -1))
-                top = depth
-                while top >= 2 and first_start[top] > j - top + 1:
-                    top -= 1
-                kept.append(rows[2 : top + 1])
+                kept.append(rows[2:])
         return moved, kept
 
     @staticmethod
@@ -679,18 +682,6 @@ class TsirelsonEngine:
                 if state > top:
                     top = state
         return top
-
-    def _next_larger(self) -> List[int]:
-        # Float level 1: nge[x] is the first g > x with a_g > a_x, or s if
-        # there is none, from one pass with a stack of the entries still
-        # waiting for a larger one.
-        work = self._work
-        nge, waiting = [len(work)] * len(work), []
-        for g, a in enumerate(work):
-            while waiting and work[waiting[-1]] < a:
-                nge[waiting.pop()] = g
-            waiting.append(g)
-        return nge
 
     # -- fixed-point route (no level trace)
 

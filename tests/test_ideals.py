@@ -420,6 +420,17 @@ class TestMembership:
         assert membership_verdict(ideal, SetGenerator.explicit([10]), 100) == MEMBER
         assert membership_verdict(ideal, SetGenerator.naturals(), 100) == NON_MEMBER
 
+    @pytest.mark.parametrize("kind", ["Fin", "Exh", "Null"])
+    def test_infinite_phi_is_non_member(self, kind):
+        # The weights n^400.5 pass the double range from n = 6 on, so phi of
+        # the evens up to 8 and up to 16 is inf, and phi(A) = inf puts A in
+        # no Fin, Exh or Null ideal.  Two infinite Fin prefixes differ by
+        # inf - inf = nan, which no ratio test reads.
+        ideal = parse_ideal(f"basis-weight:space=lp:p=1,f=power:s=-400.5,kind={kind}")
+        evens = SetGenerator.evens()
+        assert phi(ideal.submeasure, evens.members(1, 8)) == INF
+        assert membership_verdict(ideal, evens, 16) == NON_MEMBER
+
 
 class TestDescriptors:
     def test_summable(self):

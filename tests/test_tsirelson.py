@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
@@ -507,9 +508,10 @@ def float_fill_states(engine, table, out, carried=None):
     """Run the float fill of ``out`` from ``table``; return the per-right-end
     arrays it leaves, {j: (rows, lo, thresh)}, read from the fill's frame by
     a line tracer (they are locals of the fill), and what the fill returned.
-    lo[q] = min(first_start[q], j - q + 2) is the first start at which
-    rows[q] may hold a state, from the fill's first_start.  The rows are
-    copied: the next level's fill reuses them."""
+    lo[q] = min(first start x with reach[x] >= q, j - q + 2) is the first
+    start at which rows[q] may hold a state, from the fill's reach (the
+    largest r each start admits).  The rows are copied: the next level's
+    fill reuses them."""
     code = TsirelsonEngine._fill_float.__code__
     states = {}
 
@@ -518,8 +520,8 @@ def float_fill_states(engine, table, out, carried=None):
         if "thresh" in names:
             # the last line event of each right end sees its own arrays
             rows = [row if row is None else row[:] for row in names["rows"]]
-            j, first_start = names["j"], names["first_start"]
-            lo = [None, 0] + [min(first_start[q], j - q + 2) for q in range(2, len(rows))]
+            j, reach = names["j"], names["reach"]
+            lo = [None, 0] + [min(bisect_left(reach, q), j - q + 2) for q in range(2, len(rows))]
             states[j] = (rows, lo, names["thresh"])
         return local
 
@@ -711,7 +713,11 @@ class TestPartitionKernel:
         # one-step rule.  The scan gave [0..3] the Fraction 37/9; it now
         # holds the double nearest 37/9.
         engine = TsirelsonEngine(Fraction(2, 3), MIXED_VECTOR, MIXED_H)
-        assert engine._next_larger() is not None
+        doubles = [abs(float(a)) for a in MIXED_VECTOR.values]
+        assert engine._nge == [
+            next((g for g in range(x + 1, len(doubles)) if doubles[g] > a), len(doubles))
+            for x, a in enumerate(doubles)
+        ]
         level = engine.level_tables(1)[1]
         assert typed([[level[0][3]]]) == typed([[37 / 9]])
         assert typed(level) == typed(float_reference_tables(Fraction(2, 3), MIXED_VECTOR, MIXED_H)[1])
