@@ -12,9 +12,9 @@ adds x_i^p * w_i over L^p times the weight denominator, with one Fraction
 built at the end.  A sum of rationals has one value however it is formed, so
 this is the value of the term-by-term Fraction sum, and the type follows the
 same rule: a Fraction if any term is a Fraction, else an int.  Float
-entries, a non-integer p and float weights are summed term by term.
+entries and a non-integer p are summed term by term.
 
-For harmonic weights w_i = 1/(i+1) the denominator of the first m is
+The weights are harmonic, w_i = 1/(i+1), and the denominator of the first m is
 lcm(1..m), formed as the product of the largest prime power <= m of each
 prime <= m; only the k in (m/2, m] take a division L // k, and the others
 double: L/k = 2 * L/(2k).  Lorentz norms of many windows of one vector
@@ -333,12 +333,11 @@ def lorentz_norm(w: WeightSpec, p: Number, v: FiniteVector) -> Number:
     check_exact_power(p, v.values)
     n = _integer_exponent(p)
     scaled = scaled_ints(v.values) if n is not None else None
-    weights = w.scaled(len(v.values)) if scaled is not None else None
-    if weights is None:
+    if scaled is None:
         rearranged = sorted(map(abs, v.values), reverse=True)
         return _power_root(p, [(a, w.weight(i)) for i, a in enumerate(rearranged)])
     ints, L, fraction = scaled
-    wints, Lw, wfraction = weights
+    wints, Lw, wfraction = w.scaled(len(ints))
     rearranged = sorted(map(abs, ints), reverse=True)
     num = sum(x ** n * c for x, c in zip(rearranged, wints))
     total = Fraction(num, L ** n * Lw) if fraction or wfraction else num
@@ -350,11 +349,11 @@ def lorentz_interval_norms(
 ) -> List[Number]:
     """lorentz_norm of v restricted to each [lo, hi].
 
-    With exact values and weights and an integer p from 1 to SMALL_EXPONENT,
-    windows from v's first position over which |values| do not rise read one
-    running sum on one scaling (see the module docstring); every other window
-    takes a fresh lorentz_norm.  A sum is a Fraction if a value or weight used
-    is one, else an int, as the fresh sum is."""
+    With exact values and an integer p from 1 to SMALL_EXPONENT, windows from
+    v's first position over which |values| do not rise read one running sum on
+    one scaling (see the module docstring); every other window takes a fresh
+    lorentz_norm.  Such a sum is a Fraction, as the fresh sum is, since the
+    weight w_0 = 1 is one."""
     n = _integer_exponent(p)
     scaled = scaled_ints(v.values) if n is not None and 1 <= n <= SMALL_EXPONENT else None
     ends = {}
@@ -365,24 +364,17 @@ def lorentz_interval_norms(
             b = bisect_right(v.support, hi)
             if 0 < b <= falls and lo <= v.support[0]:
                 ends[k] = b
-    weights = w.scaled(max(ends.values())) if ends else None
-    if weights is None:
-        ends = {}
-    else:
-        (_, L, _), (wints, Lw, _) = scaled, weights
+    if ends:
+        (_, L, _), (wints, Lw, _) = scaled, w.scaled(max(ends.values()))
         sums = [0] + list(accumulate(map(mul, powers, wints)))
         scale = L ** n * Lw
-        # the first value and the first weight that are Fractions
-        vfirst = next((i for i, a in enumerate(v.values) if type(a) is Fraction), len(v.values))
-        wfirst = next((i for i in range(len(wints)) if type(w.weight(i)) is Fraction), len(wints))
-        fractions_from = min(vfirst, wfirst)
     out = []
     for k, (lo, hi) in enumerate(intervals):
         b = ends.get(k)
         if b is None:
             out.append(lorentz_norm(w, p, v.restrict(range(lo, hi + 1))))
             continue
-        total = Fraction(sums[b], scale) if b > fractions_from else sums[b] // scale
+        total = Fraction(sums[b], scale)
         out.append(total if n == 1 else _root(total, n))
     return out
 

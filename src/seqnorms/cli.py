@@ -278,8 +278,8 @@ def _tolerance(text: str) -> float:
     raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
 
 
-def _budget(text: str) -> int:
-    """A --budget-support value: a count of positions, so an int >= 0."""
+def _count(text: str) -> int:
+    """A --budget-support or --samples value: a count, so an int >= 0."""
     with suppress(ValueError):
         if int(text) >= 0:
             return int(text)
@@ -304,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="iteration tolerance, finite and positive")
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="random seed for sampled runs")
-    common.add_argument("--budget-support", type=_budget, default=argparse.SUPPRESS,
+    common.add_argument("--budget-support", type=_count, default=argparse.SUPPRESS,
                         help="max positions for Tsirelson evaluations")
     common.add_argument("--format", choices=("csv", "text"), default=argparse.SUPPRESS)
 
@@ -335,12 +335,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("blocks", help="block-basis checks", parents=[common])
     bsub = p.add_subparsers(dest="blocks_cmd", required=True)
     cjt = bsub.add_parser("cjt", help="equivalence-constant envelope check", parents=[common])
-    cjt.add_argument("--samples", type=int, default=100)
+    cjt.add_argument("--samples", type=_count, default=100)
     cjt.add_argument("--alpha", default="1/2")
     cjt.set_defaults(func=cmd_blocks)
     lsh = bsub.add_parser("lsh", help="lower semi-homogeneity probe", parents=[common])
     lsh.add_argument("space")
-    lsh.add_argument("--samples", type=int, default=100)
+    lsh.add_argument("--samples", type=_count, default=100)
     lsh.add_argument("--bound", default=None)
     lsh.set_defaults(func=cmd_blocks)
 
@@ -357,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     memb.set_defaults(func=cmd_ideal)
     axioms = isub.add_parser("axioms", parents=[common])
     axioms.add_argument("ideal")
-    axioms.add_argument("--samples", type=int, default=200)
+    axioms.add_argument("--samples", type=_count, default=200)
     axioms.set_defaults(func=cmd_ideal)
 
     p = sub.add_parser("certify", help="exact certificates", parents=[common])

@@ -221,9 +221,9 @@ class Frozen:
         cls._fields = cls.__match_args__ = tuple(fields)
         cls._defaults = {n: getattr(cls, n) for n in fields if hasattr(cls, n)}
         compared = [n for n in fields if n not in cls._settings]
-        key = attrgetter(*compared)
+        key = attrgetter(*compared) if compared else lambda self: ()
         # always a tuple, so the hash is that of the tuple of compared fields
-        cls._key = staticmethod(key if len(compared) > 1 else lambda self: (key(self),))
+        cls._key = staticmethod(key if len(compared) != 1 else lambda self: (key(self),))
 
     def __init__(self, *args, **kwargs):
         if kwargs or len(args) != len(self._fields):
@@ -452,98 +452,50 @@ class HFunction(Frozen):
 
 
 class GridSpec(Frozen):
-    """Per-position grid mesh; position n uses epsilon index n-1.
-
-    Default closed form is the dyadic mesh eps_i = 2^-i (so position 1 has
-    mesh 1).
-    """
-
-    kind: str = "dyadic"  # "dyadic" | "table"
-    table: Tuple[Number, ...] = ()
-
-    def __post_init__(self):
-        if self.kind == "table":
-            if not self.table or any(e <= 0 for e in self.table):
-                raise ConfigurationError("grid meshes must be positive")
-        elif self.kind != "dyadic":
-            raise ConfigurationError(f"unknown grid kind {self.kind!r}")
+    """The dyadic grid mesh: position n has mesh 2^-(n-1), so position 1 has
+    mesh 1."""
 
     @staticmethod
     def dyadic() -> "GridSpec":
-        return GridSpec("dyadic")
-
-    @staticmethod
-    def from_table(values: Sequence[Number]) -> "GridSpec":
-        return GridSpec("table", table=tuple(values))
+        return GridSpec()
 
     def epsilon_at(self, position: int) -> Number:
         if position < 1:
             raise ConfigurationError("positions are 1-based")
-        if self.kind == "dyadic":
-            return Fraction(1, 2 ** (position - 1))
-        if position > len(self.table):
-            raise ConfigurationError(f"grid table has no mesh for position {position}")
-        return self.table[position - 1]
+        return Fraction(1, 2 ** (position - 1))
 
 
 class WeightSpec(Frozen):
-    """Lorentz weights: w_0 = 1, positive, non-increasing, divergent sum.
-
-    A table is extended by its last entry, so its sum diverges.
-    """
-
-    kind: str  # "harmonic" | "table"
-    table: Tuple[Number, ...] = ()
-
-    def __post_init__(self):
-        if self.kind == "table":
-            t = self.table
-            if not t or t[0] != 1:
-                raise ConfigurationError("weight table must start with w_0 = 1")
-            if any(w <= 0 for w in t):
-                raise ConfigurationError("weights must be positive")
-            if any(b > a for a, b in zip(t, t[1:])):
-                raise ConfigurationError("weights must be non-increasing")
-        elif self.kind != "harmonic":
-            raise ConfigurationError(f"unknown weight kind {self.kind!r}")
+    """The harmonic Lorentz weights w_n = 1/(n+1): w_0 = 1, positive,
+    non-increasing, with a divergent sum."""
 
     @staticmethod
     def harmonic() -> "WeightSpec":
-        return WeightSpec("harmonic")
-
-    @staticmethod
-    def from_table(values: Sequence[Number]) -> "WeightSpec":
-        return WeightSpec("table", table=tuple(values))
+        return WeightSpec()
 
     def weight(self, n: int) -> Number:
         """w_n for n >= 0."""
         if n < 0:
             raise ConfigurationError("weight index must be >= 0")
-        if self.kind == "harmonic":
-            return Fraction(1, n + 1)
-        if n >= len(self.table):
-            # Non-increasing tail extension keeps finite evaluations total.
-            return self.table[-1]
-        return self.table[n]
+        return Fraction(1, n + 1)
 
-    def scaled(self, m: int) -> Optional[Tuple[List[int], int, bool]]:
+    def scaled(self, m: int) -> Tuple[List[int], int, bool]:
         """The first m weights as ints over one common denominator, as
-        :func:`scaled_ints` gives them."""
-        if self.kind == "harmonic":
-            # w_i = 1/(i+1) over L = lcm(1..m), the product of the largest
-            # power q^e <= m of each prime q <= m; L/k = 2 * L/(2k), so only
-            # the k in (m/2, m] take a division
-            L = 1
-            for q in _primes_up_to(m):
-                power = q
-                while power * q <= m:
-                    power *= q
-                L *= power
-            w = [0] * (m + 1)
-            for k in range(m, 0, -1):
-                w[k] = w[2 * k] << 1 if 2 * k <= m else L // k
-            return w[1:], L, m > 0
-        return scaled_ints([self.weight(i) for i in range(m)])
+        :func:`scaled_ints` gives them.
+
+        w_i = 1/(i+1) over L = lcm(1..m), the product of the largest power
+        q^e <= m of each prime q <= m; L/k = 2 * L/(2k), so only the k in
+        (m/2, m] take a division."""
+        L = 1
+        for q in _primes_up_to(m):
+            power = q
+            while power * q <= m:
+                power *= q
+            L *= power
+        w = [0] * (m + 1)
+        for k in range(m, 0, -1):
+            w[k] = w[2 * k] << 1 if 2 * k <= m else L // k
+        return w[1:], L, m > 0
 
 
 # ---------------------------------------------------------------------------
@@ -729,7 +681,7 @@ class LorentzSpace(SpaceSpec, Frozen):
         return classical.lorentz_interval_norms(self.weights, self.p, v, intervals)
 
     def describe(self) -> str:
-        return f"lorentz:w={self.weights.kind},p={format_scalar(self.p)}"
+        return f"lorentz:w=harmonic,p={format_scalar(self.p)}"
 
 
 def eval_norm(space: SpaceSpec, v: FiniteVector) -> Number:

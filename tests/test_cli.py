@@ -705,6 +705,29 @@ def test_budget_support_must_be_a_nonnegative_integer(capsys, tmp_path, command,
     assert "--budget-support" in err
 
 
+# A negative --samples is a usage error too: blocks cjt printed an empty
+# table, blocks lsh `worst,n/a` and ideal axioms `flag,PASS`, each with exit 0.
+SAMPLES_COMMANDS = {
+    "blocks-cjt": ["blocks", "cjt"],
+    "blocks-lsh": ["blocks", "lsh", "lp:p=2"],
+    "ideal-axioms": ["ideal", "axioms", "summable:w=harmonic"],
+}
+
+
+@pytest.mark.parametrize("samples", ["-3", "-1", "x"])
+@pytest.mark.parametrize("command", SAMPLES_COMMANDS)
+def test_samples_must_be_a_nonnegative_integer(capsys, command, samples):
+    code, out, err = run(capsys, *SAMPLES_COMMANDS[command], "--samples", samples)
+    assert (code, out) == (2, "") and "Traceback" not in err
+    assert "--samples" in err
+
+
+@pytest.mark.parametrize("command", SAMPLES_COMMANDS)
+def test_zero_samples_stay_legal(capsys, command):
+    code, _, err = run(capsys, *SAMPLES_COMMANDS[command], "--samples", "0")
+    assert code == 0, err
+
+
 @pytest.mark.parametrize("command", TOL_COMMANDS)
 def test_commands_run_with_a_finite_positive_tol(capsys, tmp_path, command):
     vec = write_vector(tmp_path, "v.txt", "1/2 1/3")

@@ -351,9 +351,7 @@ class TestWeightSpec:
 
     @pytest.mark.parametrize("w, m", [
         (WeightSpec.harmonic(), 0), (WeightSpec.harmonic(), 1), (WeightSpec.harmonic(), 12),
-        (WeightSpec.from_table([1, Fraction(2, 3), Fraction(1, 2)]), 5),
-        (WeightSpec.from_table([1, 0.5]), 3), (WeightSpec.from_table([1, 1, 1]), 4),
-    ], ids=["harmonic-0", "harmonic-1", "harmonic-12", "table", "float-table", "int-table"])
+    ], ids=["harmonic-0", "harmonic-1", "harmonic-12"])
     def test_scaled_is_scaled_ints_of_the_weights(self, w, m):
         assert w.scaled(m) == core.scaled_ints([w.weight(i) for i in range(m)])
 
@@ -365,12 +363,6 @@ class TestWeightSpec:
         for m in range(1201):
             L = math.lcm(L, m) if m else 1
             assert w.scaled(m) == ([L // k for k in range(1, m + 1)], L, m > 0), m
-
-    def test_table_validation(self):
-        with pytest.raises(ConfigurationError):
-            WeightSpec.from_table([Fraction(1, 2)])  # w_0 must be 1
-        with pytest.raises(ConfigurationError):
-            WeightSpec.from_table([1, 2])  # increasing
 
 
 class TestEvalNorm:
@@ -393,46 +385,45 @@ class TestEvalNorm:
 
 
 class TestQuantize:
+    # the dyadic grid: position 1 has mesh 1 and position 2 has mesh 1/2
+
     def test_snaps_to_largest_magnitude_multiple(self):
-        # q=2 is the largest |q| with |0.75 - 0.5 q| < 0.5
-        grid = GridSpec.from_table([Fraction(1, 2)])
-        v = FiniteVector.from_dense([Fraction(3, 4)])
-        out = quantize_to_grid(v, grid, [Fraction(1, 2)])
-        assert out.coefficient(1) == 1
+        # q=2 is the largest |q| with |3/4 - q/2| < 1/2 at position 2
+        v = FiniteVector.from_dense([0, Fraction(3, 4)])
+        out = quantize_to_grid(v, GridSpec.dyadic(), [Fraction(1, 2), Fraction(1, 2)])
+        assert out.coefficient(2) == 1
 
     def test_zero_stays_zero(self):
-        grid = GridSpec.from_table([Fraction(1, 2), 1])
         v = FiniteVector.from_dense([0, 1])
-        out = quantize_to_grid(v, grid, [Fraction(1, 2), Fraction(1, 2)])
+        out = quantize_to_grid(v, GridSpec.dyadic(), [Fraction(1, 2), Fraction(1, 2)])
         assert out.coefficient(1) == 0
 
     def test_on_grid_input_kept(self):
-        grid = GridSpec.from_table([1])
-        out = quantize_to_grid(FiniteVector.from_dense([1]), grid, [Fraction(1, 2)])
-        assert out.coefficient(1) == 1
+        v = FiniteVector.from_dense([1, Fraction(1, 2)])
+        out = quantize_to_grid(v, GridSpec.dyadic(), [Fraction(1, 2), Fraction(1, 4)])
+        assert out == v
 
     def test_infeasible_names_index(self):
-        grid = GridSpec.from_table([1, 4])
-        v = FiniteVector.from_dense([0, 2])
+        # at position 2 no multiple of 1/2 lies within 1/4 of 1/4
+        v = FiniteVector.from_dense([0, Fraction(1, 4)])
         with pytest.raises(QuantizationError) as err:
-            quantize_to_grid(v, grid, [1, 1])
+            quantize_to_grid(v, GridSpec.dyadic(), [1, Fraction(1, 4)])
         assert err.value.index == 2
 
     def test_tie_breaks_positive(self):
         # at position 1: |0 - q| < 3/2 admits q in {-1, 0, 1}; the +-1 tie
         # goes to the positive side
-        grid = GridSpec.from_table([1, 1])
         v = FiniteVector.from_dense([0, 1])
-        out = quantize_to_grid(v, grid, [Fraction(3, 2), Fraction(1, 2)])
+        out = quantize_to_grid(v, GridSpec.dyadic(), [Fraction(3, 2), Fraction(1, 2)])
         assert out.coefficient(1) == 1
 
     def test_float_values_match_the_exact_branch(self):
         # Dyadic values are floats without rounding, so the float branch must
         # pick the same multiples as the exact one, ties and refusals included.
-        def quantize(kind, values, eps, bounds):
+        def quantize(kind, values, bounds):
             try:
                 return quantize_to_grid(FiniteVector.from_dense([kind(x) for x in values]),
-                                        GridSpec.from_table([kind(e) for e in eps]), [kind(b) for b in bounds])
+                                        GridSpec.dyadic(), [kind(b) for b in bounds])
             except QuantizationError as err:
                 return err.index
 
@@ -440,16 +431,15 @@ class TestQuantize:
         refused = 0
         for _ in range(60):
             n = rng.randint(1, 8)
-            eps = [Fraction(1, 2 ** rng.randint(0, 4)) for _ in range(n)]
             bounds = [Fraction(rng.randint(1, 8), 8) for _ in range(n)]
             values = [Fraction(rng.randint(-40, 40), 16) for _ in range(n)]
-            exact, approx = (quantize(kind, values, eps, bounds) for kind in (Fraction, float))
+            exact, approx = (quantize(kind, values, bounds) for kind in (Fraction, float))
             if isinstance(exact, int):
                 refused += 1
                 assert approx == exact
             else:
                 assert approx.support == exact.support and approx.values == exact.values
-                assert all(type(x) is float for x in approx.values)
+                assert all(type(x) is Fraction for x in approx.values)
         assert 0 < refused < 60
 
 class TestTextFormats:
@@ -477,7 +467,7 @@ class TestTextFormats:
         assert sph == SpaceSpec.tsirelson(Fraction(1, 3), HFunction.affine(2, 0)) and sph.h(2) == 4
         assert parse_space("orlicz:power=2").orlicz.p == 2
         lz = parse_space("lorentz:w=harmonic,p=1")
-        assert lz.weights.kind == "harmonic" and lz.p == 1
+        assert lz.weights == WeightSpec.harmonic() and lz.p == 1
 
     @pytest.mark.parametrize("text, setting, value", [
         ("tsirelson:alpha=1/2", "budget", 3),
@@ -633,12 +623,6 @@ V11 = FiniteVector.from_dense([1, 1])
                  ["norm", "tsirelson:alpha=1/2,h=affine:0:1", "{tmp}/v.txt"], {"v.txt": "1"},
                  id="affine-h-not-increasing"),
     pytest.param(lambda tmp: HFunction.identity()(0), ConfigurationError, None, None, id="h-of-k-below-1"),
-    pytest.param(lambda tmp: GridSpec.from_table([1, 0]), ConfigurationError, None, None,
-                 id="grid-mesh-not-positive"),
-    pytest.param(lambda tmp: GridSpec.from_table([1]).epsilon_at(2), ConfigurationError, None, None,
-                 id="grid-table-too-short"),
-    pytest.param(lambda tmp: WeightSpec.from_table([1, 0]), ConfigurationError, None, None,
-                 id="lorentz-weight-not-positive"),
     pytest.param(lambda tmp: WeightSpec.harmonic().weight(-1), ConfigurationError, None, None,
                  id="weight-index-below-0"),
     pytest.param(lambda tmp: quantize_to_grid(V11, GridSpec.dyadic(), [1]), ConfigurationError, None, None,
