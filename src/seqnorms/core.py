@@ -710,12 +710,10 @@ def quantize_to_grid(
         bound = bounds[pos - 1]
         if bound <= 0:
             raise ConfigurationError("quantization bounds must be positive")
-        if is_exact(x) and is_exact(eps) and is_exact(bound):
-            lo = Fraction(x - bound, 1) / eps
-            hi = Fraction(x + bound, 1) / eps
-        else:
-            lo = (x - bound) / eps
-            hi = (x + bound) / eps
+        # Exact values, also of a float (inf and nan raise here), so 1/eps may
+        # pass the double range.
+        lo = (Fraction(x) - Fraction(bound)) / eps
+        hi = (Fraction(x) + Fraction(bound)) / eps
         qmin, qmax = math.floor(lo) + 1, math.ceil(hi) - 1  # the q with lo < q < hi
         if qmin > qmax:
             raise QuantizationError(

@@ -418,8 +418,8 @@ class TestQuantize:
         assert out.coefficient(1) == 1
 
     def test_float_values_match_the_exact_branch(self):
-        # Dyadic values are floats without rounding, so the float branch must
-        # pick the same multiples as the exact one, ties and refusals included.
+        # Dyadic values are floats without rounding, so float inputs must
+        # pick the same multiples as exact ones, ties and refusals included.
         def quantize(kind, values, bounds):
             try:
                 return quantize_to_grid(FiniteVector.from_dense([kind(x) for x in values]),
@@ -441,6 +441,19 @@ class TestQuantize:
                 assert approx.support == exact.support and approx.values == exact.values
                 assert all(type(x) is Fraction for x in approx.values)
         assert 0 < refused < 60
+
+    def test_float_past_the_double_range_of_the_mesh(self):
+        # From position 1026 on 1/eps passes the double range: the float
+        # branch divided 0.75 - 0.5 by the mesh, got inf and raised
+        # OverflowError.  The largest q below 1.25 / eps is 5 * 2^1097 - 1.
+        out = quantize_to_grid(FiniteVector.from_pairs([(1100, 0.75)]), GridSpec.dyadic(), [0.5] * 1100)
+        assert out.coefficient(1100) == Fraction(5, 4) - Fraction(1, 2 ** 1099)
+
+    @pytest.mark.parametrize("x, error", [(float("inf"), OverflowError), (float("nan"), ValueError)],
+                             ids=["inf", "nan"])
+    def test_non_finite_float_is_refused(self, x, error):
+        with pytest.raises(error):
+            quantize_to_grid(FiniteVector.from_dense([x]), GridSpec.dyadic(), [0.5])
 
 class TestTextFormats:
     def test_dense_vector(self):

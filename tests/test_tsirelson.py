@@ -1,21 +1,19 @@
-import contextlib
 import hashlib
-import io
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
-from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import accumulate, combinations, combinations_with_replacement
+from operator import add
 from random import Random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from seqnorms import cli, tsirelson as tsirelson_module
+from seqnorms import tsirelson as tsirelson_module
 from seqnorms.core import (
     BudgetError,
     CertificateError,
@@ -504,34 +502,28 @@ class TestIntegerKernel:
         assert value == expected and type(value) is Fraction
 
 
-def float_fill_states(engine, table, out, carried=None):
-    """Run the float fill of ``out`` from ``table``; return the per-right-end
-    arrays it leaves, {j: (rows, lo, thresh)}, read from the fill's frame by
-    a line tracer (they are locals of the fill), and what the fill returned.
-    lo[q] = min(first start x with reach[x] >= q, j - q + 2) is the first
-    start at which rows[q] may hold a state, from the fill's reach (the
-    largest r each start admits).  The rows are copied: the next level's
-    fill reuses them."""
-    code = TsirelsonEngine._fill_float.__code__
+def level_fill_states(engine, v, h, table, carried=None):
+    """Fill the level after ``table`` with the float fill, passing it
+    ``carried`` (what the fill of the level before returned), and return the
+    new table, what the fill returned, and its states {j: (rows, lo)}:
+    rows[1] is column j of ``table`` and rows[2:] the rows the fill returned
+    for j.  Every right end returns exactly the rows 2..depth, depth the
+    largest q <= j + 1 whose start j - q + 1 admits q sets; rows[q] holds a
+    state from lo[q] on, the first start that admits q sets, or j - q + 2
+    if none.  The next fill reuses the returned rows in place."""
+    pos, _, sizes = reference_sizes(v, h)
+    s = len(pos)
+    reach = [max((r for k, r in sizes if k <= n), default=0) for n in pos]
+    first = [next((x for x in range(s) if reach[x] >= q), s) for q in range(s + 2)]
+    out = [[0] * s for _ in range(s)]
+    result = engine._fill_float(table, out, carried)
     states = {}
-
-    def local(frame, event, arg):
-        names = frame.f_locals
-        if "thresh" in names:
-            # the last line event of each right end sees its own arrays
-            rows = [row if row is None else row[:] for row in names["rows"]]
-            j, reach = names["j"], names["reach"]
-            lo = [None, 0] + [min(bisect_left(reach, q), j - q + 2) for q in range(2, len(rows))]
-            states[j] = (rows, lo, names["thresh"])
-        return local
-
-    previous = sys.gettrace()
-    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
-    try:
-        result = engine._fill_float(table, out, carried)
-    finally:
-        sys.settrace(previous)
-    return states, result
+    for j, rows in enumerate(result[1]):
+        depth = max((q for q in range(2, j + 2) if reach[j - q + 1] >= q), default=1)
+        assert len(rows) == depth - 1, (j, depth)
+        lo = [None, 0] + [min(first[q], j - q + 2) for q in range(2, depth + 1)]
+        states[j] = ([None, [table[x][j] for x in range(j + 1)]] + rows, lo)
+    return out, result, states
 
 
 def changed_threshold(table, before, j):
@@ -581,40 +573,32 @@ class TestPartitionKernel:
         ids=["plain", "affine:2:0", "table"],
     )
     def test_every_float_state_is_the_best_split(self, h):
-        # Every state rows[q][x] that a float fill leaves, whether one step
-        # or a multi-row extension computed it, is the best right-nested
-        # split of [x..j] into q groups over the table read.
+        # Every state rows[q][x] that a float level fill returns, whether one
+        # step or a multi-row extension computed it, is the best right-nested
+        # split of [x..j] into q groups over the table read: the sup table
+        # (level 1, one step from the next larger entry), the fixed point
+        # and level 2.
         rng = Random(29)
         for _ in range(10):
             v = FiniteVector.from_pairs(
                 (rng.randint(1, 16), rng.randint(-6, 6) / rng.randint(1, 4))
                 for _ in range(rng.randint(2, 13))
             )
-            s = len(v.support)
             engine = TsirelsonEngine(rng.choice((0.5, 2 / 3)), v, h)
-            fixed = engine.fixed_point_table()
-            fills = [  # (table read, table written)
-                (engine._sup, [[0] * s for _ in range(s)]),
-                (fixed, [[0] * s for _ in range(s)]),
-                (engine._work_level_tables(2)[-1], [[0] * s for _ in range(s)]),
-            ]
-            live = [[0] * s for _ in range(s)]
-            fills.append((live, live))  # the fixed-point route
-            for table, out in fills:
-                states, _ = float_fill_states(engine, table, out)
-                if table is live:
-                    assert live == fixed
-                check_float_states(states, table)
+            for table in public_tables(engine):
+                check_float_states(level_fill_states(engine, v, h, table)[2], table)
 
     @pytest.mark.parametrize(
         "h", [None, HFunction.affine(2, 0), HFunction.from_table([(1, 3), (2, 4)])],
         ids=["plain", "affine:2:0", "table"],
     )
     def test_carried_float_states_are_the_best_split(self, h):
-        # The level route from level 2 on: every state is still the best
-        # split over the table read, the states above the threshold are the
-        # previous level's own floats (carried, not recomputed), and the
-        # queries above it keep their floor.
+        # The level route from level 2 on: every level is the slow float
+        # search's, every state is still the best split over the table read,
+        # the states above the threshold are the previous level's own floats
+        # (carried, not recomputed), and the queries above it keep their
+        # floor.  The carried rows are reused in place, so they are copied
+        # before each fill.
         rng = Random(31)
         carried_states = 0
         for _ in range(12):
@@ -622,32 +606,31 @@ class TestPartitionKernel:
                 (rng.randint(1, 16), rng.randint(1, 6) / rng.randint(1, 4))
                 for _ in range(rng.randint(2, 13))
             )
-            s = len(v.support)
-            engine = TsirelsonEngine(rng.choice((0.5, 2 / 3)), v, h)
-            tables = [engine._sup]
-            before, carried = None, None
+            alpha = rng.choice((0.5, 2 / 3))
+            engine = TsirelsonEngine(alpha, v, h)
+            expected = float_reference_tables(alpha, v, h)
+            tables, carried = [engine.level_tables(0)[0]], None
             while True:
-                table, out = tables[-1], [[0] * s for _ in range(s)]
-                states, carried_next = float_fill_states(engine, table, out, carried)
-                scratch = [[0] * s for _ in range(s)]
-                engine._fill_float(table, scratch)
-                assert typed(out) == typed(scratch)
+                table = tables[-1]
+                kept = None if carried is None else [[row[:] for row in rows] for rows in carried[1]]
+                out, carried_next, states = level_fill_states(engine, v, h, table, carried)
+                assert typed(out) == typed(expected[len(tables)])
                 check_float_states(states, table)
                 if carried is not None:
-                    for j, (rows, lo, thresh) in states.items():
-                        assert thresh == changed_threshold(table, before, j)
+                    for j, (rows, lo) in states.items():
+                        thresh = changed_threshold(table, before, j)
                         assert all(out[i][j] is table[i][j] for i in range(thresh + 1, j + 1))
-                        old_rows, old_lo, _ = previous[j]
-                        for q in range(2, min(len(rows), len(old_rows))):
-                            keep = max(old_lo[q], thresh + 1)
+                        for q in range(2, min(len(rows), len(kept[j]) + 2)):
+                            keep = max(previous[j][q], thresh + 1)
                             assert lo[q] <= min(keep, j - q + 2)
                             for x in range(keep, j - q + 2):
-                                assert rows[q][x] is old_rows[q][x]
+                                assert rows[q][x] is kept[j][q - 2][x]
                                 carried_states += 1
                 tables.append(out)
                 if out == table:
                     break
-                before, carried, previous = table, carried_next, states
+                before, carried = table, carried_next
+                previous = {j: lo for j, (_, lo) in states.items()}
         assert carried_states > 0
 
     @pytest.mark.parametrize("h", [None, HFunction.affine(2, 0)], ids=["plain", "affine:2:0"])
@@ -656,9 +639,8 @@ class TestPartitionKernel:
         # At the s = 32-48 of the benchmark's float requests every state it
         # leaves is still the best split.  The vectors repeat values (ties
         # the step must keep), fall (no later entry is larger) and rise (the
-        # next entry always is).  A level fill returns its rows that hold a
-        # state, per right end; rows[q] holds one from the first start that
-        # admits q.
+        # next entry always is).  Each right end returns exactly its rows
+        # that hold a state (level_fill_states).
         rng = Random(47)
         vectors = []
         for s in (32, 40, 48):
@@ -670,17 +652,10 @@ class TestPartitionKernel:
         for pairs in vectors:
             v = FiniteVector.from_pairs(pairs)
             engine = TsirelsonEngine(2 / 3, v, h)
-            table, s = engine._sup, len(pairs)
-            _, kept = engine._fill_float(table, [[0] * s for _ in range(s)])
-            pos, _, sizes = reference_sizes(v, h)
-            reach = [max((r for k, r in sizes if k <= n), default=0) for n in pos]
-            first = [next((x for x in range(s) if reach[x] >= q), s) for q in range(s + 2)]
-            states = {}
-            for j, rows in enumerate(kept):
-                lo = [None, 0] + [min(first[q], j - q + 2) for q in range(2, len(rows) + 2)]
-                states[j] = ([None, [table[x][j] for x in range(j + 1)]] + rows, lo, j)
-                checked += sum(len(row) - x for row, x in zip(rows, lo[2:]))
+            table = engine.level_tables(0)[0]
+            states = level_fill_states(engine, v, h, table)[2]
             check_float_states(states, table, scanned_split(table))
+            checked += sum(len(rows[q]) - lo[q] for rows, lo in states.values() for q in range(2, len(rows)))
         assert checked > 10_000
 
     @settings(max_examples=100, deadline=None)
@@ -746,7 +721,7 @@ def check_float_states(states, table, split=None):
     default over every cut set)."""
     s = len(table)
     assert sorted(states) == list(range(s))
-    for j, (rows, lo, _) in states.items():
+    for j, (rows, lo) in states.items():
         assert rows[1] == [table[x][j] for x in range(j + 1)]
         for q in range(2, len(rows)):
             assert all(lo[p] <= lo[q] + q - p for p in range(2, q))
@@ -771,7 +746,8 @@ def scanned_split(table):
 
 class TestCarriedLevels:
     """The float level route, which carries states and skips queries from
-    one level to the next, against a fill of every level from scratch."""
+    one level to the next, against the slow float search of every level
+    from scratch."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -789,13 +765,7 @@ class TestCarriedLevels:
         if s == 0:
             return
         engine = TsirelsonEngine(alpha, v, h)
-        expected = [engine._sup]
-        for _ in range(s + 1):
-            nxt = [[0] * s for _ in range(s)]
-            engine._fill_float(expected[-1], nxt)
-            expected.append(nxt)
-            if nxt == expected[-2]:
-                break
+        expected = float_reference_tables(alpha, v, h, scan=True)
         assert [typed(t) for t in engine.level_tables(s + 1)] == [typed(t) for t in expected]
         value, trace = engine.norm_with_trace()
         values = [t[0][s - 1] for t in expected]
@@ -1122,12 +1092,7 @@ def reference_sizes(v, h):
     """The support positions, the |coefficients| and the sizes (k, r)."""
     pos = v.support
     s = len(pos)
-    if h is None:
-        sizes = [(k, k) for k in range(1, s + 1)]
-    elif h.kind == "table":
-        sizes = list(h.table)
-    else:
-        sizes = [(k, h(k)) for k in range(1, s + 1)]
+    sizes = [(k, k) for k in range(1, s + 1)] if h is None else h.sizes(s)
     return pos, [abs(v.coefficient(n)) for n in pos], sizes
 
 
@@ -1222,6 +1187,86 @@ def float_reference_tables(alpha, v, h, scan=False):
 
 def typed(table):
     return [[f"{type(x).__name__}:{x!r}" for x in row] for row in table]
+
+
+def public_tables(engine):
+    """The sup, level-2 and fixed-point tables of an engine, as its public
+    API returns them; level 2 is the last level if the levels settle
+    before it."""
+    levels = engine.level_tables(2)
+    return levels[0], levels[-1], engine.fixed_point_table()
+
+
+def sup_table(v):
+    """The sup of every interval [i..j] of the support: its first largest
+    |coefficient|."""
+    val = [abs(x) for x in v.values]
+    return [[0] * i + list(accumulate(val[i:], max)) for i in range(len(val))]
+
+
+def check_table(alpha, v, h, table, floor=None):
+    """One prune-free step of the interval recursion over an exact table.
+
+    Entry [i..j] is the max of ``floor`` (the sup table if None) and alpha
+    times the best split of [a..j] into exactly r consecutive groups of
+    ``table``, over every start a >= i and every r that a family may use
+    from a: h(k) = r for some k <= pos[a], or r = k without h.  Every split
+    is searched, over one common denominator, by the best split into one
+    group fewer: no bound, no closed form, no one-size rule and no ceiling.
+    So the fixed-point table F is the one with check_table(F) == F, and
+    level m + 1 is check_table(L_m, L_m).  A floor entry that wins is
+    returned itself, so a sup keeps its type; any other entry is a
+    Fraction.  Reads only the support, the |coefficients|, alpha and
+    h.sizes.
+    """
+    pos, s = v.support, len(v.support)
+    if floor is None:
+        floor = sup_table(v)
+    sizes = [(k, k) for k in range(1, s + 1)] if h is None else h.sizes(s)
+    p, q = alpha.numerator, alpha.denominator
+    unit = math.lcm(*{x.denominator for t in (table, floor) for row in t for x in row})
+
+    def scaled(x):
+        return x.numerator * (unit // x.denominator)
+
+    cols = [[scaled(row[y]) for row in table[: y + 1]] for y in range(s)]
+    best = [0] * s  # best[j]: the best split of [a..j] over the starts a so far
+    out = [[0] * s for _ in range(s)]
+    for a in range(s - 1, -1, -1):
+        rs = {r for k, r in sizes if k <= pos[a]}
+        split = [cols[y][a] for y in range(a, s)]  # split[t]: [a..a + r - 1 + t] in r groups
+        for r in range(1, min(max(rs, default=0), s - a) + 1):
+            if r > 1:  # the last group [x..y], after [a..x - 1] in r - 1 groups
+                split = [max(map(add, split, cols[y][a + r - 1 : y + 1])) for y in range(a + r - 1, s)]
+            if r in rs:
+                best[a + r - 1 :] = map(max, best[a + r - 1 :], split)
+        for j in range(a, s):
+            f = floor[a][j]
+            out[a][j] = f if q * scaled(f) >= p * best[j] else Fraction(p * best[j], q * unit)
+    return out
+
+
+def assert_prune_free(engine, v, h, levels=True):
+    """The engine's fixed-point table, or with ``levels`` every level table
+    and the trace, against one prune-free step (check_table), by type and
+    repr; returns the level tables.  The level route ends with the first
+    level equal to the fixed point, repeated, and a repeated level is the
+    fixed point: one step over it gives the sup and the splits the step
+    over the sup floor gives, since levels rise with m."""
+    alpha, fixed = engine.alpha, engine.fixed_point_table()
+    if not levels:
+        assert typed(fixed) == typed(check_table(alpha, v, h, fixed))
+        return None
+    tables = engine.level_tables(len(v.support) + 1)
+    assert typed(tables[0]) == typed(sup_table(v))
+    for m, (before, after) in enumerate(zip(tables, tables[1:])):
+        assert typed(after) == typed(check_table(alpha, v, h, before, before)), m
+    assert [t == fixed for t in tables] == [False] * (len(tables) - 2) + [True, True]
+    value, trace = engine.norm_with_trace()
+    values = [t[0][-1] for t in tables]
+    assert typed([[value] + [x for _, x in trace.levels]]) == typed([values[-1:] + values])
+    assert trace.stabilization_level == LevelTrace(levels=tuple(enumerate(values))).stabilization_level
+    return tables
 
 
 REFERENCE_HS = (
@@ -1352,11 +1397,11 @@ class TestTopSums:
                 (rng.randint(1, 20), Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
                 for _ in range(rng.randint(1, 12))
             )
-            engine = TsirelsonEngine(alpha, v)
-            work, sup, s = engine._work, engine._sup, len(v.support)
+            sup, s = TsirelsonEngine(alpha, v).level_tables(0)[0], len(v.support)
+            val = [abs(x) for x in v.values]
             for j in range(s):
                 for a in range(j, -1, -1):
-                    ranked = sorted(work[a : j + 1], reverse=True)
+                    ranked = sorted(val[a : j + 1], reverse=True)
                     for r in range(1, j - a + 2):
                         assert right_nested_split(sup, a, j, r) == sum(ranked[:r])
 
@@ -1397,13 +1442,7 @@ class TestStartSplits:
             )
             s = len(v.support)
             alpha = rng.choice((HALF, Fraction(2, 3)))
-            engine = TsirelsonEngine(alpha, v, h)
-            tables = (
-                engine._sup,
-                engine.fixed_point_table(_work_units=True),
-                engine._work_level_tables(2)[-1],
-            )
-            for table in tables:
+            for table in public_tables(TsirelsonEngine(alpha, v, h)):
                 cols = [[row[y] for row in table[: y + 1]] for y in range(s)]
                 for i in range(s):
                     F = [None, []]
@@ -1414,7 +1453,7 @@ class TestStartSplits:
                             continue
                         sizes = list(range(2, j - i + 2))
                         for r in rng.sample(sizes, rng.randint(1, len(sizes))):
-                            got = engine._split(F, cols, table, i, j, r)
+                            got = TsirelsonEngine._split(F, cols, table, i, j, r)
                             assert got == brute_split(table, i, j, r)
                     # F[q][k] is the state (q, i + q - 1 + k)
                     for q in range(2, len(F)):
@@ -1464,82 +1503,9 @@ def traced_peak(call):
     return result, peak
 
 
-def plain_row_arrays(engine, table, floor, below, i):
-    """Run the plain-h row fill of start i over ``table`` (without a ceiling
-    or the level-1 closed form); return the row it wrote, its per-start
-    arrays F and the last query that searched (None if none did), read from
-    its frame as it returns."""
-    code = TsirelsonEngine._plain_row.__code__
-    s = len(table)
-    cols = [[row[y] for row in table[: y + 1]] for y in range(s)]
-    row = [None] * s
-    seen = {}
-
-    def local(frame, event, arg):
-        if event == "return":
-            seen.update(frame.f_locals)
-        return local
-
-    previous = sys.gettrace()
-    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
-    try:
-        engine._plain_row(table, cols, floor, below, row, i, False, None)
-    finally:
-        sys.settrace(previous)
-    return row, seen.get("F"), seen.get("last")
-
-
-def tables_with_next(engine):
-    """The sup, level-2 and fixed-point tables of an exact engine, each with
-    the floor table it is filled over and the table the fill yields."""
-    levels = engine._work_level_tables(3)
-
-    def lv(m):  # a settled level repeats
-        return levels[min(m, len(levels) - 1)]
-
-    fixed = engine.fixed_point_table(_work_units=True)
-    return ((engine._sup, engine._sup, lv(1)), (lv(2), lv(2), lv(3)), (fixed, engine._sup, fixed))
-
-
 class TestPlainSweep:
-    """The exact fill for plain h: the singleton widths, the diagonal sweep of
-    the per-start arrays and the triangle bound that skips queries."""
-
-    def test_every_swept_state_is_the_best_split(self):
-        # With zero floors no query is skipped and every diagonal is swept;
-        # with the table's own floors the bounds skip queries, the next query
-        # sweeps their diagonals, and the row is the next table's.
-        rng = Random(29)
-        checked = 0
-        for _ in range(30):
-            v = FiniteVector.from_pairs(
-                (rng.randint(1, 12), Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
-                for _ in range(rng.randint(4, 12))
-            )
-            engine = TsirelsonEngine(rng.choice((HALF, Fraction(2, 3))), v)
-            s = len(engine.pos)
-            zero = [0] * s
-            for table, floors, nxt in tables_with_next(engine):
-                for i in range(s):
-                    R = engine._cut[i]
-                    below = nxt[i + 1] if i + 1 < s else []
-                    for floor, after in ((zero, zero), (floors[i], below)):
-                        row, F, last = plain_row_arrays(engine, table, floor, after, i)
-                        if floor is not zero:
-                            assert row[i + 1 :] == nxt[i][i + 1 :]
-                        elif R >= 2 and i + R < s:
-                            assert last == s - 1
-                        if last is None:
-                            continue
-                        # F[q][k] is the state (q, i + q - 1 + k), swept
-                        # up to the diagonal of the last query
-                        assert len(F) == R + 1 and F[1] == table[i][i:last]
-                        for q in range(2, R + 1):
-                            assert len(F[q]) == last - R - i + 2
-                            for k, state in enumerate(F[q]):
-                                assert state == brute_split(table, i, i + q - 1 + k, q)
-                                checked += 1
-        assert checked > 1000
+    """The exact fill for plain h: the triangle bound that skips queries,
+    and the fill against the search of every size and recorded digests."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -1554,9 +1520,8 @@ class TestPlainSweep:
         # F[q][j] <= F[q][j'] + l1(j'+1..j) whenever [i..j'] has q entries:
         # the bound that lets the plain fill skip the query j after j'.
         v = FiniteVector.from_pairs((n, Fraction(a, d)) for n, a, d in terms)
-        engine = TsirelsonEngine(alpha, v)
-        s, prefix = len(v.support), engine._abs_prefix
-        for table, _, _ in tables_with_next(engine):
+        s, prefix = len(v.support), list(accumulate((abs(x) for x in v.values), initial=0))
+        for table in public_tables(TsirelsonEngine(alpha, v)):
             for i in range(s):
                 for q in range(2, s - i + 1):
                     split = {y: brute_split(table, i, y, q) for y in range(i + q - 1, s)}
@@ -1577,28 +1542,18 @@ class TestPlainSweep:
 
     @pytest.mark.parametrize("s", [32, 48, 64])
     def test_plain_fill_matches_every_size_search(self, s):
-        # The one-size fill against the widest-first search of an h with gaps
-        # (_gap_row), the same engine with _plain off, on the level route and
-        # the fixed point, at the supports of the benchmark's requests and
-        # beyond.
+        # The one-size fill, the singleton widths and the triangle bound
+        # against the search of every size at every start (check_table), on
+        # the level route and the fixed point, at the supports of the
+        # benchmark's requests and beyond.
         for alpha in (HALF, Fraction(1, 3), Fraction(2, 3)):
             rng = Random(f"every-size/{s}/{alpha}")
             pos, pairs = rng.randint(0, 3), []
             for _ in range(s):
                 pos += rng.randint(1, 3)
                 pairs.append((pos, Fraction(rng.choice((-1, 1)) * rng.randint(1, 20), rng.randint(1, 12))))
-            got = []
-            for plain in (True, False):
-                engine = TsirelsonEngine(alpha, FiniteVector.from_pairs(pairs))
-                engine._plain = plain
-                value, trace = engine.norm_with_trace()
-                got.append((
-                    typed(engine.fixed_point_table()),
-                    [typed(table) for table in engine.level_tables(s + 1)],
-                    typed([[value] + [x for _, x in trace.levels]]),
-                    trace.stabilization_level,
-                ))
-            assert got[0] == got[1]
+            v = FiniteVector.from_pairs(pairs)
+            assert_prune_free(TsirelsonEngine(alpha, v), v, None)
 
     def test_exact_tables_match_recorded_digest(self):
         # At s = 32/48/64 for plain h and affine:2:0.  The digest was recorded
@@ -1615,21 +1570,6 @@ class TestPlainSweep:
         hs = (HFunction.affine(3, 1), GAPPED_H)
         cases = [(s, alpha, hs[case % 2]) for case, (s, alpha) in enumerate(sizes)]
         assert tables_digest("gap-bits", cases) == GAP_DIGEST
-
-
-def uncapped_level_tables(engine, m):
-    """The exact level route without the fixed-point ceiling: each level
-    filled in full by _fill_exact over the one before, stopping where a
-    level repeats."""
-    s = len(engine.pos)
-    tables = [engine._sup]
-    for _ in range(m):
-        nxt = [[0] * s for _ in range(s)]
-        engine._fill_exact(tables[-1], nxt)
-        tables.append(nxt)
-        if nxt == tables[-2]:
-            break
-    return tables
 
 
 # Every h kind: plain, the identity, affine with and without gaps, and
@@ -1654,18 +1594,90 @@ CEILING_VALUES = (
 )
 
 
+# The prune-free sweep: (s, index into CEILING_HS).  Every h at s = 48-64,
+# where each level is checked too; fixed points alone at s = 96-128.
+PRUNE_FREE_CASES = (
+    (48, 0), (56, 1), (64, 2), (48, 3), (56, 4), (64, 5), (48, 6), (96, 0), (112, 4), (128, 5),
+)
+# Harmonic, tie-heavy and seeded rational values, by the position n.
+PRUNE_FREE_DRAWS = (CEILING_VALUES[2], CEILING_VALUES[1], CEILING_VALUES[0])
+
+
+def prune_free_case(case):
+    """(alpha, v, h, levels) of case ``case`` of the prune-free sweep: alpha,
+    the value draw and the first position, 1-5, cycle with the case number;
+    the positions run on from the first, and the values are seeded."""
+    s, h_index = PRUNE_FREE_CASES[case]
+    draw = PRUNE_FREE_DRAWS[(case + case // 3) % 3]
+    first, rng = 1 + case % 5, Random(f"prune-free/{case}")
+    v = FiniteVector.from_pairs((n, draw(rng, n)) for n in range(first, first + s))
+    return CEILING_ALPHAS[case % 3], v, CEILING_HS[h_index][1], s <= 64
+
+
+class TestPruneFreeStep:
+    """Every exact table against one prune-free step of the recursion
+    (check_table), at supports past the oracle's and the slow references'."""
+
+    @pytest.mark.parametrize("case", range(len(PRUNE_FREE_CASES)), ids=[
+        f"{s}{CEILING_HS[h][0].replace(',h=', '-') or '-plain'}" for s, h in PRUNE_FREE_CASES
+    ])
+    def test_tables_are_one_prune_free_step(self, case):
+        alpha, v, h, levels = prune_free_case(case)
+        assert_prune_free(TsirelsonEngine(alpha, v, h), v, h, levels)
+
+    @pytest.mark.parametrize("route", ["fixed-point", "level"])
+    def test_an_entry_moved_by_one_unit_fails(self, route):
+        # One entry of a correct table moved up or down by one unit of the
+        # table's common denominator: the check flags that entry.
+        v = harmonic(20)
+        engine = TsirelsonEngine(HALF, v)
+        if route == "fixed-point":
+            table = engine.fixed_point_table()
+        else:
+            before, table = engine.level_tables(2)[1:]
+        unit = Fraction(1, math.lcm(*{x.denominator for row in table for x in row}))
+        for i, j in ((0, 19), (3, 11), (7, 7)):
+            for step in (unit, -unit):
+                moved = [row[:] for row in table]
+                moved[i][j] += step
+                if route == "fixed-point":
+                    got = check_table(HALF, v, None, moved)
+                else:
+                    got = check_table(HALF, v, None, before, before)
+                assert got[i][j] != moved[i][j] and got[i][j] == table[i][j]
+
+    def test_iterated_step_reaches_the_oracle(self):
+        # From the sup table, the step iterated reaches its fixed point, whose
+        # entry for the whole support is the oracle's norm over families of
+        # arbitrary subsets: the interval reading that check_table shares
+        # with the engine, checked without the engine.
+        for case in range(21):
+            rng = Random(f"prune-free-oracle/{case}")
+            alpha, h = CEILING_ALPHAS[case % 3], CEILING_HS[case % 7][1]
+            draw = CEILING_VALUES[case % 4]
+            pos, pairs = rng.randint(1, 5), []
+            for _ in range(3 + case % 5):
+                pairs.append((pos, draw(rng, pos)))
+                pos += rng.randint(1, 3)
+            v = FiniteVector.from_pairs(pairs)
+            table, nxt = None, sup_table(v)
+            while nxt != table:
+                table, nxt = nxt, check_table(alpha, v, h, nxt)
+            assert table[0][-1] == oracle_norm(alpha, v, h=h), case
+
+
 class TestFixedPointCeiling:
     """The exact level route reads the fixed-point table from level 2 on:
     an entry whose floor or carry reaches it is written without a search,
     and a level equal to it repeats unfilled.  Every level lies below the
     fixed point, so the route gives what the full fills give."""
 
-    def test_capped_route_matches_the_full_fills(self, tmp_path, monkeypatch):
+    def test_capped_route_matches_the_full_fills(self, fills):
         # 4,200 seeded cases: each h kind at alpha 1/3, 1/2 and 2/3, the
-        # first position 1-5, and the four value draws; level_tables(m) for
-        # every m up to one past the last level, and norm_with_trace, by
-        # type and repr; the CLI's norm output for every tenth case.
-        cases, cli_cases = 0, []
+        # first position 1-5, and the four value draws.  Every level and the
+        # fixed point against one prune-free step (assert_prune_free), and
+        # level_tables(m) for a smaller m a prefix of the levels.
+        cases = 0
         for seed in range(50):
             for kind, draw in enumerate(CEILING_VALUES):
                 for alpha in CEILING_ALPHAS:
@@ -1676,62 +1688,30 @@ class TestFixedPointCeiling:
                             pairs.append((pos, draw(rng, pos)))
                             pos += rng.randint(1, 3)
                         v = FiniteVector.from_pairs(pairs)
-                        s = len(v.support)
-                        reference = TsirelsonEngine(alpha, v, h)
-                        full = uncapped_level_tables(reference, s + 1)
-                        expected = [typed(reference._to_numbers(t)) for t in full]
                         engine = TsirelsonEngine(alpha, v, h)
-                        for m in (0, 1):  # no fixed-point fill below level 2
-                            assert engine._work_level_tables(m) == full[: m + 1]
-                            assert engine._fixed is None
-                        # The route stops where a level repeats, so m past
-                        # the last level gives what m = len(full) gives.
-                        # Equal work units convert alike, so only the last
-                        # m is compared by type and repr.
-                        for m in range(2, len(full)):
-                            assert engine._work_level_tables(m) == full[: m + 1], (seed, kind, alpha, text, m)
-                        got = [typed(t) for t in engine.level_tables(len(full))]
-                        assert got == expected, (seed, kind, alpha, text)
-                        value, trace = TsirelsonEngine(alpha, v, h).norm_with_trace()
-                        values = [reference._number(t[0][s - 1], 0, s - 1) for t in full]
-                        assert typed([[value] + [x for _, x in trace.levels]]) == typed([values[-1:] + values])
-                        assert trace.stabilization_level == LevelTrace(levels=tuple(enumerate(values))).stabilization_level
+                        filled = fills[0]
+                        low = [engine.level_tables(m) for m in (0, 1)]
+                        assert fills[0] == filled  # no fixed-point fill below level 2
+                        tables = assert_prune_free(engine, v, h)
+                        for m in range(len(tables)):
+                            assert (low[m] if m < 2 else engine.level_tables(m)) == tables[: m + 1]
                         cases += 1
-                        if cases % 10 == 0:
-                            cli_cases.append((f"tsirelson:alpha={alpha}{text}", pairs))
         assert cases == 4200
-
-        def outputs():
-            got = []
-            for space, pairs in cli_cases:
-                path = tmp_path / "v.txt"
-                path.write_text(" ".join(f"{n}:{a}" for n, a in pairs))
-                out = io.StringIO()
-                with contextlib.redirect_stdout(out):
-                    code = cli.main(["norm", space, str(path)])
-                got.append((code, out.getvalue()))
-            return got
-
-        capped = outputs()
-        monkeypatch.setattr(TsirelsonEngine, "_work_level_tables", uncapped_level_tables)
-        assert capped == outputs() and {code for code, _ in capped} == {0}
 
     @pytest.mark.parametrize("values", [
         (True, Fraction(1, 2), 3),
         (Fraction(1, 3), 0.25, 2),
         (1, 2.0, Fraction(-3, 4), 1),
     ], ids=["bool", "float", "int-float"])
-    def test_values_that_are_not_int_or_fraction_take_the_float_route(self, values):
+    def test_values_that_are_not_int_or_fraction_take_the_float_route(self, values, fills):
         # scaled_ints refuses a bool or a float, so the engine fills by the
         # float route, which reads no ceiling; its tables are the slow
         # float search's, entry by entry.
         v = FiniteVector(tuple(range(2, 2 + len(values))), values)
-        engine = TsirelsonEngine(HALF, v)
-        assert engine._scale is None
         s = len(values)
         expected = float_reference_tables(HALF, v, None)
-        assert [typed(t) for t in engine.level_tables(s + 1)] == [typed(t) for t in expected]
-        assert engine._fixed is None
+        assert [typed(t) for t in TsirelsonEngine(HALF, v).level_tables(s + 1)] == [typed(t) for t in expected]
+        assert fills[0] == 0
 
     def test_a_level_equal_to_the_fixed_point_repeats_unfilled(self, monkeypatch):
         # 96 harmonic entries: level 1 differs from the fixed point, and the
@@ -1746,8 +1726,8 @@ class TestFixedPointCeiling:
             return fill(self, table, out, ceiling)
 
         monkeypatch.setattr(TsirelsonEngine, "_fill_exact", counted)
-        tables = engine._work_level_tables(97)
-        assert len(tables) == 5 and tables[4] is tables[3] and tables[3] == engine._fixed
+        tables = engine.level_tables(97)
+        assert len(tables) == 5 and tables[4] is tables[3] and tables[3] == engine.fixed_point_table()
         assert sorted(fills) == ["capped", "capped", "fixed", "level"]
 
     def test_a_repeated_level_is_converted_once(self, monkeypatch):
@@ -1765,7 +1745,7 @@ class TestFixedPointCeiling:
         tables = engine.level_tables(9)
         assert len(tables) == 4 and len(calls) == 3 * 36
         assert tables[3] is tables[2]
-        assert typed(tables[3]) == typed(engine._to_numbers(engine._fixed))
+        assert typed(tables[3]) == typed(engine.fixed_point_table())
 
 
 # Supports of the DP = oracle sweep, by case: one exact oracle call took
@@ -1977,15 +1957,18 @@ class TestGapSearch:
 
     @staticmethod
     def tables(h, label):
-        # (engine, sizes, table) for the sup, level-2 and fixed-point tables
-        # in work units, on seeded vectors small enough to list every cut set
+        # (alpha, positions, |coefficients|, sizes, table) for the sup,
+        # level-2 and fixed-point tables, on seeded vectors small enough to
+        # list every cut set; values as ints over one common denominator
         rng = Random(f"{label}/{h!r}")
         for case in range(20):
             alpha = (Fraction(1, 3), HALF, Fraction(2, 3))[case % 3]
             v = seeded_vector(rng, rng.randint(2, 10))
-            engine = TsirelsonEngine(alpha, v, h)
-            for table, _, _ in tables_with_next(engine):
-                yield engine, reference_sizes(v, h)[2], table
+            pos, val, sizes = reference_sizes(v, h)
+            for table in public_tables(TsirelsonEngine(alpha, v, h)):
+                unit = math.lcm(*{x.denominator for x in val + [x for row in table for x in row]})
+                ints = [[x.numerator * (unit // x.denominator) for x in row] for row in table]
+                yield alpha, pos, [x.numerator * (unit // x.denominator) for x in val], sizes, ints
 
     @pytest.mark.parametrize("h", GAP_HS, ids=GAP_IDS)
     def test_no_split_beats_the_singletons(self, h):
@@ -1993,11 +1976,10 @@ class TestGapSearch:
         # split: when the widest admissible r is the width, the singletons
         # close the query.
         checked = 0
-        for engine, sizes, table in self.tables(h, "singletons"):
-            pos, prefix = engine.pos, engine._abs_prefix
+        for _, pos, val, sizes, table in self.tables(h, "singletons"):
             for i in range(len(pos)):
                 for j in range(i, len(pos)):
-                    l1 = prefix[j + 1] - prefix[i]
+                    l1 = sum(val[i : j + 1])
                     assert table[i][j] <= l1
                     for r in admissible_sizes(pos, sizes, i, j):
                         assert brute_split(table, i, j, r) <= l1
@@ -2010,13 +1992,12 @@ class TestGapSearch:
         # the bound does not fall as r grows: the first r it rules out,
         # widest first, rules out every narrower one.
         checked = 0
-        for engine, sizes, table in self.tables(h, "sup-bound"):
-            pos, prefix, work = engine.pos, engine._abs_prefix, engine._work
-            p, q = engine._p, engine._q
+        for alpha, pos, val, sizes, table in self.tables(h, "sup-bound"):
+            p, q = alpha.numerator, alpha.denominator
             for i in range(len(pos)):
                 for j in range(i + 1, len(pos)):
-                    l1 = prefix[j + 1] - prefix[i]
-                    ranked = sorted(work[i : j + 1], reverse=True)
+                    l1 = sum(val[i : j + 1])
+                    ranked = sorted(val[i : j + 1], reverse=True)
                     bounds = []
                     for r in admissible_sizes(pos, sizes, i, j):
                         bounds.append(p * l1 + (q - p) * sum(ranked[:r]))
