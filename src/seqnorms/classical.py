@@ -30,6 +30,22 @@ The float bisection of the Luxemburg norm for M(t) = t^p adds (a*u)^p entry
 by entry in a plain loop, not with sum() (compensated on Python 3.12), so
 its floats are those of evaluating M on each entry in turn.  A float power
 sum that leaves the float range factors out the sup (see _power_root).
+
+The bisection runs that loop only near the root.  It reads the functional g
+only through comparisons with 1 and 1 +- tol, and one closed form settles
+most of them.  With n entries, a finite pf and sup_f the largest entry,
+S = fsum((a / sup_f) ** pf) is at least 1 (the sup's own term), and
+G(u) = S * (u * sup_f) ** pf is within about (2p + 6) units of 2^-53 of the
+real sum T(u) = sum (a*u)^p.  The loop is within about (n + p + 3) units of
+T(u): recursive summation of positive terms obeys gamma_(n-1) (Higham,
+Accuracy and Stability of Numerical Algorithms, 2002, section 4.2).  Both
+bounds assume that pow is within a few ulps.  So with the relative margin
+c = 8 * (n + 2p + 16) * 2^-53, and 1e-300 absolute for terms that underflow,
+G * (1 - c) - 1e-300 - 1 > tol proves the loop's g above 1 + tol, and
+1 - (G * (1 + c) + 1e-300) > tol proves it below 1 - tol.  Each form is the
+bisection's own float test, monotone in g, so G answers every comparison as
+the loop would, and every midpoint and the result keep their bits.  Any
+other u, a G or power past the float range, or c >= 1e-6 runs the loop.
 """
 from __future__ import annotations
 
@@ -436,6 +452,7 @@ def luxemburg_norm(M: OrliczFunction, v: FiniteVector, tol: float = OrliczSpace.
         entries_f = [to_float(abs(a) / sup) for a in v.values]
         scale, sup_f = to_float(sup), 1.0
 
+    S = 0.0  # the steering's S (module docstring); 0 runs the loop at every u
     if M.kind == "power":
         # the exponent as --float reads it
         pf = INF if M.p > sys.float_info.max else float(M.p)
@@ -446,12 +463,22 @@ def luxemburg_norm(M: OrliczFunction, v: FiniteVector, tol: float = OrliczSpace.
             for a in entries_f:
                 total = total + (a * u) ** pf
             return total
+
+        c = 8 * (len(entries_f) + 2 * pf + 16) * 2.0 ** -53
+        if c < 1e-6:
+            S = math.fsum([(a / sup_f) ** pf for a in entries_f])
     else:
         def functional(u: float) -> float:
             return float(_luxemburg_functional(M, entries_f, u))
 
     def g(u: float) -> float:
         try:
+            if S:
+                # (u * sup_f) ** pf is the loop's own sup term: an overflow
+                # here is the loop's too
+                G = S * (u * sup_f) ** pf
+                if tol < G * (1.0 - c) - 1e-300 - 1.0 < INF or 1.0 - (G * (1.0 + c) + 1e-300) > tol:
+                    return G
             return functional(u)
         except OverflowError:
             return INF  # a term beyond the float range is far above 1

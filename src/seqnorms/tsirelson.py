@@ -85,6 +85,13 @@ level route):
   singletons too, so its value, max(sup, alpha * l1) of a subinterval,
   never beats the singletons of [i..j] or the floor.
 
+The same fact closes a whole vector before any engine is built.  For plain
+h in exact mode with pos[0] >= s, the size k = s admits the s singletons of
+the whole support, so its norm is max(sup, alpha * l1).
+``fixed_point_norm`` returns the first largest |coefficient| itself when
+alpha * l1 <= sup, and alpha * l1 as a Fraction otherwise: the engine's
+value and type.
+
 Two more facts rest on the sum top_r of the r largest |a_n| in [a..j].  An
 h with gaps reads it from a sorted list of the work values of [i..j], grown
 as j rises.  Plain h needs only top_R of [i..j], and keeps it running: a
@@ -776,7 +783,20 @@ def norm(
 def fixed_point_norm(
     alpha: Number, v: FiniteVector, h: Optional[HFunction] = None
 ) -> Number:
-    """The fixed-point norm without trace bookkeeping (production path)."""
+    """The fixed-point norm without trace bookkeeping (production path).
+
+    Plain h in exact mode with pos[0] >= s takes the closed form of the
+    module docstring, max(sup, alpha * l1), with the engine's types."""
+    if not 0 < alpha < 1:
+        raise ConfigurationError("alpha must lie in (0,1)")
+    pos = v.support
+    # exact mode is the engine's test: alpha exact, and every value's type
+    # int or Fraction (scaled_ints)
+    if (h is None and pos and pos[0] >= len(pos) and is_exact(alpha)
+            and {int, Fraction}.issuperset(map(type, v.values))):
+        values = list(map(abs, v.values))
+        sup, mass = max(values), alpha * sum(values)  # max keeps the first largest
+        return sup if mass <= sup else mass
     return TsirelsonEngine(alpha, v, h).fixed_point_norm()
 
 

@@ -1,4 +1,5 @@
 import math
+import os
 import time
 from fractions import Fraction
 from random import Random
@@ -17,6 +18,7 @@ from seqnorms.core import (
     WeightSpec,
     is_exact,
     parse_scalar,
+    to_float,
 )
 from seqnorms import classical, ideals
 from seqnorms.series import CoefficientGenerator
@@ -462,7 +464,9 @@ def reference_luxemburg(M, v, tol=1e-10):
         u = Fraction(1) / sum(entries)
         rho = 1 / u
         return int(rho) if rho.denominator == 1 else rho
-    entries_f = [float(a) for a in entries]
+    entries_f = [to_float(a) for a in entries]
+    if INF in entries_f:
+        return INF  # an exact entry past the float range
     scale = 1.0
     if max(entries_f) == 0.0 or 1.0 / max(entries_f) == INF:
         # no bracket from 1/sup: work on the entries over the sup
@@ -470,8 +474,11 @@ def reference_luxemburg(M, v, tol=1e-10):
 
     def g(u):
         total = 0
-        for a in entries_f:
-            total = total + M(a * u)
+        try:
+            for a in entries_f:
+                total = total + M(a * u)
+        except OverflowError:
+            return INF
         return float(total)
 
     u_hi, steps = 1.0 / max(entries_f), 0
@@ -517,6 +524,47 @@ EXPONENTS = st.sampled_from((1, 2, 3, Fraction(3, 2), 2.0))
 WEIGHTS = st.just(WeightSpec.harmonic())
 
 
+# The Luxemburg sweep: sizes up to 3,000, exponents from 1 to 1e9, and five
+# entry kinds by the case number: floats from 1e-320 to 1.7e308 whose
+# exponents spread from one to all binades, ints and Fractions (some below
+# the float range), the two mixed, 400-digit Fractions (with now and then a
+# 400-digit int, past the float range), and subnormal floats only.
+LUXEMBURG_SIZES = (1, 2, 3, 5, 8, 13, 40, 200)
+LUXEMBURG_EXPONENTS = (1, 2, 3, 10, Fraction(3, 2), 1.0000001, 1.5, 2.5, 7.0, 100.0, 1e4, 1e6, 1e8, 1e9)
+
+
+def luxemburg_case(case):
+    """(M, v, tol) of case ``case`` of the Luxemburg sweep."""
+    rng = Random(f"luxemburg-sweep/{case}")
+    n = 3000 if case % 50 == 13 else 1000 if case % 25 == 7 else rng.choice(LUXEMBURG_SIZES)
+    kind, p = case % 5, rng.choice(LUXEMBURG_EXPONENTS)
+    if p == 1 and kind in (1, 3):
+        n = min(n, 8)  # the exact l1 norm: its denominator grows with n
+    top = rng.randint(-1074, -1022) if kind == 4 else rng.randint(-1062, 1024)
+    spread = rng.choice((0, 2, 10, 60, 1100))
+
+    def float_entry():
+        return math.ldexp(rng.uniform(0.5, 1.0), max(top - rng.randint(0, spread), -1074))
+
+    def exact_entry():
+        b = top - rng.randint(0, min(spread, 60))
+        if rng.random() < 0.3:
+            return rng.randint(1, 10 ** 6) << max(b, 0)
+        return Fraction(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6)) * Fraction(2) ** b
+
+    def long_entry():
+        if rng.random() < 0.002:
+            return rng.randint(10 ** 399, 10 ** 400)
+        return Fraction(rng.randint(10 ** 399, 10 ** 400), rng.randint(10 ** 399, 10 ** 400))
+
+    draw = (float_entry, exact_entry, lambda: rng.choice((float_entry, exact_entry))(),
+            long_entry, float_entry)[kind]
+    values = [rng.choice((-1, 1)) * draw() for _ in range(n)]
+    # half the tolerances near the rounding error, where a loose margin shows
+    tol = 10 ** rng.uniform(-16, -14 if case % 2 else math.log10(0.5))
+    return OrliczFunction.power(p), FiniteVector.from_dense(values), tol
+
+
 class TestReferenceKernels:
     """Scaled-int sums and the direct float functional give today's values."""
 
@@ -539,6 +587,20 @@ class TestReferenceKernels:
     def test_luxemburg(self, v, p):
         M = OrliczFunction.power(p)
         assert outcome(luxemburg_norm, M, v) == outcome(reference_luxemburg, M, v)
+
+    def test_luxemburg_sweep(self):
+        # The steered bisection against the plain loop, by type and repr: the
+        # closed form answers only comparisons its error margin settles.  The
+        # CI runs 4,000 cases through LUXEMBURG_SWEEP_CASES; tier-1 runs the
+        # first 300, about 2 s.
+        count = int(os.environ.get("LUXEMBURG_SWEEP_CASES", "300"))
+        differ = []
+        for case in range(count):
+            M, v, tol = luxemburg_case(case)
+            got, expected = outcome(luxemburg_norm, M, v, tol), outcome(reference_luxemburg, M, v, tol)
+            if got != expected:
+                differ.append((case, got, expected))
+        assert not differ, f"{len(differ)} of {count} cases differ, the first: {differ[:3]}"
 
     @pytest.mark.parametrize("text, expected", [
         ("7", "int:7"),

@@ -121,6 +121,77 @@ class TestNorm:
         assert fixed_point_norm(HALF, v, h=HFunction.affine(2, 0)) == 2
 
 
+CLOSED_FORM_ALPHAS = (Fraction(1, 10), Fraction(1, 3), HALF, Fraction(2, 3), Fraction(9, 10))
+# ints, Fractions, tie-prone small values (2 beside Fraction(2)) and zeros,
+# which the vector drops.
+CLOSED_FORM_DRAWS = (
+    lambda rng: rng.choice((-1, 1)) * rng.randint(1, 30),
+    lambda rng: Fraction(rng.randint(-30, 30), rng.choice((1, 2, 3, 7, 12))),
+    lambda rng: rng.choice((2, Fraction(2), -2, Fraction(-2), 1, Fraction(1, 2), 0)),
+    lambda rng: rng.choice((0, 0, 3, Fraction(-3), Fraction(5, 3), 1)),
+)
+
+
+def closed_form_case(case):
+    """(alpha, v) of case ``case``: up to 12 draws on positions from a first
+    position at least the number of nonzero draws, so pos[0] >= s."""
+    rng = Random(f"closed-form/{case}")
+    draw = CLOSED_FORM_DRAWS[case % len(CLOSED_FORM_DRAWS)]
+    values = [draw(rng) for _ in range(1 + case % 12)]
+    pos = max(sum(map(bool, values)), 1) + rng.choice((0, 0, 1, 3, 10))
+    pairs = []
+    for a in values:
+        pairs.append((pos, a))
+        pos += rng.randint(1, 3)
+    return CLOSED_FORM_ALPHAS[case % 5], FiniteVector.from_pairs(pairs)
+
+
+class TestClosedFormBeforeTheEngine:
+    """fixed_point_norm answers plain h in exact mode with pos[0] >= s by
+    max(sup, alpha * l1) and builds no engine; every other call reaches it."""
+
+    def test_matches_the_engine(self, fills):
+        # 4,200 seeded vectors: s = 0-12 with zeros dropped, ties of 2 and
+        # Fraction(2), ints and Fractions, five alphas.  Only the engine
+        # built here for the expected value fills a table.
+        sizes, first_is_s = set(), 0
+        for case in range(4200):
+            alpha, v = closed_form_case(case)
+            s = len(v.support)
+            assert not s or v.support[0] >= s
+            got, filled = fixed_point_norm(alpha, v), fills[0]
+            expected = TsirelsonEngine(alpha, v).fixed_point_norm()
+            assert fills[0] == filled + bool(s), case
+            assert f"{type(got).__name__}:{got!r}" == f"{type(expected).__name__}:{expected!r}", case
+            sizes.add(s)
+            first_is_s += bool(s) and v.support[0] == s
+        assert sizes == set(range(13)) and first_is_s > 500
+
+    @pytest.mark.parametrize("alpha", [0, 1, Fraction(3, 2), Fraction(-1, 2), 1.0],
+                             ids=["zero", "one", "three-halves", "minus-half", "float-one"])
+    def test_alpha_outside_the_unit_interval_is_refused(self, alpha, fills):
+        with pytest.raises(ConfigurationError):
+            fixed_point_norm(alpha, units(5, 6))
+        assert fills[0] == 0
+
+    @pytest.mark.parametrize("alpha, v, h", [
+        (0.5, units(5, 6), None),
+        (HALF, FiniteVector((5, 6), (1.0, 2)), None),
+        (HALF, FiniteVector((5, 6), (True, 2)), None),
+        (HALF, units(5, 6), HFunction.identity()),
+        (HALF, units(5, 6), HFunction.affine(2, 0)),
+        (HALF, units(2, 3, 4), None),
+        (HALF, units(1), None),
+    ], ids=["float-alpha", "float-value", "bool-value", "identity-h", "affine-h", "pos0-below-s", "pos0-one"])
+    def test_other_calls_reach_the_engine(self, alpha, v, h, fills):
+        # units(1) has pos[0] = s = 1 and takes the closed form: the control.
+        expected = TsirelsonEngine(alpha, v, h).fixed_point_norm()
+        filled = fills[0]
+        got = fixed_point_norm(alpha, v, h)
+        assert (type(got), got) == (type(expected), expected)
+        assert fills[0] == filled + (v != units(1))
+
+
 class TestOracle:
     def test_adjacent_pair(self):
         assert oracle_norm(HALF, units(2, 3)) == 1
@@ -1599,6 +1670,8 @@ CEILING_VALUES = (
 PRUNE_FREE_CASES = (
     (48, 0), (56, 1), (64, 2), (48, 3), (56, 4), (64, 5), (48, 6), (96, 0), (112, 4), (128, 5),
 )
+# The CI's larger fixed points, cases 10-23: every h at s = 160 and 192.
+LARGE_PRUNE_FREE_CASES = tuple((s, h) for s in (160, 192) for h in range(len(CEILING_HS)))
 # Harmonic, tie-heavy and seeded rational values, by the position n.
 PRUNE_FREE_DRAWS = (CEILING_VALUES[2], CEILING_VALUES[1], CEILING_VALUES[0])
 
@@ -1607,7 +1680,7 @@ def prune_free_case(case):
     """(alpha, v, h, levels) of case ``case`` of the prune-free sweep: alpha,
     the value draw and the first position, 1-5, cycle with the case number;
     the positions run on from the first, and the values are seeded."""
-    s, h_index = PRUNE_FREE_CASES[case]
+    s, h_index = (PRUNE_FREE_CASES + LARGE_PRUNE_FREE_CASES)[case]
     draw = PRUNE_FREE_DRAWS[(case + case // 3) % 3]
     first, rng = 1 + case % 5, Random(f"prune-free/{case}")
     v = FiniteVector.from_pairs((n, draw(rng, n)) for n in range(first, first + s))
@@ -1624,6 +1697,14 @@ class TestPruneFreeStep:
     def test_tables_are_one_prune_free_step(self, case):
         alpha, v, h, levels = prune_free_case(case)
         assert_prune_free(TsirelsonEngine(alpha, v, h), v, h, levels)
+
+    def test_large_fixed_points_are_one_prune_free_step(self):
+        # The CI checks all 14 through PRUNE_FREE_LARGE_CASES, about 25 s;
+        # tier-1 checks none of them.
+        count = int(os.environ.get("PRUNE_FREE_LARGE_CASES", "0"))
+        for case in range(len(PRUNE_FREE_CASES), len(PRUNE_FREE_CASES) + count):
+            alpha, v, h, levels = prune_free_case(case)
+            assert_prune_free(TsirelsonEngine(alpha, v, h), v, h, levels)
 
     @pytest.mark.parametrize("route", ["fixed-point", "level"])
     def test_an_entry_moved_by_one_unit_fails(self, route):
