@@ -3,16 +3,16 @@
 The Luxemburg norm is the unique rho > 0 with sum_n M(|v(n)|/rho) = 1,
 found by bracketing and bisection on the monotone map rho -> sum M(|v(n)|/rho).
 
-Exact power sums run on scaled integers from ``core.scaled_ints``.  For
-exact entries and an exact integer p, the entries become ints
-x_i = n_i * (L // d_i) over L, the lcm of their denominators (and the Lorentz
-weights likewise over the lcm of theirs, from ``WeightSpec.scaled``).  The
-l_p sum is then sum |x_i|^p over L^p, and the Lorentz sum sorts the ints and
-adds x_i^p * w_i over L^p times the weight denominator, with one Fraction
-built at the end.  A sum of rationals has one value however it is formed, so
-this is the value of the term-by-term Fraction sum, and the type follows the
-same rule: a Fraction if any term is a Fraction, else an int.  Float
-entries and a non-integer p are summed term by term.
+A power t^p is exact only for an exact t and an exact integer p (``_power``),
+so p = 1.0 sums in floats as p = 2.0 does.  ``lp_norm`` and ``lorentz_norm``
+run exact sums on scaled ints x_i = n_i * (L // d_i) over L, the lcm of the
+denominators (``core.scaled_ints``; the weights too, ``WeightSpec.scaled``).
+The l_p sum is then sum |x_i|^p over L^p, and the Lorentz sum sorts the ints
+and adds x_i^p * w_i over L^p times the weight denominator, with one Fraction
+built at the end.  The lp windows (``LpSpace.interval_norms``) add terms one
+at a time (``_power_sums``), as float terms always are.  A sum of rationals
+has one value however it is formed, so both give the term-by-term Fraction
+sum's value and type: a Fraction if any term is a Fraction, else an int.
 
 The weights are harmonic, w_i = 1/(i+1), and the denominator of the first m is
 lcm(1..m), formed as the product of the largest prime power <= m of each
@@ -333,8 +333,6 @@ def lp_norm(p: Number, v: FiniteVector) -> Number:
         num = sum(abs(x) ** n for x in ints)
         total = Fraction(num, L ** n) if fraction else num
         return total if n == 1 else _root(total, n)
-    if p == 1:
-        return v.abs_sum()
     return _power_root(p, [(abs(a), 1) for a in v.values])
 
 

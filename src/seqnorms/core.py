@@ -573,8 +573,8 @@ class LpSpace(SpaceSpec, Frozen):
         # start, or a float power sum beyond the float range, a fresh norm.
         from . import classical
         p, values, out = self.p, list(map(abs, v.values)), []
-        if p in (1, INF):
-            sums = [None] + (list(accumulate(values, max)) if p == INF else _running(values))
+        if p == INF:
+            sums = [None] + list(accumulate(values, max))
         else:
             classical.check_exact_power(p, values)
             sums = [None] + classical._power_sums(p, [(a, 1) for a in values])

@@ -1,5 +1,4 @@
 import math
-import os
 import time
 from fractions import Fraction
 from random import Random
@@ -144,6 +143,15 @@ class TestLp:
             assert lp_norm(1, FiniteVector.from_dense(coeffs)) == INF
             assert prefix_norms(LpSpace(1), FiniteVector.from_dense(coeffs))[-1] == INF
 
+    def test_float_exponent_one_sums_in_floats(self):
+        # exact arithmetic needs exact values and an exact integer exponent,
+        # as for every classical norm: lp at p = 1.0 returned Fraction(5, 6)
+        v = FiniteVector.from_dense([Fraction(1, 2), Fraction(1, 3)])
+        assert typed(lp_norm(1, v)) == typed(Fraction(5, 6))
+        assert typed(lp_norm(1.0, v)) == "float:0.8333333333333333"
+        assert type(luxemburg_norm(OrliczFunction.power(1.0), v)) is float
+        assert list(map(typed, prefix_norms(LpSpace(1.0), v))) == ["float:0.5", "float:0.8333333333333333"]
+
     def test_float_power_sum_below_the_float_range(self):
         # 0.5 ** 100000.0 underflows: the sum of a nonzero vector read 0.0
         v = FiniteVector.from_dense([Fraction(1, 2), Fraction(1, 2)])
@@ -168,6 +176,30 @@ class TestLp:
         assert [repr(x) for x in got] == [
             repr(lp_norm(p, v.restrict(range(lo, hi + 1)))) for lo, hi in intervals
         ]
+
+    def test_interval_norms_on_mixed_vectors_equal_fresh_norms(self):
+        # one vector mixes ints, Fractions, floats, True and terms past the
+        # float range; every window, empty and reversed ones too, keeps a
+        # fresh lp_norm's type and repr
+        rng, windows = Random(31), 0
+        entries = (
+            lambda: rng.randint(-9, 9),
+            lambda: Fraction(rng.randint(-30, 30), rng.randint(1, 12)),
+            lambda: rng.uniform(-5, 5),
+            lambda: rng.choice((10 ** 400, Fraction(10 ** 400, 3), 1e300, True)),
+        )
+        for _ in range(480):
+            values = [rng.choice(entries)() for _ in range(rng.randint(0, 8))]
+            v = FiniteVector.from_pairs(zip(sorted(rng.sample(range(1, 12), len(values))), values))
+            p = rng.choice((1, 2, 3, Fraction(3, 2), 1.0, 2.0, 2.5, INF))
+            intervals = [(rng.randint(0, 13), rng.randint(0, 13)) for _ in range(13)]
+            intervals += [(1, K) for K in range(12)]
+            got = LpSpace(p).interval_norms(v, intervals)
+            assert list(map(typed, got)) == [
+                typed(lp_norm(p, v.restrict(range(lo, hi + 1)))) for lo, hi in intervals
+            ], (v, p)
+            windows += len(intervals)
+        assert windows == 12_000
 
 
 @st.composite
@@ -415,12 +447,7 @@ def reference_power(t, p):
 
 
 def reference_lp(p, v):
-    if p == 1:
-        total = 0  # left to right, as on Python < 3.12
-        for a in v.coeffs:
-            total = total + abs(a)
-        return total
-    total = 0
+    total = 0  # left to right, as on Python < 3.12
     try:
         for a in v.coeffs:
             total = total + reference_power(abs(a), p)
@@ -428,7 +455,7 @@ def reference_lp(p, v):
         return None
     if total == 0 and not v.is_zero:
         return None
-    return _root(total, p)
+    return total if p == 1 else _root(total, p)
 
 
 def reference_lorentz(w, p, v):
@@ -588,19 +615,18 @@ class TestReferenceKernels:
         M = OrliczFunction.power(p)
         assert outcome(luxemburg_norm, M, v) == outcome(reference_luxemburg, M, v)
 
-    def test_luxemburg_sweep(self):
+    @pytest.mark.sweep(300, 4000)
+    def test_luxemburg_sweep(self, sweep_cases):
         # The steered bisection against the plain loop, by type and repr: the
-        # closed form answers only comparisons its error margin settles.  The
-        # CI runs 4,000 cases through LUXEMBURG_SWEEP_CASES; tier-1 runs the
-        # first 300, about 2 s.
-        count = int(os.environ.get("LUXEMBURG_SWEEP_CASES", "300"))
+        # closed form answers only comparisons its error margin settles.
+        # Tier-1's 300 cases take about 2 s.
         differ = []
-        for case in range(count):
+        for case in range(sweep_cases):
             M, v, tol = luxemburg_case(case)
             got, expected = outcome(luxemburg_norm, M, v, tol), outcome(reference_luxemburg, M, v, tol)
             if got != expected:
                 differ.append((case, got, expected))
-        assert not differ, f"{len(differ)} of {count} cases differ, the first: {differ[:3]}"
+        assert not differ, f"{len(differ)} of {sweep_cases} cases differ, the first: {differ[:3]}"
 
     @pytest.mark.parametrize("text, expected", [
         ("7", "int:7"),

@@ -1,11 +1,10 @@
-import os
-import subprocess
 import sys
 import time
 from fractions import Fraction
 
 import pytest
 
+from conftest import fresh_python
 from seqnorms import cli
 
 
@@ -243,13 +242,7 @@ sys.exit(code)
 
 
 def run_limited(*argv):
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run(
-        [sys.executable, "-c", _LIMITED_CLI, *argv],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    return fresh_python(_LIMITED_CLI, *argv)
 
 
 class TestLargePositions:
@@ -397,6 +390,15 @@ class TestScanCommand:
         code, out, _ = run(capsys, "scan", "lp:p=1", "harmonic", "4")
         assert code == 0
         assert "4,77/60," in out
+
+    def test_float_l1_scan_reads_float_sums(self, capsys):
+        # --float reads p = 1 as 1.0, which sums in floats like any other
+        # float exponent; the value column read 1/2, 5/6, 13/12 and 77/60
+        code, out, _ = run(capsys, "--float", "scan", "lp:p=1", "harmonic", "4")
+        assert code == 0 and "# mode=float\n" in out
+        values = [l.split(",")[1] for l in out.splitlines() if l[:1].isdigit()]
+        assert not any("/" in value for value in values)
+        assert values == ["0.5", "0.8333333333333333", "1.0833333333333333", "1.2833333333333332"]
 
     def test_tsirelson_exceeds_witness_bound(self, capsys):
         from fractions import Fraction

@@ -7,16 +7,11 @@ fresh interpreters, since this process has long since loaded every module.
 """
 import importlib
 import json
-import os
-import subprocess
-import sys
 
 import pytest
 
 import seqnorms
-from seqnorms import cli
-
-SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+from conftest import fresh_python
 
 # Every name the package exported when it imported all seven modules
 # eagerly, with the module that defines it.
@@ -68,17 +63,9 @@ print(json.dumps([code, loaded, heavy]), file=sys.stderr)
 """.format(unloaded=UNLOADED)
 
 
-def fresh_python(code, *argv):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code, *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    return proc
-
-
 def loaded_after(*argv):
     proc = fresh_python(_LOADED_AFTER, *argv)
+    assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stderr.strip().splitlines()[-1])
 
 
@@ -128,7 +115,8 @@ for name, module in {HOME!r}.items():
 from seqnorms import FiniteVector, classical, cli, core, tsirelson
 assert seqnorms.ideals is importlib.import_module("seqnorms.ideals")
 """
-        fresh_python(code)
+        proc = fresh_python(code)
+        assert proc.returncode == 0, proc.stderr
 
     def test_submodules_resolve_as_attributes(self):
         code = """
@@ -137,4 +125,5 @@ assert "seqnorms.series" not in sys.modules
 assert seqnorms.series.tail_profile is sys.modules["seqnorms.series"].tail_profile
 assert "series" in dir(seqnorms)
 """
-        fresh_python(code)
+        proc = fresh_python(code)
+        assert proc.returncode == 0, proc.stderr

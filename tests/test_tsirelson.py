@@ -1,8 +1,5 @@
 import hashlib
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
@@ -13,7 +10,7 @@ from random import Random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from seqnorms import tsirelson as tsirelson_module
+from conftest import fresh_python
 from seqnorms.core import (
     BudgetError,
     CertificateError,
@@ -299,9 +296,7 @@ class TestOracle:
             "value = oracle_norm(Fraction(1, 2), v)\n"
             "print(value, tracemalloc.get_traced_memory()[1])\n"
         )
-        src = os.path.dirname(os.path.dirname(os.path.abspath(tsirelson_module.__file__)))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+        proc = fresh_python(code)
         assert proc.returncode == 0, proc.stderr
         value, peak = proc.stdout.split()
         assert value == "1403/168"
@@ -325,9 +320,7 @@ class TestOracle:
             "    readings.append(tracemalloc.get_traced_memory()[0])\n"
             "print(readings[23] - readings[11])\n"
         )
-        src = os.path.dirname(os.path.dirname(os.path.abspath(tsirelson_module.__file__)))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+        proc = fresh_python(code)
         assert proc.returncode == 0, proc.stderr
         assert int(proc.stdout) < 64_000
 
@@ -929,14 +922,13 @@ class TestFloatRunningMax:
                         checked += 1
         assert checked > 50_000
 
-    def test_fill_matches_every_size_at_its_own_start(self):
+    @pytest.mark.sweep(96, 4000)
+    def test_fill_matches_every_size_at_its_own_start(self, sweep_cases):
         # The level tables, the fixed-point table and the trace against the
         # reference that tries every size at its own start: over every cut
-        # set up to s = 9, and by scanned_split at s = 32-48.  The CI runs
-        # 4,000 cases through FLOAT_PARITY_CASES; tier-1 runs the first 96.
-        count = int(os.environ.get("FLOAT_PARITY_CASES", "96"))
+        # set up to s = 9, and by scanned_split at s = 32-48.
         large = 0
-        for case in range(count):
+        for case in range(sweep_cases):
             alpha, v, h = parity_case(case)
             s = len(v.support)
             if s == 0:
@@ -952,7 +944,7 @@ class TestFloatRunningMax:
                 stab,
             ), case
             large += s > 9
-        assert large > 0 or count < 48
+        assert large > 0 or sweep_cases < 48
 
     def test_mixed_vector_tables_hold_only_floats(self):
         # Float mode read the exact values raw, so level 1 of this vector
@@ -1698,11 +1690,10 @@ class TestPruneFreeStep:
         alpha, v, h, levels = prune_free_case(case)
         assert_prune_free(TsirelsonEngine(alpha, v, h), v, h, levels)
 
-    def test_large_fixed_points_are_one_prune_free_step(self):
-        # The CI checks all 14 through PRUNE_FREE_LARGE_CASES, about 25 s;
-        # tier-1 checks none of them.
-        count = int(os.environ.get("PRUNE_FREE_LARGE_CASES", "0"))
-        for case in range(len(PRUNE_FREE_CASES), len(PRUNE_FREE_CASES) + count):
+    @pytest.mark.sweep(0, 14)
+    def test_large_fixed_points_are_one_prune_free_step(self, sweep_cases):
+        # All 14 take about 25 s, so tier-1 checks none of them.
+        for case in range(len(PRUNE_FREE_CASES), len(PRUNE_FREE_CASES) + sweep_cases):
             alpha, v, h, levels = prune_free_case(case)
             assert_prune_free(TsirelsonEngine(alpha, v, h), v, h, levels)
 
@@ -1854,14 +1845,13 @@ def sweep_case(case):
 class TestOracleSweep:
     """The DP against the brute-force oracle up to the oracle's limit."""
 
-    def test_dp_equals_oracle_up_to_the_support_limit(self):
+    @pytest.mark.sweep(36, 2000)
+    def test_dp_equals_oracle_up_to_the_support_limit(self, sweep_cases):
         # Exact values are equal, on the fixed-point route and on the level
         # route, which reads the fixed-point table as its ceiling; floats
-        # agree within the default --tol.  The CI runs 2,000 cases through
-        # ORACLE_SWEEP_CASES; tier-1 runs the first 36, about 3 s.
-        count = int(os.environ.get("ORACLE_SWEEP_CASES", "36"))
+        # agree within the default --tol.  Tier-1's 36 cases take about 3 s.
         sizes = set()
-        for case in range(count):
+        for case in range(sweep_cases):
             alpha, v, h, exact = sweep_case(case)
             expected = oracle_norm(alpha, v, h=h)
             got = (fixed_point_norm(alpha, v, h), norm(alpha, h, v)[0])
@@ -1870,7 +1860,7 @@ class TestOracleSweep:
             else:
                 assert all(close(value, expected) for value in got), case
             sizes.add(len(v.support))
-        assert sizes == set(SWEEP_SIZES) or count < len(SWEEP_SIZES)
+        assert sizes == set(SWEEP_SIZES) or sweep_cases < len(SWEEP_SIZES)
 
 
 def tables_digest(label, cases):
