@@ -77,16 +77,26 @@ def expand_coefficients(c: FiniteVector, spec: BlockBasisSpec) -> FiniteVector:
 
 
 def _normalized_spec(spec: BlockBasisSpec, space: SpaceSpec) -> BlockBasisSpec:
-    """Rescale each block to norm one."""
+    """Rescale each block to norm one.
+
+    The result keeps ``spec``'s checked breakpoints and skips the
+    constructor's checks.  A rescaled block is zero only when its float norm
+    overflowed to inf, and that block is refused here as the constructor
+    would refuse it.
+    """
     coeffs: List[Number] = []
     for j in range(1, spec.block_count + 1):
         nrm = eval_norm(space, spec.block_vector(j))
-        for a in spec._block_slice(j):
-            if isinstance(nrm, (Fraction, int)):
-                coeffs.append(Fraction(a) / nrm)
-            else:
-                coeffs.append(a / nrm)
-    return BlockBasisSpec(spec.breakpoints, tuple(coeffs))
+        if isinstance(nrm, (Fraction, int)):
+            block = [Fraction(a) / nrm for a in spec._block_slice(j)]
+        else:
+            block = [a / nrm for a in spec._block_slice(j)]
+        if not any(block):
+            raise ConfigurationError(f"block {j} is zero")
+        coeffs += block
+    normalized = object.__new__(BlockBasisSpec)
+    normalized.__dict__.update(breakpoints=spec.breakpoints, coefficients=tuple(coeffs))
+    return normalized
 
 
 class CjtCheck(Frozen):

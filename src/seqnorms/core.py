@@ -367,8 +367,16 @@ class FiniteVector(Frozen):
         )
 
     def abs_sum(self) -> Number:
-        sums = _running(map(abs, self.values))
-        return sums[-1] if sums else 0
+        # Left to right, not with sum(), which compensates float sums on
+        # Python >= 3.12.  An exact term beyond the float range added to a
+        # float is read as infinite, as to_float reads it.
+        total = 0
+        for x in map(abs, self.values):
+            try:
+                total = total + x
+            except OverflowError:
+                total = INF
+        return total
 
     def sup(self) -> Number:
         return max(map(abs, self.values), default=0)
@@ -538,23 +546,6 @@ class SpaceSpec:
     def check_budget(self, positions: int) -> None:
         """Refuse up front an evaluation over more positions than the space
         admits; only the Tsirelson space sets a budget."""
-
-
-def _running(values: Iterable[Number]) -> List[Number]:
-    """Running sums of ``values`` from 0.
-
-    Sums are formed left to right, not with sum(), which compensates float
-    sums on Python >= 3.12.  An exact term beyond the float range added to a
-    float is read as infinite, as to_float reads it.
-    """
-    out, acc = [], 0
-    for x in values:
-        try:
-            acc = acc + x
-        except OverflowError:
-            acc = INF
-        out.append(acc)
-    return out
 
 
 class LpSpace(SpaceSpec, Frozen):

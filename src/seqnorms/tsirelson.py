@@ -52,7 +52,14 @@ query that extends.  For plain h every query of start i asks the same
 r = R (below), and query j appends the diagonals since the last query
 that searched.  An h with gaps asks several r per query, widest first; a
 narrower r extends the arrays q <= r further, from the first q whose array
-lags, so array lengths never increase with q.
+lags, so array lengths never increase with q.  A new F[q], y = i + q - 1,
+starts with two states in closed form, up to the query's own count
+n = j - i - r + 2 of states per array.  State 0 is the singletons of
+[i..y], F[q-1][0] + T[y][y], worth the l1 mass of [i..y] (the singleton
+closed form below).  State 1, written when n >= 2 and F[q-1] holds its
+state 1, is the better of the only two q-splits of [i..y+1]:
+F[q-1][0] + T[y][y+1] and F[q-1][1] + T[y+1][y+1].  So a plain start's
+first search, n = 2, computes no state with the kernel.
 
 For the interval [i..j], a family size k puts its first set at
 a = max(i, first support index with position >= k).  The exact search over
@@ -419,10 +426,10 @@ class TsirelsonEngine:
         # short function tracemalloc, which looks up the line of every
         # allocation, stays cheap.)
         n = j - i - r + 2
-        while len(F) <= r:
-            F.append([])
-        if len(F[r]) < n:
+        if len(F) <= r or len(F[r]) < n:
             F[1] = table[i][i:j]
+            if len(F) <= r:
+                TsirelsonEngine._new_arrays(F, table, i, r, n)
             # Lengths never increase with q, so the arrays lacking state k are
             # F[first..r]; all of them lag from the start if F[2] does.
             first = 2 if len(F[2]) == len(F[r]) else r
@@ -433,6 +440,19 @@ class TsirelsonEngine:
                 for lower, Fq, x in zip(F[first - 1 : r], F[first : r + 1], xs):
                     Fq.append(max(map(add, lower, cols[x + k][x:])))
         return F[r][n - 1]
+
+    @staticmethod
+    def _new_arrays(F, table, i: int, r: int, n: int) -> None:
+        # Appends F[len(F)..r] with their closed states 0 and 1 (module
+        # docstring).  State 1 only when n >= 2, so no closed state reads
+        # past column j, and only when F[q - 1] holds its state 1, so
+        # lengths never increase with q.
+        for y in range(i + len(F) - 1, i + r):  # y = i + q - 1 for the new F[q]
+            lower, d = F[-1], table[y]
+            Fq = [lower[0] + d[y]]
+            if n > 1 and len(lower) > 1:
+                Fq.append(max(lower[0] + d[y + 1], lower[1] + table[y + 1][y + 1]))
+            F.append(Fq)
 
     # -- the two fills
     #

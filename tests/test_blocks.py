@@ -45,6 +45,13 @@ class TestBlockBasisSpec:
         spec = _normalized_spec(simple_spec(), SpaceSpec.tsirelson(HALF))
         assert spec.block_vector(1) == FiniteVector.from_dense([1, 1])
 
+    def test_block_whose_float_norm_overflows_is_refused(self):
+        # The l1 norm of block 1 reads inf, so it rescales to 0.0, 0.0.
+        spec = BlockBasisSpec((0, 2, 3), (1e308, 1e308, 1.0))
+        with pytest.raises(ConfigurationError, match="block 1 is zero"):
+            _normalized_spec(spec, SpaceSpec.lp(1))
+        assert _normalized_spec(spec, SpaceSpec.c0()).coefficients == (1.0, 1.0, 1.0)
+
 
 class TestExpansion:
     def test_substitution(self):

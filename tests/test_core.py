@@ -25,7 +25,6 @@ from seqnorms.core import (
     quantize_to_grid,
 )
 from seqnorms import core
-from seqnorms.core import _running
 
 
 class TestFiniteVector:
@@ -140,8 +139,14 @@ class DenseVector:
         )
 
     def abs_sum(self):
-        sums = _running(map(abs, self.coeffs))
-        return sums[-1] if sums else 0
+        # Left to right; an exact term past the float range makes a float sum inf.
+        total = 0
+        for a in self.coeffs:
+            try:
+                total += abs(a)
+            except OverflowError:
+                total = math.inf
+        return total
 
     def sup(self):
         return max((abs(a) for a in self.coeffs), default=0)

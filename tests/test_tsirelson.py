@@ -1523,6 +1523,37 @@ class TestStartSplits:
                         for k, state in enumerate(F[q]):
                             assert state == brute_split(table, i, i + q - 1 + k, q)
 
+    @pytest.mark.parametrize(
+        "h", [None, HFunction.affine(2, 0), HFunction.from_table([(1, 3), (2, 4)])],
+        ids=["plain", "affine:2:0", "table"],
+    )
+    def test_new_arrays_start_at_the_query_edge(self, h):
+        # A new F[q] starts with its states 0 and 1 in closed form, and only
+        # up to the query's own n = j - i - r + 2.  Each sequence of queries
+        # (j - i, r) runs on a fresh F: n = 1 queries (r = width) come before
+        # and between queries that create wider arrays over them.
+        v = FiniteVector.from_pairs(
+            zip([2, 3, 5, 6, 7, 9, 10, 11, 13, 14, 15],
+                [3, Fraction(-5, 2), 1, 4, Fraction(7, 3), -2, 5, Fraction(1, 4), 3, -6, 2])
+        )
+        s = len(v.support)
+        sequences = [
+            [(2, 3), (6, 5), (7, 7), (8, 9), (8, 4)],
+            [(2, 2), (3, 4), (5, 3), (9, 6), (10, 11)],
+        ]
+        for table in public_tables(TsirelsonEngine(Fraction(2, 3), v, h)):
+            cols = [[row[y] for row in table[: y + 1]] for y in range(s)]
+            for queries in sequences:
+                for i in range(s - max(d for d, _ in queries)):
+                    F = [None, []]
+                    for d, r in queries:
+                        got = TsirelsonEngine._split(F, cols, table, i, i + d, r)
+                        assert got == brute_split(table, i, i + d, r)
+                        assert len(F[r]) == d - r + 2
+                        for q in range(2, len(F)):
+                            for k, state in enumerate(F[q]):
+                                assert state == brute_split(table, i, i + q - 1 + k, q)
+
     MEMORY_HS = pytest.mark.parametrize(
         "h",
         [None, HFunction.affine(2, 0), HFunction.from_table([(1, 1), (2, 3), (4, 5)])],
