@@ -43,7 +43,7 @@ class BlockBasisSpec(Frozen):
                 f"expected {expected} coefficients on ({bp[0]}, {bp[-1]}], got {len(self.coefficients)}"
             )
         for j in range(1, self.block_count + 1):
-            if all(a == 0 for a in self._block_slice(j)):
+            if not any(self._block_slice(j)):
                 raise ConfigurationError(f"block {j} is zero")
 
     @property
@@ -77,26 +77,15 @@ def expand_coefficients(c: FiniteVector, spec: BlockBasisSpec) -> FiniteVector:
 
 
 def _normalized_spec(spec: BlockBasisSpec, space: SpaceSpec) -> BlockBasisSpec:
-    """Rescale each block to norm one.
-
-    The result keeps ``spec``'s checked breakpoints and skips the
-    constructor's checks.  A rescaled block is zero only when its float norm
-    overflowed to inf, and that block is refused here as the constructor
-    would refuse it.
-    """
+    """Rescale each block to norm one."""
     coeffs: List[Number] = []
     for j in range(1, spec.block_count + 1):
         nrm = eval_norm(space, spec.block_vector(j))
         if isinstance(nrm, (Fraction, int)):
-            block = [Fraction(a) / nrm for a in spec._block_slice(j)]
+            coeffs += [Fraction(a) / nrm for a in spec._block_slice(j)]
         else:
-            block = [a / nrm for a in spec._block_slice(j)]
-        if not any(block):
-            raise ConfigurationError(f"block {j} is zero")
-        coeffs += block
-    normalized = object.__new__(BlockBasisSpec)
-    normalized.__dict__.update(breakpoints=spec.breakpoints, coefficients=tuple(coeffs))
-    return normalized
+            coeffs += [a / nrm for a in spec._block_slice(j)]
+    return BlockBasisSpec(spec.breakpoints, tuple(coeffs))
 
 
 class CjtCheck(Frozen):

@@ -1492,67 +1492,61 @@ def brute_split(table, i, y, q):
 class TestStartSplits:
     """The per-start partition arrays of the exact fill, state by state."""
 
+    # Two fixed orders of queries (j - i, r) on one vector: queries with
+    # r = width (n = 1) come before and between queries that create wider
+    # arrays over them, where a new F[q] starts with closed states.
+    EDGE_VECTOR = FiniteVector.from_pairs(
+        zip([2, 3, 5, 6, 7, 9, 10, 11, 13, 14, 15],
+            [3, Fraction(-5, 2), 1, 4, Fraction(7, 3), -2, 5, Fraction(1, 4), 3, -6, 2])
+    )
+    EDGE_QUERIES = (
+        [(2, 3), (6, 5), (7, 7), (8, 9), (8, 4)],
+        [(2, 2), (3, 4), (5, 3), (9, 6), (10, 11)],
+    )
+
     @pytest.mark.parametrize(
         "h", [None, HFunction.affine(2, 0), HFunction.from_table([(1, 3), (2, 4)])],
         ids=["plain", "affine:2:0", "table"],
     )
     def test_every_state_is_the_best_split(self, h):
         rng = Random(23)
-        for _ in range(10):
-            v = FiniteVector.from_pairs(
-                (rng.randint(1, 14), Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
-                for _ in range(rng.randint(2, 11))
-            )
+
+        def random_queries(i, s):
+            # j rises, columns are skipped (the next query catches up), and
+            # the sizes asked come in any order
+            for j in range(i + 1, s):
+                if rng.random() < 0.4:
+                    continue
+                sizes = list(range(2, j - i + 2))
+                for r in rng.sample(sizes, rng.randint(1, len(sizes))):
+                    yield j, r
+
+        def cases():
+            for _ in range(10):
+                v = FiniteVector.from_pairs(
+                    (rng.randint(1, 14), Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+                    for _ in range(rng.randint(2, 11))
+                )
+                yield v, rng.choice((HALF, Fraction(2, 3))), random_queries
+            for fixed in self.EDGE_QUERIES:
+                yield self.EDGE_VECTOR, Fraction(2, 3), (
+                    lambda i, s, fixed=fixed: [(i + d, r) for d, r in fixed if i + d < s]
+                )
+
+        for v, alpha, queries in cases():
             s = len(v.support)
-            alpha = rng.choice((HALF, Fraction(2, 3)))
             for table in public_tables(TsirelsonEngine(alpha, v, h)):
                 cols = [[row[y] for row in table[: y + 1]] for y in range(s)]
                 for i in range(s):
                     F = [None, []]
-                    # j rises, columns are skipped (the next query catches
-                    # up), and the sizes asked come in any order
-                    for j in range(i + 1, s):
-                        if rng.random() < 0.4:
-                            continue
-                        sizes = list(range(2, j - i + 2))
-                        for r in rng.sample(sizes, rng.randint(1, len(sizes))):
-                            got = TsirelsonEngine._split(F, cols, table, i, j, r)
-                            assert got == brute_split(table, i, j, r)
+                    for j, r in queries(i, s):
+                        got = TsirelsonEngine._split(F, cols, table, i, j, r)
+                        assert got == brute_split(table, i, j, r)
+                        assert len(F[r]) == j - i - r + 2
                     # F[q][k] is the state (q, i + q - 1 + k)
                     for q in range(2, len(F)):
                         for k, state in enumerate(F[q]):
                             assert state == brute_split(table, i, i + q - 1 + k, q)
-
-    @pytest.mark.parametrize(
-        "h", [None, HFunction.affine(2, 0), HFunction.from_table([(1, 3), (2, 4)])],
-        ids=["plain", "affine:2:0", "table"],
-    )
-    def test_new_arrays_start_at_the_query_edge(self, h):
-        # A new F[q] starts with its states 0 and 1 in closed form, and only
-        # up to the query's own n = j - i - r + 2.  Each sequence of queries
-        # (j - i, r) runs on a fresh F: n = 1 queries (r = width) come before
-        # and between queries that create wider arrays over them.
-        v = FiniteVector.from_pairs(
-            zip([2, 3, 5, 6, 7, 9, 10, 11, 13, 14, 15],
-                [3, Fraction(-5, 2), 1, 4, Fraction(7, 3), -2, 5, Fraction(1, 4), 3, -6, 2])
-        )
-        s = len(v.support)
-        sequences = [
-            [(2, 3), (6, 5), (7, 7), (8, 9), (8, 4)],
-            [(2, 2), (3, 4), (5, 3), (9, 6), (10, 11)],
-        ]
-        for table in public_tables(TsirelsonEngine(Fraction(2, 3), v, h)):
-            cols = [[row[y] for row in table[: y + 1]] for y in range(s)]
-            for queries in sequences:
-                for i in range(s - max(d for d, _ in queries)):
-                    F = [None, []]
-                    for d, r in queries:
-                        got = TsirelsonEngine._split(F, cols, table, i, i + d, r)
-                        assert got == brute_split(table, i, i + d, r)
-                        assert len(F[r]) == d - r + 2
-                        for q in range(2, len(F)):
-                            for k, state in enumerate(F[q]):
-                                assert state == brute_split(table, i, i + q - 1 + k, q)
 
     MEMORY_HS = pytest.mark.parametrize(
         "h",
