@@ -59,12 +59,16 @@ n = j - i - r + 2 of states per array.  State 0 is the singletons of
 closed form below).  State 1, written when n >= 2 and F[q-1] holds its
 state 1, is the better of the only two q-splits of [i..y+1]:
 F[q-1][0] + T[y][y+1] and F[q-1][1] + T[y+1][y+1].  So a plain start's
-first search, n = 2, computes no state with the kernel.
+first search, n = 2, computes no state with the kernel.  For plain h a
+later state k of F[q] whose last groups are all closed, k + 1 <= C_x (the
+ninth fact, below), reads two running maxima kept beside F[q]; only the
+states past that, and every state past state 1 of an h with gaps, run the
+kernel ``max(map(add, ...))`` over F[q-1] and a column slice.
 
 For the interval [i..j], a family size k puts its first set at
 a = max(i, first support index with position >= k).  The exact search over
 sizes rests on six exact facts about the tables (an eighth, below, caps the
-level route):
+level route, and a ninth computes partition states):
 
 * Running max over starts.  Restriction shrinks every level and the fixed
   point, and a size with a > i gives the same candidate for [i..j] as for
@@ -140,10 +144,10 @@ The sixth reads the last query of the start instead:
   the query j is skipped when p * (F[R][j'] + l1(j'+1..j)) <= best, with
   best held times q as above.
 
-Float mode uses none of the second to sixth, nor the eighth below, and no
-bound at all: rounding can put a sum an ulp above or below one it provably
-dominates, so a single size, a bound or a closed form could change the last
-bits.  It fills by right end, then by decreasing start, forming each sum as
+Float mode uses none of the second to sixth, nor the eighth and ninth
+below, and no bound at all: rounding can put a sum an ulp above or below one
+it provably dominates, so a single size, a bound or a closed form could
+change the last bits.  It fills by right end, then by decreasing start, forming each sum as
 the full search does, so an entry is the fresh norm of its interval, bit for
 bit, however far the engine's vector reaches on either side.  For the same
 reason it keeps per-right-end arrays: they add a split's groups
@@ -215,6 +219,34 @@ The eighth fact caps the exact level route by the fixed-point table F:
   fills no F; the columns of the table read are built only once a fill
   has to search.
 
+The ninth computes exact partition states in closed form:
+
+* Closed last groups, plain h.  Let C_x be the number of sizes with
+  k <= pos[x].  On the fixed-point table and on every level >= 1, the only
+  tables ``_split`` reads, an entry [x..y] of width at most C_x is
+  max(S[x][y], alpha * l1(x..y)), with S the sup table: the singleton pass
+  writes it so over the floor S on the fixed point and at level 1, and at
+  level m + 1 over the floor level m, whose entry has that form already.
+  Take the array F[q] of start i, x = i + q - 1, and its state k,
+  y = x + k.  Its last groups [x+m..y], m = 0..k, are closed while
+  k + 1 <= C_x, since C does not decrease along the support.  With P the
+  prefix sums of the work values a, the state is then
+
+      max over m <= k of F[q-1][m] + max(S[x+m][y], aP[y+1] - aP[x+m])
+          = max(E_k, aP[y+1] + D_k),
+
+  where aP[t] = alpha * P[t], E_k is the max over m <= k of
+  F[q-1][m] + a_{x+m}, and D_k that of F[q-1][m] - aP[x+m].  The alpha * l1
+  part is a difference, so its max is D_k.  The sup part is E_k: each term
+  is at least the same m's term of E_k, since S[x+m][y] >= a_{x+m}; and
+  S[x+m][y] = a_t for some t in [x+m..y], where F[q-1][m] <= F[q-1][t-x],
+  since F[q-1] does not decrease in m (restriction shrinks every table),
+  so each term is at most the term t - x of E_k.  aP[t] = p * P[t] // q is
+  exact, since every prefix is a multiple of q^(s-1).  E and D gain one
+  term per state: two adds and two compares, seeded from the closed states
+  0 and 1.  An h with gaps takes C_x = 1: its tables need not have that
+  form past the diagonal, and its states 0 and 1 are closed already.
+
 On the level route a float fill carries work from one level to the next.  A
 state rows[q][x] for the right end j reads only strict subintervals of
 [x..j].  Let X_j be the largest start x with a strict subinterval of [x..j]
@@ -238,8 +270,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from heapq import heapify, heappushpop
 from fractions import Fraction
-from itertools import accumulate
-from operator import add
+from itertools import accumulate, repeat
+from operator import add, sub
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .core import (
@@ -369,6 +401,13 @@ class TsirelsonEngine:
         self._fit = [bisect_right(self._r, w) for w in range(s + 1)]
         # Sizes (t, t) for t = 1..n: one family size per start suffices.
         self._plain = all(k == r == t for t, (k, r) in enumerate(sizes, 1))
+        if scaled is not None:
+            # What _split reads for the closed last groups (module
+            # docstring): the work values, alpha times each prefix sum (exact,
+            # since every prefix is a multiple of q^(s-1)), and at each start
+            # the widest group the singleton closed form fixes.
+            alpha_prefix = [self._p * t // self._q for t in self._abs_prefix]
+            self._closed = (self._work, alpha_prefix, self._cut if self._plain else [1] * s)
         self._sup = self._sup_table()
         self._fixed: Optional[List[List[Number]]] = None
 
@@ -414,45 +453,79 @@ class TsirelsonEngine:
         ]
 
     @staticmethod
-    def _split(F, cols, table, i: int, j: int, r: int) -> Number:
+    def _split(F, cols, table, closed, i: int, j: int, r: int) -> Number:
         # Exact mode.  The best split of [i..j] into r groups, from the
         # per-start arrays of the module docstring: F[q][k] is the state
-        # (q, i + q - 1 + k), and F[1] is row i from i up to j - 1.  The query
-        # needs the first n = j - i - r + 2 states of each F[q], q = 2..r.
-        # State k of F[q] pairs the first k + 1 states of F[q - 1] with its
-        # column slice (map stops at the shorter), so it is appended after
-        # state k of F[q - 1].  Only row entries y < j and column entries
-        # x > i are read: strict subintervals of [i..j].  (Kept short: in a
-        # short function tracemalloc, which looks up the line of every
-        # allocation, stays cheap.)
+        # (q, x + k), x = i + q - 1, and F[1] is row i from i up to j - 1.
+        # The query needs the first n = j - i - r + 2 states of each F[q],
+        # q = 2..r.  State k of F[q] reads the first k + 1 states of
+        # F[q - 1], so it is appended after state k of F[q - 1]: by the
+        # kernel, which pairs them with the column slice (map stops at the
+        # shorter), or, while k < C_x, by the closed last groups from the
+        # running maxima E[q] and D[q], held in F[0].  ``closed`` holds the
+        # work values, alpha times each prefix sum, and C.  Only row entries
+        # y < j and column entries x > i are read: strict subintervals of
+        # [i..j].  (Kept short: in a short function tracemalloc, which looks
+        # up the line of every allocation, stays cheap.)
         n = j - i - r + 2
         if len(F) <= r or len(F[r]) < n:
             F[1] = table[i][i:j]
             if len(F) <= r:
-                TsirelsonEngine._new_arrays(F, table, i, r, n)
+                TsirelsonEngine._new_arrays(F, table, closed, i, r, n)
+            work, lifted, cut = closed
+            E, D = F[0]
             # Lengths never increase with q, so the arrays lacking state k are
             # F[first..r]; all of them lag from the start if F[2] does.
             first = 2 if len(F[2]) == len(F[r]) else r
             for k in range(len(F[r]), n):
                 while first > 2 and len(F[first - 1]) <= k:
                     first -= 1
-                xs = range(i + first - 1, i + r)  # state (q, x + k) reads cols[x + k][x:]
+                mid = bisect_right(cut, k, i + first - 1, i + r)  # x >= mid: closed
+                xs = range(i + first - 1, mid)  # state (q, x + k) reads cols[x + k][x:]
                 for lower, Fq, x in zip(F[first - 1 : r], F[first : r + 1], xs):
                     Fq.append(max(map(add, lower, cols[x + k][x:])))
+                if mid < i + r:  # the first closed state reads the one below it
+                    low = F[mid - i][k]
+                    for q, y in zip(range(mid - i + 1, r + 1), range(mid + k, i + r + k)):
+                        e, d = low + work[y], low - lifted[y]
+                        if e < E[q]:
+                            e = E[q]
+                        else:
+                            E[q] = e
+                        if d < D[q]:
+                            d = D[q]
+                        else:
+                            D[q] = d
+                        d += lifted[y + 1]
+                        low = e if e > d else d
+                        F[q].append(low)
         return F[r][n - 1]
 
     @staticmethod
-    def _new_arrays(F, table, i: int, r: int, n: int) -> None:
+    def _new_arrays(F, table, closed, i: int, r: int, n: int) -> None:
         # Appends F[len(F)..r] with their closed states 0 and 1 (module
-        # docstring).  State 1 only when n >= 2, so no closed state reads
-        # past column j, and only when F[q - 1] holds its state 1, so
-        # lengths never increase with q.
+        # docstring), and their running maxima E and D over those states.
+        # State 1 only when n >= 2, so no closed state reads past column j,
+        # and only when F[q - 1] holds its state 1, so lengths never
+        # increase with q.
+        work, lifted, _ = closed
+        if F[0] is None:
+            F[0] = ([None] * 2, [None] * 2)
+        E, D = F[0]
         for y in range(i + len(F) - 1, i + r):  # y = i + q - 1 for the new F[q]
-            lower, d = F[-1], table[y]
-            Fq = [lower[0] + d[y]]
+            lower = F[-1]
+            e, d = lower[0] + work[y], lower[0] - lifted[y]  # e is state 0
             if n > 1 and len(lower) > 1:
-                Fq.append(max(lower[0] + d[y + 1], lower[1] + table[y + 1][y + 1]))
-            F.append(Fq)
+                one, two = lower[0] + table[y][y + 1], lower[1] + work[y + 1]
+                F.append([e, one if one > two else two])
+                if two > e:
+                    e = two
+                if lower[1] - lifted[y + 1] > d:
+                    d = lower[1] - lifted[y + 1]
+            else:
+                F.append([e])
+            E.append(e)
+            D.append(d)
 
     # -- the two fills
     #
@@ -516,9 +589,9 @@ class TsirelsonEngine:
         R = self._cut[i]
         stop = min(i + R, s)
         if stop > i + 1:  # empty slice work costs a fill at s = 2-3 about 30%
-            row[i + 1 : stop] = map(
-                max, floor[i + 1 : stop], [p * (x - base) // q for x in prefix[i + 2 : stop + 1]]
-            )
+            lifted = self._closed[1]  # alpha * l1(i..j) = lifted[j + 1] - lifted[i]
+            masses = map(sub, lifted[i + 2 : stop + 1], repeat(lifted[i]))
+            row[i + 1 : stop] = map(max, floor[i + 1 : stop], masses)
         if stop == s:
             return  # no wider query
         if R < 2:  # no family of two or more sets starts at i
@@ -543,7 +616,7 @@ class TsirelsonEngine:
                 elif p * (mass + (q - p) * total) > q * best and (  # the sup bound
                     last is None or p * (F[R][-1] + prefix[j + 1] - prefix[last + 1]) > best
                 ):  # the triangle bound from the last query
-                    split = self._split(F, self._columns(table, cols), table, i, j, R)
+                    split = self._split(F, self._columns(table, cols), table, self._closed, i, j, R)
                     last = j
                     best = max(best, p * split)
             row[j] = best // q
@@ -580,7 +653,7 @@ class TsirelsonEngine:
                         top = sum(column[width - r :])
                         if r < 2 or p * (mass + (q - p) * top) <= q * best:
                             break  # the sup bound: no r-split or narrower beats best
-                        split = self._split(F, self._columns(table, cols), table, i, j, r)
+                        split = self._split(F, self._columns(table, cols), table, self._closed, i, j, r)
                         best = max(best, p * split)
             row[j] = best // q
 

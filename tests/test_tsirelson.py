@@ -2,7 +2,7 @@ import hashlib
 import math
 import tracemalloc
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate, combinations, combinations_with_replacement
 from operator import add
 from random import Random
@@ -1489,6 +1489,60 @@ def brute_split(table, i, y, q):
     return best
 
 
+def split_queries(rng, i, s, most=None):
+    """Seeded queries (j, r) of the start i for _split: j rises, columns are
+    skipped (the next query catches up), and the sizes asked, up to
+    ``most`` of them per j, come in any order."""
+    for j in range(i + 1, s):
+        if rng.random() < 0.4:
+            continue
+        sizes = list(range(2, j - i + 2))
+        for r in rng.sample(sizes, rng.randint(1, min(most or len(sizes), len(sizes)))):
+            yield j, r
+
+
+def check_start_splits(alpha, v, h, queries, split, levels=(0, 1, 2)):
+    """Run ``queries(i, s)`` through _split from every start i of the public
+    tables of (alpha, v, h) picked by ``levels`` (0 the sup, 1 level 2, 2
+    the fixed point), and check every answer, and every state it leaves,
+    against split(table, i, y, q).  Returns (closed, crossed, states): the
+    states with k + 1 <= C_x, the arrays that went on to kernel states
+    after a closed state past state 1, and all states."""
+    s = len(v.support)
+    tables = public_tables(TsirelsonEngine(alpha, v, h))
+    closed = crossed = states = 0
+    for level in levels:
+        table = tables[level]
+        data = closed_groups(alpha, v, h if level else "sup")
+        cols = [[row[y] for row in table[: y + 1]] for y in range(s)]
+        for i in range(s):
+            F = [None, []]
+            for j, r in queries(i, s):
+                assert TsirelsonEngine._split(F, cols, table, data, i, j, r) == split(table, i, j, r)
+                assert len(F[r]) == j - i - r + 2
+            # F[q][k] is the state (q, i + q - 1 + k)
+            for q in range(2, len(F)):
+                for k, state in enumerate(F[q]):
+                    assert state == split(table, i, i + q - 1 + k, q)
+                widest = data[2][i + q - 1]
+                closed += min(len(F[q]), widest)
+                crossed += len(F[q]) > widest > 2
+                states += len(F[q])
+    return closed, crossed, states
+
+
+def closed_groups(alpha, v, h):
+    """What _split reads for its closed last groups, in the units of a
+    public table: the |coefficients|, alpha times their prefix sums, and at
+    each start x the widest group whose entry is max(sup, alpha * l1):
+    min(pos[x], s) for plain h (h None) on a level >= 1 or fixed-point
+    table, and 1 for an h with gaps or for the sup table (h "sup")."""
+    s = len(v.support)
+    work = [abs(a) for a in v.values]
+    widest = [min(n, s) for n in v.support] if h is None else [1] * s
+    return work, [alpha * t for t in accumulate(work, initial=0)], widest
+
+
 class TestStartSplits:
     """The per-start partition arrays of the exact fill, state by state."""
 
@@ -1499,9 +1553,13 @@ class TestStartSplits:
         zip([2, 3, 5, 6, 7, 9, 10, 11, 13, 14, 15],
             [3, Fraction(-5, 2), 1, 4, Fraction(7, 3), -2, 5, Fraction(1, 4), 3, -6, 2])
     )
+    # The third order asks r = 2 and 3 as j rises: at the starts whose next
+    # position is small, arrays cross from closed states (k + 1 <= C_x) to
+    # kernel states within one start.
     EDGE_QUERIES = (
         [(2, 3), (6, 5), (7, 7), (8, 9), (8, 4)],
         [(2, 2), (3, 4), (5, 3), (9, 6), (10, 11)],
+        [(1, 2), (3, 2), (4, 3), (6, 2), (7, 3), (9, 2), (10, 3)],
     )
 
     @pytest.mark.parametrize(
@@ -1511,42 +1569,40 @@ class TestStartSplits:
     def test_every_state_is_the_best_split(self, h):
         rng = Random(23)
 
-        def random_queries(i, s):
-            # j rises, columns are skipped (the next query catches up), and
-            # the sizes asked come in any order
-            for j in range(i + 1, s):
-                if rng.random() < 0.4:
-                    continue
-                sizes = list(range(2, j - i + 2))
-                for r in rng.sample(sizes, rng.randint(1, len(sizes))):
-                    yield j, r
-
         def cases():
             for _ in range(10):
                 v = FiniteVector.from_pairs(
                     (rng.randint(1, 14), Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
                     for _ in range(rng.randint(2, 11))
                 )
-                yield v, rng.choice((HALF, Fraction(2, 3))), random_queries
+                yield v, rng.choice((HALF, Fraction(2, 3))), partial(split_queries, rng)
             for fixed in self.EDGE_QUERIES:
                 yield self.EDGE_VECTOR, Fraction(2, 3), (
                     lambda i, s, fixed=fixed: [(i + d, r) for d, r in fixed if i + d < s]
                 )
 
+        crossed = 0
         for v, alpha, queries in cases():
-            s = len(v.support)
-            for table in public_tables(TsirelsonEngine(alpha, v, h)):
-                cols = [[row[y] for row in table[: y + 1]] for y in range(s)]
-                for i in range(s):
-                    F = [None, []]
-                    for j, r in queries(i, s):
-                        got = TsirelsonEngine._split(F, cols, table, i, j, r)
-                        assert got == brute_split(table, i, j, r)
-                        assert len(F[r]) == j - i - r + 2
-                    # F[q][k] is the state (q, i + q - 1 + k)
-                    for q in range(2, len(F)):
-                        for k, state in enumerate(F[q]):
-                            assert state == brute_split(table, i, i + q - 1 + k, q)
+            crossed += check_start_splits(alpha, v, h, queries, brute_split)[1]
+        assert crossed > 0 or h is not None
+
+    @pytest.mark.sweep(2, 32)
+    def test_large_states_match_the_last_group_reference(self, sweep_cases):
+        # s = 16-64, plain h on even cases and an h with gaps on odd ones,
+        # first positions 1-5, on the level-2 and fixed-point tables.  Most
+        # plain states take the closed last groups there.
+        closed = total = 0
+        for case in range(sweep_cases):
+            rng = Random(f"closed-sweep/{case}")
+            h = None if case % 2 == 0 else GAP_HS[case // 2 % len(GAP_HS)]
+            v = seeded_vector(rng, rng.randint(16, 64), pos=rng.randint(0, 2))
+            alpha = rng.choice((HALF, Fraction(2, 3), Fraction(1, 3)))
+            counts = check_start_splits(
+                alpha, v, h, partial(split_queries, rng, most=2), chain_split(), levels=(1, 2)
+            )
+            if h is None:
+                closed, total = closed + counts[0], total + counts[2]
+        assert 2 * closed > total
 
     MEMORY_HS = pytest.mark.parametrize(
         "h",
