@@ -60,10 +60,11 @@ closed form below).  State 1, written when n >= 2 and F[q-1] holds its
 state 1, is the better of the only two q-splits of [i..y+1]:
 F[q-1][0] + T[y][y+1] and F[q-1][1] + T[y+1][y+1].  So a plain start's
 first search, n = 2, computes no state with the kernel.  For plain h a
-later state k of F[q] whose last groups are all closed, k + 1 <= C_x (the
-ninth fact, below), reads two running maxima kept beside F[q]; only the
-states past that, and every state past state 1 of an h with gaps, run the
-kernel ``max(map(add, ...))`` over F[q-1] and a column slice.
+later state k of F[q] whose last groups are all closed, k + 1 <= C_x at
+x = i + q - 1 (the ninth fact, below), reads two running maxima kept
+beside F[q]; only the states past that, and every state past state 1 of
+an h with gaps, run the kernel ``max(map(add, ...))`` over F[q-1] and a
+column slice.
 
 For the interval [i..j], a family size k puts its first set at
 a = max(i, first support index with position >= k).  The exact search over
@@ -147,9 +148,10 @@ The sixth reads the last query of the start instead:
 Float mode uses none of the second to sixth, nor the eighth and ninth
 below, and no bound at all: rounding can put a sum an ulp above or below one
 it provably dominates, so a single size, a bound or a closed form could
-change the last bits.  It fills by right end, then by decreasing start, forming each sum as
-the full search does, so an entry is the fresh norm of its interval, bit for
-bit, however far the engine's vector reaches on either side.  For the same
+change the last bits.  It fills by right end, then by decreasing start,
+forming each sum as the full search does, so an entry is the fresh norm of
+its interval, bit for bit, however far the engine's vector reaches on
+either side.  For the same
 reason it keeps per-right-end arrays: they add a split's groups
 right-nested, first group plus the best split of the rest, and per-start
 arrays would add them left-nested, which can round differently.  For the
@@ -406,8 +408,8 @@ class TsirelsonEngine:
             # docstring): the work values, alpha times each prefix sum (exact,
             # since every prefix is a multiple of q^(s-1)), and at each start
             # the widest group the singleton closed form fixes.
-            alpha_prefix = [self._p * t // self._q for t in self._abs_prefix]
-            self._closed = (self._work, alpha_prefix, self._cut if self._plain else [1] * s)
+            lifted = [self._p * t // self._q for t in self._abs_prefix]
+            self._closed = (self._work, lifted, self._cut if self._plain else [1] * s)
         self._sup = self._sup_table()
         self._fixed: Optional[List[List[Number]]] = None
 
