@@ -52,19 +52,19 @@ query that extends.  For plain h every query of start i asks the same
 r = R (below), and query j appends the diagonals since the last query
 that searched.  An h with gaps asks several r per query, widest first; a
 narrower r extends the arrays q <= r further, from the first q whose array
-lags, so array lengths never increase with q.  A new F[q], y = i + q - 1,
-starts with two states in closed form, up to the query's own count
-n = j - i - r + 2 of states per array.  State 0 is the singletons of
-[i..y], F[q-1][0] + T[y][y], worth the l1 mass of [i..y] (the singleton
-closed form below).  State 1, written when n >= 2 and F[q-1] holds its
-state 1, is the better of the only two q-splits of [i..y+1]:
-F[q-1][0] + T[y][y+1] and F[q-1][1] + T[y+1][y+1].  So a plain start's
-first search, n = 2, computes no state with the kernel.  For plain h a
-later state k of F[q] whose last groups are all closed, k + 1 <= C_x at
-x = i + q - 1 (the ninth fact, below), reads two running maxima kept
-beside F[q]; only the states past that, and every state past state 1 of
-an h with gaps, run the kernel ``max(map(add, ...))`` over F[q-1] and a
-column slice.
+lags, so array lengths never increase with q.  Every query asks fewer
+groups than its width, r < j - i + 1, since the singletons close the
+width itself (below), so it needs n = j - i - r + 2 >= 2 states per
+array.  A new F[q], y = i + q - 1, starts with two states in closed form.
+State 0 is the singletons of [i..y], F[q-1][0] + T[y][y], worth the l1
+mass of [i..y] (the singleton closed form below).  State 1 is the better
+of the only two q-splits of [i..y+1]: F[q-1][0] + T[y][y+1] and
+F[q-1][1] + T[y+1][y+1].  So a plain start's first search, n = 2,
+computes no state with the kernel.  For plain h a later state k of F[q]
+whose last groups are all closed, k + 1 <= C_x at x = i + q - 1 (the
+ninth fact, below), reads two running maxima kept beside F[q]; only the
+states past that, and every state past state 1 of an h with gaps, run
+the kernel ``max(map(add, ...))`` over F[q-1] and a column slice.
 
 For the interval [i..j], a family size k puts its first set at
 a = max(i, first support index with position >= k).  The exact search over
@@ -218,8 +218,8 @@ The eighth fact caps the exact level route by the fixed-point table F:
   fill.  A level equals the next exactly when it equals F, the unique
   solution of the fixed-point equation, so the route stops where the full
   fills stop.  Level 1 runs no search, so ``level_tables(m)`` with m < 2
-  fills no F; the columns of the table read are built only once a fill
-  has to search.
+  fills no F, and every fill but level 1's builds the columns of the
+  table it reads at its start.
 
 The ninth computes exact partition states in closed form:
 
@@ -456,12 +456,12 @@ class TsirelsonEngine:
 
     @staticmethod
     def _split(F, cols, table, closed, i: int, j: int, r: int) -> Number:
-        # Exact mode.  The best split of [i..j] into r groups, from the
-        # per-start arrays of the module docstring: F[q][k] is the state
-        # (q, x + k), x = i + q - 1, and F[1] is row i from i up to j - 1.
-        # The query needs the first n = j - i - r + 2 states of each F[q],
-        # q = 2..r.  State k of F[q] reads the first k + 1 states of
-        # F[q - 1], so it is appended after state k of F[q - 1]: by the
+        # Exact mode.  The best split of [i..j] into r < j - i + 1 groups,
+        # from the per-start arrays of the module docstring: F[q][k] is the
+        # state (q, x + k), x = i + q - 1, and F[1] is row i from i up to
+        # j - 1.  The query needs the first n = j - i - r + 2 >= 2 states of
+        # each F[q], q = 2..r.  State k of F[q] reads the first k + 1 states
+        # of F[q - 1], so it is appended after state k of F[q - 1]: by the
         # kernel, which pairs them with the column slice (map stops at the
         # shorter), or, while k < C_x, by the closed last groups from the
         # running maxima E[q] and D[q], held in F[0].  ``closed`` holds the
@@ -473,7 +473,7 @@ class TsirelsonEngine:
         if len(F) <= r or len(F[r]) < n:
             F[1] = table[i][i:j]
             if len(F) <= r:
-                TsirelsonEngine._new_arrays(F, table, closed, i, r, n)
+                TsirelsonEngine._new_arrays(F, table, closed, i, r)
             work, lifted, cut = closed
             E, D = F[0]
             # Lengths never increase with q, so the arrays lacking state k are
@@ -483,9 +483,8 @@ class TsirelsonEngine:
                 while first > 2 and len(F[first - 1]) <= k:
                     first -= 1
                 mid = bisect_right(cut, k, i + first - 1, i + r)  # x >= mid: closed
-                xs = range(i + first - 1, mid)  # state (q, x + k) reads cols[x + k][x:]
-                for lower, Fq, x in zip(F[first - 1 : r], F[first : r + 1], xs):
-                    Fq.append(max(map(add, lower, cols[x + k][x:])))
+                for x in range(i + first - 1, mid):  # state (q, x + k), q = x - i + 1
+                    F[x - i + 1].append(max(map(add, F[x - i], cols[x + k][x:])))
                 if mid < i + r:  # the first closed state reads the one below it
                     low = F[mid - i][k]
                     for q, y in zip(range(mid - i + 1, r + 1), range(mid + k, i + r + k)):
@@ -504,12 +503,12 @@ class TsirelsonEngine:
         return F[r][n - 1]
 
     @staticmethod
-    def _new_arrays(F, table, closed, i: int, r: int, n: int) -> None:
+    def _new_arrays(F, table, closed, i: int, r: int) -> None:
         # Appends F[len(F)..r] with their closed states 0 and 1 (module
         # docstring), and their running maxima E and D over those states.
-        # State 1 only when n >= 2, so no closed state reads past column j,
-        # and only when F[q - 1] holds its state 1, so lengths never
-        # increase with q.
+        # Every query leaves n >= 2: F[1] holds j - i >= r entries and every
+        # F[q] starts with two states, so each F[q - 1] holds its state 1,
+        # and state 1 of F[r] ends at i + r <= j.
         work, lifted, _ = closed
         if F[0] is None:
             F[0] = ([None] * 2, [None] * 2)
@@ -517,15 +516,12 @@ class TsirelsonEngine:
         for y in range(i + len(F) - 1, i + r):  # y = i + q - 1 for the new F[q]
             lower = F[-1]
             e, d = lower[0] + work[y], lower[0] - lifted[y]  # e is state 0
-            if n > 1 and len(lower) > 1:
-                one, two = lower[0] + table[y][y + 1], lower[1] + work[y + 1]
-                F.append([e, one if one > two else two])
-                if two > e:
-                    e = two
-                if lower[1] - lifted[y + 1] > d:
-                    d = lower[1] - lifted[y + 1]
-            else:
-                F.append([e])
+            one, two = lower[0] + table[y][y + 1], lower[1] + work[y + 1]
+            F.append([e, one if one > two else two])
+            if two > e:
+                e = two
+            if lower[1] - lifted[y + 1] > d:
+                d = lower[1] - lifted[y + 1]
             E.append(e)
             D.append(d)
 
@@ -554,28 +550,20 @@ class TsirelsonEngine:
         floors = self._sup if live else table
         level_one = table is self._sup
         fill_row = self._plain_row if self._plain else self._gap_row
-        # The table as column lists, cols[y][x] = table[x][y], built by
-        # _columns at the fill's first search.  _split reads only column
+        # The table as column lists, cols[y][x] = table[x][y], for _split;
+        # level 1 never searches and builds none.  _split reads only column
         # entries x > i, whose rows are complete by then; on the fixed-point
-        # route each row finished after that is copied in.
-        cols = []
+        # route each row is copied in as it finishes.
+        cols = [] if level_one else [[row[y] for row in table[: y + 1]] for y in range(s)]
         for i in range(s - 1, -1, -1):
             row, floor = out[i], floors[i]
             below = out[i + 1] if i + 1 < s else []
             row[i] = floor[i]
             cap = ceiling[i] if ceiling is not None else None
             fill_row(table, cols, floor, below, row, i, level_one, cap)
-            if live and cols:
+            if live:
                 for y in range(i, s):
                     cols[y][i] = row[y]
-
-    @staticmethod
-    def _columns(table, cols):
-        # The table read by a fill as column lists, built in place the first
-        # time a query of the fill searches.
-        if not cols:
-            cols += [[row[y] for row in table[: y + 1]] for y in range(len(table))]
-        return cols
 
     def _plain_row(self, table, cols, floor, below, row, i, level_one, cap) -> None:
         # Exact mode, plain h: row i of the next table past its diagonal.
@@ -618,7 +606,7 @@ class TsirelsonEngine:
                 elif p * (mass + (q - p) * total) > q * best and (  # the sup bound
                     last is None or p * (F[R][-1] + prefix[j + 1] - prefix[last + 1]) > best
                 ):  # the triangle bound from the last query
-                    split = self._split(F, self._columns(table, cols), table, self._closed, i, j, R)
+                    split = self._split(F, cols, table, self._closed, i, j, R)
                     last = j
                     best = max(best, p * split)
             row[j] = best // q
@@ -655,7 +643,7 @@ class TsirelsonEngine:
                         top = sum(column[width - r :])
                         if r < 2 or p * (mass + (q - p) * top) <= q * best:
                             break  # the sup bound: no r-split or narrower beats best
-                        split = self._split(F, self._columns(table, cols), table, self._closed, i, j, r)
+                        split = self._split(F, cols, table, self._closed, i, j, r)
                         best = max(best, p * split)
             row[j] = best // q
 

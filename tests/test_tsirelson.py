@@ -1492,11 +1492,12 @@ def brute_split(table, i, y, q):
 def split_queries(rng, i, s, most=None):
     """Seeded queries (j, r) of the start i for _split: j rises, columns are
     skipped (the next query catches up), and the sizes asked, up to
-    ``most`` of them per j, come in any order."""
-    for j in range(i + 1, s):
+    ``most`` of them per j, come in any order.  Each r is below the width
+    j - i + 1, as in the fills, which close the width by the singletons."""
+    for j in range(i + 2, s):
         if rng.random() < 0.4:
             continue
-        sizes = list(range(2, j - i + 2))
+        sizes = list(range(2, j - i + 1))
         for r in rng.sample(sizes, rng.randint(1, min(most or len(sizes), len(sizes)))):
             yield j, r
 
@@ -1547,8 +1548,9 @@ class TestStartSplits:
     """The per-start partition arrays of the exact fill, state by state."""
 
     # Two fixed orders of queries (j - i, r) on one vector: queries with
-    # r = width (n = 1) come before and between queries that create wider
-    # arrays over them, where a new F[q] starts with closed states.
+    # n = 2 states per array, the fewest a fill asks (r = j - i), come
+    # before and between queries that create wider arrays over shorter
+    # ones, where a new F[q] starts with its closed states 0 and 1.
     EDGE_VECTOR = FiniteVector.from_pairs(
         zip([2, 3, 5, 6, 7, 9, 10, 11, 13, 14, 15],
             [3, Fraction(-5, 2), 1, 4, Fraction(7, 3), -2, 5, Fraction(1, 4), 3, -6, 2])
@@ -1557,9 +1559,9 @@ class TestStartSplits:
     # position is small, arrays cross from closed states (k + 1 <= C_x) to
     # kernel states within one start.
     EDGE_QUERIES = (
-        [(2, 3), (6, 5), (7, 7), (8, 9), (8, 4)],
-        [(2, 2), (3, 4), (5, 3), (9, 6), (10, 11)],
-        [(1, 2), (3, 2), (4, 3), (6, 2), (7, 3), (9, 2), (10, 3)],
+        [(2, 2), (6, 5), (7, 7), (8, 8), (8, 4)],
+        [(2, 2), (3, 3), (5, 3), (9, 6), (10, 10)],
+        [(2, 2), (3, 2), (4, 3), (6, 2), (7, 3), (9, 2), (10, 3)],
     )
 
     @pytest.mark.parametrize(
@@ -1603,6 +1605,34 @@ class TestStartSplits:
             if h is None:
                 closed, total = closed + counts[0], total + counts[2]
         assert 2 * closed > total
+
+    @pytest.mark.parametrize(
+        "h", [None, HFunction.affine(2, 0), HFunction.from_table([(1, 3), (2, 4)])],
+        ids=["plain", "affine:2:0", "table"],
+    )
+    def test_fills_ask_fewer_groups_than_the_width(self, h, monkeypatch):
+        # The contract _new_arrays relies on to write states 0 and 1 of
+        # every new array: each query of the fills leaves
+        # n = j - i - r + 2 >= 2.  Level 1 asks none, so its fill builds no
+        # columns.
+        asked = []
+        split = TsirelsonEngine._split
+
+        def recorded(F, cols, table, closed, i, j, r):
+            asked.append(j - i - r + 2)
+            return split(F, cols, table, closed, i, j, r)
+
+        monkeypatch.setattr(TsirelsonEngine, "_split", staticmethod(recorded))
+        rng = Random(f"split-contract/{h}")
+        for s in (16, 24, 32, 48):
+            v = seeded_vector(rng, s, pos=rng.randint(0, 2))
+            alpha = rng.choice((HALF, Fraction(2, 3), Fraction(1, 3)))
+            before = len(asked)
+            TsirelsonEngine(alpha, v, h).level_tables(1)
+            assert len(asked) == before
+            TsirelsonEngine(alpha, v, h).fixed_point_table()
+            TsirelsonEngine(alpha, v, h).norm_with_trace()
+        assert asked and min(asked) >= 2
 
     MEMORY_HS = pytest.mark.parametrize(
         "h",
